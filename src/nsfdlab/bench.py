@@ -72,12 +72,19 @@ class ConvergenceStudy:
 
 
 def relative_error_series(traj: Trajectory, exact, norm: str = COMPONENT_X) -> ErrorSeries:
-    """Errors of traj.states against exact(t) at every trajectory time."""
+    """Errors of traj.states against the exact solution at every trajectory time.
+
+    exact is called once, on the array of times, and returns the states as
+    shape (N, n); a result that broadcasts to it (a constant solution) is
+    accepted.
+    """
     if norm not in NORM_KINDS:
         raise ValueError(f"unknown norm {norm!r}; valid: {', '.join(NORM_KINDS)}")
-    reference = np.array([np.asarray(exact(t), dtype=float) for t in traj.times])
-    if reference.shape != traj.states.shape:
-        raise ValueError("exact solution shape does not match trajectory states")
+    reference = np.asarray(exact(traj.times), dtype=float)
+    try:
+        reference = np.broadcast_to(reference, traj.states.shape)
+    except ValueError as exc:
+        raise ValueError("exact solution shape does not match trajectory states") from exc
     if norm == COMPONENT_X:
         num = np.abs(traj.states[:, 0] - reference[:, 0])
         den = np.abs(reference[:, 0])
@@ -220,19 +227,28 @@ FIGURES = {
     "seasonal-exact": _figure_exact("seasonal", 0.01, 10.0),
 }
 
-_STATE_HEADERS = {2: "t,x,y", 3: "t,x,y,z"}
-
-
-def _dt_label(dt: float) -> str:
+def dt_label(dt: float) -> str:
+    """A step size as it appears in file names and reports: fixed point,
+    trailing zeros dropped (0.05, 0.0005, 1.0)."""
     s = f"{dt:.10f}".rstrip("0")
     return s + "0" if s.endswith(".") else s
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{v:.16e}" for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def write_csv(path, header: str, table) -> None:
+    """Write the rows of a 2-d table under a header line, every value in
+    %.16e, so repeated runs are byte-identical."""
+    table = np.asarray(table, dtype=float)
+    row_format = ",".join(["%.16e"] * table.shape[1])
+    lines = [header] + [row_format % tuple(row) for row in table.tolist()]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_exact(model: OdeModel, dt: float, t_end: float, path) -> None:
+    """Sample the exact solution at t = k dt, k = 0..floor(t_end/dt), in one
+    call, and write it as CSV with columns t,x,y[,z]."""
+    times = np.arange(schemes.step_count(dt, t_end) + 1) * dt
+    header = ",".join(("t", "x", "y", "z")[: model.n + 1])
+    write_csv(path, header, np.column_stack((times, model.exact(times))))
 
 
 def run_figure(figure_id: str, out_dir) -> list[Path]:
@@ -252,12 +268,8 @@ def run_figure(figure_id: str, out_dir) -> list[Path]:
     written = []
     if spec["kind"] == "exact":
         model = make_model(spec["model"])
-        dt, t_end = spec["dt"], spec["t_end"]
-        n_steps = int(math.floor(t_end / dt + 1e-9))
-        times = np.arange(n_steps + 1) * dt
-        rows = [np.concatenate(([t], model.exact(t))) for t in times]
         path = out / f"{figure_id}.csv"
-        _write_rows(path, _STATE_HEADERS[model.n], rows)
+        write_exact(model, spec["dt"], spec["t_end"], path)
         written.append(path)
         script = _exact_script(figure_id, model.n)
     else:
@@ -268,8 +280,8 @@ def run_figure(figure_id: str, out_dir) -> list[Path]:
                 _, series, _ = run_experiment(
                     model, scheme, dt, spec["t_end"], norm=spec["norm"]
                 )
-                name = f"{figure_id}_{label}_{_dt_label(dt)}.csv"
-                _write_rows(out / name, "t,rel_error", zip(series.times, series.errors))
+                name = f"{figure_id}_{label}_{dt_label(dt)}.csv"
+                write_csv(out / name, "t,rel_error", np.column_stack((series.times, series.errors)))
                 written.append(out / name)
                 csv_names.append((name, label, dt))
         script = _error_script(figure_id, spec, csv_names)
@@ -299,7 +311,7 @@ def _error_script(figure_id, spec, csv_names) -> str:
             for name, label, d in csv_names
             if d == dt
         ]
-        lines.append(f"set title 'dt = {_dt_label(dt)}'")
+        lines.append(f"set title 'dt = {dt_label(dt)}'")
         lines.append("plot " + ", \\\n     ".join(plots))
     lines.append("unset multiplot")
     return "\n".join(lines) + "\n"

@@ -89,11 +89,11 @@ def _cmd_run(args) -> int:
     _, series, report = bench.run_experiment(model, scheme, args.dt, args.tend, norm=args.norm)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    bench._write_rows(out, "t,rel_error", zip(series.times, series.errors))
+    bench.write_csv(out, "t,rel_error", np.column_stack((series.times, series.errors)))
     print("model,scheme,dt,t_end,norm,max_error,final_error,blow_up_step")
     blow = "" if report.blow_up_step is None else report.blow_up_step
     print(
-        f"{report.model},{report.scheme},{bench._dt_label(report.dt)},{report.t_end},"
+        f"{report.model},{report.scheme},{bench.dt_label(report.dt)},{report.t_end},"
         f"{report.norm},{report.max_error:.16e},{report.final_error:.16e},{blow}"
     )
     return 0 if report.blow_up_step is None else 3
@@ -109,7 +109,7 @@ def _cmd_convergence(args) -> int:
         order = "" if i == 0 else study.orders[i - 1]
         if isinstance(order, float):
             order = f"{order:.3f}"
-        print(f"{bench._dt_label(dt)},{err:.16e},{order}")
+        print(f"{bench.dt_label(dt)},{err:.16e},{order}")
     return 0
 
 
@@ -122,12 +122,9 @@ def _cmd_figure(args) -> int:
 
 def _cmd_exact(args) -> int:
     model = _build_model(args)
-    n_steps = int(math.floor(args.tend / args.dt + 1e-9))
-    times = np.arange(n_steps + 1) * args.dt
-    rows = [np.concatenate(([t], model.exact(t))) for t in times]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    bench._write_rows(out, bench._STATE_HEADERS[model.n], rows)
+    bench.write_exact(model, args.dt, args.tend, out)
     print(out)
     return 0
 

@@ -57,38 +57,10 @@ def elliptic_k(m: float) -> float:
     return math.pi / (2.0 * mean)
 
 
-def jacobi_sn_cn_dn(u: float, m: float) -> tuple[float, float, float]:
-    """Jacobi elliptic sn, cn, dn of real u with parameter m in [0, 1].
-
-    Descending Landen transformation: run the arithmetic-geometric mean up
-    from (1, sqrt(1-m)), then recover the amplitude by the backward
-    recurrence phi_{i-1} = (phi_i + asin((c_i/a_i) sin phi_i))/2.  The
-    argument is first reduced to [0, K] with the quarter-period symmetries
-    sn(u + 2K) = -sn(u), cn(u + 2K) = -cn(u), sn(2K - u) = sn(u),
-    cn(2K - u) = -cn(u), dn unchanged, which keeps the principal arcsin
-    branch valid for any real u.
-    """
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"parameter m must be in [0, 1], got {m}")
-    u = float(u)
-    if m == 0.0:
-        return math.sin(u), math.cos(u), 1.0
-    if m == 1.0:
-        sech = 1.0 / math.cosh(u)
-        return math.tanh(u), sech, sech
-    period = 4.0 * elliptic_k(m)
-    v = math.fmod(u, period)
-    if v < 0.0:
-        v += period
-    sign_sn = 1.0
-    sign_cn = 1.0
-    if v >= 0.5 * period:
-        v -= 0.5 * period
-        sign_sn, sign_cn = -1.0, -1.0
-    if v > 0.25 * period:
-        v = 0.5 * period - v
-        sign_cn = -sign_cn
-
+def _landen_ladder(m: float) -> tuple[np.ndarray, np.ndarray]:
+    """The arithmetic-geometric mean ladder a_i, c_i run up from (1, sqrt(1-m))
+    until c_i vanishes; it depends on m only, so one ladder serves any
+    number of arguments."""
     a_seq = [1.0]
     c_seq = [math.sqrt(m)]
     b = math.sqrt(1.0 - m)
@@ -97,19 +69,60 @@ def jacobi_sn_cn_dn(u: float, m: float) -> tuple[float, float, float]:
         a_seq.append(0.5 * (a + b))
         c_seq.append(0.5 * (a - b))
         b = math.sqrt(a * b)
+    return np.array(a_seq), np.array(c_seq)
+
+
+def _sn_cn_dn(u, m: float, period: float, ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sn, cn, dn of the array u for 0 < m < 1, given 4 K(m) and the ladder."""
+    v = np.fmod(u, period)
+    v = np.where(v < 0.0, v + period, v)
+    second_half = v >= 0.5 * period
+    v = np.where(second_half, v - 0.5 * period, v)
+    sign_sn = np.where(second_half, -1.0, 1.0)
+    second_quarter = v > 0.25 * period
+    v = np.where(second_quarter, 0.5 * period - v, v)
+    sign_cn = np.where(second_quarter, -sign_sn, sign_sn)
+    a_seq, c_seq = ladder
     levels = len(a_seq) - 1
     phi = (2.0 ** levels) * a_seq[-1] * v
     for i in range(levels, 0, -1):
-        s = c_seq[i] / a_seq[i] * math.sin(phi)
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, s))))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt(1.0 - m * sn * sn)
-    return sign_sn * sn, sign_cn * cn, dn
+        s = c_seq[i] / a_seq[i] * np.sin(phi)
+        phi = 0.5 * (phi + np.arcsin(np.clip(s, -1.0, 1.0)))
+    sn = np.sin(phi)
+    dn = np.sqrt(1.0 - m * sn * sn)
+    return sign_sn * sn, sign_cn * np.cos(phi), dn
 
 
-def jacobi_sn(u: float, m: float) -> float:
-    """sn(u | m); see jacobi_sn_cn_dn."""
+def jacobi_sn_cn_dn(u, m: float):
+    """Jacobi elliptic sn, cn, dn of real u with parameter m in [0, 1].
+
+    u is a number (the result is three floats) or an array (three arrays of
+    its shape).  Descending Landen transformation: run the
+    arithmetic-geometric mean up from (1, sqrt(1-m)), then recover the
+    amplitude by the backward recurrence
+    phi_{i-1} = (phi_i + asin((c_i/a_i) sin phi_i))/2.  The argument is
+    first reduced to [0, K] with the quarter-period symmetries
+    sn(u + 2K) = -sn(u), cn(u + 2K) = -cn(u), sn(2K - u) = sn(u),
+    cn(2K - u) = -cn(u), dn unchanged, which keeps the principal arcsin
+    branch valid for any real u.
+    """
+    if not 0.0 <= m <= 1.0:
+        raise ValueError(f"parameter m must be in [0, 1], got {m}")
+    u_arr = np.asarray(u, dtype=float)
+    if m == 0.0:
+        out = np.sin(u_arr), np.cos(u_arr), np.ones_like(u_arr)
+    elif m == 1.0:
+        sech = 1.0 / np.cosh(u_arr)
+        out = np.tanh(u_arr), sech, sech
+    else:
+        out = _sn_cn_dn(u_arr, m, 4.0 * elliptic_k(m), _landen_ladder(m))
+    if u_arr.ndim == 0:
+        return tuple(float(v) for v in out)
+    return out
+
+
+def jacobi_sn(u, m: float):
+    """sn(u | m) of a number or an array; see jacobi_sn_cn_dn."""
     return jacobi_sn_cn_dn(u, m)[0]
 
 
@@ -158,15 +171,17 @@ class Forcing:
 
     kind is one of "none", "constant", "time", "state".  For "time",
     antiderivative (if set) is the componentwise primitive of time_fn, used
-    for the exact integral-mean approximation.  For "state",
+    for the exact integral-mean approximation.  Both take a time or an
+    array of times; an array of shape S gives shape S + (n,), so the
+    steppers evaluate the forcing of every step in one call.  For "state",
     nonlocal_product(x_k, x_next) is the semi-implicit two-level form of
     the quadratic term and state_fn its plain one-level evaluation.
     """
 
     kind: str
     constant: np.ndarray | None = None
-    time_fn: Callable[[float], np.ndarray] | None = None
-    antiderivative: Callable[[float], np.ndarray] | None = None
+    time_fn: Callable[[float | np.ndarray], np.ndarray] | None = None
+    antiderivative: Callable[[float | np.ndarray], np.ndarray] | None = None
     state_fn: Callable[[np.ndarray], np.ndarray] | None = None
     nonlocal_product: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
@@ -186,7 +201,8 @@ class OdeModel:
     """A benchmark system X' = A X + B with its exact solution.
 
     spectrum lists (eigenvalue, multiplicity) pairs of a_matrix; exact(t)
-    returns the analytic state; equilibrium, if not None, is a fixed point
+    returns the analytic state at a time, or the states at an array of N
+    times as shape (N, n); equilibrium, if not None, is a fixed point
     of the flow; energy, if not None, is a conserved quantity evaluator.
     """
 
@@ -196,7 +212,7 @@ class OdeModel:
     spectrum: tuple[tuple[complex, int], ...]
     forcing: Forcing
     initial_state: np.ndarray
-    exact: Callable[[float], np.ndarray]
+    exact: Callable[[float | np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
     equilibrium: np.ndarray | None = None
     energy: Callable[[np.ndarray], float] | None = None
@@ -212,12 +228,14 @@ class OdeModel:
 
 def _make_oscillator(x0: float = 0.25) -> OdeModel:
     a_par, omega, m_par = oscillator_params(x0)
+    period = 4.0 * elliptic_k(m_par)
+    ladder = _landen_ladder(m_par)
 
-    def exact(t: float) -> np.ndarray:
-        sn, cn, dn = jacobi_sn_cn_dn(omega * t, m_par)
+    def exact(t) -> np.ndarray:
+        sn, cn, dn = _sn_cn_dn(omega * np.asarray(t, dtype=float), m_par, period, ladder)
         x = x0 + a_par * sn * sn
         y = 2.0 * a_par * omega * sn * cn * dn
-        return np.array([x, y])
+        return np.stack((x, y), axis=-1)
 
     def state_b(x: np.ndarray) -> np.ndarray:
         # multiply instead of ** so overflow yields inf (blow-up record)
@@ -252,23 +270,37 @@ _BIOMASS_A = np.array(
 _BIOMASS_SPECTRUM = ((-1.0 + 0j, 1), (-3.0 + 0j, 1), (-5.0 + 0j, 1))
 
 
-def _biomass_homogeneous(t: float, z0: float) -> np.ndarray:
-    e1, e3, e5 = math.exp(-t), math.exp(-3.0 * t), math.exp(-5.0 * t)
-    return np.array(
-        [
-            15.0 / 8.0 * (e1 - 2.0 * e3 + e5) * z0,
-            5.0 / 2.0 * (e3 - e5) * z0,
-            e5 * z0,
-        ]
+# The closed forms below are factored so that every term is a product of
+# nonnegative factors, with u = exp(-t):
+#   1 - 2u^2 + u^4 = (1 - u^2)^2,
+#   8 - 15u + 10u^3 - 3u^5 = (1 - u)^3 (8 + 9u + 3u^2),
+#   2 - 5u^3 + 3u^5 = (1 - u)^2 (2 + 4u + 6u^2 + 3u^3).
+# Written out in powers of u they cancel O(1) terms down to the O(t^2)
+# solution near t = 0; factored, with 1 - u^k from expm1, they keep full
+# relative precision at every t, and x, y vanish exactly at t = 0.
+
+
+def _biomass_homogeneous(t, z0: float) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    one_minus_u2 = -np.expm1(-2.0 * t)
+    return np.stack(
+        (
+            15.0 / 8.0 * z0 * np.exp(-t) * one_minus_u2 * one_minus_u2,
+            5.0 / 2.0 * z0 * np.exp(-3.0 * t) * one_minus_u2,
+            z0 * np.exp(-5.0 * t),
+        ),
+        axis=-1,
     )
 
 
-def _trees_exact(t: float, z0: float, zf: float) -> np.ndarray:
-    e1, e3, e5 = math.exp(-t), math.exp(-3.0 * t), math.exp(-5.0 * t)
+def _trees_exact(t, z0: float, zf: float) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    u = np.exp(-t)
+    one_minus_u = -np.expm1(-t)
     out = _biomass_homogeneous(t, z0)
-    out[0] += (8.0 - 15.0 * e1 + 10.0 * e3 - 3.0 * e5) / 8.0 * zf
-    out[1] += (2.0 - 5.0 * e3 + 3.0 * e5) / 6.0 * zf
-    out[2] += (1.0 - e5) / 5.0 * zf
+    out[..., 0] += zf / 8.0 * one_minus_u**3 * (8.0 + u * (9.0 + 3.0 * u))
+    out[..., 1] += zf / 6.0 * one_minus_u**2 * (2.0 + u * (4.0 + u * (6.0 + 3.0 * u)))
+    out[..., 2] += zf / 5.0 * -np.expm1(-5.0 * t)
     return out
 
 
@@ -307,6 +339,13 @@ def _make_trees(z0: float = 1.0, zf: float = 0.5) -> OdeModel:
     )
 
 
+def _third_component(values: np.ndarray) -> np.ndarray:
+    """Vectors (0, 0, v) for each v of values, shape values.shape + (3,)."""
+    out = np.zeros(np.shape(values) + (3,))
+    out[..., 2] = values
+    return out
+
+
 def _make_seasonal(z0: float = 1.0, zf: float = 0.5, omega: float = 2.0 * math.pi) -> OdeModel:
     if z0 <= 0:
         raise ValueError(f"z0 must be positive, got {z0}")
@@ -317,23 +356,31 @@ def _make_seasonal(z0: float = 1.0, zf: float = 0.5, omega: float = 2.0 * math.p
     w2 = omega * omega
     d1, d3, d5 = 1.0 + w2, 9.0 + w2, 25.0 + w2
 
-    def exact(t: float) -> np.ndarray:
-        e1, e3, e5 = math.exp(-t), math.exp(-3.0 * t), math.exp(-5.0 * t)
-        cw, sw = math.cos(omega * t), math.sin(omega * t)
+    def exact(t) -> np.ndarray:
+        # the seasonal part in partial fractions: every term carries a
+        # factor cos(omega t) - exp(-k t) or sin(omega t), so each vanishes
+        # exactly at t = 0 and exact(0) is the initial state to the bit;
+        # cos(omega t) - exp(-k t) = (cos(omega t) - 1) - (exp(-k t) - 1)
+        # keeps its digits near t = 0
+        t = np.asarray(t, dtype=float)
+        m1, m3, m5 = np.expm1(-t), np.expm1(-3.0 * t), np.expm1(-5.0 * t)
+        cm = -2.0 * np.sin(0.5 * omega * t) ** 2  # cos(omega t) - 1
+        sw = np.sin(omega * t)
+        c1, c3, c5 = cm - m1, cm - m3, cm - m5
         out = _trees_exact(t, z0, zf)
-        out[0] += 15.0 * (3.0 * (5.0 - 3.0 * w2) * cw + omega * (23.0 - w2) * sw) / (d1 * d3 * d5) * zf
-        out[0] += 15.0 / 8.0 * (-e1 / d1 + 6.0 * e3 / d3 - 5.0 * e5 / d5) * zf
-        out[1] += 5.0 * ((15.0 - w2) * cw + 8.0 * omega * sw) / (d3 * d5) * zf
-        out[1] += 5.0 / 2.0 * (-3.0 * e3 / d3 + 5.0 * e5 / d5) * zf
-        out[2] += (5.0 * cw + omega * sw) / d5 * zf
-        out[2] += -5.0 * e5 / d5 * zf
+        out[..., 0] += 15.0 / 8.0 * zf * (
+            c1 / d1 - 6.0 * c3 / d3 + 5.0 * c5 / d5 + omega * sw * (1.0 / d1 - 2.0 / d3 + 1.0 / d5)
+        )
+        out[..., 1] += zf * (7.5 * c3 / d3 - 12.5 * c5 / d5 + 2.5 * omega * sw * (1.0 / d3 - 1.0 / d5))
+        out[..., 2] += zf * (5.0 * c5 + omega * sw) / d5
         return out
 
-    def time_fn(t: float) -> np.ndarray:
-        return np.array([0.0, 0.0, zf * (1.0 + math.cos(omega * t))])
+    def time_fn(t) -> np.ndarray:
+        return _third_component(zf * (1.0 + np.cos(omega * np.asarray(t, dtype=float))))
 
-    def antiderivative(t: float) -> np.ndarray:
-        return np.array([0.0, 0.0, zf * (t + math.sin(omega * t) / omega)])
+    def antiderivative(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return _third_component(zf * (t + np.sin(omega * t) / omega))
 
     return OdeModel(
         name="seasonal",

@@ -16,6 +16,11 @@ built from the Cayley-Hamilton coefficients alpha_j (exact) or gamma_j
 left/right/middle endpoint values, the endpoint average, or the exact
 integral mean over the step.
 
+Every one of these one-step schemes is the affine map X+ = P X + Q B-hat
+(the exponential-Euler form of Hochbruck & Ostermann, "Exponential
+integrators", Acta Numerica 19, 2010); StepContext compiles (P, Q) once
+and march drives them all.
+
 For the conservative oscillator x'' + x + x^2 = 0 three dedicated two-level
 recurrences are provided, all sharing the exact linear denominator
 (2 sin(dt/2))^2; they differ in the discretization of the quadratic term.
@@ -26,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import matkit
 from .models import OdeModel
@@ -120,10 +124,22 @@ class Trajectory:
 class StepContext:
     """Everything a stepper needs, precomputed once per (model, scheme, dt).
 
-    Depending on the scheme this holds an LU factorization of I - dt A, the
-    per-component denominators of the traditional scheme, the matrix
-    Phi(dt) = dt phi1(dt A), or the scalar coefficients together with the
-    correction matrices R0, R1.
+    A one-step scheme compiles to the affine map X+ = P X + Q B-hat:
+
+      explicit-euler     P = I + dt A              Q = dt I
+      implicit-euler     P = M                     Q = dt M,  M = (I - dt A)^-1
+      traditional-nsfd   P = I + diag(phi) A       Q = diag(phi)
+      matrix-nsfd        P = I + Phi A             Q = Phi,   Phi = dt phi1(dt A)
+      scalar/gamma-nsfd  P = a0 I + a1 (I + R1) A  Q = a1 (I + R1 + R0)
+
+    with phi_i = (1 - exp(a_ii dt))/(-a_ii) (dt where a_ii = 0) and a_j the
+    alpha (exact) or gamma (order-n) coefficients, kept as coeffs.  The map
+    is held as d = P - I and q, each formed without subtracting I, and
+    applied as X + (D X + Q B-hat): P is within O(dt) of I, so a stored P
+    would round away the low digits of every step's increment, and with
+    them the forced equilibrium (P - I) X* = -Q B.  A second-order
+    oscillator scheme holds its recurrence constants and the context of its
+    one-step start-up instead.
     """
 
     def __init__(self, model: OdeModel, scheme: SchemeSpec, dt: float):
@@ -135,15 +151,21 @@ class StepContext:
         a = model.a_matrix
         eye = np.eye(model.n)
         kind = scheme.kind
-        if kind == IMPLICIT_EULER:
-            self.lu = scipy.linalg.lu_factor(eye - dt * a)
+        if kind == EXPLICIT_EULER:
+            self.d, self.q = dt * a, dt * eye
+        elif kind == IMPLICIT_EULER:
+            m = np.linalg.inv(eye - dt * a)
+            # M - I = dt M A, since M (I - dt A) = I
+            self.d, self.q = dt * m @ a, dt * m
         elif kind == TRADITIONAL_NSFD:
             diag = np.diag(a)
             safe = np.where(diag == 0.0, 1.0, diag)
             # (1 - exp(lam dt))/(-lam) = expm1(lam dt)/lam, and dt for lam = 0
-            self.phi_vec = np.where(diag == 0.0, dt, np.expm1(diag * dt) / safe)
+            phi = np.where(diag == 0.0, dt, np.expm1(diag * dt) / safe)
+            self.d, self.q = phi[:, None] * a, np.diag(phi)
         elif kind == MATRIX_NSFD:
-            self.phi_mat = dt * matkit.phi1(dt * a)
+            phi_mat = dt * matkit.phi1(dt * a)
+            self.d, self.q = phi_mat @ a, phi_mat
         elif kind in (SCALAR_NSFD, GAMMA_NSFD):
             if kind == SCALAR_NSFD:
                 coeffs = matkit.alpha_coeffs(a, model.spectrum, dt)
@@ -151,11 +173,13 @@ class StepContext:
                 coeffs = matkit.gamma_coeffs(matkit.char_poly(a), dt)
             corrections = matkit.correction_factors(a, coeffs)
             self.coeffs = coeffs
-            self.alpha0 = float(coeffs.values[0])
-            self.alpha1 = float(coeffs.values[1])
-            self.i_plus_r1 = eye + corrections.r1
-            self.r0 = corrections.r0
-        elif kind in SECOND_ORDER_KINDS:
+            alpha0, alpha1 = float(coeffs.values[0]), float(coeffs.values[1])
+            i_plus_r1 = eye + corrections.r1
+            # R0 is built from the same alpha0 - 1, so D and Q stay
+            # consistent at the forced equilibrium D X* = -Q B
+            self.d = (alpha0 - 1.0) * eye + alpha1 * i_plus_r1 @ a
+            self.q = alpha1 * (i_plus_r1 + corrections.r0)
+        else:
             if model.name != "oscillator":
                 raise ValueError(
                     f"scheme {kind!r} applies only to the oscillator model, got {model.name!r}"
@@ -187,10 +211,12 @@ def _fixed_point(map_fn, start, tol=FIXED_POINT_TOL, max_iter=FIXED_POINT_MAX_IT
         rises = 0
         for _ in range(max_iter):
             fx = map_fn(x)
-            if not np.all(np.isfinite(fx)):
+            delta = fx - x
+            # x stays finite, so a non-finite residual means a non-finite fx
+            res = float(abs(delta).max())
+            if not math.isfinite(res):
                 rises = max_iter  # hard divergence; try the damped pass
                 break
-            res = float(np.max(np.abs(fx - x)))
             last_res = res
             if res <= tol:
                 return fx
@@ -201,7 +227,7 @@ def _fixed_point(map_fn, start, tol=FIXED_POINT_TOL, max_iter=FIXED_POINT_MAX_IT
             else:
                 rises = 0
             prev = res
-            x = x + damping * (fx - x)
+            x = x + damping * delta
         if rises == 0:
             break  # ran out of iterations while still contracting; give up
     raise RuntimeError(
@@ -210,10 +236,17 @@ def _fixed_point(map_fn, start, tol=FIXED_POINT_TOL, max_iter=FIXED_POINT_MAX_IT
     )
 
 
-def approximate_forcing(ctx: StepContext, t_k: float, x_k, x_next=None) -> np.ndarray:
-    """The per-step forcing value B-hat on [t_k, t_k + dt].
+# the Euler schemes fix their time sample by definition
+_EULER_FORCING = {EXPLICIT_EULER: FORCING_LEFT, IMPLICIT_EULER: FORCING_RIGHT}
 
-    Time-dependent forcing follows ctx.scheme.forcing_approx; the "mean"
+
+def approximate_forcing(ctx: StepContext, t_k, x_k=None, x_next=None) -> np.ndarray:
+    """The forcing value B-hat on [t_k, t_k + dt].
+
+    t_k is a step's start time, or an array of N start times for forcing
+    that does not depend on the state; the result then has shape (N, n).
+    Time-dependent forcing follows ctx.scheme.forcing_approx (explicit
+    Euler takes the left value, implicit Euler the right one); the "mean"
     strategy is the integral average (1/dt) int B(t) dt, evaluated from the
     model's antiderivative when available and by 5-point Gauss-Legendre
     quadrature otherwise.  State-dependent forcing uses the explicit value
@@ -221,12 +254,13 @@ def approximate_forcing(ctx: StepContext, t_k: float, x_k, x_next=None) -> np.nd
     """
     f = ctx.model.forcing
     dt = ctx.dt
+    t_k = np.asarray(t_k, dtype=float)
     if f.kind == "none":
-        return np.zeros(ctx.model.n)
+        return np.zeros(t_k.shape + (ctx.model.n,))
     if f.kind == "constant":
-        return f.constant
+        return np.broadcast_to(f.constant, t_k.shape + (ctx.model.n,))
     if f.kind == "time":
-        strategy = ctx.scheme.forcing_approx
+        strategy = _EULER_FORCING.get(ctx.scheme.kind, ctx.scheme.forcing_approx)
         if strategy == FORCING_LEFT:
             return f.time_fn(t_k)
         if strategy == FORCING_RIGHT:
@@ -241,117 +275,81 @@ def approximate_forcing(ctx: StepContext, t_k: float, x_k, x_next=None) -> np.nd
             raise ValueError(
                 "mean forcing needs an antiderivative when quadrature is disabled"
             )
-        mid = t_k + dt / 2.0
         half = dt / 2.0
-        acc = sum(
-            w * f.time_fn(mid + half * xi) for xi, w in zip(_GL5_NODES, _GL5_WEIGHTS)
-        )
-        return acc * half / dt
+        # one evaluation at all nodes of all steps: shape t_k.shape + (5, n)
+        nodes = (t_k + half)[..., None] + half * _GL5_NODES
+        return _GL5_WEIGHTS @ f.time_fn(nodes) * half / dt
     # state-dependent forcing
     if ctx.scheme.nonlocal_b == NONLOCAL_EXPLICIT or x_next is None:
         return f.state_fn(x_k)
     return f.nonlocal_product(x_k, x_next)
 
 
-def _resolve_with_forcing(ctx: StepContext, x_k, t_k: float, update):
-    """Apply update(B-hat); solve directly when B-hat references the next state."""
-    f = ctx.model.forcing
-    if (
-        f.kind == "state"
-        and f.nonlocal_product is not None
-        and ctx.scheme.nonlocal_b == NONLOCAL_SEMI_IMPLICIT
-    ):
-        return _solve_semi_implicit(ctx, x_k, update)
-    return update(approximate_forcing(ctx, t_k, x_k))
+def _state_step(ctx: StepContext, x_k: np.ndarray, t_k: float) -> np.ndarray:
+    """One step X+ = P X_k + Q B-hat, P = I + D, under state-dependent forcing.
 
-
-def _solve_semi_implicit(ctx: StepContext, x_k, update):
-    """Resolve the two-level product forcing by a direct linear solve.
-
-    b(x_k, x_next) is affine in x_next and every stepper update is affine in
-    B-hat, so X+ = update(b(x_k, X+)) is the affine problem (I - K) X+ = u0.
-    Building K column by column from n extra update evaluations avoids
-    iteration (and its divergence for extreme states) entirely.
+    Implicit Euler takes B-hat = B(X+) and solves by fixed-point iteration
+    of X -> P X_k + Q B(X).  The semi-implicit product b(X_k, X+) is affine
+    in X+, so X+ solves (I - Q J) X+ = P X_k + Q b(X_k, 0), where column i
+    of J is b(X_k, e_i) - b(X_k, 0).  Otherwise B-hat = B(X_k).
     """
-    n = ctx.model.n
-    prod = ctx.model.forcing.nonlocal_product
-    eye = np.eye(n)
-    b0 = np.asarray(prod(x_k, np.zeros(n)), dtype=float)
-    u0 = np.asarray(update(b0), dtype=float)
-    k_mat = np.empty((n, n))
-    for i in range(n):
-        k_mat[:, i] = np.asarray(update(prod(x_k, eye[i])), dtype=float) - u0
+    d_x = ctx.d @ x_k
+    f = ctx.model.forcing
+    kind = ctx.scheme.kind
+    if kind == IMPLICIT_EULER:
+        p_x = x_k + d_x
+        return _fixed_point(lambda x: p_x + ctx.q @ f.state_fn(x), x_k)
+    if (
+        kind == EXPLICIT_EULER
+        or f.nonlocal_product is None
+        or ctx.scheme.nonlocal_b == NONLOCAL_EXPLICIT
+    ):
+        return x_k + (d_x + ctx.q @ approximate_forcing(ctx, t_k, x_k))
+    eye = np.eye(ctx.model.n)
+    b0 = np.asarray(approximate_forcing(ctx, t_k, x_k, np.zeros(ctx.model.n)), dtype=float)
+    jac = np.column_stack([approximate_forcing(ctx, t_k, x_k, e) for e in eye]) - b0[:, None]
     try:
-        return np.linalg.solve(eye - k_mat, u0)
+        return np.linalg.solve(eye - ctx.q @ jac, x_k + (d_x + ctx.q @ b0))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"semi-implicit forcing solve failed: {exc}") from exc
 
 
-def step_explicit_euler(ctx: StepContext, x_k, t_k: float) -> np.ndarray:
-    """X_{k+1} = X_k + dt (A X_k + B(t_k, X_k))."""
-    return x_k + ctx.dt * ctx.model.rhs(t_k, x_k)
+def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
+    """n_steps of a one-step scheme from x0 at t = 0: the stepping kernel.
 
-
-def step_implicit_euler(ctx: StepContext, x_k, t_k: float) -> np.ndarray:
-    """X_{k+1} = X_k + dt (A X_{k+1} + B(t_{k+1}, X_{k+1})).
-
-    Linear models are solved directly through the prefactored I - dt A;
-    state-dependent forcing is resolved by the damped fixed-point solver.
+    Forcing that does not depend on the state is evaluated for all steps at
+    once, c_k = Q B-hat_k, and the loop is x_{k+1} = x_k + (D x_k + c_k).  State
+    forcing steps through _state_step.  Solver failures raise with the step
+    index attached; a non-finite state truncates the trajectory and records
+    blow_up_step.
     """
-    f = ctx.model.forcing
-    if f.kind == "state":
-        return _fixed_point(
-            lambda x: scipy.linalg.lu_solve(ctx.lu, x_k + ctx.dt * f.state_fn(x)), x_k
-        )
-    b = f.pointwise(t_k + ctx.dt, x_k)
-    return scipy.linalg.lu_solve(ctx.lu, x_k + ctx.dt * b)
-
-
-def step_traditional_nsfd(ctx: StepContext, x_k, t_k: float) -> np.ndarray:
-    """Per-component denominator scheme.
-
-    x_i^{k+1} = x_i^k + phi_i (A X_k + B-hat)_i with
-    phi_i = (1 - exp(a_ii dt))/(-a_ii) (and dt when a_ii = 0), which renders
-    each decoupled decay row exactly.
-    """
-
-    def update(bhat):
-        return x_k + ctx.phi_vec * (ctx.model.a_matrix @ x_k + bhat)
-
-    return _resolve_with_forcing(ctx, x_k, t_k, update)
-
-
-def step_matrix_nsfd(ctx: StepContext, x_k, t_k: float) -> np.ndarray:
-    """X_{k+1} = X_k + Phi(dt) (A X_k + B-hat), Phi = dt phi1(dt A).
-
-    For linear autonomous systems this is exp(dt A) X_k exactly; works for
-    singular A since no inverse appears.
-    """
-
-    def update(bhat):
-        return x_k + ctx.phi_mat @ (ctx.model.a_matrix @ x_k + bhat)
-
-    return _resolve_with_forcing(ctx, x_k, t_k, update)
-
-
-def step_scalar_nsfd(ctx: StepContext, x_k, t_k: float) -> np.ndarray:
-    """Scalar-coefficient form of the exponential-fitted step.
-
-    X_{k+1} = alpha_0 X_k + alpha_1 [(I + R1)(A X_k + B-hat) + R0 B-hat];
-    with exact alpha_j this propagates linear modes exactly, with gamma_j
-    it is order n.
-    """
-
-    def update(bhat):
-        rhs = ctx.model.a_matrix @ x_k + bhat
-        return ctx.alpha0 * x_k + ctx.alpha1 * (ctx.i_plus_r1 @ rhs + ctx.r0 @ bhat)
-
-    return _resolve_with_forcing(ctx, x_k, t_k, update)
-
-
-def step_gamma_nsfd(ctx: StepContext, x_k, t_k: float) -> np.ndarray:
-    """Same update as step_scalar_nsfd with the order-n gamma coefficients."""
-    return step_scalar_nsfd(ctx, x_k, t_k)
+    states = np.empty((n_steps + 1, ctx.model.n))
+    states[0] = x0
+    # overflow is a recorded outcome, not a warning condition
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ctx.model.forcing.kind != "state":
+            states[1:] = approximate_forcing(ctx, np.arange(n_steps) * ctx.dt) @ ctx.q.T
+            d = ctx.d
+            levels = list(states)  # row views: level k + 1 starts as c_k
+            for k in range(n_steps):
+                x, nxt = levels[k], levels[k + 1]
+                nxt += d @ x
+                nxt += x
+        else:
+            for k in range(n_steps):
+                try:
+                    states[k + 1] = _state_step(ctx, states[k], k * ctx.dt)
+                except RuntimeError as exc:
+                    raise RuntimeError(f"step {k}: {exc}") from exc
+                if not np.isfinite(states[k + 1]).all():
+                    states = states[: k + 2]
+                    break
+    finite = np.all(np.isfinite(states), axis=1)
+    blow_up = None if finite.all() else int(np.argmin(finite))
+    if blow_up is not None:
+        states = states[:blow_up]
+    times = np.arange(states.shape[0]) * ctx.dt
+    return Trajectory(times=times, states=states, blow_up_step=blow_up)
 
 
 def step_osc_second_order(ctx: StepContext, x_prev: float, x_curr: float) -> float:
@@ -384,16 +382,6 @@ def step_osc_second_order(ctx: StepContext, x_prev: float, x_curr: float) -> flo
     return rhs / pivot
 
 
-_ONE_STEP_DISPATCH = {
-    EXPLICIT_EULER: step_explicit_euler,
-    IMPLICIT_EULER: step_implicit_euler,
-    TRADITIONAL_NSFD: step_traditional_nsfd,
-    MATRIX_NSFD: step_matrix_nsfd,
-    SCALAR_NSFD: step_scalar_nsfd,
-    GAMMA_NSFD: step_gamma_nsfd,
-}
-
-
 def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=None) -> Trajectory:
     """March from t = 0 to t_end = floor(t_end/dt) steps of size dt.
 
@@ -408,28 +396,16 @@ def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=N
     state0 = np.array(model.initial_state if x0 is None else x0, dtype=float)
     if state0.shape != (model.n,):
         raise ValueError(f"initial state must have shape ({model.n},)")
-    n_steps = int(math.floor(t_end / dt + 1e-9))
+    n_steps = step_count(dt, t_end)
     ctx = StepContext(model, scheme, dt)
     if scheme.kind in SECOND_ORDER_KINDS:
         return _integrate_second_order(ctx, state0, n_steps)
-    step_fn = _ONE_STEP_DISPATCH[scheme.kind]
-    states = np.empty((n_steps + 1, model.n))
-    states[0] = state0
-    blow_up = None
-    # overflow is a recorded outcome, not a warning condition
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            try:
-                nxt = step_fn(ctx, states[k], k * dt)
-            except RuntimeError as exc:
-                raise RuntimeError(f"step {k}: {exc}") from exc
-            if not np.all(np.isfinite(nxt)):
-                blow_up = k + 1
-                states = states[: k + 1]
-                break
-            states[k + 1] = nxt
-    times = np.arange(states.shape[0]) * dt
-    return Trajectory(times=times, states=states, blow_up_step=blow_up)
+    return march(ctx, state0, n_steps)
+
+
+def step_count(dt: float, t_end: float) -> int:
+    """Steps of size dt that fit in [0, t_end], forgiving rounding in t_end/dt."""
+    return int(math.floor(t_end / dt + 1e-9))
 
 
 def _osc_velocity(ctx: StepContext, x_k: float, x_next: float) -> float:
@@ -466,11 +442,9 @@ def _integrate_second_order(ctx: StepContext, state0: np.ndarray, n_steps: int) 
     """
     xs = np.empty(n_steps + 2)
     xs[0] = state0[0]
+    startup = march(ctx.startup, state0, 1)
+    xs[1] = startup.states[-1, 0] if startup.blow_up_step is None else math.nan
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            xs[1] = step_scalar_nsfd(ctx.startup, state0, 0.0)[0]
-        except RuntimeError as exc:
-            raise RuntimeError(f"step 0: {exc}") from exc
         blow_up = None
         last = 1
         if not np.isfinite(xs[1]):

@@ -37,6 +37,18 @@ def test_vanishing_exact_solution_falls_back_to_absolute_error(biomass):
     np.testing.assert_allclose(series.errors, np.abs(traj.states[:, 0]), rtol=0, atol=0)
 
 
+def test_seasonal_level_zero_is_exact(seasonal):
+    # the closed form vanishes exactly at t = 0 in its x and y components,
+    # so level 0 takes the absolute-error fallback and reads 0, not 1
+    np.testing.assert_array_equal(seasonal.exact(0.0), seasonal.initial_state)
+    for params in ({"zf": 0.3, "omega": 1.3}, {"zf": 2.0, "omega": 7.0}):
+        model = nl.make_model("seasonal", **params)
+        np.testing.assert_array_equal(model.exact(0.0), model.initial_state)
+    _, series, _ = nl.run_experiment(seasonal, nl.SchemeSpec("scalar-nsfd"), 0.01, 1.0, norm="x")
+    assert series.errors[0] == 0.0
+    assert bool(series.absolute_fallback[0]) is True
+
+
 def test_full_norm_error_is_the_euclidean_ratio(trees):
     traj = nl.integrate(trees, nl.SchemeSpec("explicit-euler"), 0.1, 1.0)
     series = nl.relative_error_series(traj, trees.exact, norm="full")
@@ -120,6 +132,20 @@ def test_trees_exact_figure_contents(tmp_path):
     assert len(lines) == 1002  # header + floor(10/0.01) + 1 samples
     first = [float(tok) for tok in lines[1].split(",")]
     np.testing.assert_allclose(first, [0.0, 0.0, 0.0, 1.0], rtol=0, atol=1e-15)
+
+
+def test_csv_values_keep_the_fstring_bytes(tmp_path):
+    values = [-0.0, 5e-324, 1.0, 1e300]
+    path = tmp_path / "values.csv"
+    bench.write_csv(path, "a,b", np.array([values[:2], values[2:]]))
+    expected = "a,b\n" + "\n".join(
+        ",".join(f"{v:.16e}" for v in row) for row in (values[:2], values[2:])
+    ) + "\n"
+    assert path.read_bytes() == expected.encode()
+    assert path.read_text().splitlines()[1:] == [
+        "-0.0000000000000000e+00,4.9406564584124654e-324",
+        "1.0000000000000000e+00,1.0000000000000001e+300",
+    ]
 
 
 def test_figure_output_is_deterministic(tmp_path):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nsfdlab as nl
 import nsfdlab.matkit as mk
@@ -91,7 +93,7 @@ def test_explicit_euler_biomass_hand_steps(biomass):
 def test_explicit_euler_oscillator_hand_step(oscillator):
     dt, x0 = 0.05, 0.25
     ctx = sch.StepContext(oscillator, nl.SchemeSpec("explicit-euler"), dt)
-    step = sch.step_explicit_euler(ctx, np.array([x0, 0.0]), 0.0)
+    step = sch.march(ctx, np.array([x0, 0.0]), 1).states[1]
     np.testing.assert_allclose(step, [x0, -dt * (x0 + x0 * x0)], rtol=0, atol=1e-16)
 
 
@@ -109,14 +111,14 @@ def test_implicit_euler_is_a_linear_solve(biomass, trees):
     x0 = biomass.initial_state
     expected = np.linalg.solve(np.eye(3) - dt * biomass.a_matrix, x0)
     np.testing.assert_allclose(
-        sch.step_implicit_euler(ctx, x0, 0.0), expected, rtol=0, atol=1e-14
+        sch.march(ctx, x0, 1).states[1], expected, rtol=0, atol=1e-14
     )
     ctx = sch.StepContext(trees, nl.SchemeSpec("implicit-euler"), dt)
     expected = np.linalg.solve(
         np.eye(3) - dt * trees.a_matrix, x0 + dt * trees.forcing.constant
     )
     np.testing.assert_allclose(
-        sch.step_implicit_euler(ctx, x0, 0.0), expected, rtol=0, atol=1e-14
+        sch.march(ctx, x0, 1).states[1], expected, rtol=0, atol=1e-14
     )
 
 
@@ -124,7 +126,7 @@ def test_implicit_euler_oscillator_fixed_point_residual(oscillator):
     dt = 0.01
     ctx = sch.StepContext(oscillator, nl.SchemeSpec("implicit-euler"), dt)
     x0 = np.array([0.25, 0.0])
-    x1 = sch.step_implicit_euler(ctx, x0, 0.0)
+    x1 = sch.march(ctx, x0, 1).states[1]
     residual = x1 - (x0 + dt * oscillator.rhs(dt, x1))
     assert np.max(np.abs(residual)) <= 1e-14
 
@@ -164,7 +166,7 @@ def test_traditional_decay_component_is_exact(biomass):
 def test_traditional_hand_step(biomass):
     dt = 0.1
     ctx = sch.StepContext(biomass, nl.SchemeSpec("traditional-nsfd"), dt)
-    x1 = sch.step_traditional_nsfd(ctx, biomass.initial_state, 0.0)
+    x1 = sch.march(ctx, biomass.initial_state, 1).states[1]
     phi3 = (1.0 - math.exp(-3.0 * dt)) / 3.0
     np.testing.assert_allclose(
         x1, [0.0, phi3 * 5.0, math.exp(-5.0 * dt)], rtol=1e-14, atol=1e-16
@@ -175,7 +177,7 @@ def test_traditional_forced_decay_row(trees):
     dt, zf = 0.1, trees.params["zf"]
     ctx = sch.StepContext(trees, nl.SchemeSpec("traditional-nsfd"), dt)
     z0 = trees.initial_state[2]
-    x1 = sch.step_traditional_nsfd(ctx, trees.initial_state, 0.0)
+    x1 = sch.march(ctx, trees.initial_state, 1).states[1]
     phi5 = (1.0 - math.exp(-5.0 * dt)) / 5.0
     assert abs(x1[2] - (z0 + phi5 * (-5.0 * z0 + zf))) <= 1e-15
 
@@ -186,7 +188,7 @@ def test_traditional_zero_rate_rows_reduce_to_explicit_euler(oscillator):
     ctx_t = sch.StepContext(oscillator, nl.SchemeSpec("traditional-nsfd"), 0.1)
     ctx_e = sch.StepContext(oscillator, nl.SchemeSpec("explicit-euler"), 0.1)
     np.testing.assert_array_equal(
-        sch.step_traditional_nsfd(ctx_t, x0, 0.0), sch.step_explicit_euler(ctx_e, x0, 0.0)
+        sch.march(ctx_t, x0, 1).states[1], sch.march(ctx_e, x0, 1).states[1]
     )
 
 
@@ -234,7 +236,7 @@ def test_scalar_step_is_the_coefficient_polynomial(biomass):
     dt = 0.1
     ctx = sch.StepContext(biomass, nl.SchemeSpec("scalar-nsfd"), dt)
     x0 = biomass.initial_state
-    x1 = sch.step_scalar_nsfd(ctx, x0, 0.0)
+    x1 = sch.march(ctx, x0, 1).states[1]
     values = mk.alpha_coeffs(biomass.a_matrix, biomass.spectrum, dt).values
     a = biomass.a_matrix
     direct = values[0] * x0 + values[1] * a @ x0 + values[2] * a @ a @ x0
@@ -278,7 +280,7 @@ def test_gamma_step_is_the_truncated_polynomial(biomass):
     a = biomass.a_matrix
     direct = values[0] * x0 + values[1] * a @ x0 + values[2] * a @ a @ x0
     np.testing.assert_allclose(
-        sch.step_scalar_nsfd(ctx, x0, 0.0), direct, rtol=0, atol=1e-14
+        sch.march(ctx, x0, 1).states[1], direct, rtol=0, atol=1e-14
     )
 
 
@@ -300,7 +302,7 @@ def test_gamma_on_5x5_is_the_fifth_order_taylor_sum():
     a = model.a_matrix
     ctx = sch.StepContext(model, nl.SchemeSpec("gamma-nsfd"), dt)
     x0 = model.initial_state
-    x1 = sch.step_scalar_nsfd(ctx, x0, 0.0)
+    x1 = sch.march(ctx, x0, 1).states[1]
     taylor = sum(
         np.linalg.matrix_power(dt * a, j) @ x0 / math.factorial(j) for j in range(6)
     )
@@ -322,7 +324,7 @@ def test_one_step_consistency_orders(biomass):
 
     def one_step_error(kind, dt):
         ctx = sch.StepContext(biomass, nl.SchemeSpec(kind), dt)
-        step = sch._ONE_STEP_DISPATCH[kind](ctx, x0, 0.0)
+        step = sch.march(ctx, x0, 1).states[1]
         return np.max(np.abs(step - mk.expm(dt * biomass.a_matrix) @ x0))
 
     for kind in ("explicit-euler", "implicit-euler", "traditional-nsfd"):
@@ -332,6 +334,81 @@ def test_one_step_consistency_orders(biomass):
         assert one_step_error(kind, 0.02) <= 2e-15, kind  # exact
     ratio = one_step_error("gamma-nsfd", 0.02) / one_step_error("gamma-nsfd", 0.01)
     assert 12.0 <= ratio <= 20.0  # local error O(dt^4)
+
+
+ONE_STEP_KINDS = (
+    "explicit-euler", "implicit-euler", "traditional-nsfd", "matrix-nsfd", "scalar-nsfd", "gamma-nsfd"
+)
+
+
+def block_pair(m, order=None):
+    """(exp(M), phi1(M)) from the block matrix [[M, I], [0, 0]], whose
+    exponential is [[exp(M), phi1(M)], [0, I]]; with order set, the Taylor
+    sum of that order in place of the exponential."""
+    n = m.shape[0]
+    block = np.block([[m, np.eye(n)], [np.zeros((n, n)), np.zeros((n, n))]])
+    if order is None:
+        e = scipy.linalg.expm(block)
+    else:
+        e = sum(np.linalg.matrix_power(block, j) / math.factorial(j) for j in range(order + 1))
+    return e[:n, :n], e[:n, n:]
+
+
+def affine_oracle(kind, a, dt):
+    """The (P, Q) each one-step scheme defines, from independent routes."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    if kind == "explicit-euler":
+        return eye + dt * a, dt * eye
+    if kind == "implicit-euler":
+        m = scipy.linalg.solve(eye - dt * a, eye)
+        return m, dt * m
+    if kind == "traditional-nsfd":
+        phi = np.array([dt * block_pair(np.array([[dt * d]]))[1][0, 0] for d in np.diag(a)])
+        return eye + np.diag(phi) @ a, np.diag(phi)
+    order = n if kind == "gamma-nsfd" else None
+    e, phi1 = block_pair(dt * a, order)
+    return e, dt * phi1
+
+
+@st.composite
+def well_conditioned_systems(draw):
+    """A = V diag(lambda) V^T with a random orthogonal V and real eigenvalues
+    at least 0.3 apart and 0.1 away from zero (R0 needs A^-1), and a step."""
+    n = draw(st.integers(2, 4))
+    lam = np.cumsum(
+        [draw(st.floats(-5.0, -1.0))] + draw(st.lists(st.floats(0.3, 1.5), min_size=n - 1, max_size=n - 1))
+    )
+    assume(np.min(np.abs(lam)) >= 0.1)
+    seed = draw(st.integers(0, 2**32 - 1))
+    v, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    dt = draw(st.floats(1e-3, 0.2))
+    return v @ np.diag(lam) @ v.T, lam, dt
+
+
+@given(system=well_conditioned_systems())
+@settings(max_examples=60, deadline=None)
+def test_compiled_affine_maps_match_independent_oracles(system):
+    a, lam, dt = system
+    model = mo.OdeModel(
+        name="random",
+        n=a.shape[0],
+        a_matrix=a,
+        spectrum=tuple((complex(v), 1) for v in lam),
+        forcing=mo.Forcing(kind="none"),
+        initial_state=np.ones(a.shape[0]),
+        exact=None,
+        params={},
+    )
+    eye = np.eye(a.shape[0])
+    for kind in ONE_STEP_KINDS:
+        ctx = sch.StepContext(model, nl.SchemeSpec(kind), dt)
+        p, q = affine_oracle(kind, a, dt)
+        # the context holds D = P - I; compare it, not I + D, so the test
+        # sees the digits of the per-step increment
+        for got, oracle in ((ctx.d, p - eye), (ctx.q, q)):
+            gap = np.max(np.abs(got - oracle)) / np.max(np.abs(oracle))
+            assert gap <= 1e-10, (kind, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +570,33 @@ def test_mean_forcing_matches_quadrature_oracle(seasonal):
         )
         assert abs(via_antiderivative[i] - ref / dt) <= 1e-12
         assert abs(via_quadrature[i] - ref / dt) <= 1e-12
+
+
+def test_array_calls_equal_stacked_scalar_calls():
+    import dataclasses
+
+    times = np.linspace(0.0, 10.0, 101)
+    for kind in ("oscillator", "biomass", "trees", "seasonal"):
+        model = nl.make_model(kind)
+        stacked = np.array([model.exact(t) for t in times])
+        assert model.exact(times).shape == (times.size, model.n)
+        np.testing.assert_allclose(model.exact(times), stacked, rtol=0, atol=1e-15)
+    seasonal = nl.make_model("seasonal", zf=0.3, omega=1.3)
+    f = seasonal.forcing
+    for fn in (f.time_fn, f.antiderivative):
+        np.testing.assert_allclose(fn(times), [fn(t) for t in times], rtol=0, atol=1e-15)
+    stripped = dataclasses.replace(
+        seasonal, forcing=dataclasses.replace(f, antiderivative=None)
+    )
+    cases = [(seasonal, approx) for approx in sch.FORCING_APPROXES] + [(stripped, "mean")]
+    for model, approx in cases:
+        ctx = sch.StepContext(model, nl.SchemeSpec("scalar-nsfd", forcing_approx=approx), 0.1)
+        np.testing.assert_allclose(
+            sch.approximate_forcing(ctx, times),
+            [sch.approximate_forcing(ctx, t) for t in times],
+            rtol=0,
+            atol=1e-15,
+        )
 
 
 def test_mean_forcing_without_antiderivative_can_be_refused(seasonal):
