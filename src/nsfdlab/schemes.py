@@ -19,7 +19,11 @@ integral mean over the step.
 Every one of these one-step schemes is the affine map X+ = P X + Q B-hat
 (the exponential-Euler form of Hochbruck & Ostermann, "Exponential
 integrators", Acta Numerica 19, 2010); StepContext compiles (P, Q) once
-and march drives them all.
+and march drives them all.  When the forcing does not depend on the state,
+march runs the whole recurrence as a log-depth prefix scan over the levels
+(doubling powers of P, held as P^s - I while they are near I).  A step
+whose powers grow (an unstable or strongly non-normal P) runs one level at
+a time instead, so it keeps the sequential accuracy and blow-up step.
 
 For the conservative oscillator x'' + x + x^2 = 0 three dedicated two-level
 recurrences are provided, all sharing the exact linear denominator
@@ -71,6 +75,11 @@ NONLOCAL_KINDS = (NONLOCAL_EXPLICIT, NONLOCAL_SEMI_IMPLICIT)
 
 FIXED_POINT_TOL = 1e-14
 FIXED_POINT_MAX_ITER = 200
+
+# _affine_scan holds a power of P as P^s - I until an entry exceeds this
+_POWER_FORM_SWITCH = 0.5
+# ... and leaves a step whose powers have an entry above this to the loop
+_POWER_GROWTH_LIMIT = 4.0
 
 _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
@@ -137,7 +146,9 @@ class StepContext:
     is held as d = P - I and q, each formed without subtracting I, and
     applied as X + (D X + Q B-hat): P is within O(dt) of I, so a stored P
     would round away the low digits of every step's increment, and with
-    them the forced equilibrium (P - I) X* = -Q B.  A second-order
+    them the forced equilibrium (P - I) X* = -Q B.  march's prefix scan
+    keeps the same increment form for the powers P^s while max|P^s - I|
+    <= 1/2, and squares P^s itself beyond that.  A second-order
     oscillator scheme holds its recurrence constants and the context of its
     one-step start-up instead.
     """
@@ -314,27 +325,80 @@ def _state_step(ctx: StepContext, x_k: np.ndarray, t_k: float) -> np.ndarray:
         raise RuntimeError(f"semi-implicit forcing solve failed: {exc}") from exc
 
 
+def _affine_scan(d: np.ndarray, states: np.ndarray) -> bool:
+    """Run x_{k+1} = P x_k + c_k, P = I + D, in place by a doubling prefix scan.
+
+    On entry states[0] = x_0 and states[k + 1] = c_k.  The pass with shift
+    s = 1, 2, 4, ... adds P^s states[k - s] to states[k]; after it, states[k]
+    holds sum_{j = k-2s+1..k} P^{k-j} y_j (y_0 = x_0, y_j = c_{j-1}), so
+    ceil(log2(N + 1)) passes leave states[k] = P^k x_0 + sum_{j<k} P^{k-1-j} c_j
+    (Hillis & Steele, 1986; Blelloch, "Prefix sums and their applications", 1990).
+
+    While P^s is near I the power is held as E = P^s - I (E <- 2E + E E) and
+    applied as src + E src, for the same reason the context holds D: a stored
+    P^s would round away the low digits of the increments.  Once
+    max|E| > 1/2 that reason is gone, and P^s = I + E is squared instead,
+    which keeps the relative accuracy of decaying states.
+
+    Returns False, leaving states partly scanned, if a power has an entry
+    above _POWER_GROWTH_LIMIT (or not finite) or a state is not finite.
+    Such a P is unstable or strongly non-normal: its powers overflow, or
+    the rounding error of the squarings, which grows as the square of the
+    powers' size (the sequential loop's grows linearly), is no longer small.
+    """
+    n_levels = states.shape[0]
+    e, p = d, None
+    shift = 1
+    while shift < n_levels:
+        if p is None and np.max(np.abs(e)) > _POWER_FORM_SWITCH:
+            p = np.eye(e.shape[0]) + e
+        if p is not None and not np.max(np.abs(p)) <= _POWER_GROWTH_LIMIT:
+            return False
+        src = states[:-shift]
+        if p is None:
+            inc = src @ e.T
+            inc += src
+            e = 2.0 * e + e @ e
+        else:
+            inc = src @ p.T
+            p = p @ p
+        states[shift:] += inc
+        shift *= 2
+    return bool(np.isfinite(states).all())
+
+
+def _affine_loop(d: np.ndarray, states: np.ndarray) -> None:
+    """The same recurrence as _affine_scan, one level at a time."""
+    levels = list(states)  # row views: level k + 1 starts as c_k
+    for x, nxt in zip(levels, levels[1:]):
+        nxt += d @ x
+        nxt += x
+
+
 def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
     """n_steps of a one-step scheme from x0 at t = 0: the stepping kernel.
 
     Forcing that does not depend on the state is evaluated for all steps at
-    once, c_k = Q B-hat_k, and the loop is x_{k+1} = x_k + (D x_k + c_k).  State
-    forcing steps through _state_step.  Solver failures raise with the step
-    index attached; a non-finite state truncates the trajectory and records
-    blow_up_step.
+    once, c_k = Q B-hat_k, and the recurrence x_{k+1} = x_k + (D x_k + c_k)
+    runs as a log-depth prefix scan over all levels (_affine_scan), with the
+    powers P^s held as P^s - I until an entry exceeds 1/2.  If a power has
+    an entry above 4 (an unstable or strongly non-normal step) or a state
+    overflows, the run is redone one level at a time, so its accuracy and
+    blow_up_step are the sequential recurrence's.
+    State forcing steps through _state_step.  Solver failures raise with
+    the step index attached; a non-finite state truncates the trajectory
+    and records blow_up_step.
     """
     states = np.empty((n_steps + 1, ctx.model.n))
     states[0] = x0
     # overflow is a recorded outcome, not a warning condition
     with np.errstate(over="ignore", invalid="ignore"):
         if ctx.model.forcing.kind != "state":
-            states[1:] = approximate_forcing(ctx, np.arange(n_steps) * ctx.dt) @ ctx.q.T
-            d = ctx.d
-            levels = list(states)  # row views: level k + 1 starts as c_k
-            for k in range(n_steps):
-                x, nxt = levels[k], levels[k + 1]
-                nxt += d @ x
-                nxt += x
+            c = approximate_forcing(ctx, np.arange(n_steps) * ctx.dt) @ ctx.q.T
+            states[1:] = c
+            if not _affine_scan(ctx.d, states):
+                states[1:] = c  # the scan never writes level 0
+                _affine_loop(ctx.d, states)
         else:
             for k in range(n_steps):
                 try:
@@ -408,11 +472,12 @@ def step_count(dt: float, t_end: float) -> int:
     return int(math.floor(t_end / dt + 1e-9))
 
 
-def _osc_velocity(ctx: StepContext, x_k: float, x_next: float) -> float:
+def _osc_velocity(ctx: StepContext, x_k, x_next):
     """y_k from the one-step system row (x_{k+1} - cos(dt) x_k)/sin(dt).
 
     The Mickens system has y_k equal to that quotient; the corrected system
-    adds tan(dt/2) x_k x_{k+1}.
+    adds tan(dt/2) x_k x_{k+1}.  x_k and x_next are numbers or equal-length
+    arrays of levels; the array result equals the per-level one bitwise.
     """
     y = (x_next - ctx.cos_dt * x_k) / ctx.sin_dt
     if ctx.scheme.kind == CORRECTED_OSC:
@@ -467,10 +532,11 @@ def _integrate_second_order(ctx: StepContext, state0: np.ndarray, n_steps: int) 
     n_levels = min(last, n_steps) + 1 if blow_up is None else blow_up
     states = np.empty((n_levels, 2))
     states[0] = state0
-    for k in range(1, n_levels):
-        if k + 1 <= last:
-            states[k] = (xs[k], _osc_velocity(ctx, xs[k], xs[k + 1]))
-        else:
-            states[k] = (xs[k], _osc_velocity_backward(ctx, xs[k], xs[k - 1]))
+    states[1:, 0] = xs[1:n_levels]
+    # levels 1 .. fwd - 1 have a forward neighbor; at most the last lacks one
+    fwd = max(1, min(n_levels, last))
+    states[1:fwd, 1] = _osc_velocity(ctx, xs[1:fwd], xs[2 : fwd + 1])
+    if fwd < n_levels:
+        states[fwd, 1] = _osc_velocity_backward(ctx, xs[fwd], xs[fwd - 1])
     times = np.arange(n_levels) * ctx.dt
     return Trajectory(times=times, states=states, blow_up_step=blow_up)

@@ -1,11 +1,12 @@
 """Stepper behavior: exactness, hand-checked single steps, forcing
 treatments, equilibria, reversibility, and blow-up bookkeeping."""
 import math
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nsfdlab as nl
@@ -510,6 +511,36 @@ def test_velocity_reconstruction_identities(oscillator):
     assert np.max(np.abs(resid)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "kind, dt, x0, blow_up",
+    [(kind, 1e-3, 0.25, None) for kind in ("mickens-osc1", "mickens-osc2", "corrected-osc")]
+    # a blow-up: the last kept level has no forward neighbor
+    + [("mickens-osc1", 0.1, 2.0, 42)],
+)
+def test_velocities_equal_the_per_level_formula_bitwise(oscillator, kind, dt, x0, blow_up):
+    traj = nl.integrate(oscillator, nl.SchemeSpec(kind), dt, 5.0, x0=np.array([x0, 0.0]))
+    assert traj.blow_up_step == blow_up
+    ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), dt)
+    corrected = kind == "corrected-osc"
+    cos, sin, tan_half = math.cos(dt), math.sin(dt), math.tan(dt / 2.0)
+    xs = [float(x) for x in traj.states[:, 0]]
+    if traj.blow_up_step is None:
+        # the spare level past the horizon
+        xs.append(float(sch.step_osc_second_order(ctx, xs[-2], xs[-1])))
+    ys = [0.0]
+    for k in range(1, traj.states.shape[0]):
+        if k + 1 < len(xs):
+            y = (xs[k + 1] - cos * xs[k]) / sin
+            if corrected:
+                y += tan_half * xs[k] * xs[k + 1]
+        else:  # last level of a blow-up: the backward formula
+            y = (cos * xs[k] - xs[k - 1]) / sin
+            if corrected:
+                y -= tan_half * xs[k] * xs[k - 1]
+        ys.append(y)
+    np.testing.assert_array_equal(traj.states[:, 1], ys)
+
+
 def test_scalar_and_corrected_forms_walk_the_same_orbit(oscillator):
     ts = nl.integrate(oscillator, nl.SchemeSpec("scalar-nsfd"), 0.01, 10.0)
     tc = nl.integrate(oscillator, nl.SchemeSpec("corrected-osc"), 0.01, 10.0)
@@ -654,6 +685,158 @@ def test_forced_equilibrium_is_a_fixed_point(trees, kind):
 def test_oscillator_rest_state_is_a_fixed_point(oscillator, kind):
     traj = nl.integrate(oscillator, nl.SchemeSpec(kind), 0.1, 2.0, x0=np.zeros(2))
     assert np.max(np.abs(traj.states)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the linear stepping kernel against the sequential recurrence
+# ---------------------------------------------------------------------------
+
+
+def sequential_oracle(ctx, x0, n_steps):
+    """x_{k+1} = x_k + (D x_k + Q B-hat_k), one level at a time."""
+    c = sch.approximate_forcing(ctx, np.arange(n_steps) * ctx.dt) @ ctx.q.T
+    states = np.empty((n_steps + 1, ctx.model.n))
+    states[0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            states[k + 1] = states[k] + (ctx.d @ states[k] + c[k])
+    return states
+
+
+def first_non_finite(states):
+    finite = np.all(np.isfinite(states), axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
+def assert_matches_oracle(traj, oracle, rel):
+    """traj is the oracle truncated at its first non-finite level, within
+    rel times the largest kept oracle state."""
+    blow_up = first_non_finite(oracle)
+    assert traj.blow_up_step == blow_up
+    kept = oracle[:blow_up]
+    assert traj.states.shape == kept.shape
+    assert np.all(np.isfinite(traj.states))
+    gap = np.max(np.abs(traj.states - kept))
+    assert gap <= rel * np.max(np.abs(kept)), gap / np.max(np.abs(kept))
+
+
+@pytest.mark.parametrize("model_name", ["biomass", "trees", "seasonal"])
+@pytest.mark.parametrize("kind", ONE_STEP_KINDS)
+def test_march_matches_the_sequential_recurrence(model_name, kind):
+    model = nl.make_model(model_name)
+    x0 = model.initial_state
+    for dt in (0.1, 0.01, 0.001):
+        full = sch.step_count(dt, 10.0)
+        # 1, 2, 3 and both sides of a power of two cover the scan's first
+        # passes and its pass count
+        counts = (1, 2, 3, 1023, 1024, 1025, full)
+        for approx in ("left", "middle", "half", "mean"):
+            ctx = sch.StepContext(model, nl.SchemeSpec(kind, forcing_approx=approx), dt)
+            oracle = sequential_oracle(ctx, x0, max(counts))
+            for n_steps in counts:
+                traj = sch.march(ctx, x0, n_steps)
+                assert_matches_oracle(traj, oracle[: n_steps + 1], 1e-13)
+
+
+def test_decaying_states_keep_their_relative_accuracy(biomass):
+    # every biomass component decays like exp(-t) or faster; held only in
+    # the increment form P^s - I, the scan's large powers lose the small
+    # components' digits (relative error up to 9e-13 in x and 1 in z)
+    traj = nl.integrate(biomass, nl.SchemeSpec("matrix-nsfd"), 1e-3, 10.0)
+    exact = biomass.exact(traj.times[1:])
+    rel = np.abs(traj.states[1:] - exact) / np.abs(exact)
+    assert np.max(rel) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "dt, x0, blow_up",
+    [
+        (0.5, None, 1748),
+        (0.45, None, 3175),
+        # e1 is an eigenvector of P with eigenvalue 0.5; the unstable mode
+        # (-1.5) grows only from rounding and stays finite in 4000 steps
+        (0.5, [1.0, 0.0, 0.0], None),
+    ],
+)
+def test_unstable_linear_steps_record_the_sequential_blow_up(biomass, dt, x0, blow_up):
+    x0 = biomass.initial_state if x0 is None else np.array(x0)
+    ctx = sch.StepContext(biomass, nl.SchemeSpec("explicit-euler"), dt)
+    oracle = sequential_oracle(ctx, x0, 4000)
+    assert first_non_finite(oracle) == blow_up
+    assert_matches_oracle(sch.march(ctx, x0, 4000), oracle, 1e-13)
+
+
+@st.composite
+def stable_spectra(draw):
+    """Real A = V blockdiag(...) V^-1 with n <= 4: distinct, clustered (gaps
+    1e-3 .. 1e-9) or complex-pair eigenvalues in the left half plane; plus a
+    step, a step count and a forcing sequence c."""
+    n = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["distinct", "clustered", "complex"]))
+    if shape == "complex" and n >= 2:
+        re, im = draw(st.floats(-3.0, -0.01)), draw(st.floats(0.1, 5.0))
+        blocks = [np.array([[re, im], [-im, re]])]
+        blocks += [np.array([[draw(st.floats(-5.0, -0.01))]]) for _ in range(n - 2)]
+    elif shape == "clustered":
+        base = draw(st.floats(-5.0, -0.01))
+        gap = 10.0 ** draw(st.floats(-9.0, -3.0))
+        blocks = [np.array([[base - j * gap]]) for j in range(n)]
+    else:
+        blocks = [np.array([[draw(st.floats(-5.0, -0.01))]]) for _ in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    assume(np.linalg.cond(v) <= 1e2)
+    a = v @ scipy.linalg.block_diag(*blocks) @ np.linalg.inv(v)
+    dt = draw(st.floats(1e-3, 0.5))
+    n_steps = draw(st.integers(1, 3000))
+    return a, dt, rng.standard_normal((n_steps, n)), rng.standard_normal(n)
+
+
+# strongly non-normal: ||P|| = 40 with spectral radius 0.83.  Powers of P
+# formed by squaring lose digits as the square of their size, so the scan
+# leaves this step to the loop; scanned, the gap would be 1.4e-12.
+TRANSIENT_GROWTH_CASE = (
+    np.array(
+        [
+            [-26.67193746, -0.62234736, -23.80225352],
+            [-76.87882669, -5.5156194, -69.37557686],
+            [34.09163965, 1.06487686, 30.43755686],
+        ]
+    ),
+    0.5,
+    np.array(
+        [
+            [-0.26262121, 0.21718388, -1.28507609],
+            [0.60274956, -0.42483343, -0.13061654],
+            [0.07394756, -0.53900679, 1.31302318],
+            [-0.12409604, 0.33823947, -0.18905451],
+            [0.22818334, 0.86939435, -0.44177908],
+            [0.83319524, -0.30296146, 0.51623159],
+        ]
+    ),
+    np.array([-1.40444705, -0.10537734, -1.37610358]),
+)
+
+
+@given(case=stable_spectra())
+@example(case=TRANSIENT_GROWTH_CASE)
+@settings(max_examples=60, deadline=None)
+def test_march_matches_the_sequential_recurrence_on_random_spectra(case):
+    a, dt, c, x0 = case
+    n_steps, n = c.shape
+    # a synthetic context: P = exp(dt A) held as P - I, Q = I, and a
+    # left-endpoint time forcing that reads c_k off the step index
+    forcing = mo.Forcing(
+        kind="time", time_fn=lambda t: c[np.rint(np.asarray(t) / dt).astype(int)]
+    )
+    ctx = types.SimpleNamespace(
+        model=types.SimpleNamespace(n=n, forcing=forcing),
+        scheme=nl.SchemeSpec("matrix-nsfd", forcing_approx="left"),
+        dt=dt,
+        d=dt * mk.phi1(dt * a) @ a,
+        q=np.eye(n),
+    )
+    assert_matches_oracle(sch.march(ctx, x0, n_steps), sequential_oracle(ctx, x0, n_steps), 1e-13)
 
 
 # ---------------------------------------------------------------------------
