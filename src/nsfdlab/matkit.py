@@ -64,7 +64,7 @@ class StepCoefficients:
 
     kind is EXACT_ALPHA (exponential reproduced exactly on the spectrum) or
     TRUNCATED_ORDER_N (gamma coefficients, order-n accurate).  warning is
-    None or a human-readable note (ill conditioning, root-finder fallback).
+    None or a human-readable note (ill conditioning, eigenvalue fallback).
     """
 
     n: int
@@ -170,31 +170,6 @@ def phi1(m) -> np.ndarray:
     return acc
 
 
-def char_poly_roots(cp: CharPoly, tol: float = 1e-13, max_iter: int = 500) -> np.ndarray:
-    """All roots of the characteristic polynomial by Durand-Kerner iteration.
-
-    Lower-trust fallback for when no spectrum is supplied with the model;
-    prefer analytically known eigenvalues.  Returns n complex roots
-    (repeated according to multiplicity, unordered).
-    """
-    coeffs = cp.monic()
-    n = cp.n
-    scale = 1.0 + float(np.max(np.abs(coeffs)))
-    z = np.array([(0.4 + 0.9j) ** i for i in range(1, n + 1)], dtype=complex)
-    for _ in range(max_iter):
-        p_z = np.polyval(coeffs, z)
-        delta = np.empty(n, dtype=complex)
-        for i in range(n):
-            denom = np.prod(z[i] - np.delete(z, i))
-            if denom == 0:
-                denom = tol  # nudge coincident iterates apart
-            delta[i] = p_z[i] / denom
-        z = z - delta
-        if np.max(np.abs(delta)) <= tol * scale:
-            break
-    return z
-
-
 def cluster_spectrum(roots, tol: float = 1e-8) -> Spectrum:
     """Group nearby roots into (eigenvalue, multiplicity) pairs.
 
@@ -254,10 +229,10 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
     spectrum (matching derivatives up to multiplicity), so that
     p(A) = exp(dt A) exactly.  Complex-conjugate eigenvalue pairs are
     combined into real and imaginary part equations, keeping the solve and
-    the result real.  If spectrum is None the eigenvalues are recovered from
-    the characteristic polynomial by the Durand-Kerner fallback and the
-    result carries a warning.  Clustered-but-unequal eigenvalues make the
-    interpolation ill conditioned; that also attaches a warning.
+    the result real.  If spectrum is None the eigenvalues of A are computed
+    by the LAPACK fallback np.linalg.eigvals, grouped by cluster_spectrum,
+    and the result carries a warning.  Clustered-but-unequal eigenvalues
+    make the interpolation ill conditioned; that also attaches a warning.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
@@ -265,8 +240,8 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
         raise ValueError("dt must be nonnegative and finite")
     warning = None
     if spectrum is None:
-        spectrum = cluster_spectrum(char_poly_roots(char_poly(a)))
-        warning = "spectrum recovered by polynomial root fallback (lower trust)"
+        spectrum = cluster_spectrum(np.linalg.eigvals(a))
+        warning = "spectrum recovered by eigenvalue fallback (lower trust)"
     items = _normalize_spectrum(spectrum, n)
 
     imag_tol = 1e-12
@@ -312,7 +287,7 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
         cond = np.linalg.cond(rows)
     else:
         # Spectrum not closed under conjugation (inconsistent input or noisy
-        # fallback roots): solve in complex arithmetic and keep the real part.
+        # fallback spectra): solve in complex arithmetic and keep the real part.
         rows = np.zeros((n, n), dtype=complex)
         rhs = np.zeros(n, dtype=complex)
         filled = 0

@@ -9,10 +9,11 @@ Four model families:
   trees        biomass plus a constant plantation term z_f.
   seasonal     biomass plus the periodic plantation z_f (1 + cos(omega t)).
 
-The Jacobi functions and the complete elliptic integral are provided here
-(arithmetic-geometric mean based) because the oscillator solution needs
-them; the second argument is the parameter m (the squared modulus), the
-convention with sn(u, 0) = sin(u).
+The oscillator solution needs the Jacobi functions and the complete
+elliptic integral; elliptic_k and jacobi_sn_cn_dn check the domain and
+shape of their arguments and leave the evaluation to scipy.special.  The
+second argument is the parameter m (the squared modulus), the convention
+with sn(u, 0) = sin(u).
 """
 from __future__ import annotations
 
@@ -29,96 +30,38 @@ _MODEL_KINDS = ("oscillator", "biomass", "trees", "seasonal")
 # elliptic integral and Jacobi functions
 # --------------------------------------------------------------------------
 
-def agm(a0: float, b0: float, tol: float = 1e-15, max_iter: int = 60):
-    """Arithmetic-geometric mean of a0, b0 > 0.
-
-    Returns (mean, iterations).  Quadratic convergence: well under 10
-    iterations for the arguments arising from parameters m <= 0.99.
-    """
-    if a0 <= 0 or b0 <= 0:
-        raise ValueError("agm needs positive arguments")
-    a, b = float(a0), float(b0)
-    for i in range(max_iter):
-        if abs(a - b) <= tol * abs(a):
-            return a, i
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return a, max_iter
+# scipy.special is imported on first use: loaded with the package, it
+# would slow every import for the sake of the oscillator alone.
 
 
 def elliptic_k(m: float) -> float:
     """Complete elliptic integral K(m) = int_0^{pi/2} (1 - m sin^2 t)^{-1/2} dt.
 
-    m is the parameter (squared modulus), 0 <= m < 1.  Computed as
-    pi / (2 agm(1, sqrt(1 - m))).
+    m is the parameter (squared modulus), 0 <= m < 1.  Evaluated by
+    scipy.special.ellipk.
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"parameter m must be in [0, 1), got {m}")
-    mean, _ = agm(1.0, math.sqrt(1.0 - m))
-    return math.pi / (2.0 * mean)
+    from scipy.special import ellipk
 
-
-def _landen_ladder(m: float) -> tuple[np.ndarray, np.ndarray]:
-    """The arithmetic-geometric mean ladder a_i, c_i run up from (1, sqrt(1-m))
-    until c_i vanishes; it depends on m only, so one ladder serves any
-    number of arguments."""
-    a_seq = [1.0]
-    c_seq = [math.sqrt(m)]
-    b = math.sqrt(1.0 - m)
-    while abs(c_seq[-1]) > 1e-15 and len(a_seq) < 40:
-        a = a_seq[-1]
-        a_seq.append(0.5 * (a + b))
-        c_seq.append(0.5 * (a - b))
-        b = math.sqrt(a * b)
-    return np.array(a_seq), np.array(c_seq)
-
-
-def _sn_cn_dn(u, m: float, period: float, ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sn, cn, dn of the array u for 0 < m < 1, given 4 K(m) and the ladder."""
-    v = np.fmod(u, period)
-    v = np.where(v < 0.0, v + period, v)
-    second_half = v >= 0.5 * period
-    v = np.where(second_half, v - 0.5 * period, v)
-    sign_sn = np.where(second_half, -1.0, 1.0)
-    second_quarter = v > 0.25 * period
-    v = np.where(second_quarter, 0.5 * period - v, v)
-    sign_cn = np.where(second_quarter, -sign_sn, sign_sn)
-    a_seq, c_seq = ladder
-    levels = len(a_seq) - 1
-    phi = (2.0 ** levels) * a_seq[-1] * v
-    for i in range(levels, 0, -1):
-        s = c_seq[i] / a_seq[i] * np.sin(phi)
-        phi = 0.5 * (phi + np.arcsin(np.clip(s, -1.0, 1.0)))
-    sn = np.sin(phi)
-    dn = np.sqrt(1.0 - m * sn * sn)
-    return sign_sn * sn, sign_cn * np.cos(phi), dn
+    return float(ellipk(m))
 
 
 def jacobi_sn_cn_dn(u, m: float):
     """Jacobi elliptic sn, cn, dn of real u with parameter m in [0, 1].
 
     u is a number (the result is three floats) or an array (three arrays of
-    its shape).  Descending Landen transformation: run the
-    arithmetic-geometric mean up from (1, sqrt(1-m)), then recover the
-    amplitude by the backward recurrence
-    phi_{i-1} = (phi_i + asin((c_i/a_i) sin phi_i))/2.  The argument is
-    first reduced to [0, K] with the quarter-period symmetries
-    sn(u + 2K) = -sn(u), cn(u + 2K) = -cn(u), sn(2K - u) = sn(u),
-    cn(2K - u) = -cn(u), dn unchanged, which keeps the principal arcsin
-    branch valid for any real u.
+    its shape).  Evaluated by scipy.special.ellipj.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"parameter m must be in [0, 1], got {m}")
+    from scipy.special import ellipj
+
     u_arr = np.asarray(u, dtype=float)
-    if m == 0.0:
-        out = np.sin(u_arr), np.cos(u_arr), np.ones_like(u_arr)
-    elif m == 1.0:
-        sech = 1.0 / np.cosh(u_arr)
-        out = np.tanh(u_arr), sech, sech
-    else:
-        out = _sn_cn_dn(u_arr, m, 4.0 * elliptic_k(m), _landen_ladder(m))
+    sn, cn, dn, _ = ellipj(u_arr, m)
     if u_arr.ndim == 0:
-        return tuple(float(v) for v in out)
-    return out
+        return float(sn), float(cn), float(dn)
+    return sn, cn, dn
 
 
 def jacobi_sn(u, m: float):
@@ -228,11 +171,9 @@ class OdeModel:
 
 def _make_oscillator(x0: float = 0.25) -> OdeModel:
     a_par, omega, m_par = oscillator_params(x0)
-    period = 4.0 * elliptic_k(m_par)
-    ladder = _landen_ladder(m_par)
 
     def exact(t) -> np.ndarray:
-        sn, cn, dn = _sn_cn_dn(omega * np.asarray(t, dtype=float), m_par, period, ladder)
+        sn, cn, dn = jacobi_sn_cn_dn(omega * np.asarray(t, dtype=float), m_par)
         x = x0 + a_par * sn * sn
         y = 2.0 * a_par * omega * sn * cn * dn
         return np.stack((x, y), axis=-1)

@@ -88,18 +88,19 @@ _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 class SchemeSpec:
     """A scheme choice: kind plus the forcing treatment.
 
-    forcing_approx selects B-hat for time-dependent forcing (the Euler
-    schemes ignore it: explicit is the left value, implicit the right one
-    by definition).  nonlocal_b selects the discretization of
-    state-dependent forcing: the explicit one-level value B(X_k) or the
-    semi-implicit two-level product, which is linear in X_{k+1}.
+    forcing_approx selects B-hat for time-dependent forcing: the left,
+    right or middle value, their endpoint average ("half"), or the integral
+    mean ("mean"), taken from the forcing's antiderivative when it has one
+    and by 5-point Gauss-Legendre quadrature otherwise.  The Euler schemes
+    ignore it: explicit is the left value, implicit the right one by
+    definition.  nonlocal_b selects the discretization of state-dependent
+    forcing: the explicit one-level value B(X_k) or the semi-implicit
+    two-level product, which is linear in X_{k+1}.
     """
 
     kind: str
     forcing_approx: str = FORCING_HALF
     nonlocal_b: str = NONLOCAL_SEMI_IMPLICIT
-    # permit the Gauss-Legendre fallback when "mean" has no antiderivative
-    mean_quadrature: bool = True
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -282,10 +283,6 @@ def approximate_forcing(ctx: StepContext, t_k, x_k=None, x_next=None) -> np.ndar
             return 0.5 * (f.time_fn(t_k) + f.time_fn(t_k + dt))
         if f.antiderivative is not None:
             return (f.antiderivative(t_k + dt) - f.antiderivative(t_k)) / dt
-        if not ctx.scheme.mean_quadrature:
-            raise ValueError(
-                "mean forcing needs an antiderivative when quadrature is disabled"
-            )
         half = dt / 2.0
         # one evaluation at all nodes of all steps: shape t_k.shape + (5, n)
         nodes = (t_k + half)[..., None] + half * _GL5_NODES
@@ -449,9 +446,10 @@ def step_osc_second_order(ctx: StepContext, x_prev: float, x_curr: float) -> flo
 def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=None) -> Trajectory:
     """March from t = 0 to t_end = floor(t_end/dt) steps of size dt.
 
-    x0 defaults to the model's initial state.  Solver failures raise with
-    the step index attached; a non-finite state truncates the trajectory
-    and records blow_up_step instead of raising.
+    x0 defaults to the model's initial state and must be finite, like dt
+    and t_end.  Solver failures raise with the step index attached; a
+    non-finite state truncates the trajectory and records blow_up_step
+    instead of raising.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
@@ -460,6 +458,8 @@ def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=N
     state0 = np.array(model.initial_state if x0 is None else x0, dtype=float)
     if state0.shape != (model.n,):
         raise ValueError(f"initial state must have shape ({model.n},)")
+    if not np.isfinite(state0).all():
+        raise ValueError("initial state must be finite")
     n_steps = step_count(dt, t_end)
     ctx = StepContext(model, scheme, dt)
     if scheme.kind in SECOND_ORDER_KINDS:

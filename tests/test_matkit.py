@@ -242,6 +242,40 @@ def test_alpha_root_fallback_warns_and_agrees():
     np.testing.assert_allclose(fallback.values, declared.values, rtol=0, atol=1e-9)
 
 
+@st.composite
+def orthogonally_similar_matrices(draw):
+    """Real A = Q J Q^T with n <= 6 and Q orthogonal; J is diagonal
+    (distinct reals) or carries as many 2 x 2 rotation-scaling blocks
+    (complex pairs re +- i im) as fit.  Real parts step up by 0.1 .. 2 from
+    a start in [-5, 1], so no two eigenvalues coincide; plus a step dt."""
+    n = draw(st.integers(1, 6))
+    pairs = n // 2 if draw(st.sampled_from(["distinct", "complex"])) == "complex" else 0
+    re = draw(st.floats(-5.0, 1.0))
+    blocks = []
+    for j in range(n - pairs):
+        if j:
+            re += draw(st.floats(0.1, 2.0))
+        if j < pairs:
+            im = draw(st.floats(0.1, 5.0))
+            blocks.append(np.array([[re, im], [-im, re]]))
+        else:
+            blocks.append(np.array([[re]]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q @ scipy.linalg.block_diag(*blocks) @ q.T, draw(st.floats(1e-3, 0.5))
+
+
+@given(case=orthogonally_similar_matrices())
+@settings(max_examples=100, deadline=None)
+def test_alpha_eigenvalue_fallback_reproduces_expm(case):
+    a, dt = case
+    co = mk.alpha_coeffs(a, None, dt)
+    assert co.warning is not None and "fallback" in co.warning
+    rebuilt = sum(value * np.linalg.matrix_power(a, j) for j, value in enumerate(co.values))
+    expected = scipy.linalg.expm(dt * a)
+    assert np.linalg.norm(rebuilt - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 def test_alpha_unpaired_conjugate_warns_but_solves():
     co = mk.alpha_coeffs(ROT, ((1j, 2),), 0.1)
     assert co.warning is not None
@@ -381,18 +415,8 @@ def test_correction_vanishing_alpha1_is_step_size_error():
 
 
 # ---------------------------------------------------------------------------
-# polynomial roots
+# cluster_spectrum
 # ---------------------------------------------------------------------------
-
-
-def test_char_poly_roots_biomass():
-    roots = np.sort_complex(mk.char_poly_roots(mk.char_poly(BIO)))
-    np.testing.assert_allclose(roots, [-5.0, -3.0, -1.0], rtol=0, atol=1e-10)
-
-
-def test_char_poly_roots_rotation():
-    roots = sorted(mk.char_poly_roots(mk.char_poly(ROT)), key=lambda z: z.imag)
-    np.testing.assert_allclose(roots, [-1j, 1j], rtol=0, atol=1e-10)
 
 
 def test_cluster_spectrum_merges_close_roots():

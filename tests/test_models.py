@@ -1,7 +1,11 @@
 """Elliptic special functions, the oscillator's closed-form solution, and
 the biomass model family with its forced variants."""
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -39,7 +43,7 @@ OSC_ENERGY = 7.0 / 192.0
 
 
 # ---------------------------------------------------------------------------
-# elliptic_k / agm
+# elliptic_k
 # ---------------------------------------------------------------------------
 
 
@@ -62,18 +66,6 @@ def test_elliptic_k_is_increasing_in_m():
 def test_elliptic_k_domain(m):
     with pytest.raises(ValueError):
         mo.elliptic_k(m)
-
-
-def test_agm_of_equal_arguments_is_immediate():
-    mean, iterations = mo.agm(1.0, 1.0)
-    assert mean == 1.0 and iterations <= 1
-
-
-def test_agm_converges_quickly_across_the_useful_range():
-    # quadratic convergence keeps the iteration count tiny even at m = 0.99
-    for m in (0.1, 0.5, 0.9, 0.99):
-        _, iterations = mo.agm(1.0, math.sqrt(1.0 - m))
-        assert iterations <= 8
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +141,37 @@ def test_jacobi_sn_bounded_and_consistent(u, m):
 def test_jacobi_domain(m):
     with pytest.raises(ValueError):
         mo.jacobi_sn_cn_dn(0.3, m)
+
+
+def test_jacobi_matches_a_40_digit_oracle_over_the_oscillator_horizon():
+    # the oscillator's m over u = omega t for t in [0, 35]: about 2.7
+    # periods of sn, where the frozen points above stay in the first quarter
+    _, omega, m = mo.oscillator_params(0.25)
+    u = np.linspace(0.0, 35.0 * omega, 401)
+    with mpmath.workdps(40):
+        expected = np.array(
+            [[float(mpmath.ellipfun(kind, x, m=m)) for kind in ("sn", "cn", "dn")] for x in u]
+        )
+        k_expected = float(mpmath.ellipk(m))
+    got = np.stack(mo.jacobi_sn_cn_dn(u, m), axis=1)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+    assert abs(mo.elliptic_k(m) - k_expected) <= 1e-13
+
+
+def test_import_and_model_building_leave_scipy_special_unloaded():
+    # the special functions load on first use only, so a fresh import of
+    # the package plus the four builders stays cheap
+    src = str(Path(nl.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from nsfdlab import make_model\n"
+        "for kind in ('oscillator', 'biomass', 'trees', 'seasonal'):\n"
+        "    make_model(kind)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +341,7 @@ def test_declared_spectrum_matches_characteristic_roots(kind):
         key=lambda z: (z.real, z.imag),
     )
     computed = sorted(
-        mk.char_poly_roots(mk.char_poly(model.a_matrix)), key=lambda z: (z.real, z.imag)
+        np.roots(mk.char_poly(model.a_matrix).monic()), key=lambda z: (z.real, z.imag)
     )
     np.testing.assert_allclose(computed, declared, rtol=0, atol=1e-10)
 

@@ -51,7 +51,6 @@ def test_scheme_spec_validation():
         nl.SchemeSpec("explicit-euler", forcing_approx="upwind")
     with pytest.raises(ValueError, match="nonlocal"):
         nl.SchemeSpec("explicit-euler", nonlocal_b="downwind")
-    assert nl.SchemeSpec("explicit-euler").mean_quadrature is True
 
 
 def test_step_context_rejects_bad_dt(biomass):
@@ -630,18 +629,6 @@ def test_array_calls_equal_stacked_scalar_calls():
         )
 
 
-def test_mean_forcing_without_antiderivative_can_be_refused(seasonal):
-    import dataclasses
-
-    stripped = dataclasses.replace(
-        seasonal, forcing=dataclasses.replace(seasonal.forcing, antiderivative=None)
-    )
-    spec = nl.SchemeSpec("scalar-nsfd", forcing_approx="mean", mean_quadrature=False)
-    ctx = sch.StepContext(stripped, spec, 0.1)
-    with pytest.raises(ValueError, match="antiderivative"):
-        sch.approximate_forcing(ctx, 0.0, stripped.initial_state)
-
-
 def test_state_forcing_explicit_and_product_forms(oscillator):
     ctx = sch.StepContext(oscillator, nl.SchemeSpec("scalar-nsfd", nonlocal_b="explicit"), 0.1)
     x = np.array([0.25, 0.0])
@@ -858,6 +845,22 @@ def test_integrate_rejects_bad_grids(biomass):
         nl.integrate(biomass, nl.SchemeSpec("explicit-euler"), -0.1, 1.0)
     with pytest.raises(ValueError):
         nl.integrate(biomass, nl.SchemeSpec("explicit-euler"), 0.3, 0.2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "model_name, kind",
+    [("biomass", "matrix-nsfd"), ("oscillator", "implicit-euler"), ("oscillator", "corrected-osc")],
+    ids=["linear-one-step", "state-forced-one-step", "second-order"],
+)
+def test_integrate_rejects_a_non_finite_initial_state(model_name, kind, bad, request):
+    # one scheme per stepping route: the linear prefix scan, the fixed
+    # point of a state-forced step, and the two-level oscillator recurrence
+    model = request.getfixturevalue(model_name)
+    x0 = model.initial_state.copy()
+    x0[0] = bad
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        nl.integrate(model, nl.SchemeSpec(kind), 0.1, 1.0, x0=x0)
 
 
 def test_blow_up_is_recorded_not_raised(oscillator):
