@@ -6,13 +6,14 @@ turns the matrix exponential of an n x n matrix into a finite expansion
     exp(dt A) = sum_{j=0}^{n-1} alpha_j(dt) A^j,
 
 so a one-step method can be written with n scalar coefficients instead of a
-matrix function.  This module computes the characteristic polynomial (by the
-Faddeev-LeVerrier recursion), the exact coefficients alpha_j (by Hermite
-interpolation of z -> exp(dt z) on the spectrum), an order-n truncation
-gamma_j that needs only the characteristic polynomial, and the correction
-factors R0, R1 that recast the expansion as a perturbation of a first-order
-update.  phi1 and expm are the reference routes used to cross-check all of
-the above.
+matrix function; the forcing weight dt phi1(dt A) = sum_j q_j(dt) A^j
+expands the same way.  This module computes the characteristic polynomial
+(by the Faddeev-LeVerrier recursion), the exact coefficients alpha_j and q_j
+(Hermite interpolation on the spectrum, read off one divided-difference
+table of exp), an order-n truncation gamma_j that needs only the
+characteristic polynomial, and the correction factors R0, R1 that recast
+the expansion as a perturbation of a first-order update.  phi1 and expm are
+the reference routes used to cross-check all of the above.
 """
 from __future__ import annotations
 
@@ -28,8 +29,6 @@ TRUNCATED_ORDER_N = "truncated-order-n"
 
 # Spectrum entries are (eigenvalue, algebraic multiplicity) pairs.
 Spectrum = tuple[tuple[complex, int], ...]
-
-_COND_WARN_THRESHOLD = 1e8
 
 
 def as_square_matrix(a) -> np.ndarray:
@@ -60,16 +59,20 @@ class CharPoly:
 
 @dataclass(frozen=True)
 class StepCoefficients:
-    """Scalar coefficients of the one-step expansion sum_j values[j] A^j.
+    """Scalar coefficients of one step: the propagator sum_j values[j] A^j
+    and the forcing weight Q = sum_j q_values[j] A^j.
 
-    kind is EXACT_ALPHA (exponential reproduced exactly on the spectrum) or
-    TRUNCATED_ORDER_N (gamma coefficients, order-n accurate).  warning is
-    None or a human-readable note (ill conditioning, eigenvalue fallback).
+    kind is EXACT_ALPHA (exp(dt A) and dt phi1(dt A) reproduced exactly on
+    the spectrum) or TRUNCATED_ORDER_N (gamma coefficients, order-n
+    accurate, with Q = sum_{j<n} dt^{j+1}/(j+1)! A^j).  In both, A Q equals
+    sum_j values[j] A^j - I.  warning is None or a human-readable note
+    (eigenvalue fallback, spectrum not closed under conjugation).
     """
 
     n: int
     dt: float
     values: np.ndarray
+    q_values: np.ndarray
     kind: str
     warning: str | None = None
 
@@ -80,7 +83,8 @@ class CorrectionFactors:
     R1 = sum_{j=2}^{n-1} (alpha_j/alpha_1) A^{j-1}.
 
     They recast X_{k+1} = sum_j alpha_j A^j X_k as
-    X_{k+1} = alpha_0 X_k + alpha_1 [(I + R1)(A X_k + B) + R0 B].
+    X_{k+1} = alpha_0 X_k + alpha_1 [(I + R1)(A X_k + B) + R0 B], so that
+    alpha_1 (I + R1 + R0) is the forcing weight Q of the coefficients.
     """
 
     r0: np.ndarray
@@ -170,31 +174,6 @@ def phi1(m) -> np.ndarray:
     return acc
 
 
-def cluster_spectrum(roots, tol: float = 1e-8) -> Spectrum:
-    """Group nearby roots into (eigenvalue, multiplicity) pairs.
-
-    Roots within tol*(1 + |root|) of a cluster mean are merged; conjugate
-    symmetry of real matrices is restored by zeroing tiny imaginary parts.
-    """
-    remaining = list(np.asarray(roots, dtype=complex))
-    spectrum = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        kept = []
-        for r in remaining:
-            if abs(r - seed) <= tol * (1.0 + abs(seed)):
-                members.append(r)
-            else:
-                kept.append(r)
-        remaining = kept
-        center = complex(np.mean(members))
-        if abs(center.imag) <= tol * (1.0 + abs(center)):
-            center = complex(center.real, 0.0)
-        spectrum.append((center, len(members)))
-    return tuple(spectrum)
-
-
 def _normalize_spectrum(spectrum, n: int) -> list[tuple[complex, int]]:
     items = [(complex(lam), int(mult)) for lam, mult in spectrum]
     if any(mult < 1 for _, mult in items):
@@ -207,109 +186,76 @@ def _normalize_spectrum(spectrum, n: int) -> list[tuple[complex, int]]:
     return items
 
 
-def _hermite_rows(lam: complex, mult: int, n: int, dt: float):
-    """Rows of the confluent Vandermonde system for one eigenvalue.
+def _newton_to_monomial(dd: list, nodes: list) -> list:
+    """Monomial coefficients of sum_k dd[k] prod_{i<k} (z - nodes[i]).
 
-    Row r enforces p^{(r)}(lam) = dt^r exp(dt lam) for r < mult, where
-    p(z) = sum_{j<n} alpha_j z^j.
+    Horner form: multiply by (z - nodes[k]) and add dd[k], innermost first.
     """
-    rows = np.zeros((mult, n), dtype=complex)
-    rhs = np.zeros(mult, dtype=complex)
-    for r in range(mult):
-        for j in range(r, n):
-            rows[r, j] = math.perm(j, r) * lam ** (j - r)
-        rhs[r] = dt ** r * np.exp(dt * lam)
-    return rows, rhs
+    coef = [dd[-1]]
+    for k in range(len(dd) - 2, -1, -1):
+        lam = nodes[k]
+        coef = (
+            [dd[k] - lam * coef[0]]
+            + [lo - lam * hi for lo, hi in zip(coef, coef[1:])]
+            + [coef[-1]]
+        )
+    return coef
 
 
 def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
     """Exact expansion coefficients alpha_j(dt) of exp(dt A).
 
-    Solves the Hermite interpolation problem p(z) = exp(dt z) on the
-    spectrum (matching derivatives up to multiplicity), so that
-    p(A) = exp(dt A) exactly.  Complex-conjugate eigenvalue pairs are
-    combined into real and imaginary part equations, keeping the solve and
-    the result real.  If spectrum is None the eigenvalues of A are computed
-    by the LAPACK fallback np.linalg.eigvals, grouped by cluster_spectrum,
-    and the result carries a warning.  Clustered-but-unequal eigenvalues
-    make the interpolation ill conditioned; that also attaches a warning.
+    p(z) = sum_j alpha_j z^j is the Hermite interpolant of exp(dt z) on the
+    spectrum (derivatives matched up to multiplicity), so p(A) = exp(dt A);
+    q(z) = sum_j q_values[j] z^j interpolates (exp(dt z) - 1)/z the same way,
+    so q(A) = dt phi1(dt A).  Both come from one divided-difference table
+    (Opitz, ZAMM 44, 1964): with the eigenvalues, each repeated by its
+    multiplicity, after a node 0 on the diagonal of an upper bidiagonal Z
+    with ones above it, row 1 of exp(dt Z) holds the Newton coefficients of
+    exp(dt z) and row 0 those of (exp(dt z) - 1)/z, confluent ones
+    included.  No division by eigenvalue gaps occurs, so clustered and
+    repeated eigenvalues lose no accuracy (McCurdy, Ng & Parlett, Math.
+    Comp. 43, 1984).  The Newton forms are expanded in complex arithmetic
+    where the spectrum is complex, and the real parts are kept.  If
+    spectrum is None the eigenvalues of A come from the LAPACK fallback
+    np.linalg.eigvals, and the result carries a warning; so does a
+    spectrum that is not closed under conjugation, with the size of the
+    imaginary parts dropped.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
     if not (np.isfinite(dt) and dt >= 0):
         raise ValueError("dt must be nonnegative and finite")
-    warning = None
+    notes = []
     if spectrum is None:
-        spectrum = cluster_spectrum(np.linalg.eigvals(a))
-        warning = "spectrum recovered by eigenvalue fallback (lower trust)"
-    items = _normalize_spectrum(spectrum, n)
-
-    imag_tol = 1e-12
-    reals = [(lam, m) for lam, m in items if abs(lam.imag) <= imag_tol * (1 + abs(lam))]
-    complexes = [(lam, m) for lam, m in items if abs(lam.imag) > imag_tol * (1 + abs(lam))]
-
-    # Pair each eigenvalue having positive imaginary part with its conjugate.
-    pairs = []
-    unmatched = list(complexes)
-    for lam, mult in [it for it in complexes if it[0].imag > 0]:
-        partner = next(
-            (
-                it
-                for it in unmatched
-                if it[0].imag < 0
-                and it[1] == mult
-                and abs(it[0] - lam.conjugate()) <= 1e-9 * (1 + abs(lam))
-            ),
-            None,
-        )
-        if partner is not None:
-            unmatched.remove(partner)
-            unmatched.remove((lam, mult))
-            pairs.append((lam, mult))
-
-    if not unmatched:
-        rows = np.zeros((n, n))
-        rhs = np.zeros(n)
-        filled = 0
-        for lam, mult in reals:
-            r, b = _hermite_rows(complex(lam.real, 0.0), mult, n, dt)
-            rows[filled : filled + mult] = r.real
-            rhs[filled : filled + mult] = b.real
-            filled += mult
-        for lam, mult in pairs:
-            r, b = _hermite_rows(lam, mult, n, dt)
-            rows[filled : filled + mult] = r.real
-            rhs[filled : filled + mult] = b.real
-            rows[filled + mult : filled + 2 * mult] = r.imag
-            rhs[filled + mult : filled + 2 * mult] = b.imag
-            filled += 2 * mult
-        values = np.linalg.solve(rows, rhs)
-        cond = np.linalg.cond(rows)
+        nodes = np.linalg.eigvals(a)
+        notes.append("spectrum recovered by eigenvalue fallback (lower trust)")
     else:
-        # Spectrum not closed under conjugation (inconsistent input or noisy
-        # fallback spectra): solve in complex arithmetic and keep the real part.
-        rows = np.zeros((n, n), dtype=complex)
-        rhs = np.zeros(n, dtype=complex)
-        filled = 0
-        for lam, mult in items:
-            r, b = _hermite_rows(lam, mult, n, dt)
-            rows[filled : filled + mult] = r
-            rhs[filled : filled + mult] = b
-            filled += mult
-        sol = np.linalg.solve(rows, rhs)
-        resid = float(np.max(np.abs(sol.imag)))
-        warning = (
+        items = _normalize_spectrum(spectrum, n)
+        nodes = np.array([lam for lam, mult in items for _ in range(mult)])
+    if not nodes.imag.any():
+        nodes = nodes.real
+    z = np.diag(np.concatenate(([0.0], nodes))) + np.eye(n + 1, k=1)
+    table = scipy.linalg.expm(dt * z)
+    lams = nodes.tolist()
+    alpha = _newton_to_monomial(table[1, 1:].tolist(), lams)
+    q = _newton_to_monomial(table[0, 1:].tolist(), lams)
+    if np.iscomplexobj(nodes) and not np.array_equal(
+        np.sort_complex(nodes), np.sort_complex(nodes.conj())
+    ):
+        dropped = max(abs(c.imag) for c in alpha + q)
+        notes.append(
             f"spectrum not closed under conjugation; dropped imaginary parts "
-            f"of magnitude {resid:.2e}"
+            f"of magnitude {dropped:.2e}"
         )
-        values = sol.real
-        cond = np.linalg.cond(rows)
-    if cond > _COND_WARN_THRESHOLD and warning is None:
-        warning = (
-            f"ill-conditioned spectrum interpolation (cond ~ {cond:.2e}); "
-            "clustered eigenvalues degrade coefficient accuracy"
-        )
-    return StepCoefficients(n=n, dt=dt, values=values, kind=EXACT_ALPHA, warning=warning)
+    return StepCoefficients(
+        n=n,
+        dt=dt,
+        values=np.array([c.real for c in alpha]),
+        q_values=np.array([c.real for c in q]),
+        kind=EXACT_ALPHA,
+        warning="; ".join(notes) or None,
+    )
 
 
 def gamma_coeffs(cp: CharPoly, dt: float) -> StepCoefficients:
@@ -317,27 +263,38 @@ def gamma_coeffs(cp: CharPoly, dt: float) -> StepCoefficients:
 
     Agrees with alpha_j(dt) through O(dt^n); by Cayley-Hamilton the induced
     propagator sum_j gamma_j A^j equals the Taylor sum of exp(dt A) through
-    order n.  Needs only the characteristic polynomial, no eigenvalues.
+    order n.  Its forcing weight is the matching Taylor sum of
+    dt phi1(dt A), q_j = dt^{j+1}/(j+1)!.  Needs only the characteristic
+    polynomial, no eigenvalues.
     """
     if cp.n < 2:
         raise ValueError("gamma coefficients need matrix dimension n >= 2")
     if not (np.isfinite(dt) and dt >= 0):
         raise ValueError("dt must be nonnegative and finite")
-    j = np.arange(cp.n)
-    values = dt ** j / np.array([math.factorial(int(i)) for i in j])
-    values = values + dt ** cp.n / math.factorial(cp.n) * cp.c
+    taylor = dt ** np.arange(cp.n + 1) / np.array(
+        [math.factorial(j) for j in range(cp.n + 1)]
+    )
+    values = taylor[:-1] + taylor[-1] * cp.c
     return StepCoefficients(
-        n=cp.n, dt=dt, values=values, kind=TRUNCATED_ORDER_N, warning=None
+        n=cp.n,
+        dt=dt,
+        values=values,
+        q_values=taylor[1:],
+        kind=TRUNCATED_ORDER_N,
+        warning=None,
     )
 
 
 def correction_factors(a, coeffs: StepCoefficients) -> CorrectionFactors:
     """Correction matrices R0, R1 for the scalar one-step form.
 
-    R0 = ((alpha_0 - 1)/alpha_1) A^{-1} requires invertible A; for singular
-    A use the matrix-form scheme (phi1 based), which needs no inverse.
     R1 = sum_{j=2}^{n-1} (alpha_j/alpha_1) A^{j-1} vanishes identically for
-    n = 2.  alpha_1 = 0 marks a degenerate step size.
+    n = 2.  R0 = Q/alpha_1 - I - R1 with Q = sum_j q_j A^j the forcing
+    weight carried by coeffs; for invertible A this is
+    ((alpha_0 - 1)/alpha_1) A^{-1}, computed without the inverse and
+    without the cancellation in alpha_0 - 1.  A singular A has no such R0:
+    it raises LinAlgError and points to the matrix-form scheme (phi1
+    based).  alpha_1 = 0 marks a degenerate step size.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
@@ -345,23 +302,20 @@ def correction_factors(a, coeffs: StepCoefficients) -> CorrectionFactors:
         raise ValueError("correction factors need matrix dimension n >= 2")
     if coeffs.n != n:
         raise ValueError("coefficient dimension does not match the matrix")
-    alpha = coeffs.values
+    alpha, q = coeffs.values, coeffs.q_values
     if alpha[1] == 0.0:
         raise ValueError("alpha_1 vanishes: degenerate step size for this spectrum")
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
+    if np.linalg.det(a) == 0.0:
         raise np.linalg.LinAlgError(
             "matrix is singular; R0 needs A^{-1}, use the matrix-form scheme instead"
-        ) from exc
-    if not np.all(np.isfinite(a_inv)):
-        raise np.linalg.LinAlgError(
-            "matrix is numerically singular; use the matrix-form scheme instead"
         )
-    r0 = (alpha[0] - 1.0) / alpha[1] * a_inv
+    eye = np.eye(n)
     r1 = np.zeros_like(a)
-    power = np.eye(n)  # A^{j-1} running power
-    for j in range(2, n):
+    q_mat = q[0] * eye
+    power = eye  # A^j running power
+    for j in range(1, n):
         power = power @ a
-        r1 = r1 + alpha[j] / alpha[1] * power
-    return CorrectionFactors(r0=r0, r1=r1)
+        q_mat = q_mat + q[j] * power
+        if j < n - 1:
+            r1 = r1 + alpha[j + 1] / alpha[1] * power
+    return CorrectionFactors(r0=q_mat / alpha[1] - eye - r1, r1=r1)

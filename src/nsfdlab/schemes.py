@@ -187,8 +187,9 @@ class StepContext:
             self.coeffs = coeffs
             alpha0, alpha1 = float(coeffs.values[0]), float(coeffs.values[1])
             i_plus_r1 = eye + corrections.r1
-            # R0 is built from the same alpha0 - 1, so D and Q stay
-            # consistent at the forced equilibrium D X* = -Q B
+            # Q = alpha1 (I + R1 + R0) is the coefficients' forcing weight,
+            # and A Q = P - I to rounding, so the forced equilibrium
+            # D X* = -Q B holds to rounding
             self.d = (alpha0 - 1.0) * eye + alpha1 * i_plus_r1 @ a
             self.q = alpha1 * (i_plus_r1 + corrections.r0)
         else:
@@ -485,18 +486,6 @@ def _osc_velocity(ctx: StepContext, x_k, x_next):
     return y
 
 
-def _osc_velocity_backward(ctx: StepContext, x_k: float, x_prev: float) -> float:
-    """y_k reconstructed from the preceding level by time reversal.
-
-    Used only for the last level when no forward neighbor exists (blow-up);
-    consistent with the forward value to O(dt^2).
-    """
-    y = (ctx.cos_dt * x_k - x_prev) / ctx.sin_dt
-    if ctx.scheme.kind == CORRECTED_OSC:
-        y -= ctx.tan_half * x_k * x_prev
-    return y
-
-
 def _integrate_second_order(ctx: StepContext, state0: np.ndarray, n_steps: int) -> Trajectory:
     """Drive a two-level recurrence and rebuild (x, y) states.
 
@@ -537,6 +526,8 @@ def _integrate_second_order(ctx: StepContext, state0: np.ndarray, n_steps: int) 
     fwd = max(1, min(n_levels, last))
     states[1:fwd, 1] = _osc_velocity(ctx, xs[1:fwd], xs[2 : fwd + 1])
     if fwd < n_levels:
-        states[fwd, 1] = _osc_velocity_backward(ctx, xs[fwd], xs[fwd - 1])
+        # the last level of a blow-up: by time reversal, minus the velocity
+        # of the step back to the preceding level (O(dt^2) from forward)
+        states[fwd, 1] = -_osc_velocity(ctx, xs[fwd], xs[fwd - 1])
     times = np.arange(n_levels) * ctx.dt
     return Trajectory(times=times, states=states, blow_up_step=blow_up)

@@ -2,6 +2,7 @@
 correction factors of the scalar one-step form."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -229,10 +230,13 @@ def test_alpha_rejects_bad_multiplicities_and_negative_dt():
         mk.alpha_coeffs(BIO, BIO_SPECTRUM, -0.1)
 
 
-def test_alpha_clustered_eigenvalues_warn():
+def test_alpha_clustered_eigenvalues_reproduce_expm():
+    # the divided-difference table never divides by the 1e-9 gap
     a = np.diag([1.0, 1.0 + 1e-9, -1.0])
     co = mk.alpha_coeffs(a, ((1.0, 1), (1.0 + 1e-9, 1), (-1.0, 1)), 0.1)
-    assert co.warning is not None and "conditioned" in co.warning
+    assert co.warning is None
+    rebuilt = sum(value * np.linalg.matrix_power(a, j) for j, value in enumerate(co.values))
+    np.testing.assert_allclose(rebuilt, scipy.linalg.expm(0.1 * a), rtol=0, atol=1e-13)
 
 
 def test_alpha_root_fallback_warns_and_agrees():
@@ -244,22 +248,30 @@ def test_alpha_root_fallback_warns_and_agrees():
 
 @st.composite
 def orthogonally_similar_matrices(draw):
-    """Real A = Q J Q^T with n <= 6 and Q orthogonal; J is diagonal
-    (distinct reals) or carries as many 2 x 2 rotation-scaling blocks
-    (complex pairs re +- i im) as fit.  Real parts step up by 0.1 .. 2 from
-    a start in [-5, 1], so no two eigenvalues coincide; plus a step dt."""
-    n = draw(st.integers(1, 6))
-    pairs = n // 2 if draw(st.sampled_from(["distinct", "complex"])) == "complex" else 0
+    """Real A = Q J Q^T with n <= 6 and Q orthogonal, plus a step dt.  J is
+    diagonal (distinct reals), carries as many 2 x 2 rotation-scaling
+    blocks (complex pairs re +- i im) as fit, is one Jordan block
+    (repeated, n >= 2), or is diagonal with its first two eigenvalues
+    1e-9 .. 1e-3 apart (clustered, n >= 2).  Otherwise real parts step up
+    by 0.1 .. 2 from a start in [-5, 1], so no two eigenvalues coincide."""
+    cls = draw(st.sampled_from(["distinct", "complex", "repeated", "clustered"]))
+    n = draw(st.integers(2 if cls in ("repeated", "clustered") else 1, 6))
+    pairs = n // 2 if cls == "complex" else 0
     re = draw(st.floats(-5.0, 1.0))
     blocks = []
-    for j in range(n - pairs):
-        if j:
-            re += draw(st.floats(0.1, 2.0))
-        if j < pairs:
-            im = draw(st.floats(0.1, 5.0))
-            blocks.append(np.array([[re, im], [-im, re]]))
-        else:
-            blocks.append(np.array([[re]]))
+    if cls == "repeated":
+        blocks.append(re * np.eye(n) + np.eye(n, k=1))
+    else:
+        for j in range(n - pairs):
+            if j == 1 and cls == "clustered":
+                re += 10.0 ** draw(st.floats(-9.0, -3.0))
+            elif j:
+                re += draw(st.floats(0.1, 2.0))
+            if j < pairs:
+                im = draw(st.floats(0.1, 5.0))
+                blocks.append(np.array([[re, im], [-im, re]]))
+            else:
+                blocks.append(np.array([[re]]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return q @ scipy.linalg.block_diag(*blocks) @ q.T, draw(st.floats(1e-3, 0.5))
@@ -402,6 +414,61 @@ def test_correction_r1_leading_term_is_half_dt_a():
     assert 3.4 <= ratio <= 4.6
 
 
+@pytest.mark.parametrize("dt", [0.1, 0.5])
+@pytest.mark.parametrize("a", [ROT, BIO], ids=["rotation", "biomass"])
+def test_correction_from_gamma_keeps_the_inverse_formula(a, dt):
+    co = mk.gamma_coeffs(mk.char_poly(a), dt)
+    gamma = co.values
+    expected = (gamma[0] - 1.0) / gamma[1] * np.linalg.inv(a)
+    np.testing.assert_allclose(
+        mk.correction_factors(a, co).r0, expected, rtol=0, atol=1e-13
+    )
+
+
+def _mp_exp_and_phi(a, dt):
+    """exp(dt A) and dt phi1(dt A) to 40 digits, as the two top blocks of
+    the exponential of [[dt A, dt I], [0, 0]], rounded to float64."""
+    n = a.shape[0]
+    with mpmath.workdps(40):
+        aug = mpmath.zeros(2 * n)
+        for i in range(n):
+            for j in range(n):
+                aug[i, j] = mpmath.mpf(dt) * mpmath.mpf(a[i, j])
+            aug[i, n + i] = mpmath.mpf(dt)
+        e = mpmath.expm(aug)
+        return (
+            np.array(e[:n, :n].tolist(), dtype=float),
+            np.array(e[:n, n:].tolist(), dtype=float),
+        )
+
+
+def _triangular(diagonal):
+    """Upper triangular matrix with the given diagonal and a fixed dense
+    upper part, so its spectrum is exactly the diagonal and a repeated
+    diagonal entry forms one Jordan block."""
+    n = len(diagonal)
+    upper = np.random.default_rng(n).uniform(0.5, 1.5, (n, n))
+    return np.diag(diagonal) + np.triu(upper, 1)
+
+
+@pytest.mark.parametrize(
+    "a, spectrum",
+    [(_triangular([-0.7] * n), ((-0.7, n),)) for n in range(2, 7)]
+    + [(_triangular([0.5, 0.5 + 1e-9, -1.0]), ((0.5, 1), (0.5 + 1e-9, 1), (-1.0, 1)))],
+    ids=[f"jordan-{n}" for n in range(2, 7)] + ["clustered"],
+)
+def test_alpha_and_correction_match_a_40_digit_oracle(a, spectrum):
+    dt = 0.1
+    n = a.shape[0]
+    exp_dt_a, dt_phi1 = _mp_exp_and_phi(a, dt)
+    co = mk.alpha_coeffs(a, spectrum, dt)
+    rebuilt = sum(value * np.linalg.matrix_power(a, j) for j, value in enumerate(co.values))
+    assert np.linalg.norm(rebuilt - exp_dt_a) <= 1e-14 * np.linalg.norm(exp_dt_a)
+    cf = mk.correction_factors(a, co)
+    q = co.values[1] * (np.eye(n) + cf.r1 + cf.r0)
+    assert np.linalg.norm(q - dt_phi1) <= 1e-14 * np.linalg.norm(dt_phi1)
+
+
 def test_correction_singular_matrix_points_to_matrix_form():
     co = mk.alpha_coeffs(NILPOTENT, ((0.0, 2),), 0.1)
     with pytest.raises(np.linalg.LinAlgError, match="matrix-form"):
@@ -409,18 +476,10 @@ def test_correction_singular_matrix_points_to_matrix_form():
 
 
 def test_correction_vanishing_alpha1_is_step_size_error():
-    bad = mk.StepCoefficients(n=2, dt=0.1, values=np.array([1.0, 0.0]), kind=mk.EXACT_ALPHA)
+    bad = mk.StepCoefficients(
+        n=2, dt=0.1, values=np.array([1.0, 0.0]), q_values=np.array([0.1, 0.0]),
+        kind=mk.EXACT_ALPHA,
+    )
     with pytest.raises(ValueError, match="step size"):
         mk.correction_factors(ROT, bad)
 
-
-# ---------------------------------------------------------------------------
-# cluster_spectrum
-# ---------------------------------------------------------------------------
-
-
-def test_cluster_spectrum_merges_close_roots():
-    clustered = mk.cluster_spectrum(np.array([1.0 + 0j, 1.0 + 1e-12 + 0j, 2.0 + 0j]))
-    mults = sorted(m for _, m in clustered)
-    assert mults == [1, 2]
-    assert sum(m for _, m in clustered) == 3
