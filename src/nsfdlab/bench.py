@@ -64,11 +64,13 @@ class ExperimentReport:
 class ConvergenceStudy:
     """Max errors over a step-size sweep and the observed orders between
     consecutive step sizes (each halving ratio log2(err_i/err_{i+1}), or
-    the string "exact" when both errors sit at rounding level)."""
+    the string "exact" when both errors sit at rounding level).
+    blow_up_steps holds each step size's blow-up step, or None."""
 
     dts: tuple
     max_errors: tuple
     orders: tuple
+    blow_up_steps: tuple
 
 
 def relative_error_series(traj: Trajectory, exact, norm: str = COMPONENT_X) -> ErrorSeries:
@@ -89,11 +91,26 @@ def relative_error_series(traj: Trajectory, exact, norm: str = COMPONENT_X) -> E
         num = np.abs(traj.states[:, 0] - reference[:, 0])
         den = np.abs(reference[:, 0])
     else:
-        num = np.linalg.norm(traj.states - reference, axis=1)
-        den = np.linalg.norm(reference, axis=1)
+        num = _row_norms(traj.states - reference)
+        den = _row_norms(reference)
     fallback = den < _DENOMINATOR_GUARD
     errors = np.where(fallback, num, num / np.where(fallback, 1.0, den))
     return ErrorSeries(times=traj.times, errors=errors, absolute_fallback=fallback, norm=norm)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row.  np.linalg.norm squares the entries, so
+    a row with an entry above about 1e154 overflows; only such rows are
+    recomputed, scaled by their largest entry, and every other row keeps
+    the plain norm's value to the bit."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    redo = ~np.isfinite(norms)
+    if redo.any():
+        redo &= np.isfinite(rows).all(axis=1)
+        scale = np.max(np.abs(rows[redo]), axis=1)
+        norms[redo] = scale * np.linalg.norm(rows[redo] / scale[:, None], axis=1)
+    return norms
 
 
 def observed_order(err_coarse: float, err_fine: float, exact_floor: float = EXACT_FLOOR):
@@ -148,12 +165,15 @@ def convergence_study(
     dts = tuple(sorted((float(d) for d in dts), reverse=True))
     if len(dts) < 2:
         raise ValueError("need at least two step sizes")
-    errs = []
+    errs, blow_ups = [], []
     for dt in dts:
-        _, series, _ = run_experiment(model, scheme, dt, t_end, norm=norm)
-        errs.append(float(np.max(series.errors)))
+        _, _, report = run_experiment(model, scheme, dt, t_end, norm=norm)
+        errs.append(report.max_error)
+        blow_ups.append(report.blow_up_step)
     orders = tuple(observed_order(errs[i], errs[i + 1]) for i in range(len(errs) - 1))
-    return ConvergenceStudy(dts=dts, max_errors=tuple(errs), orders=orders)
+    return ConvergenceStudy(
+        dts=dts, max_errors=tuple(errs), orders=orders, blow_up_steps=tuple(blow_ups)
+    )
 
 
 # --------------------------------------------------------------------------

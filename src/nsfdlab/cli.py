@@ -4,7 +4,8 @@ Subcommands:
 
   run          integrate one (model, scheme, dt) case, write the error
                series CSV and print a one-line report
-  convergence  step-size sweep, print a dt/max_error/order table
+  convergence  step-size sweep, print a dt/max_error/order table (exit 3
+               after the table if any step size blew up)
   figure       write the CSV data and gnuplot script for a named figure
   exact        sample the exact solution of a model into a CSV
 
@@ -110,6 +111,15 @@ def _cmd_convergence(args) -> int:
         if isinstance(order, float):
             order = f"{order:.3f}"
         print(f"{bench.dt_label(dt)},{err:.16e},{order}")
+    # the table is the result; the blow-ups go to stderr, outside its format
+    blown = [
+        f"dt = {bench.dt_label(dt)} at step {k}"
+        for dt, k in zip(study.dts, study.blow_up_steps)
+        if k is not None
+    ]
+    if blown:
+        print(f"blow-up: {'; '.join(blown)}", file=sys.stderr)
+        return 3
     return 0
 
 

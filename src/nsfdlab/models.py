@@ -116,9 +116,19 @@ class Forcing:
     antiderivative (if set) is the componentwise primitive of time_fn, used
     for the exact integral-mean approximation.  Both take a time or an
     array of times; an array of shape S gives shape S + (n,), so the
-    steppers evaluate the forcing of every step in one call.  For "state",
-    nonlocal_product(x_k, x_next) is the semi-implicit two-level form of
-    the quadratic term and state_fn its plain one-level evaluation.
+    steppers evaluate the forcing of every step in one call.
+
+    For "state", quadratic = (b, u) declares the rank-one quadratic
+    B(x) = b (u.x)^2 as data, and the steppers step it in closed form.
+    state_fn and nonlocal_product are derived from it when not given:
+    state_fn(x) = b (u.x)^2 is the one-level value, and
+    nonlocal_product(x_k, x_next) = b (u.x_k)(u.x_next) the semi-implicit
+    two-level form, Kahan's symmetric bilinear form of the quadratic
+    (Celledoni, McLachlan, Owren & Quispel, J. Phys. A 46, 2013).  Zero
+    entries of b and u take no part, so an overflowed state component
+    gives an infinite, not a NaN, forcing.  A state forcing without the
+    declaration gives state_fn alone; the steppers then take its explicit
+    value, or solve implicit Euler's step by fixed-point iteration.
     """
 
     kind: str
@@ -127,6 +137,22 @@ class Forcing:
     antiderivative: Callable[[float | np.ndarray], np.ndarray] | None = None
     state_fn: Callable[[np.ndarray], np.ndarray] | None = None
     nonlocal_product: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    quadratic: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.quadratic is None:
+            return
+        b, u = (np.array(v, dtype=float) for v in self.quadratic)
+        if b.ndim != 1 or b.shape != u.shape:
+            raise ValueError("quadratic forcing needs two vectors b, u of one length")
+        product = _rank_one_product(b, u)
+        # dataclasses.replace passes the derived callables back in, and a
+        # caller may pass a wrapped state_fn: given callables are kept
+        object.__setattr__(self, "quadratic", (b, u))
+        if self.state_fn is None:
+            object.__setattr__(self, "state_fn", lambda x: product(x, x))
+        if self.nonlocal_product is None:
+            object.__setattr__(self, "nonlocal_product", product)
 
     def pointwise(self, t: float, x: np.ndarray) -> np.ndarray:
         """B evaluated at one time/state point."""
@@ -137,6 +163,22 @@ class Forcing:
         if self.kind == "time":
             return self.time_fn(t)
         return self.state_fn(x)
+
+
+def _rank_one_product(b: np.ndarray, u: np.ndarray):
+    """(x, z) -> b (u.x)(u.z) over the nonzero entries of b and u."""
+    ib, iu = np.flatnonzero(b), np.flatnonzero(u)
+    b_nz, u_nz = b[ib], u[iu]
+
+    def product(x, z) -> np.ndarray:
+        # Python floats: an overflowed product is inf, with no warning
+        sx = float(u_nz @ np.asarray(x, dtype=float)[iu])
+        sz = float(u_nz @ np.asarray(z, dtype=float)[iu])
+        out = np.zeros(b.shape)
+        out[ib] = b_nz * (sx * sz)
+        return out
+
+    return product
 
 
 @dataclass(frozen=True)
@@ -178,21 +220,13 @@ def _make_oscillator(x0: float = 0.25) -> OdeModel:
         y = 2.0 * a_par * omega * sn * cn * dn
         return np.stack((x, y), axis=-1)
 
-    def state_b(x: np.ndarray) -> np.ndarray:
-        # multiply instead of ** so overflow yields inf (blow-up record)
-        x0_val = float(x[0])
-        return np.array([0.0, -(x0_val * x0_val)])
-
-    def nonlocal_b(x_k: np.ndarray, x_next: np.ndarray) -> np.ndarray:
-        # two-level product form -x_k x_{k+1}, linear in the unknown level
-        return np.array([0.0, -float(x_k[0]) * float(x_next[0])])
-
     return OdeModel(
         name="oscillator",
         n=2,
         a_matrix=np.array([[0.0, 1.0], [-1.0, 0.0]]),
         spectrum=((1j, 1), (-1j, 1)),
-        forcing=Forcing(kind="state", state_fn=state_b, nonlocal_product=nonlocal_b),
+        # B(x) = (0, -x^2): b = (0, -1), u = e_1
+        forcing=Forcing(kind="state", quadratic=(np.array([0.0, -1.0]), np.array([1.0, 0.0]))),
         initial_state=np.array([x0, 0.0]),
         exact=exact,
         params={"x0": x0, "a": a_par, "omega": omega, "m": m_par},

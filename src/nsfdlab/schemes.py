@@ -25,9 +25,20 @@ march runs the whole recurrence as a log-depth prefix scan over the levels
 whose powers grow (an unstable or strongly non-normal P) runs one level at
 a time instead, so it keeps the sequential accuracy and blow-up step.
 
+A state forcing declared as the rank-one quadratic B(x) = b (u.x)^2 (the
+oscillator's) is stepped in closed form on Python floats: the explicit
+value, the semi-implicit product (Kahan's symmetric form of a quadratic
+vector field; Celledoni, McLachlan, Owren & Quispel, J. Phys. A 46, 2013)
+and implicit Euler each reduce to a scalar equation in s = u.X+ with an
+explicit solution (_quadratic_march).  A state forcing given by state_fn
+alone steps one level at a time on its explicit value, or on a fixed-point
+iteration for implicit Euler.
+
 For the conservative oscillator x'' + x + x^2 = 0 three dedicated two-level
 recurrences are provided, all sharing the exact linear denominator
 (2 sin(dt/2))^2; they differ in the discretization of the quadratic term.
+step_osc_second_order takes one step; integrate runs each recurrence as one
+loop on Python floats (_osc_levels) whose levels equal it bitwise.
 """
 from __future__ import annotations
 
@@ -152,11 +163,27 @@ class StepContext:
     <= 1/2, and squares P^s itself beyond that.  A second-order
     oscillator scheme holds its recurrence constants and the context of its
     one-step start-up instead.
+
+    A state forcing's semi-implicit product is the one derived from its
+    quadratic declaration, stepped in closed form for n = 2; a hand-written
+    nonlocal_product without one, or a declaration with n != 2, raises
+    ValueError.
     """
 
     def __init__(self, model: OdeModel, scheme: SchemeSpec, dt: float):
         if not (np.isfinite(dt) and dt > 0):
             raise ValueError("dt must be positive and finite")
+        forcing = model.forcing
+        if forcing.kind == "state":
+            if forcing.quadratic is None and forcing.nonlocal_product is not None:
+                raise ValueError(
+                    "a semi-implicit nonlocal_product needs the forcing's quadratic "
+                    "declaration (b, u), from which it is derived"
+                )
+            if forcing.quadratic is not None and model.n != 2:
+                raise ValueError(
+                    f"a quadratic forcing is stepped in closed form for n = 2, got n = {model.n}"
+                )
         self.model = model
         self.scheme = scheme
         self.dt = float(dt)
@@ -294,33 +321,83 @@ def approximate_forcing(ctx: StepContext, t_k, x_k=None, x_next=None) -> np.ndar
     return f.nonlocal_product(x_k, x_next)
 
 
-def _state_step(ctx: StepContext, x_k: np.ndarray, t_k: float) -> np.ndarray:
-    """One step X+ = P X_k + Q B-hat, P = I + D, under state-dependent forcing.
+def _state_step(ctx: StepContext, x_k: np.ndarray) -> np.ndarray:
+    """One step X+ = P X_k + Q B-hat, P = I + D, under a state forcing given
+    by state_fn alone (no quadratic declaration).
 
     Implicit Euler takes B-hat = B(X+) and solves by fixed-point iteration
-    of X -> P X_k + Q B(X).  The semi-implicit product b(X_k, X+) is affine
-    in X+, so X+ solves (I - Q J) X+ = P X_k + Q b(X_k, 0), where column i
-    of J is b(X_k, e_i) - b(X_k, 0).  Otherwise B-hat = B(X_k).
+    of X -> P X_k + Q B(X); every other scheme takes B-hat = B(X_k).
     """
     d_x = ctx.d @ x_k
-    f = ctx.model.forcing
+    state_fn = ctx.model.forcing.state_fn
+    if ctx.scheme.kind == IMPLICIT_EULER:
+        p_x = x_k + d_x
+        return _fixed_point(lambda x: p_x + ctx.q @ state_fn(x), x_k)
+    return x_k + (d_x + ctx.q @ state_fn(x_k))
+
+
+def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarray:
+    """The levels of a planar one-step scheme under the quadratic forcing
+    B(x) = b (u.x)^2, stepped in closed form on Python floats.
+
+    With p = X_k + D X_k, w = Q b, c = u.w and s = u.X, a step is
+    X+ = X_k + (D X_k + w sigma), in the increment form of march, with
+
+      explicit value          sigma = s_k^2
+      semi-implicit product   sigma = s_k s+,  s+ = u.p / (1 - c s_k)
+      implicit Euler          sigma = s+^2,    s+ = 2 u.p / (1 + sqrt(1 - 4 c u.p))
+
+    Implicit Euler's s+ is the root of s = u.p + c s^2 that tends to u.p as
+    dt -> 0, in the form that does not cancel.  A zero pivot, or a
+    negative or non-finite discriminant, raises RuntimeError with the step
+    index.  The levels stop at the first non-finite one, which is kept.
+    """
     kind = ctx.scheme.kind
     if kind == IMPLICIT_EULER:
-        p_x = x_k + d_x
-        return _fixed_point(lambda x: p_x + ctx.q @ f.state_fn(x), x_k)
-    if (
-        kind == EXPLICIT_EULER
-        or f.nonlocal_product is None
-        or ctx.scheme.nonlocal_b == NONLOCAL_EXPLICIT
-    ):
-        return x_k + (d_x + ctx.q @ approximate_forcing(ctx, t_k, x_k))
-    eye = np.eye(ctx.model.n)
-    b0 = np.asarray(approximate_forcing(ctx, t_k, x_k, np.zeros(ctx.model.n)), dtype=float)
-    jac = np.column_stack([approximate_forcing(ctx, t_k, x_k, e) for e in eye]) - b0[:, None]
-    try:
-        return np.linalg.solve(eye - ctx.q @ jac, x_k + (d_x + ctx.q @ b0))
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"semi-implicit forcing solve failed: {exc}") from exc
+        rule = IMPLICIT_EULER
+    elif kind == EXPLICIT_EULER or ctx.scheme.nonlocal_b == NONLOCAL_EXPLICIT:
+        rule = NONLOCAL_EXPLICIT
+    else:
+        rule = NONLOCAL_SEMI_IMPLICIT
+    b, u = ctx.model.forcing.quadratic
+    (dxx, dxy), (dyx, dyy) = ctx.d.tolist()
+    wx, wy = (ctx.q @ b).tolist()
+    ux, uy = u.tolist()
+    c = ux * wx + uy * wy
+    x, y = (float(v) for v in x0)
+    # the levels as raw doubles, x and y interleaved: no float object per level
+    from array import array
+
+    levels = array("d", (x, y))
+    for k in range(n_steps):
+        dx = dxx * x + dxy * y
+        dy = dyx * x + dyy * y
+        s = ux * x + uy * y
+        if rule == NONLOCAL_EXPLICIT:
+            sigma = s * s
+        else:
+            up = ux * (x + dx) + uy * (y + dy)
+            if rule == NONLOCAL_SEMI_IMPLICIT:
+                pivot = 1.0 - c * s
+                if pivot == 0.0:
+                    raise RuntimeError(f"step {k}: semi-implicit product step has a zero pivot")
+                sigma = s * (up / pivot)
+            else:
+                disc = 1.0 - 4.0 * c * up
+                if not 0.0 <= disc < math.inf:
+                    raise RuntimeError(
+                        f"step {k}: implicit quadratic step has no real solution "
+                        f"(discriminant {disc:.3e})"
+                    )
+                s_next = 2.0 * up / (1.0 + math.sqrt(disc))
+                sigma = s_next * s_next
+        x += dx + wx * sigma
+        y += dy + wy * sigma
+        levels.append(x)
+        levels.append(y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            break
+    return np.frombuffer(levels).reshape(-1, 2)
 
 
 def _affine_scan(d: np.ndarray, states: np.ndarray) -> bool:
@@ -383,24 +460,28 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
     an entry above 4 (an unstable or strongly non-normal step) or a state
     overflows, the run is redone one level at a time, so its accuracy and
     blow_up_step are the sequential recurrence's.
-    State forcing steps through _state_step.  Solver failures raise with
-    the step index attached; a non-finite state truncates the trajectory
-    and records blow_up_step.
+    A state forcing declared as a quadratic steps in closed form
+    (_quadratic_march); any other state forcing steps through _state_step.
+    Solver failures raise with the step index attached; a non-finite state
+    truncates the trajectory and records blow_up_step.
     """
+    forcing = ctx.model.forcing
     states = np.empty((n_steps + 1, ctx.model.n))
     states[0] = x0
     # overflow is a recorded outcome, not a warning condition
     with np.errstate(over="ignore", invalid="ignore"):
-        if ctx.model.forcing.kind != "state":
+        if forcing.kind != "state":
             c = approximate_forcing(ctx, np.arange(n_steps) * ctx.dt) @ ctx.q.T
             states[1:] = c
             if not _affine_scan(ctx.d, states):
                 states[1:] = c  # the scan never writes level 0
                 _affine_loop(ctx.d, states)
+        elif forcing.quadratic is not None:
+            states = _quadratic_march(ctx, x0, n_steps)
         else:
             for k in range(n_steps):
                 try:
-                    states[k + 1] = _state_step(ctx, states[k], k * ctx.dt)
+                    states[k + 1] = _state_step(ctx, states[k])
                 except RuntimeError as exc:
                     raise RuntimeError(f"step {k}: {exc}") from exc
                 if not np.isfinite(states[k + 1]).all():
@@ -486,6 +567,44 @@ def _osc_velocity(ctx: StepContext, x_k, x_next):
     return y
 
 
+def _osc_levels(ctx: StepContext, levels, n_steps: int) -> None:
+    """Extend levels, an array of doubles ending in (x_0, x_1), by the
+    levels x_2, x_3, ... of a two-level recurrence, up to x_{n_steps+1} or
+    up to the first non-finite level, which is left out.
+
+    This is step_osc_second_order with its constants and scheme branch
+    taken out of the loop, on Python floats; its levels equal that
+    function's bitwise.
+    """
+    kind = ctx.scheme.kind
+    s2 = ctx.denom
+    x_prev, x_curr = levels[-2], levels[-1]
+    if kind == MICKENS_OSC1:
+        c2 = ctx.cos_half_sq
+        for _ in range(n_steps):
+            x_prev, x_curr = x_curr, 2.0 * x_curr - x_prev - s2 * (x_curr + c2 * x_curr * x_curr)
+            if not math.isfinite(x_curr):
+                break
+            levels.append(x_curr)
+        return
+    # the pivot and product weights of step_osc_second_order, grouped as it
+    # groups them: pivot = 1 + g x_k, product term h x_k x_{k-1}
+    if kind == MICKENS_OSC2:
+        g, h = 0.5 * s2 * ctx.cos_half_sq, 0.5 * ctx.cos_half_sq
+    else:
+        g, h = 0.5 * s2, 0.5
+    for k in range(1, n_steps + 1):
+        pivot = 1.0 + g * x_curr
+        if pivot == 0.0:
+            raise ZeroDivisionError(
+                f"step {k}: degenerate pivot in {kind} update (x_k = {x_curr!r})"
+            )
+        x_prev, x_curr = x_curr, (2.0 * x_curr - x_prev - s2 * (x_curr + h * x_curr * x_prev)) / pivot
+        if not math.isfinite(x_curr):
+            break
+        levels.append(x_curr)
+
+
 def _integrate_second_order(ctx: StepContext, state0: np.ndarray, n_steps: int) -> Trajectory:
     """Drive a two-level recurrence and rebuild (x, y) states.
 
@@ -494,31 +613,20 @@ def _integrate_second_order(ctx: StepContext, state0: np.ndarray, n_steps: int) 
     exact-solution seed.  One spare level beyond the horizon supplies the
     velocity of the final state.
     """
-    xs = np.empty(n_steps + 2)
-    xs[0] = state0[0]
+    # the levels as raw doubles: no float object per level
+    from array import array
+
+    xs = array("d", (state0[0],))
     startup = march(ctx.startup, state0, 1)
-    xs[1] = startup.states[-1, 0] if startup.blow_up_step is None else math.nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        blow_up = None
-        last = 1
-        if not np.isfinite(xs[1]):
-            blow_up = 1
-            last = 0
-        else:
-            for k in range(1, n_steps + 1):
-                try:
-                    nxt = step_osc_second_order(ctx, xs[k - 1], xs[k])
-                except ZeroDivisionError as exc:
-                    raise ZeroDivisionError(f"step {k}: {exc}") from exc
-                if not np.isfinite(nxt):
-                    blow_up = k + 1 if k < n_steps else None
-                    # non-finite spare level only loses the forward velocity
-                    if k == n_steps:
-                        last = n_steps
-                    break
-                xs[k + 1] = nxt
-                last = k + 1
-    n_levels = min(last, n_steps) + 1 if blow_up is None else blow_up
+    if startup.blow_up_step is None:
+        xs.append(startup.states[-1, 0])
+        _osc_levels(ctx, xs, n_steps)
+    # xs holds the finite levels 0 .. last; a non-finite spare level only
+    # loses the forward velocity
+    last = len(xs) - 1
+    blow_up = last + 1 if last < n_steps else None
+    n_levels = n_steps + 1 if blow_up is None else blow_up
+    xs = np.frombuffer(xs)
     states = np.empty((n_levels, 2))
     states[0] = state0
     states[1:, 0] = xs[1:n_levels]

@@ -1,5 +1,6 @@
 """Error measurement, convergence studies, and figure-data generation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,24 @@ def test_full_norm_error_is_the_euclidean_ratio(trees):
     exact = trees.exact(traj.times[k])
     expected = np.linalg.norm(traj.states[k] - exact) / np.linalg.norm(exact)
     assert abs(series.errors[k] - expected) <= 1e-15
+
+
+def test_full_norm_error_of_huge_finite_states_is_finite(oscillator):
+    # explicit Euler at dt = 2.5 reaches finite states near 1e262 before it
+    # blows up; squaring them in the plain norm would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj, series, report = nl.run_experiment(
+            oscillator, nl.SchemeSpec("explicit-euler"), 2.5, 250.0, norm="full"
+        )
+    exact = oscillator.exact(traj.times)
+    oracle = [
+        math.hypot(*(x - e)) / math.hypot(*e) for x, e in zip(traj.states, exact)
+    ]
+    assert report.blow_up_step == 18
+    assert math.isfinite(report.max_error)
+    assert abs(report.max_error - max(oracle)) <= 1e-14 * max(oracle)
+    np.testing.assert_allclose(series.errors, oracle, rtol=1e-14, atol=0)
 
 
 def test_euler_and_traditional_errors_are_comparable(biomass):

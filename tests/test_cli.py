@@ -1,4 +1,6 @@
 """Command line behavior: subcommands, exit codes, and output files."""
+import math
+
 import pytest
 
 import nsfdlab.cli as cli
@@ -114,6 +116,20 @@ def test_convergence_marks_exact_schemes(capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out.strip().splitlines()[2].endswith(",exact")
+
+
+def test_convergence_blow_up_prints_the_table_then_exits_3(capsys):
+    rc = run_cli(
+        "convergence", "--model", "oscillator", "--scheme", "explicit-euler",
+        "--dts", "2.5,1.25", "--tend", "250", "--norm", "full",
+    )
+    assert rc == 3
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert lines[0] == "dt,max_error,order"
+    assert [line.split(",")[0] for line in lines[1:]] == ["2.5", "1.25"]
+    assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:])
+    assert "dt = 2.5 at step 18" in captured.err
 
 
 def test_figure_subcommand_writes_files(tmp_path, capsys):

@@ -3,6 +3,7 @@ the biomass model family with its forced variants."""
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -308,6 +309,27 @@ def test_make_model_oscillator_structure(oscillator):
         [0.0, -6.0],
     )
     np.testing.assert_array_equal(oscillator.equilibrium, [0.0, 0.0])
+
+
+def test_oscillator_forcing_is_a_declared_quadratic(oscillator):
+    b, u = oscillator.forcing.quadratic
+    np.testing.assert_array_equal(b, [0.0, -1.0])
+    np.testing.assert_array_equal(u, [1.0, 0.0])
+    # overflow gives an infinite forcing, with no NaN and no warning, even
+    # when the component that u ignores has overflowed too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([1e200, 0.0], [1e200, math.inf]):
+            np.testing.assert_array_equal(oscillator.forcing.state_fn(np.array(x)), [0.0, -math.inf])
+        np.testing.assert_array_equal(
+            oscillator.forcing.nonlocal_product(np.array([1e200, 0.0]), np.array([-1e200, 0.0])),
+            [0.0, math.inf],
+        )
+
+
+def test_quadratic_declaration_needs_matching_vectors():
+    with pytest.raises(ValueError, match="one length"):
+        mo.Forcing(kind="state", quadratic=([0.0, -1.0], [1.0, 0.0, 0.0]))
 
 
 def test_make_model_oscillator_rejects_bad_x0():

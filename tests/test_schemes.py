@@ -1,8 +1,10 @@
 """Stepper behavior: exactness, hand-checked single steps, forcing
 treatments, equilibria, reversibility, and blow-up bookkeeping."""
+import dataclasses
 import math
 import types
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -651,6 +653,183 @@ def test_explicit_product_choice_changes_the_orbit(oscillator):
 
 
 # ---------------------------------------------------------------------------
+# closed-form steps of the quadratic state forcing
+# ---------------------------------------------------------------------------
+
+
+def solve_loop_oracle(ctx, x0, n_steps):
+    """The state-forced steps one level at a time on numpy vectors: the
+    explicit value x + (D x + Q B(x)); the semi-implicit product as the
+    linear system (I - Q J) X+ = P x + Q b(x, 0), with column i of J probed
+    as b(x, e_i) - b(x, 0); implicit Euler as the fixed-point iteration
+    X -> P x + Q B(X)."""
+    f = ctx.model.forcing
+    eye = np.eye(2)
+    kind = ctx.scheme.kind
+    semi = kind != "explicit-euler" and ctx.scheme.nonlocal_b == sch.NONLOCAL_SEMI_IMPLICIT
+    states = [np.asarray(x0, dtype=float)]
+    for _ in range(n_steps):
+        x = states[-1]
+        p = x + ctx.d @ x
+        if kind == "implicit-euler":
+            nxt = p
+            for _ in range(100):
+                nxt, prev = p + ctx.q @ f.state_fn(nxt), nxt
+                if np.array_equal(nxt, prev):
+                    break
+        elif semi:
+            b0 = f.nonlocal_product(x, np.zeros(2))
+            jac = np.column_stack([f.nonlocal_product(x, e) for e in eye]) - b0[:, None]
+            nxt = np.linalg.solve(eye - ctx.q @ jac, p + ctx.q @ b0)
+        else:
+            nxt = x + (ctx.d @ x + ctx.q @ f.state_fn(x))
+        states.append(nxt)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("nonlocal_b", sch.NONLOCAL_KINDS)
+@pytest.mark.parametrize("kind", ONE_STEP_KINDS)
+def test_quadratic_steps_match_the_solve_loop_oracle(oscillator, kind, nonlocal_b):
+    ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind, nonlocal_b=nonlocal_b), 0.01)
+    x0 = oscillator.initial_state
+    traj = sch.march(ctx, x0, 2000)
+    oracle = solve_loop_oracle(ctx, x0, 2000)
+    assert traj.blow_up_step is None
+    gap = np.max(np.abs(traj.states - oracle)) / np.max(np.abs(oracle))
+    assert gap <= 1e-13, gap
+
+
+_normal_unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@given(x=st.tuples(_normal_unit, _normal_unit), dt=st.floats(1e-4, 0.1))
+@example(x=(0.25, 0.0), dt=0.01)
+@example(x=(-1.0, 1.0), dt=0.1)
+@settings(max_examples=80, deadline=None)
+def test_implicit_quadratic_step_matches_a_40_digit_root(x, dt):
+    # X = P x_k + Q B(X), B(X) = (0, -X_0^2), solved by Newton's method in
+    # 40 digits from the explicit guess P x_k, with P = I + D and Q the
+    # context's floats taken exactly
+    model = nl.make_model("oscillator")
+    ctx = sch.StepContext(model, nl.SchemeSpec("implicit-euler"), dt)
+    x_k = np.array(x)
+    step = sch.march(ctx, x_k, 1).states[1]
+    with mpmath.workdps(40):
+        d = mpmath.matrix(ctx.d.tolist())
+        q = mpmath.matrix(ctx.q.tolist())
+        xk = mpmath.matrix(x_k.tolist())
+        p = xk + d * xk
+
+        def residual(a, b):
+            return [
+                a - p[0] - q[0, 1] * (-a * a),
+                b - p[1] - q[1, 1] * (-a * a),
+            ]
+
+        root = mpmath.findroot(residual, (p[0], p[1]))
+        oracle = np.array([float(root[0]), float(root[1])])
+    assert np.max(np.abs(step - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+def test_implicit_quadratic_step_without_a_real_root_raises(oscillator):
+    # at dt = 1, c = u.Q b = -1/2 and u.p = x_0/2, so the discriminant
+    # 1 - 4 c u.p = 1 + x_0 is negative for x_0 = -5
+    with pytest.raises(RuntimeError, match="step 0: .*discriminant"):
+        nl.integrate(oscillator, nl.SchemeSpec("implicit-euler"), 1.0, 5.0, x0=np.array([-5.0, 0.0]))
+
+
+def quadratic_model(b, u, n=2, a_matrix=None):
+    return mo.OdeModel(
+        name="quadratic",
+        n=n,
+        a_matrix=np.array([[0.0, 1.0], [-1.0, 0.0]]) if a_matrix is None else a_matrix,
+        spectrum=((1j, 1), (-1j, 1)),
+        forcing=mo.Forcing(kind="state", quadratic=(b, u)),
+        initial_state=np.array([2.0, 0.0]),
+        exact=None,
+    )
+
+
+def test_semi_implicit_quadratic_zero_pivot_raises():
+    # traditional-nsfd on a zero-diagonal A has Q = dt I; with b = u = e_1,
+    # c = dt = 1/2 and s_0 = 2 make the pivot 1 - c s_0 exactly zero
+    model = quadratic_model([1.0, 0.0], [1.0, 0.0])
+    with pytest.raises(RuntimeError, match="step 0: .*zero pivot"):
+        nl.integrate(model, nl.SchemeSpec("traditional-nsfd"), 0.5, 1.0)
+
+
+def test_quadratic_steps_follow_a_general_declaration():
+    # b and u not on the axes: the closed form against the solve loop
+    model = quadratic_model([0.3, -0.7], [0.6, 0.8])
+    x0 = np.array([0.2, -0.1])
+    for kind in ONE_STEP_KINDS:
+        ctx = sch.StepContext(model, nl.SchemeSpec(kind), 0.01)
+        oracle = solve_loop_oracle(ctx, x0, 500)
+        gap = np.max(np.abs(sch.march(ctx, x0, 500).states - oracle)) / np.max(np.abs(oracle))
+        assert gap <= 1e-13, (kind, gap)
+
+
+def test_hand_written_product_needs_the_quadratic_declaration(oscillator):
+    forcing = mo.Forcing(
+        kind="state",
+        state_fn=oscillator.forcing.state_fn,
+        nonlocal_product=oscillator.forcing.nonlocal_product,
+    )
+    model = dataclasses.replace(oscillator, forcing=forcing)
+    with pytest.raises(ValueError, match="quadratic declaration"):
+        sch.StepContext(model, nl.SchemeSpec("scalar-nsfd"), 0.1)
+
+
+def test_quadratic_declaration_is_planar():
+    a = np.diag([-1.0, -2.0, -3.0])
+    model = quadratic_model([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], n=3, a_matrix=a)
+    with pytest.raises(ValueError, match="n = 3"):
+        sch.StepContext(model, nl.SchemeSpec("explicit-euler"), 0.1)
+
+
+def test_replaced_forcing_keeps_its_route(oscillator):
+    # a wrapped state_fn keeps the closed form (and is not called); an
+    # unforced copy takes the linear prefix scan, an exact rotation here
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return oscillator.forcing.state_fn(x)
+
+    traced = dataclasses.replace(
+        oscillator, forcing=dataclasses.replace(oscillator.forcing, state_fn=counting)
+    )
+    for kind in ("explicit-euler", "implicit-euler", "scalar-nsfd"):
+        np.testing.assert_array_equal(
+            nl.integrate(traced, nl.SchemeSpec(kind), 0.01, 1.0).states,
+            nl.integrate(oscillator, nl.SchemeSpec(kind), 0.01, 1.0).states,
+        )
+    assert calls == []
+    unforced = dataclasses.replace(
+        oscillator, forcing=dataclasses.replace(oscillator.forcing, kind="none")
+    )
+    traj = nl.integrate(unforced, nl.SchemeSpec("matrix-nsfd"), 0.01, 1.0)
+    t = traj.times
+    rotation = 0.25 * np.column_stack((np.cos(t), -np.sin(t)))
+    np.testing.assert_allclose(traj.states, rotation, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "kind, dt, x0",
+    [(kind, 0.01, 0.25) for kind in sch.SECOND_ORDER_KINDS] + [("mickens-osc1", 0.1, 2.0)],
+)
+def test_second_order_loop_equals_the_per_step_function_bitwise(oscillator, kind, dt, x0):
+    traj = nl.integrate(oscillator, nl.SchemeSpec(kind), dt, 10.0, x0=np.array([x0, 0.0]))
+    ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), dt)
+    xs = [float(traj.states[0, 0]), float(traj.states[1, 0])]
+    while len(xs) <= traj.states.shape[0]:
+        xs.append(sch.step_osc_second_order(ctx, xs[-2], xs[-1]))
+    np.testing.assert_array_equal(traj.states[:, 0], xs[:-1])
+    # the level past the kept ones is the spare level, or non-finite
+    assert math.isfinite(xs[-1]) == (traj.blow_up_step is None)
+
+
+# ---------------------------------------------------------------------------
 # equilibria
 # ---------------------------------------------------------------------------
 
@@ -854,8 +1033,8 @@ def test_integrate_rejects_bad_grids(biomass):
     ids=["linear-one-step", "state-forced-one-step", "second-order"],
 )
 def test_integrate_rejects_a_non_finite_initial_state(model_name, kind, bad, request):
-    # one scheme per stepping route: the linear prefix scan, the fixed
-    # point of a state-forced step, and the two-level oscillator recurrence
+    # one scheme per stepping route: the linear prefix scan, the closed
+    # form of a state-forced step, and the two-level oscillator recurrence
     model = request.getfixturevalue(model_name)
     x0 = model.initial_state.copy()
     x0[0] = bad
