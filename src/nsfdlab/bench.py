@@ -6,11 +6,19 @@ positive solutions) or in the full Euclidean norm.  Where the exact value
 is zero the entry falls back to the absolute error and is flagged.
 
 Figure data is written as plain CSV plus a gnuplot script, one file per
-(scheme, dt) combination, with deterministic formatting so repeated runs
-are byte-identical.
+(scheme, dt) combination, in binary mode so every line ends in '\n' on
+every platform.  write_csv gives every value the bytes of Python's
+'%.16e' % v, so repeated runs are byte-identical, without formatting the
+values one by one: a vectorized kernel rounds |v| 10^p, formed as a
+double-double product, to the 17-digit mantissa and writes the digits
+through a lookup table, 2,048 rows at a time.  The few values it cannot
+decide (zeros, non-finite and extreme magnitudes, near-ties of the
+decimal rounding, a log10 rounded across a power of ten) go to Python's
+formatter.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -248,19 +256,169 @@ FIGURES = {
 }
 
 def dt_label(dt: float) -> str:
-    """A step size as it appears in file names and reports: fixed point,
-    trailing zeros dropped (0.05, 0.0005, 1.0)."""
-    s = f"{dt:.10f}".rstrip("0")
-    return s + "0" if s.endswith(".") else s
+    """A step size as it appears in file names and reports: the shortest
+    digits that round-trip, in fixed point (0.05, 0.0005, 1.0, 0.00001), so
+    distinct step sizes get distinct labels."""
+    return np.format_float_positional(dt, trim="0")
 
 
 def write_csv(path, header: str, table) -> None:
-    """Write the rows of a 2-d table under a header line, every value in
-    %.16e, so repeated runs are byte-identical."""
+    """Write the rows of a 2-d table under a header line: every value as
+    the bytes of Python's '%.16e' % v, comma-separated, each line ending in
+    '\\n', so repeated runs are byte-identical.
+
+    A vectorized kernel (_format_block) formats the values, _BLOCK_ROWS
+    rows at a time straight into the file, so transient memory stays
+    bounded.  Zeros, non-finite values, magnitudes outside
+    [1e-280, 1e280] and values within 1e-6 of a decimal tie go to Python's
+    formatter instead.  A zero-row table writes the header line only; a
+    table that is not 2-d, or has no columns, raises ValueError.
+    """
     table = np.asarray(table, dtype=float)
-    row_format = ",".join(["%.16e"] * table.shape[1])
-    lines = [header] + [row_format % tuple(row) for row in table.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    if table.ndim != 2 or table.shape[1] == 0:
+        raise ValueError(
+            f"write_csv needs a 2-d table with at least one column, got shape {table.shape}"
+        )
+    separators = np.full(table.shape[1], ord(","), np.uint8)
+    separators[-1] = ord("\n")
+    with open(path, "wb") as out:
+        out.write(header.encode() + b"\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            out.write(_format_block(block.ravel(), np.tile(separators, len(block))))
+
+
+# Rows per block of write_csv: bounds the transient buffers.
+_BLOCK_ROWS = 2048
+# The kernel's domain: within it the scale 10^p and its split stay finite
+# and the scale's low word stays a normal number.
+_KERNEL_MIN, _KERNEL_MAX = 1e-280, 1e280
+# Scaled values whose fraction lies within this of 1/2 are too close to a
+# decimal tie to decide with the double-double product, whose tail is off
+# by up to a few 1e-15.
+_TIE_BAND = 1e-6
+# Dekker's splitting constant 2^27 + 1.
+_SPLIT = 134217729.0
+# The decimal exponents floor(log10|x|) of the kernel's domain lie in
+# [-_EXP_MAX, _EXP_MAX], with one to spare for a log10 rounded across a
+# power of ten; the tables below are indexed by exponent + _EXP_MAX.
+_EXP_MAX = 281
+# One field of the output: sign ('-' or NUL), lead digit, '.', the 16
+# further digits as four 4-byte groups, 'e', the exponent (sign and two or
+# three digits, NUL-padded to 4 bytes) and the separator.  NUL bytes are
+# stripped from the block's bytes.
+_RECORD = np.dtype(
+    [("sign", "u1"), ("lead", "u1"), ("dot", "u1")]
+    + [(f"digits{i}", "u4") for i in range(4)]
+    + [("e", "u1"), ("exponent", "u4"), ("separator", "u1")]
+)
+
+
+@functools.cache
+def _scales() -> tuple[np.ndarray, np.ndarray]:
+    """The scale 10^(16 - e) of each exponent e as a double-double
+    (hi, lo): with p = 16 - e, hi is 10^p rounded to nearest and lo the
+    residual 10^p - hi rounded to nearest, both from exact integers (Python's int-to-float
+    conversion and int / int division round correctly)."""
+    pairs = []
+    for p in range(16 + _EXP_MAX, 15 - _EXP_MAX, -1):
+        if p >= 0:
+            exact = 10**p
+            hi = float(exact)
+            pairs.append((hi, float(exact - int(hi))))
+        else:
+            den = 10**-p
+            hi = 1 / den
+            num, pow2 = hi.as_integer_ratio()
+            pairs.append((hi, (pow2 - num * den) / (pow2 * den)))
+    table = np.array(pairs)
+    table.setflags(write=False)
+    return tuple(table.T)
+
+
+def _ascii_words(texts) -> np.ndarray:
+    """Each text of at most 4 ASCII characters as the 4 bytes of one uint32,
+    NUL-padded, so that storing the word writes the text (read-only: the
+    callers cache it)."""
+    words = np.array(texts, dtype="S4").view(np.uint32)
+    words.setflags(write=False)
+    return words
+
+
+@functools.cache
+def _digit_quads() -> np.ndarray:
+    """The digits 0000..9999, indexed by their value."""
+    return _ascii_words([f"{i:04d}" for i in range(10000)])
+
+
+@functools.cache
+def _exponents() -> np.ndarray:
+    """The exponent field of %.16e ('+05', '-280') of each exponent."""
+    return _ascii_words([f"{e:+03d}" for e in range(-_EXP_MAX, _EXP_MAX + 1)])
+
+
+def _split(v):
+    """Dekker's split of v into a 26-bit high part and the exact rest."""
+    c = _SPLIT * v
+    high = c - (c - v)
+    return high, v - high
+
+
+def _format_block(values: np.ndarray, separators: np.ndarray) -> bytes:
+    """'%.16e' % v for every value, each followed by its separator byte.
+
+    With p = 16 - floor(log10|v|), the 17-digit mantissa is |v| 10^p
+    rounded to an integer.  That product is formed as Dekker's two-product
+    of |v| and the double-double 10^p (Dekker, Numer. Math. 18, 1971):
+    its high word s is an integer above 2^53, and its tail is within a few
+    1e-15 of |v| 10^p - s.  The mantissa is s + floor(tail), plus one when
+    the tail's fraction exceeds 1/2.  A value goes to Python's formatter
+    instead when it is zero, not finite or outside [1e-280, 1e280], when
+    its fraction lies within _TIE_BAND of 1/2 (ties included), or when its
+    scaled floor or mantissa leaves [10^16, 10^17) (log10 rounded across a
+    power of ten, or a mantissa rounding up to 10^17).
+    """
+    mag = np.abs(values)
+    inside = (mag >= _KERNEL_MIN) & (mag <= _KERNEL_MAX)
+    mag[~inside] = 1.0
+    index = _EXP_MAX + np.floor(np.log10(mag)).astype(np.int64)
+    hi_table, lo_table = _scales()
+    hi, lo = hi_table[index], lo_table[index]
+    s = mag * hi
+    mag_hi, mag_lo = _split(mag)
+    hi_hi, hi_lo = _split(hi)
+    tail = ((mag_hi * hi_hi - s) + mag_hi * hi_lo + mag_lo * hi_hi) + mag_lo * hi_lo
+    tail += mag * lo
+    whole = np.floor(tail)
+    frac = tail - whole
+    floor = s.astype(np.int64) + whole.astype(np.int64)
+    mantissa = floor + (frac > 0.5)
+    kernel = (
+        inside
+        & (np.abs(frac - 0.5) > _TIE_BAND)
+        & (floor >= 10**16)
+        & (mantissa < 10**17)
+    )
+
+    quads = _digit_quads()
+    lead, rest = np.divmod(mantissa, 10**16)
+    rec = np.zeros(len(values), _RECORD)
+    rec["sign"][values < 0] = ord("-")
+    rec["lead"] = lead + ord("0")
+    rec["dot"] = ord(".")
+    rec["digits0"] = quads[rest // 10**12]
+    rec["digits1"] = quads[rest // 10**8 % 10**4]
+    rec["digits2"] = quads[rest // 10**4 % 10**4]
+    rec["digits3"] = quads[rest % 10**4]
+    rec["e"] = ord("e")
+    rec["exponent"] = _exponents()[index]
+    rec["separator"] = separators
+    raw = rec.view(np.uint8).reshape(len(values), _RECORD.itemsize)
+    for i in np.flatnonzero(~kernel):
+        text = ("%.16e" % values[i]).encode()
+        raw[i, :-1] = 0
+        raw[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return raw.tobytes().translate(None, b"\0")
 
 
 def write_exact(model: OdeModel, dt: float, t_end: float, path) -> None:
@@ -306,7 +464,7 @@ def run_figure(figure_id: str, out_dir) -> list[Path]:
                 csv_names.append((name, label, dt))
         script = _error_script(figure_id, spec, csv_names)
     script_path = out / f"{figure_id}.gp"
-    script_path.write_text(script)
+    script_path.write_bytes(script.encode())
     written.append(script_path)
     return written
 

@@ -1,9 +1,14 @@
 """Error measurement, convergence studies, and figure-data generation."""
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nsfdlab as nl
 import nsfdlab.bench as bench
@@ -202,3 +207,222 @@ def test_seasonal_forcing_comparison_layout(tmp_path):
         for approx in ("left", "middle", "half", "mean"):
             assert f"seasonal-forcing-comparison_{kind}-{approx}_0.001.csv" in csvs
     assert paths[-1].suffix == ".gp"
+
+
+# ---------------------------------------------------------------------------
+# CSV output
+# ---------------------------------------------------------------------------
+
+
+def _percent_e_csv(header, table):
+    """The oracle: the per-row formatter write_csv replaced, one '%.16e'
+    row template per row of tolist() values, joined by newlines."""
+    table = np.asarray(table, dtype=float)
+    row_format = ",".join(["%.16e"] * table.shape[1])
+    lines = [header] + [row_format % tuple(row) for row in table.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _written(tmp_path, table, header="h"):
+    path = tmp_path / "table.csv"
+    bench.write_csv(path, header, table)
+    return path.read_bytes()
+
+
+def _decimal_ties(p):
+    """The doubles (2k+1)/2 * 2^-p whose 10^p multiple (2k+1) 5^p / 2 lies in
+    [1e16, 1e17): %.16e rounds them from exactly half-way between two
+    17-digit mantissas.  Ties exist for p = 1..24 only; these are the two
+    ends of each p's range and some between."""
+    five = 5**p
+    first = -(-2 * 10**16 // five) | 1
+    last = min(2 * 10**17 // five, 2**53 - 1)
+    if last % 2 == 0:
+        last -= 1
+    odd = sorted({first, last, *range(first, last + 1, 2 * max(1, (last - first) // 14))})
+    return [math.ldexp(n, -p - 1) for n in odd]
+
+
+def _first_multiple_in(a, m, lo, hi):
+    """The least x >= 0 with lo <= a x mod m <= hi (0 <= lo <= hi < m), or
+    None; a Euclid-like descent on (a, m)."""
+    if lo == 0:
+        return 0
+    a %= m
+    if a == 0:
+        return None
+    x = -(-lo // a)
+    if a * x <= hi:
+        return x
+    y = _first_multiple_in(m % a, a, -hi % a, -lo % a)
+    return None if y is None else -(-(lo + m * y) // a)
+
+
+def _near_ties(p, per_k, eps=1e-15):
+    """Doubles v = N 2^-(k+p), N in [2^52, 2^53), whose 10^p multiple
+    N 5^p / 2^k lies in [1e16, 1e17) within eps of a half-integer: inputs
+    whose rounding the double-double product cannot decide.  For each k,
+    the first per_k such N, found by solving N 5^p mod 2^k in
+    [2^(k-1) - eps 2^k, 2^(k-1) + eps 2^k]."""
+    five = 5**p
+    out = []
+    for k in range(((five << 52) // 10**17).bit_length(), (five << 53).bit_length()):
+        m = 1 << k
+        n = max(2**52, -(-(10**16 << k) // five))
+        end = min(2**53, -(-(10**17 << k) // five))
+        band = int(m * eps)
+        for _ in range(per_k):
+            base = n * five % m
+            lo, hi = (m // 2 - band - base) % m, (m // 2 + band - base) % m
+            spans = [(lo, hi)] if lo <= hi else [(lo, m - 1), (0, hi)]
+            steps = [_first_multiple_in(five, m, *span) for span in spans]
+            steps = [x for x in steps if x is not None]
+            if n >= end or not steps or n + min(steps) >= end:
+                break
+            n += min(steps)
+            out.append(math.ldexp(n, -k - p))
+            n += 1
+    return out
+
+
+# Near-ties whose tail lands on the wrong side of 1/2 without the guard band
+# (found by _near_ties with 20 per k over p = 1..296).
+_GUARD_BAND_CASES = (
+    float.fromhex("0x1.70f4d8d6e3f4cp-304"),
+    float.fromhex("0x1.93e838c059d66p-682"),
+    float.fromhex("0x1.57a340eb5d4f1p-760"),
+)
+
+
+def _edge_values():
+    """Zeros, non-finite values, subnormals, the kernel's domain ends,
+    every 10^k with its neighbours for k in [-300, 300], decimal ties and
+    near-ties at every exponent p > 0."""
+    special = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1e-280, 1e280, 0.5, 1.0, 9.999999999999999e16]
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    with np.errstate(over="ignore"):
+        neighbours = [np.nextafter(v, toward) for v in (special, powers) for toward in (math.inf, -math.inf)]
+    values = np.concatenate((
+        special,
+        powers,
+        *neighbours,
+        [v for p in range(1, 25) for v in _decimal_ties(p)],
+        [v for p in range(1, 297) for v in _near_ties(p, 1)],
+        _GUARD_BAND_CASES,
+    ))
+    return np.concatenate((values, -values))
+
+
+def test_write_csv_matches_percent_e_on_edge_values(tmp_path):
+    values = _edge_values()
+    for cols in (1, 3):
+        table = np.resize(values, (-(-len(values) // cols), cols))
+        assert _written(tmp_path, table) == _percent_e_csv("h", table)
+
+
+def test_write_csv_matches_percent_e_on_random_bit_patterns(tmp_path):
+    rng = np.random.default_rng(20240601)
+    table = rng.integers(0, 2**64, (2**15, 4), dtype=np.uint64).view(np.float64)
+    assert _written(tmp_path, table) == _percent_e_csv("h", table)
+
+
+_bit_patterns = st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, np.uint64).view(np.float64))
+)
+_ties = st.integers(1, 24).flatmap(lambda p: st.sampled_from(_decimal_ties(p)))
+_power_neighbours = st.builds(
+    lambda k, toward: float(np.nextafter(float(f"1e{k}"), toward)),
+    st.integers(-300, 300),
+    st.sampled_from([math.inf, -math.inf]),
+)
+_signed = st.builds(lambda v, neg: -v if neg else v, st.one_of(_bit_patterns, _ties, _power_neighbours), st.booleans())
+
+
+@given(
+    cols=st.integers(1, 4),
+    rows=st.sampled_from([0, 1, 2, 2047, 2048, 2049]),
+    seed=st.integers(0, 2**32 - 1),
+    special=st.lists(st.tuples(st.integers(0, 2**20), _signed), max_size=24),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_write_csv_matches_percent_e_byte_for_byte(tmp_path, cols, rows, seed, special):
+    # random bit patterns throughout, drawn values at drawn positions
+    flat = np.random.default_rng(seed).integers(0, 2**64, rows * cols, dtype=np.uint64).view(np.float64)
+    for position, value in special:
+        if rows:
+            flat[position % flat.size] = value
+    table = flat.reshape(rows, cols)
+    header = "t,a,b,c"[: 2 * cols - 1]
+    assert _written(tmp_path, table, header) == _percent_e_csv(header, table)
+
+
+@pytest.mark.parametrize("figure", ["seasonal-error", "oscillator-exact"])
+def test_figure_tables_keep_the_per_row_bytes(tmp_path, monkeypatch, figure):
+    written = []
+    write_csv = bench.write_csv
+
+    def recording(path, header, table):
+        write_csv(path, header, table)
+        written.append((Path(path), header, np.array(table)))
+
+    monkeypatch.setattr(bench, "write_csv", recording)
+    nl.run_figure(figure, tmp_path)
+    assert len(written) == (15 if figure == "seasonal-error" else 1)
+    for path, header, table in written:
+        assert path.read_bytes() == _percent_e_csv(header, table), path.name
+
+
+def test_written_files_end_every_line_in_lf(tmp_path):
+    paths = nl.run_figure("trees-exact", tmp_path) + nl.run_figure("biomass-error", tmp_path)
+    assert {p.suffix for p in paths} == {".csv", ".gp"}
+    for path in paths:
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), path.name
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 4), (5, 0), (0, 0)])
+def test_write_csv_rejects_tables_that_are_not_2d_with_columns(tmp_path, shape):
+    with pytest.raises(ValueError, match=str(shape).replace("(", r"\(").replace(")", r"\)")):
+        bench.write_csv(tmp_path / "x.csv", "a", np.zeros(shape))
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_write_csv_of_zero_rows_writes_the_header_only(tmp_path):
+    assert _written(tmp_path, np.zeros((0, 2)), "t,x") == b"t,x\n"
+
+
+def test_dt_labels_of_figures_and_cli_step_sizes_are_unchanged():
+    labels = {
+        0.1: "0.1", 0.05: "0.05", 0.025: "0.025", 0.01: "0.01", 0.001: "0.001",
+        0.0005: "0.0005", 0.00001: "0.00001", 1.0: "1.0", 2.5: "2.5", 1.25: "1.25",
+    }
+    figure_dts = set()
+    for spec in bench.FIGURES.values():
+        figure_dts.update(spec.get("dts", ()) or (spec["dt"],))
+    assert figure_dts <= set(labels)
+    assert {dt: bench.dt_label(dt) for dt in labels} == labels
+
+
+def test_dt_labels_keep_every_significant_digit():
+    tiny = [1e-11, 4e-11, 1e-12, 1.5e-11]
+    assert len({bench.dt_label(dt) for dt in tiny}) == len(tiny)
+    assert bench.dt_label(1.23456789012e-4) == "0.000123456789012"
+    for dt in tiny + [1 / 3, 0.1 + 0.2, 7e-9, 123.456]:
+        assert float(bench.dt_label(dt)) == dt
+
+
+def test_import_builds_no_csv_tables_and_loads_no_decimal_modules():
+    # the writer's tables are built on first use, from Python ints alone
+    src = str(Path(nl.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import nsfdlab\n"
+        "from nsfdlab import bench\n"
+        "tables = (bench._scales, bench._digit_quads, bench._exponents)\n"
+        "print(sum(t.cache_info().currsize for t in tables),"
+        " 'fractions' in sys.modules, 'decimal' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False", "False"]
