@@ -56,7 +56,13 @@ class ErrorSeries:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Summary of one integration run measured against the exact solution."""
+    """Summary of one integration run measured against the exact solution.
+
+    t_end is the requested horizon; t_reached is the time of the last level
+    computed, step_count(dt, t_end) steps of dt, or of the last finite
+    level after a blow-up.  coeff_warning is the trajectory's warning on
+    its step coefficients, or None.
+    """
 
     model: str
     scheme: str
@@ -66,6 +72,8 @@ class ExperimentReport:
     max_error: float
     final_error: float
     blow_up_step: int | None
+    t_reached: float
+    coeff_warning: str | None
 
 
 @dataclass(frozen=True)
@@ -158,6 +166,8 @@ def run_experiment(
         max_error=float(np.max(series.errors)),
         final_error=float(series.errors[-1]),
         blow_up_step=traj.blow_up_step,
+        t_reached=float(traj.times[-1]),
+        coeff_warning=traj.coeff_warning,
     )
     return traj, series, report
 

@@ -21,7 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+
+# scipy.linalg is imported on first use, in expm and alpha_coeffs: loaded
+# with the package, it would more than double the cost of every import,
+# model build and CLI call for the sake of the exact-alpha schemes alone.
 
 # Coefficient kinds carried by StepCoefficients.
 EXACT_ALPHA = "exact-alpha"
@@ -141,6 +144,8 @@ def expm(m) -> np.ndarray:
     OverflowError instead of silent non-finite entries.
     """
     m = as_square_matrix(m)
+    import scipy.linalg
+
     with np.errstate(over="ignore", invalid="ignore"):
         out = scipy.linalg.expm(m)
     if not np.all(np.isfinite(out)):
@@ -236,6 +241,8 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
     if not nodes.imag.any():
         nodes = nodes.real
     z = np.diag(np.concatenate(([0.0], nodes))) + np.eye(n + 1, k=1)
+    import scipy.linalg
+
     table = scipy.linalg.expm(dt * z)
     lams = nodes.tolist()
     alpha = _newton_to_monomial(table[1, 1:].tolist(), lams)

@@ -43,7 +43,7 @@ loop on Python floats (_osc_levels) whose levels equal it bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,12 +134,17 @@ class Trajectory:
     times[k] = k dt; states[k] is the n-vector at level k with states[0]
     the given initial state.  If a step produced a non-finite state the
     trajectory is truncated to the finite part and blow_up_step records the
-    index of the first non-finite level.
+    index of the first non-finite level.  coeff_warning is the warning on
+    the step coefficients (StepCoefficients.warning: eigenvalue fallback,
+    spectrum not closed under conjugation), those of the one-step start-up
+    for a two-level recurrence; it is None without a warning or without
+    coefficients.
     """
 
     times: np.ndarray
     states: np.ndarray
     blow_up_step: int | None = None
+    coeff_warning: str | None = None
 
 
 class StepContext:
@@ -162,7 +167,8 @@ class StepContext:
     keeps the same increment form for the powers P^s while max|P^s - I|
     <= 1/2, and squares P^s itself beyond that.  A second-order
     oscillator scheme holds its recurrence constants and the context of its
-    one-step start-up instead.
+    one-step start-up instead.  coeffs is None for every scheme but the
+    scalar and gamma ones.
 
     A state forcing's semi-implicit product is the one derived from its
     quadratic declaration, stepped in closed form for n = 2; a hand-written
@@ -187,6 +193,7 @@ class StepContext:
         self.model = model
         self.scheme = scheme
         self.dt = float(dt)
+        self.coeffs = None
         a = model.a_matrix
         eye = np.eye(model.n)
         kind = scheme.kind
@@ -531,7 +538,8 @@ def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=N
     x0 defaults to the model's initial state and must be finite, like dt
     and t_end.  Solver failures raise with the step index attached; a
     non-finite state truncates the trajectory and records blow_up_step
-    instead of raising.
+    instead of raising.  The warning of the step coefficients, if any, is
+    carried as coeff_warning.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
@@ -545,8 +553,12 @@ def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=N
     n_steps = step_count(dt, t_end)
     ctx = StepContext(model, scheme, dt)
     if scheme.kind in SECOND_ORDER_KINDS:
-        return _integrate_second_order(ctx, state0, n_steps)
-    return march(ctx, state0, n_steps)
+        traj, coeffs = _integrate_second_order(ctx, state0, n_steps), ctx.startup.coeffs
+    else:
+        traj, coeffs = march(ctx, state0, n_steps), ctx.coeffs
+    if coeffs is not None:
+        traj = replace(traj, coeff_warning=coeffs.warning)
+    return traj
 
 
 def step_count(dt: float, t_end: float) -> int:

@@ -1,4 +1,5 @@
 """Error measurement, convergence studies, and figure-data generation."""
+import dataclasses
 import math
 import subprocess
 import sys
@@ -125,6 +126,48 @@ def test_report_carries_the_blow_up_step(oscillator):
     assert report.blow_up_step == 18
     assert report.model == "oscillator" and report.scheme == "explicit-euler"
     assert math.isfinite(report.max_error) and math.isfinite(report.final_error)
+
+
+@pytest.mark.parametrize(
+    "name, kind, dt, t_end, x0, t_reached",
+    [
+        ("biomass", "explicit-euler", 0.3, 1.0, None, 0.9),  # 3 whole steps fit in 1.0
+        ("oscillator", "explicit-euler", 2.5, 250.0, None, 42.5),  # level 18 is not finite
+        ("oscillator", "mickens-osc1", 0.5, 50.0, (2.0, 0.0), 7.5),  # level 16 is not finite
+    ],
+)
+def test_report_records_the_time_reached(name, kind, dt, t_end, x0, t_reached):
+    model = nl.make_model(name)
+    traj, _, report = nl.run_experiment(model, nl.SchemeSpec(kind), dt, t_end, x0=x0)
+    assert report.t_end == t_end
+    assert report.t_reached == float(traj.times[-1])
+    assert report.t_reached == pytest.approx(t_reached, rel=1e-15)
+    if report.blow_up_step is not None:
+        # the last finite level, one step before the first non-finite one
+        assert report.t_reached == pytest.approx((report.blow_up_step - 1) * dt, rel=1e-15)
+
+
+def test_coefficient_warning_reaches_the_trajectory_and_report():
+    biomass = nl.make_model("biomass")
+    oscillator = nl.make_model("oscillator")
+    no_spectrum = (
+        dataclasses.replace(biomass, spectrum=None),
+        dataclasses.replace(oscillator, spectrum=None),
+    )
+    for model, kind in [(no_spectrum[0], "scalar-nsfd"), (no_spectrum[1], "corrected-osc")]:
+        traj, _, report = nl.run_experiment(model, nl.SchemeSpec(kind), 0.1, 1.0)
+        assert traj.coeff_warning.startswith("spectrum recovered by eigenvalue fallback")
+        assert report.coeff_warning == traj.coeff_warning
+    # a declared spectrum warns of nothing; the other schemes build no coefficients
+    for model, kind in [
+        (biomass, "scalar-nsfd"),
+        (oscillator, "corrected-osc"),
+        (no_spectrum[0], "gamma-nsfd"),
+        (no_spectrum[0], "matrix-nsfd"),
+        (no_spectrum[0], "explicit-euler"),
+    ]:
+        traj, _, report = nl.run_experiment(model, nl.SchemeSpec(kind), 0.1, 1.0)
+        assert traj.coeff_warning is None and report.coeff_warning is None
 
 
 def test_oscillator_scheme_ranking_at_small_dt(oscillator):

@@ -1,9 +1,24 @@
 """Command line behavior: subcommands, exit codes, and output files."""
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import nsfdlab.cli as cli
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def run_fresh(body: str, tmp_path) -> str:
+    """Run body in a fresh interpreter that imports nsfdlab.cli; return stdout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = f"import sys\nsys.path.insert(0, {src!r})\nimport nsfdlab.cli as cli\n" + body
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=tmp_path
+    )
+    return out.stdout
 
 
 def run_cli(*argv):
@@ -168,3 +183,53 @@ def test_identical_invocations_are_byte_identical(tmp_path):
     assert run_cli(*args, "--out", str(out_a)) == 0
     assert run_cli(*args, "--out", str(out_b)) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_help_exact_and_reference_schemes_load_no_scipy(tmp_path):
+    # only the exact-alpha coefficients and the oscillator's elliptic
+    # functions need scipy, and each loads its part on first use
+    body = (
+        "try:\n"
+        "    cli.main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "assert cli.main(['exact', '--model', 'biomass', '--dt', '0.1', '--tend', '1',"
+        " '--out', 'e.csv']) == 0\n"
+        "for scheme in ('explicit-euler', 'implicit-euler', 'traditional-nsfd'):\n"
+        "    assert cli.main(['run', '--model', 'trees', '--scheme', scheme, '--dt', '0.1',"
+        " '--tend', '1', '--out', 'r.csv']) == 0\n"
+        f"print({_SCIPY_MODULES})\n"
+    )
+    assert run_fresh(body, tmp_path).splitlines()[-1] == "[]"
+    assert len((tmp_path / "e.csv").read_text().splitlines()) == 12
+
+
+def test_exact_alpha_scheme_loads_scipy_linalg_and_matches_it_bitwise(tmp_path):
+    # the deferred import runs the same scipy.linalg.expm on the same input:
+    # matkit.expm and the divided-difference table of alpha_coeffs equal a
+    # direct call to the bit
+    body = (
+        "import numpy as np\n"
+        "import nsfdlab.matkit as mk\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "assert cli.main(['run', '--model', 'seasonal', '--scheme', 'scalar-nsfd', '--dt', '0.1',"
+        " '--tend', '1', '--out', 'r.csv']) == 0\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+        "import scipy.linalg\n"
+        "from nsfdlab import make_model\n"
+        "rng = np.random.default_rng(5)\n"
+        "m = rng.standard_normal((3, 3))\n"
+        "assert np.array_equal(mk.expm(m), scipy.linalg.expm(m))\n"
+        "for name in ('biomass', 'oscillator'):\n"
+        "    model = make_model(name)\n"
+        "    got = mk.alpha_coeffs(model.a_matrix, model.spectrum, 0.1)\n"
+        "    nodes = [lam for lam, mult in model.spectrum for _ in range(mult)]\n"
+        "    z = np.diag([0.0] + nodes) + np.eye(len(nodes) + 1, k=1)\n"
+        "    table = scipy.linalg.expm(0.1 * z)\n"
+        "    alpha = mk._newton_to_monomial(table[1, 1:].tolist(), nodes)\n"
+        "    q = mk._newton_to_monomial(table[0, 1:].tolist(), nodes)\n"
+        "    assert np.array_equal(got.values, np.array([c.real for c in alpha]))\n"
+        "    assert np.array_equal(got.q_values, np.array([c.real for c in q]))\n"
+        "print('ok')\n"
+    )
+    assert run_fresh(body, tmp_path).splitlines()[-1] == "ok"

@@ -175,6 +175,23 @@ def test_import_and_model_building_leave_scipy_special_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_and_model_building_load_no_scipy_module():
+    # scipy.linalg waits for the first exact-alpha coefficients and
+    # scipy.special for the first elliptic function, so neither the import
+    # nor a model build loads any part of scipy
+    src = str(Path(nl.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import nsfdlab\n"
+        "for kind in ('oscillator', 'biomass', 'trees', 'seasonal'):\n"
+        "    nsfdlab.make_model(kind)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # oscillator orbit
 # ---------------------------------------------------------------------------
