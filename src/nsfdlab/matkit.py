@@ -17,7 +17,9 @@ the reference routes used to cross-check all of the above.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +35,22 @@ TRUNCATED_ORDER_N = "truncated-order-n"
 # Spectrum entries are (eigenvalue, algebraic multiplicity) pairs.
 Spectrum = tuple[tuple[complex, int], ...]
 
+# j! for j = 0..170, every factorial that float64 holds, each rounded once
+# from the exact integer.
+_FACTORIALS = np.array(list(itertools.accumulate(range(1, 171), operator.mul, initial=1)), dtype=float)
+# Taylor coefficients 1/(k+1)! of phi1 for its Paterson-Stockmeyer
+# evaluation: row i holds those of X^{4i}, ..., X^{4i+3}, and the degree-16
+# term is on its own.
+_PHI1_BLOCKS = np.array([[1.0 / math.factorial(4 * i + j + 1) for j in range(4)] for i in range(4)])
+_PHI1_TOP = 1.0 / math.factorial(17)
+
 
 def as_square_matrix(a) -> np.ndarray:
     """Validate and return `a` as an n x n float64 array (n >= 1)."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -102,14 +113,15 @@ def char_poly(a) -> CharPoly:
     """
     a = as_square_matrix(a)
     n = a.shape[0]
-    eye = np.eye(n)
-    m = eye
     p = np.empty(n)  # p[j] = coefficient of lambda^j in the monic polynomial
+    am = a.copy()  # A M_k, with M_1 = I
     for k in range(1, n + 1):
-        am = a @ m
-        pk = -np.trace(am) / k
+        diagonal = am.reshape(-1)[:: n + 1]
+        pk = -diagonal.sum() / k
         p[n - k] = pk
-        m = am + pk * eye
+        if k < n:
+            diagonal += pk  # M_{k+1} = A M_k + p_k I
+            am = a @ am
     return CharPoly(n=n, c=-p)
 
 
@@ -157,25 +169,41 @@ def phi1(m) -> np.ndarray:
     """The entire function phi1(M) = sum_{k>=0} M^k/(k+1)!.
 
     Satisfies phi1(M) M = exp(M) - I, but is defined for singular M too.
-    Evaluated by the truncated series after scaling M down to norm <= 1/2,
-    then undone with the doubling identities
-    phi1(2X) = (exp(X) + I) phi1(X)/2 and exp(2X) = exp(X)^2.
+    M is scaled down to 1-norm <= 1/2, where the Taylor polynomial of
+    degree 16 leaves a tail below 1e-19.  The polynomial is evaluated by
+    the Paterson-Stockmeyer scheme (SIAM J. Comput. 2, 1973) in blocks of
+    X^4: the four block polynomials in I, X, X^2, X^3 come from one product
+    with the coefficient table, and Horner's rule in X^4 joins them, 7
+    matrix products in all against 17 for Horner's rule in X.  The scaling
+    is undone with the doubling identities phi1(2X) = (exp(X) + I) phi1(X)/2
+    and exp(2X) = exp(X)^2.  Overflow raises OverflowError.
     """
     m = as_square_matrix(m)
     n = m.shape[0]
-    eye = np.eye(n)
-    nrm = np.linalg.norm(m, 1)
+    nrm = np.abs(m).sum(axis=0).max()  # the 1-norm
     squarings = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
-    x = m / (2.0 ** squarings)
-    # Horner evaluation of sum_{k=0}^{16} X^k/(k+1)!; the tail at norm 1/2
-    # is below 1e-19.
-    acc = eye / math.factorial(17)
-    for k in range(15, -1, -1):
-        acc = acc @ x + eye / math.factorial(k + 1)
-    ex = eye + x @ acc
-    for _ in range(squarings):
-        acc = (ex + eye) @ acc / 2.0
-        ex = ex @ ex
+    powers = np.zeros((4, n, n))  # I, X, X^2, X^3
+    flat = powers.reshape(4, n * n)
+    flat[0, :: n + 1] = 1.0
+    _, x, x2, x3 = powers
+    np.divide(m, 2.0**squarings, out=x)
+    np.matmul(x, x, out=x2)
+    np.matmul(x2, x, out=x3)
+    x4 = x2 @ x2
+    blocks = (_PHI1_BLOCKS @ flat).reshape(4, n, n)
+    acc = x4 * _PHI1_TOP
+    acc += blocks[3]
+    for i in (2, 1, 0):
+        acc = x4 @ acc
+        acc += blocks[i]
+    ex = x @ acc
+    ex.reshape(-1)[:: n + 1] += 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            acc = (ex @ acc + acc) / 2.0
+            ex = ex @ ex
+    if not np.isfinite(acc).all():
+        raise OverflowError("phi1 overflowed (norm too large)")
     return acc
 
 
@@ -194,16 +222,14 @@ def _normalize_spectrum(spectrum, n: int) -> list[tuple[complex, int]]:
 def _newton_to_monomial(dd: list, nodes: list) -> list:
     """Monomial coefficients of sum_k dd[k] prod_{i<k} (z - nodes[i]).
 
-    Horner form: multiply by (z - nodes[k]) and add dd[k], innermost first.
+    Horner form: multiply by (z - nodes[k]) and add dd[k], innermost first,
+    in place on the coefficients of the inner polynomial.
     """
-    coef = [dd[-1]]
+    coef = list(dd)
     for k in range(len(dd) - 2, -1, -1):
         lam = nodes[k]
-        coef = (
-            [dd[k] - lam * coef[0]]
-            + [lo - lam * hi for lo, hi in zip(coef, coef[1:])]
-            + [coef[-1]]
-        )
+        for j in range(k, len(dd) - 1):
+            coef[j] -= lam * coef[j + 1]
     return coef
 
 
@@ -225,26 +251,31 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
     spectrum is None the eigenvalues of A come from the LAPACK fallback
     np.linalg.eigvals, and the result carries a warning; so does a
     spectrum that is not closed under conjugation, with the size of the
-    imaginary parts dropped.
+    imaginary parts dropped.  Coefficients that overflow raise
+    OverflowError.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
-    if not (np.isfinite(dt) and dt >= 0):
+    if not (math.isfinite(dt) and dt >= 0):
         raise ValueError("dt must be nonnegative and finite")
     notes = []
     if spectrum is None:
-        nodes = np.linalg.eigvals(a)
+        lams = np.linalg.eigvals(a).tolist()
         notes.append("spectrum recovered by eigenvalue fallback (lower trust)")
     else:
-        items = _normalize_spectrum(spectrum, n)
-        nodes = np.array([lam for lam, mult in items for _ in range(mult)])
-    if not nodes.imag.any():
-        nodes = nodes.real
-    z = np.diag(np.concatenate(([0.0], nodes))) + np.eye(n + 1, k=1)
+        lams = [lam for lam, mult in _normalize_spectrum(spectrum, n) for _ in range(mult)]
+    if not any(lam.imag for lam in lams):
+        lams = [lam.real for lam in lams]
+    nodes = np.array(lams)
+    # dt Z built in place, with the entries of dt * Z
+    dt_z = np.zeros((n + 1, n + 1), dtype=nodes.dtype)
+    flat = dt_z.reshape(-1)
+    flat[n + 2 :: n + 2] = dt * nodes
+    flat[1 :: n + 2] = dt
     import scipy.linalg
 
-    table = scipy.linalg.expm(dt * z)
-    lams = nodes.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = scipy.linalg.expm(dt_z)
     alpha = _newton_to_monomial(table[1, 1:].tolist(), lams)
     q = _newton_to_monomial(table[0, 1:].tolist(), lams)
     if np.iscomplexobj(nodes) and not np.array_equal(
@@ -255,11 +286,15 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
             f"spectrum not closed under conjugation; dropped imaginary parts "
             f"of magnitude {dropped:.2e}"
         )
+    values = [c.real for c in alpha]
+    q_values = [c.real for c in q]
+    if not all(map(math.isfinite, values + q_values)):
+        raise OverflowError("alpha coefficients overflowed (dt times the spectrum too large)")
     return StepCoefficients(
         n=n,
         dt=dt,
-        values=np.array([c.real for c in alpha]),
-        q_values=np.array([c.real for c in q]),
+        values=np.array(values),
+        q_values=np.array(q_values),
         kind=EXACT_ALPHA,
         warning="; ".join(notes) or None,
     )
@@ -272,16 +307,22 @@ def gamma_coeffs(cp: CharPoly, dt: float) -> StepCoefficients:
     propagator sum_j gamma_j A^j equals the Taylor sum of exp(dt A) through
     order n.  Its forcing weight is the matching Taylor sum of
     dt phi1(dt A), q_j = dt^{j+1}/(j+1)!.  Needs only the characteristic
-    polynomial, no eigenvalues.
+    polynomial, no eigenvalues.  Coefficients that overflow raise
+    OverflowError.
     """
     if cp.n < 2:
         raise ValueError("gamma coefficients need matrix dimension n >= 2")
-    if not (np.isfinite(dt) and dt >= 0):
+    if not (math.isfinite(dt) and dt >= 0):
         raise ValueError("dt must be nonnegative and finite")
-    taylor = dt ** np.arange(cp.n + 1) / np.array(
-        [math.factorial(j) for j in range(cp.n + 1)]
-    )
-    values = taylor[:-1] + taylor[-1] * cp.c
+    if cp.n >= len(_FACTORIALS):
+        raise OverflowError(f"gamma coefficients need {cp.n}!, beyond the float64 range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        taylor = dt ** np.arange(cp.n + 1) / _FACTORIALS[: cp.n + 1]
+        values = taylor[:-1] + taylor[-1] * cp.c
+    # dt^j/j! is finite for j < n whenever dt^n/n! is, and an infinite
+    # dt^n/n! makes every value infinite or NaN
+    if not np.isfinite(values).all():
+        raise OverflowError("gamma coefficients overflowed (dt or the matrix norm too large)")
     return StepCoefficients(
         n=cp.n,
         dt=dt,
@@ -309,20 +350,25 @@ def correction_factors(a, coeffs: StepCoefficients) -> CorrectionFactors:
         raise ValueError("correction factors need matrix dimension n >= 2")
     if coeffs.n != n:
         raise ValueError("coefficient dimension does not match the matrix")
-    alpha, q = coeffs.values, coeffs.q_values
+    alpha, q = coeffs.values.tolist(), coeffs.q_values.tolist()
     if alpha[1] == 0.0:
         raise ValueError("alpha_1 vanishes: degenerate step size for this spectrum")
     if np.linalg.det(a) == 0.0:
         raise np.linalg.LinAlgError(
             "matrix is singular; R0 needs A^{-1}, use the matrix-form scheme instead"
         )
-    eye = np.eye(n)
+    # q_0 I + q_1 A + q_2 A^2 + ... and 0 + (alpha_2/alpha_1) A + ..., in
+    # place and term by term
     r1 = np.zeros_like(a)
-    q_mat = q[0] * eye
-    power = eye  # A^j running power
-    for j in range(1, n):
+    q_mat = q[1] * a
+    q_diagonal = q_mat.reshape(-1)[:: n + 1]
+    q_diagonal += q[0]
+    power = a  # A^{j-1} running power
+    for j in range(2, n):
+        r1 += alpha[j] / alpha[1] * power
         power = power @ a
-        q_mat = q_mat + q[j] * power
-        if j < n - 1:
-            r1 = r1 + alpha[j + 1] / alpha[1] * power
-    return CorrectionFactors(r0=q_mat / alpha[1] - eye - r1, r1=r1)
+        q_mat += q[j] * power
+    q_mat /= alpha[1]
+    q_diagonal -= 1.0
+    q_mat -= r1
+    return CorrectionFactors(r0=q_mat, r1=r1)

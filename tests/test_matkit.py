@@ -120,6 +120,24 @@ def test_expm_overflow_raises():
         mk.expm(np.diag([1000.0, 1000.0]))
 
 
+def test_phi1_overflow_raises():
+    with pytest.raises(OverflowError):
+        mk.phi1(800.0 * np.eye(2))
+
+
+@pytest.mark.parametrize("spectrum", [((800.0, 1), (-1.0, 1)), None], ids=["declared", "fallback"])
+def test_alpha_overflow_raises(spectrum):
+    with pytest.raises(OverflowError):
+        mk.alpha_coeffs(np.diag([800.0, -1.0]), spectrum, 1.0)
+
+
+def test_gamma_overflow_raises():
+    with pytest.raises(OverflowError):
+        mk.gamma_coeffs(mk.char_poly(np.diag([1e200, -1.0])), 1e200)
+    with pytest.raises(OverflowError):  # 171! is beyond float64
+        mk.gamma_coeffs(mk.CharPoly(n=171, c=np.zeros(171)), 0.1)
+
+
 def test_phi1_zero_is_identity():
     np.testing.assert_allclose(mk.phi1(np.zeros((2, 2))), np.eye(2), rtol=0, atol=1e-15)
 
@@ -440,6 +458,64 @@ def _mp_exp_and_phi(a, dt):
             np.array(e[:n, :n].tolist(), dtype=float),
             np.array(e[:n, n:].tolist(), dtype=float),
         )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_phi1_matches_a_40_digit_oracle(n):
+    # 1-norms from 1e-3 to 6 take 0 to 4 halvings down to 1/2
+    rng = np.random.default_rng(100 + n)
+    for norm in (1e-3, 1e-2, 0.1, 0.5, 0.9, 1.8, 3.5, 6.0):
+        m = rng.standard_normal((n, n))
+        m *= norm / np.linalg.norm(m, 1)
+        _, expected = _mp_exp_and_phi(m, 1.0)
+        err = np.linalg.norm(mk.phi1(m) - expected) / np.linalg.norm(expected)
+        assert err <= 1e-14, (norm, err)
+
+
+def _char_poly_loop(a):
+    """Faddeev-LeVerrier with an explicit identity and np.trace: the
+    reference arithmetic of char_poly."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    m = eye
+    p = np.empty(n)
+    for k in range(1, n + 1):
+        am = a @ m
+        pk = -np.trace(am) / k
+        p[n - k] = pk
+        m = am + pk * eye
+    return -p
+
+
+def _correction_loop(a, coeffs):
+    """R0 and R1 summed term by term from q_0 I and a zero matrix: the
+    reference arithmetic of correction_factors."""
+    n = a.shape[0]
+    alpha, q = coeffs.values, coeffs.q_values
+    eye = np.eye(n)
+    r1 = np.zeros_like(a)
+    q_mat = q[0] * eye
+    power = eye
+    for j in range(1, n):
+        power = power @ a
+        q_mat = q_mat + q[j] * power
+        if j < n - 1:
+            r1 = r1 + alpha[j + 1] / alpha[1] * power
+    return q_mat / alpha[1] - eye - r1, r1
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_char_poly_and_correction_keep_the_reference_arithmetic(n):
+    rng = np.random.default_rng(200 + n)
+    for _ in range(10):
+        a = rng.standard_normal((n, n))
+        cp = mk.char_poly(a)
+        assert np.array_equal(cp.c, _char_poly_loop(a))
+        for dt in (0.1, 0.01):
+            for co in (mk.alpha_coeffs(a, None, dt), mk.gamma_coeffs(cp, dt)):
+                cf = mk.correction_factors(a, co)
+                r0, r1 = _correction_loop(a, co)
+                assert np.array_equal(cf.r0, r0) and np.array_equal(cf.r1, r1)
 
 
 def _triangular(diagonal):
