@@ -41,13 +41,17 @@ _FACTORIALS = np.array(list(itertools.accumulate(range(1, 171), operator.mul, in
 # Taylor coefficients 1/(k+1)! of phi1 for its Paterson-Stockmeyer
 # evaluation: row i holds those of X^{4i}, ..., X^{4i+3}, and the degree-16
 # term is on its own.
-_PHI1_BLOCKS = np.array([[1.0 / math.factorial(4 * i + j + 1) for j in range(4)] for i in range(4)])
-_PHI1_TOP = 1.0 / math.factorial(17)
+_PHI1_BLOCKS = (1.0 / _FACTORIALS[1:17]).reshape(4, 4)
+_PHI1_TOP = 1.0 / _FACTORIALS[17]
 
 
 def as_square_matrix(a) -> np.ndarray:
-    """Validate and return `a` as an n x n float64 array (n >= 1)."""
-    m = np.asarray(a, dtype=float)
+    """Validate and return `a` as a C-contiguous n x n float64 array (n >= 1).
+
+    The routines below write to diagonals through flat views, which only
+    reach the matrix itself in C order.
+    """
+    m = np.asarray(a, dtype=float, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -267,10 +271,14 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
     if not any(lam.imag for lam in lams):
         lams = [lam.real for lam in lams]
     nodes = np.array(lams)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt_nodes = dt * nodes
+    if not np.isfinite(dt_nodes).all():
+        raise OverflowError("dt times the spectrum overflowed")
     # dt Z built in place, with the entries of dt * Z
     dt_z = np.zeros((n + 1, n + 1), dtype=nodes.dtype)
     flat = dt_z.reshape(-1)
-    flat[n + 2 :: n + 2] = dt * nodes
+    flat[n + 2 :: n + 2] = dt_nodes
     flat[1 :: n + 2] = dt
     import scipy.linalg
 

@@ -120,17 +120,26 @@ def test_expm_overflow_raises():
         mk.expm(np.diag([1000.0, 1000.0]))
 
 
+# The overflow tests turn warnings into errors: the routines must raise
+# OverflowError, not let a RuntimeWarning escape on the way.
+@pytest.mark.filterwarnings("error")
 def test_phi1_overflow_raises():
     with pytest.raises(OverflowError):
         mk.phi1(800.0 * np.eye(2))
 
 
-@pytest.mark.parametrize("spectrum", [((800.0, 1), (-1.0, 1)), None], ids=["declared", "fallback"])
-def test_alpha_overflow_raises(spectrum):
-    with pytest.raises(OverflowError):
-        mk.alpha_coeffs(np.diag([800.0, -1.0]), spectrum, 1.0)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "fallback"])
+def test_alpha_overflow_raises(declared):
+    # exp(800) overflows inside expm; dt times the eigenvalue 1e200
+    # overflows before it
+    for diagonal, dt in (([800.0, -1.0], 1.0), ([1e200, -1.0], 1e200)):
+        spectrum = tuple((lam, 1) for lam in diagonal) if declared else None
+        with pytest.raises(OverflowError):
+            mk.alpha_coeffs(np.diag(diagonal), spectrum, dt)
 
 
+@pytest.mark.filterwarnings("error")
 def test_gamma_overflow_raises():
     with pytest.raises(OverflowError):
         mk.gamma_coeffs(mk.char_poly(np.diag([1e200, -1.0])), 1e200)
@@ -516,6 +525,25 @@ def test_char_poly_and_correction_keep_the_reference_arithmetic(n):
                 cf = mk.correction_factors(a, co)
                 r0, r1 = _correction_loop(a, co)
                 assert np.array_equal(cf.r0, r0) and np.array_equal(cf.r1, r1)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_results_do_not_depend_on_the_memory_layout(layout):
+    # flat diagonal views of a non-C-ordered input would miss the matrix
+    rng = np.random.default_rng(300)
+    for n in range(2, 7):
+        a = rng.standard_normal((n, n))
+        if layout == "fortran":
+            other = np.asfortranarray(a)
+        else:
+            other = np.zeros((2 * n, 2 * n))[::2, ::2]
+            other[...] = a
+        cp = mk.char_poly(a)
+        assert np.array_equal(mk.char_poly(other).c, cp.c)
+        assert np.array_equal(mk.phi1(other), mk.phi1(a))
+        for co in (mk.alpha_coeffs(a, None, 0.1), mk.gamma_coeffs(cp, 0.1)):
+            cf, cf_other = mk.correction_factors(a, co), mk.correction_factors(other, co)
+            assert np.array_equal(cf_other.r0, cf.r0) and np.array_equal(cf_other.r1, cf.r1)
 
 
 def _triangular(diagonal):
