@@ -149,13 +149,13 @@ def run_experiment(
     dt: float,
     t_end: float,
     norm: str = COMPONENT_X,
-    x0=None,
 ):
-    """Integrate, measure against the exact solution, and summarize.
+    """Integrate from the model's initial state, measure against its exact
+    solution, and summarize.
 
     Returns (trajectory, error_series, report).
     """
-    traj = integrate(model, scheme, dt, t_end, x0=x0)
+    traj = integrate(model, scheme, dt, t_end)
     series = relative_error_series(traj, model.exact, norm=norm)
     report = ExperimentReport(
         model=model.name,

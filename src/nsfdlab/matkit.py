@@ -97,12 +97,13 @@ class StepCoefficients:
 
 @dataclass(frozen=True)
 class CorrectionFactors:
-    """Matrices R0 = ((alpha_0 - 1)/alpha_1) A^{-1} and
-    R1 = sum_{j=2}^{n-1} (alpha_j/alpha_1) A^{j-1}.
+    """Matrices R1 = sum_{j=2}^{n-1} (alpha_j/alpha_1) A^{j-1} and
+    R0 = Q/alpha_1 - I - R1, Q the forcing weight of the coefficients.
 
     They recast X_{k+1} = sum_j alpha_j A^j X_k as
     X_{k+1} = alpha_0 X_k + alpha_1 [(I + R1)(A X_k + B) + R0 B], so that
-    alpha_1 (I + R1 + R0) is the forcing weight Q of the coefficients.
+    alpha_1 (I + R1 + R0) is Q.  For invertible A, R0 equals
+    ((alpha_0 - 1)/alpha_1) A^{-1}; it is defined for singular A as well.
     """
 
     r0: np.ndarray
@@ -348,9 +349,9 @@ def correction_factors(a, coeffs: StepCoefficients) -> CorrectionFactors:
     n = 2.  R0 = Q/alpha_1 - I - R1 with Q = sum_j q_j A^j the forcing
     weight carried by coeffs; for invertible A this is
     ((alpha_0 - 1)/alpha_1) A^{-1}, computed without the inverse and
-    without the cancellation in alpha_0 - 1.  A singular A has no such R0:
-    it raises LinAlgError and points to the matrix-form scheme (phi1
-    based).  alpha_1 = 0 marks a degenerate step size.
+    without the cancellation in alpha_0 - 1, so a singular A needs no
+    special case.  alpha_1 = 0 marks a degenerate step size and raises
+    ValueError.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
@@ -361,10 +362,6 @@ def correction_factors(a, coeffs: StepCoefficients) -> CorrectionFactors:
     alpha, q = coeffs.values.tolist(), coeffs.q_values.tolist()
     if alpha[1] == 0.0:
         raise ValueError("alpha_1 vanishes: degenerate step size for this spectrum")
-    if np.linalg.det(a) == 0.0:
-        raise np.linalg.LinAlgError(
-            "matrix is singular; R0 needs A^{-1}, use the matrix-form scheme instead"
-        )
     # q_0 I + q_1 A + q_2 A^2 + ... and 0 + (alpha_2/alpha_1) A + ..., in
     # place and term by term
     r1 = np.zeros_like(a)

@@ -4,6 +4,8 @@ Four model families:
 
   oscillator   x'' + x + x^2 = 0 written as a 2d system; exact solution
                x(t) = x0 + a sn^2(omega t | m) in Jacobi elliptic functions.
+               Its forcing (0, -x^2) is the one state forcing, declared as
+               the rank-one quadratic b (u.x)^2.
   biomass      linear 3d cascade (young biomass, old biomass, dead trees)
                with triangular A and spectrum {-1, -3, -5}.
   trees        biomass plus a constant plantation term z_f.
@@ -119,16 +121,12 @@ class Forcing:
     steppers evaluate the forcing of every step in one call.
 
     For "state", quadratic = (b, u) declares the rank-one quadratic
-    B(x) = b (u.x)^2 as data, and the steppers step it in closed form.
-    state_fn and nonlocal_product are derived from it when not given:
-    state_fn(x) = b (u.x)^2 is the one-level value, and
-    nonlocal_product(x_k, x_next) = b (u.x_k)(u.x_next) the semi-implicit
-    two-level form, Kahan's symmetric bilinear form of the quadratic
-    (Celledoni, McLachlan, Owren & Quispel, J. Phys. A 46, 2013).  Zero
-    entries of b and u take no part, so an overflowed state component
-    gives an infinite, not a NaN, forcing.  A state forcing without the
-    declaration gives state_fn alone; the steppers then take its explicit
-    value, or solve implicit Euler's step by fixed-point iteration.
+    B(x) = b (u.x)^2 as data, and the steppers step it in closed form; a
+    state forcing without it raises ValueError.  state_fn(x) = b (u.x)^2,
+    the pointwise value, is derived from it when not given (a caller may
+    pass a wrapped one back through dataclasses.replace).  Zero entries of
+    b and u take no part, so an overflowed state component gives an
+    infinite, not a NaN, forcing.
     """
 
     kind: str
@@ -136,23 +134,21 @@ class Forcing:
     time_fn: Callable[[float | np.ndarray], np.ndarray] | None = None
     antiderivative: Callable[[float | np.ndarray], np.ndarray] | None = None
     state_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    nonlocal_product: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     quadratic: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.quadratic is None:
+            if self.kind == "state":
+                raise ValueError("a state forcing needs its quadratic declaration (b, u)")
             return
         b, u = (np.array(v, dtype=float) for v in self.quadratic)
         if b.ndim != 1 or b.shape != u.shape:
             raise ValueError("quadratic forcing needs two vectors b, u of one length")
-        product = _rank_one_product(b, u)
-        # dataclasses.replace passes the derived callables back in, and a
-        # caller may pass a wrapped state_fn: given callables are kept
         object.__setattr__(self, "quadratic", (b, u))
+        # dataclasses.replace passes the derived state_fn back in, and a
+        # caller may pass a wrapped one: a given state_fn is kept
         if self.state_fn is None:
-            object.__setattr__(self, "state_fn", lambda x: product(x, x))
-        if self.nonlocal_product is None:
-            object.__setattr__(self, "nonlocal_product", product)
+            object.__setattr__(self, "state_fn", _rank_one_square(b, u))
 
     def pointwise(self, t: float, x: np.ndarray) -> np.ndarray:
         """B evaluated at one time/state point."""
@@ -165,20 +161,19 @@ class Forcing:
         return self.state_fn(x)
 
 
-def _rank_one_product(b: np.ndarray, u: np.ndarray):
-    """(x, z) -> b (u.x)(u.z) over the nonzero entries of b and u."""
+def _rank_one_square(b: np.ndarray, u: np.ndarray):
+    """x -> b (u.x)^2 over the nonzero entries of b and u."""
     ib, iu = np.flatnonzero(b), np.flatnonzero(u)
     b_nz, u_nz = b[ib], u[iu]
 
-    def product(x, z) -> np.ndarray:
-        # Python floats: an overflowed product is inf, with no warning
-        sx = float(u_nz @ np.asarray(x, dtype=float)[iu])
-        sz = float(u_nz @ np.asarray(z, dtype=float)[iu])
+    def square(x) -> np.ndarray:
+        # a Python float: an overflowed square is inf, with no warning
+        s = float(u_nz @ np.asarray(x, dtype=float)[iu])
         out = np.zeros(b.shape)
-        out[ib] = b_nz * (sx * sz)
+        out[ib] = b_nz * (s * s)
         return out
 
-    return product
+    return square
 
 
 @dataclass(frozen=True)

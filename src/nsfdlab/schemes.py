@@ -30,9 +30,8 @@ oscillator's) is stepped in closed form on Python floats: the explicit
 value, the semi-implicit product (Kahan's symmetric form of a quadratic
 vector field; Celledoni, McLachlan, Owren & Quispel, J. Phys. A 46, 2013)
 and implicit Euler each reduce to a scalar equation in s = u.X+ with an
-explicit solution (_quadratic_march).  A state forcing given by state_fn
-alone steps one level at a time on its explicit value, or on a fixed-point
-iteration for implicit Euler.
+explicit solution (_quadratic_march).  That declaration is the only form a
+state forcing takes (models.Forcing), so no step needs an iterative solve.
 
 For the conservative oscillator x'' + x + x^2 = 0 three dedicated two-level
 recurrences are provided, all sharing the exact linear denominator
@@ -83,9 +82,6 @@ FORCING_APPROXES = (FORCING_LEFT, FORCING_RIGHT, FORCING_MIDDLE, FORCING_HALF, F
 NONLOCAL_EXPLICIT = "explicit"
 NONLOCAL_SEMI_IMPLICIT = "semi-implicit-product"
 NONLOCAL_KINDS = (NONLOCAL_EXPLICIT, NONLOCAL_SEMI_IMPLICIT)
-
-FIXED_POINT_TOL = 1e-14
-FIXED_POINT_MAX_ITER = 200
 
 # _affine_scan holds a power of P as P^s - I until an entry exceeds this
 _POWER_FORM_SWITCH = 0.5
@@ -170,26 +166,17 @@ class StepContext:
     one-step start-up instead.  coeffs is None for every scheme but the
     scalar and gamma ones.
 
-    A state forcing's semi-implicit product is the one derived from its
-    quadratic declaration, stepped in closed form for n = 2; a hand-written
-    nonlocal_product without one, or a declaration with n != 2, raises
-    ValueError.
+    A state forcing is stepped in closed form for n = 2 only; any other n
+    raises ValueError.
     """
 
     def __init__(self, model: OdeModel, scheme: SchemeSpec, dt: float):
         if not (np.isfinite(dt) and dt > 0):
             raise ValueError("dt must be positive and finite")
-        forcing = model.forcing
-        if forcing.kind == "state":
-            if forcing.quadratic is None and forcing.nonlocal_product is not None:
-                raise ValueError(
-                    "a semi-implicit nonlocal_product needs the forcing's quadratic "
-                    "declaration (b, u), from which it is derived"
-                )
-            if forcing.quadratic is not None and model.n != 2:
-                raise ValueError(
-                    f"a quadratic forcing is stepped in closed form for n = 2, got n = {model.n}"
-                )
+        if model.forcing.kind == "state" and model.n != 2:
+            raise ValueError(
+                f"a quadratic forcing is stepped in closed form for n = 2, got n = {model.n}"
+            )
         self.model = model
         self.scheme = scheme
         self.dt = float(dt)
@@ -244,60 +231,21 @@ class StepContext:
             )
 
 
-def _fixed_point(map_fn, start, tol=FIXED_POINT_TOL, max_iter=FIXED_POINT_MAX_ITER):
-    """Solve x = map_fn(x) by damped iteration.
-
-    Runs undamped first; on divergence (growing or non-finite residuals)
-    retries once with damping 1/2.  Raises RuntimeError with the last
-    residual if the tolerance is not met.
-    """
-    last_res = math.inf
-    for damping in (1.0, 0.5):
-        x = np.array(start, dtype=float)
-        prev = math.inf
-        rises = 0
-        for _ in range(max_iter):
-            fx = map_fn(x)
-            delta = fx - x
-            # x stays finite, so a non-finite residual means a non-finite fx
-            res = float(abs(delta).max())
-            if not math.isfinite(res):
-                rises = max_iter  # hard divergence; try the damped pass
-                break
-            last_res = res
-            if res <= tol:
-                return fx
-            if res > prev:
-                rises += 1
-                if rises >= 3:
-                    break
-            else:
-                rises = 0
-            prev = res
-            x = x + damping * delta
-        if rises == 0:
-            break  # ran out of iterations while still contracting; give up
-    raise RuntimeError(
-        f"fixed-point solve stalled at residual {last_res:.3e} "
-        f"(tolerance {tol:.1e}, {max_iter} iterations)"
-    )
-
-
 # the Euler schemes fix their time sample by definition
 _EULER_FORCING = {EXPLICIT_EULER: FORCING_LEFT, IMPLICIT_EULER: FORCING_RIGHT}
 
 
-def approximate_forcing(ctx: StepContext, t_k, x_k=None, x_next=None) -> np.ndarray:
-    """The forcing value B-hat on [t_k, t_k + dt].
+def approximate_forcing(ctx: StepContext, t_k) -> np.ndarray:
+    """The forcing value B-hat on [t_k, t_k + dt] of a forcing that does
+    not depend on the state.
 
-    t_k is a step's start time, or an array of N start times for forcing
-    that does not depend on the state; the result then has shape (N, n).
-    Time-dependent forcing follows ctx.scheme.forcing_approx (explicit
-    Euler takes the left value, implicit Euler the right one); the "mean"
-    strategy is the integral average (1/dt) int B(t) dt, evaluated from the
-    model's antiderivative when available and by 5-point Gauss-Legendre
-    quadrature otherwise.  State-dependent forcing uses the explicit value
-    B(X_k) or the semi-implicit product form, which needs x_next.
+    t_k is a step's start time, or an array of N start times; the result
+    then has shape (N, n).  Time-dependent forcing follows
+    ctx.scheme.forcing_approx (explicit Euler takes the left value,
+    implicit Euler the right one); the "mean" strategy is the integral
+    average (1/dt) int B(t) dt, evaluated from the model's antiderivative
+    when available and by 5-point Gauss-Legendre quadrature otherwise.  A
+    state forcing has no such value and raises ValueError.
     """
     f = ctx.model.forcing
     dt = ctx.dt
@@ -322,25 +270,7 @@ def approximate_forcing(ctx: StepContext, t_k, x_k=None, x_next=None) -> np.ndar
         # one evaluation at all nodes of all steps: shape t_k.shape + (5, n)
         nodes = (t_k + half)[..., None] + half * _GL5_NODES
         return _GL5_WEIGHTS @ f.time_fn(nodes) * half / dt
-    # state-dependent forcing
-    if ctx.scheme.nonlocal_b == NONLOCAL_EXPLICIT or x_next is None:
-        return f.state_fn(x_k)
-    return f.nonlocal_product(x_k, x_next)
-
-
-def _state_step(ctx: StepContext, x_k: np.ndarray) -> np.ndarray:
-    """One step X+ = P X_k + Q B-hat, P = I + D, under a state forcing given
-    by state_fn alone (no quadratic declaration).
-
-    Implicit Euler takes B-hat = B(X+) and solves by fixed-point iteration
-    of X -> P X_k + Q B(X); every other scheme takes B-hat = B(X_k).
-    """
-    d_x = ctx.d @ x_k
-    state_fn = ctx.model.forcing.state_fn
-    if ctx.scheme.kind == IMPLICIT_EULER:
-        p_x = x_k + d_x
-        return _fixed_point(lambda x: p_x + ctx.q @ state_fn(x), x_k)
-    return x_k + (d_x + ctx.q @ state_fn(x_k))
+    raise ValueError("a state forcing has no per-step value: march steps it in closed form")
 
 
 def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarray:
@@ -467,33 +397,23 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
     an entry above 4 (an unstable or strongly non-normal step) or a state
     overflows, the run is redone one level at a time, so its accuracy and
     blow_up_step are the sequential recurrence's.
-    A state forcing declared as a quadratic steps in closed form
-    (_quadratic_march); any other state forcing steps through _state_step.
-    Solver failures raise with the step index attached; a non-finite state
-    truncates the trajectory and records blow_up_step.
+    A state forcing, the declared quadratic, steps in closed form
+    (_quadratic_march).  Solver failures raise with the step index
+    attached; a non-finite state truncates the trajectory and records
+    blow_up_step.
     """
-    forcing = ctx.model.forcing
-    states = np.empty((n_steps + 1, ctx.model.n))
-    states[0] = x0
     # overflow is a recorded outcome, not a warning condition
     with np.errstate(over="ignore", invalid="ignore"):
-        if forcing.kind != "state":
+        if ctx.model.forcing.kind == "state":
+            states = _quadratic_march(ctx, x0, n_steps)
+        else:
+            states = np.empty((n_steps + 1, ctx.model.n))
+            states[0] = x0
             c = approximate_forcing(ctx, np.arange(n_steps) * ctx.dt) @ ctx.q.T
             states[1:] = c
             if not _affine_scan(ctx.d, states):
                 states[1:] = c  # the scan never writes level 0
                 _affine_loop(ctx.d, states)
-        elif forcing.quadratic is not None:
-            states = _quadratic_march(ctx, x0, n_steps)
-        else:
-            for k in range(n_steps):
-                try:
-                    states[k + 1] = _state_step(ctx, states[k])
-                except RuntimeError as exc:
-                    raise RuntimeError(f"step {k}: {exc}") from exc
-                if not np.isfinite(states[k + 1]).all():
-                    states = states[: k + 2]
-                    break
     finite = np.all(np.isfinite(states), axis=1)
     blow_up = None if finite.all() else int(np.argmin(finite))
     if blow_up is not None:

@@ -573,12 +573,6 @@ def test_alpha_and_correction_match_a_40_digit_oracle(a, spectrum):
     assert np.linalg.norm(q - dt_phi1) <= 1e-14 * np.linalg.norm(dt_phi1)
 
 
-def test_correction_singular_matrix_points_to_matrix_form():
-    co = mk.alpha_coeffs(NILPOTENT, ((0.0, 2),), 0.1)
-    with pytest.raises(np.linalg.LinAlgError, match="matrix-form"):
-        mk.correction_factors(NILPOTENT, co)
-
-
 def test_correction_vanishing_alpha1_is_step_size_error():
     bad = mk.StepCoefficients(
         n=2, dt=0.1, values=np.array([1.0, 0.0]), q_values=np.array([0.1, 0.0]),

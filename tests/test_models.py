@@ -320,11 +320,6 @@ def test_make_model_oscillator_structure(oscillator):
     np.testing.assert_array_equal(
         oscillator.forcing.state_fn(np.array([2.0, 0.0])), [0.0, -4.0]
     )
-    # two-level product is linear in each argument
-    np.testing.assert_array_equal(
-        oscillator.forcing.nonlocal_product(np.array([2.0, 0.0]), np.array([3.0, 0.0])),
-        [0.0, -6.0],
-    )
     np.testing.assert_array_equal(oscillator.equilibrium, [0.0, 0.0])
 
 
@@ -338,10 +333,6 @@ def test_oscillator_forcing_is_a_declared_quadratic(oscillator):
         warnings.simplefilter("error")
         for x in ([1e200, 0.0], [1e200, math.inf]):
             np.testing.assert_array_equal(oscillator.forcing.state_fn(np.array(x)), [0.0, -math.inf])
-        np.testing.assert_array_equal(
-            oscillator.forcing.nonlocal_product(np.array([1e200, 0.0]), np.array([-1e200, 0.0])),
-            [0.0, math.inf],
-        )
 
 
 def test_quadratic_declaration_needs_matching_vectors():

@@ -66,19 +66,37 @@ def test_second_order_schemes_require_the_oscillator(biomass):
         sch.StepContext(biomass, nl.SchemeSpec("mickens-osc1"), 0.1)
 
 
-def test_scalar_scheme_rejects_singular_matrix():
-    nilpotent = mo.OdeModel(
-        name="shear",
-        n=2,
-        a_matrix=np.array([[0.0, 1.0], [0.0, 0.0]]),
-        spectrum=((0.0, 2),),
+SINGULAR_MATRICES = {
+    "nilpotent-2": (np.array([[0.0, 1.0], [0.0, 0.0]]), ((0.0, 2),)),
+    "nilpotent-3": (np.diag([1.0, 1.0], 1), ((0.0, 3),)),
+    "zero-eigenvalue": (
+        np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 2.0], [0.0, 0.0, -2.0]]),
+        ((0.0, 1), (-1.0, 1), (-2.0, 1)),
+    ),
+    # invertible, but its determinant 6e-360 underflows to 0
+    "tiny-diagonal": (1e-120 * np.diag([1.0, 2.0, 3.0]), ((1e-120, 1), (2e-120, 1), (3e-120, 1))),
+}
+
+
+@pytest.mark.parametrize("dt", [0.1, 1.0])
+@pytest.mark.parametrize("name", list(SINGULAR_MATRICES))
+def test_scalar_scheme_on_singular_matrices_matches_expm_and_phi1(name, dt):
+    # R0 = Q/alpha_1 - I - R1 needs no inverse, so a singular (or
+    # determinant-underflowing) A steps like any other
+    a, spectrum = SINGULAR_MATRICES[name]
+    n = a.shape[0]
+    model = mo.OdeModel(
+        name=name,
+        n=n,
+        a_matrix=a,
+        spectrum=spectrum,
         forcing=mo.Forcing(kind="none"),
-        initial_state=np.array([1.0, 1.0]),
+        initial_state=np.ones(n),
         exact=None,
-        params={},
     )
-    with pytest.raises(np.linalg.LinAlgError, match="matrix-form"):
-        sch.StepContext(nilpotent, nl.SchemeSpec("scalar-nsfd"), 0.1)
+    ctx = sch.StepContext(model, nl.SchemeSpec("scalar-nsfd"), dt)
+    np.testing.assert_allclose(np.eye(n) + ctx.d, scipy.linalg.expm(dt * a), rtol=0, atol=2e-15)
+    np.testing.assert_allclose(ctx.q, dt * mk.phi1(dt * a), rtol=0, atol=2e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +152,15 @@ def test_implicit_euler_oscillator_fixed_point_residual(oscillator):
 
 
 def test_fixed_point_divergence_reports_step_index():
-    # quadratic self-map with no attracting fixed point: the damped
-    # iteration cannot contract, so the stepper error must carry "step 0"
-    def state_b(x):
-        return np.array([x[0] * x[0] + 1.0, 0.0])
-
+    # x' = x^2 from x = 1 blows up at t = 1: at dt = 1 the implicit step
+    # x_1 = x_0 + x_1^2 has no real fixed point (discriminant 1 - 4 x_0 < 0),
+    # so the stepper error must carry "step 0"
     model = mo.OdeModel(
         name="runaway",
         n=2,
         a_matrix=np.zeros((2, 2)),
         spectrum=((0.0, 2),),
-        forcing=mo.Forcing(kind="state", state_fn=state_b, nonlocal_product=None),
+        forcing=mo.Forcing(kind="state", quadratic=([1.0, 0.0], [1.0, 0.0])),
         initial_state=np.array([1.0, 0.0]),
         exact=None,
         params={},
@@ -557,7 +573,7 @@ def test_constant_forcing_ignores_the_strategy(trees):
     for approx in sch.FORCING_APPROXES:
         ctx = sch.StepContext(trees, nl.SchemeSpec("scalar-nsfd", forcing_approx=approx), 0.1)
         np.testing.assert_array_equal(
-            sch.approximate_forcing(ctx, 0.3, trees.initial_state), trees.forcing.constant
+            sch.approximate_forcing(ctx, 0.3), trees.forcing.constant
         )
 
 
@@ -573,7 +589,7 @@ def test_time_forcing_strategy_values(seasonal):
     for approx, value in expected.items():
         ctx = sch.StepContext(seasonal, nl.SchemeSpec("scalar-nsfd", forcing_approx=approx), dt)
         np.testing.assert_allclose(
-            sch.approximate_forcing(ctx, t, seasonal.initial_state), value, rtol=0, atol=1e-15
+            sch.approximate_forcing(ctx, t), value, rtol=0, atol=1e-15
         )
     # averaged endpoints at t = 0: 0.5 (1 + (1 + cos(0.2 pi))/2) in the
     # third component for the default amplitude and frequency
@@ -588,13 +604,13 @@ def test_mean_forcing_matches_quadrature_oracle(seasonal):
 
     dt, t = 0.1, 0.3
     ctx = sch.StepContext(seasonal, nl.SchemeSpec("scalar-nsfd", forcing_approx="mean"), dt)
-    via_antiderivative = sch.approximate_forcing(ctx, t, seasonal.initial_state)
+    via_antiderivative = sch.approximate_forcing(ctx, t)
 
     stripped = dataclasses.replace(
         seasonal, forcing=dataclasses.replace(seasonal.forcing, antiderivative=None)
     )
     ctx = sch.StepContext(stripped, nl.SchemeSpec("scalar-nsfd", forcing_approx="mean"), dt)
-    via_quadrature = sch.approximate_forcing(ctx, t, seasonal.initial_state)
+    via_quadrature = sch.approximate_forcing(ctx, t)
 
     for i in range(3):
         ref, _ = scipy.integrate.quad(
@@ -631,20 +647,6 @@ def test_array_calls_equal_stacked_scalar_calls():
         )
 
 
-def test_state_forcing_explicit_and_product_forms(oscillator):
-    ctx = sch.StepContext(oscillator, nl.SchemeSpec("scalar-nsfd", nonlocal_b="explicit"), 0.1)
-    x = np.array([0.25, 0.0])
-    np.testing.assert_array_equal(
-        sch.approximate_forcing(ctx, 0.0, x), oscillator.forcing.state_fn(x)
-    )
-    ctx = sch.StepContext(oscillator, nl.SchemeSpec("scalar-nsfd"), 0.1)
-    x_next = np.array([0.2, 0.0])
-    np.testing.assert_array_equal(
-        sch.approximate_forcing(ctx, 0.0, x, x_next),
-        oscillator.forcing.nonlocal_product(x, x_next),
-    )
-
-
 def test_explicit_product_choice_changes_the_orbit(oscillator):
     semi = nl.integrate(oscillator, nl.SchemeSpec("scalar-nsfd"), 0.1, 1.0)
     expl = nl.integrate(oscillator, nl.SchemeSpec("scalar-nsfd", nonlocal_b="explicit"), 0.1, 1.0)
@@ -659,11 +661,12 @@ def test_explicit_product_choice_changes_the_orbit(oscillator):
 
 def solve_loop_oracle(ctx, x0, n_steps):
     """The state-forced steps one level at a time on numpy vectors: the
-    explicit value x + (D x + Q B(x)); the semi-implicit product as the
-    linear system (I - Q J) X+ = P x + Q b(x, 0), with column i of J probed
-    as b(x, e_i) - b(x, 0); implicit Euler as the fixed-point iteration
-    X -> P x + Q B(X)."""
+    explicit value x + (D x + Q B(x)); the semi-implicit product
+    b (u.x)(u.X+) of the declared B(x) = b (u.x)^2 as the linear system
+    (I - Q J) X+ = P x, J = (u.x) b u^T; implicit Euler as the fixed-point
+    iteration X -> P x + Q B(X)."""
     f = ctx.model.forcing
+    b, u = f.quadratic
     eye = np.eye(2)
     kind = ctx.scheme.kind
     semi = kind != "explicit-euler" and ctx.scheme.nonlocal_b == sch.NONLOCAL_SEMI_IMPLICIT
@@ -678,9 +681,8 @@ def solve_loop_oracle(ctx, x0, n_steps):
                 if np.array_equal(nxt, prev):
                     break
         elif semi:
-            b0 = f.nonlocal_product(x, np.zeros(2))
-            jac = np.column_stack([f.nonlocal_product(x, e) for e in eye]) - b0[:, None]
-            nxt = np.linalg.solve(eye - ctx.q @ jac, p + ctx.q @ b0)
+            jac = (u @ x) * np.outer(b, u)
+            nxt = np.linalg.solve(eye - ctx.q @ jac, p)
         else:
             nxt = x + (ctx.d @ x + ctx.q @ f.state_fn(x))
         states.append(nxt)
@@ -770,14 +772,21 @@ def test_quadratic_steps_follow_a_general_declaration():
 
 
 def test_hand_written_product_needs_the_quadratic_declaration(oscillator):
-    forcing = mo.Forcing(
-        kind="state",
-        state_fn=oscillator.forcing.state_fn,
-        nonlocal_product=oscillator.forcing.nonlocal_product,
-    )
-    model = dataclasses.replace(oscillator, forcing=forcing)
+    # the declared quadratic is the only state forcing the steppers take:
+    # a hand-written state_fn alone, or a copy that drops the declaration,
+    # is refused when the forcing is built
     with pytest.raises(ValueError, match="quadratic declaration"):
-        sch.StepContext(model, nl.SchemeSpec("scalar-nsfd"), 0.1)
+        mo.Forcing(kind="state", state_fn=oscillator.forcing.state_fn)
+    with pytest.raises(ValueError, match="quadratic declaration"):
+        dataclasses.replace(oscillator.forcing, quadratic=None)
+
+
+def test_state_forcing_has_no_per_step_forcing_value(oscillator):
+    # march steps the declared quadratic in closed form, so there is no
+    # per-step forcing value to approximate
+    ctx = sch.StepContext(oscillator, nl.SchemeSpec("scalar-nsfd"), 0.1)
+    with pytest.raises(ValueError, match="closed form"):
+        sch.approximate_forcing(ctx, 0.0)
 
 
 def test_quadratic_declaration_is_planar():
