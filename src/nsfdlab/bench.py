@@ -5,6 +5,11 @@ component (E_k = |x_k - x^e_k| / |x^e_k|, the natural choice for decaying
 positive solutions) or in the full Euclidean norm.  Where the exact value
 is zero the entry falls back to the absolute error and is flagged.
 
+run_experiment samples the exact solution through a module-level LRU
+cache of at most 4 grids (the step sizes of the longest figure sweep),
+keyed by the exact callable, dt and the number of levels, so the schemes
+of a figure measured on one grid share one sampling.
+
 Figure data is written as plain CSV plus a gnuplot script, one file per
 (scheme, dt) combination, in binary mode so every line ends in '\n' on
 every platform.  write_csv gives every value the bytes of Python's
@@ -96,9 +101,15 @@ def relative_error_series(traj: Trajectory, exact, norm: str = COMPONENT_X) -> E
     shape (N, n); a result that broadcasts to it (a constant solution) is
     accepted.
     """
+    return _error_series(traj, exact(traj.times), norm)
+
+
+def _error_series(traj: Trajectory, reference, norm: str) -> ErrorSeries:
+    """relative_error_series against the exact states already sampled at
+    traj.times."""
     if norm not in NORM_KINDS:
         raise ValueError(f"unknown norm {norm!r}; valid: {', '.join(NORM_KINDS)}")
-    reference = np.asarray(exact(traj.times), dtype=float)
+    reference = np.asarray(reference, dtype=float)
     try:
         reference = np.broadcast_to(reference, traj.states.shape)
     except ValueError as exc:
@@ -115,17 +126,22 @@ def relative_error_series(traj: Trajectory, exact, norm: str = COMPONENT_X) -> E
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row.  np.linalg.norm squares the entries, so
-    a row with an entry above about 1e154 overflows; only such rows are
-    recomputed, scaled by their largest entry, and every other row keeps
-    the plain norm's value to the bit."""
+    """Euclidean norm of each row, its squares summed column by column:
+    for up to 3 columns the additions of np.linalg.norm(rows, axis=1) in
+    its order, so the same bits, without its per-call overhead.  Squaring
+    overflows for a row with an entry above about 1e154; only such finite
+    rows are recomputed, scaled by their largest entry, and every other row
+    keeps the plain norm's value to the bit."""
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rows, axis=1)
+        sums = rows[:, 0] * rows[:, 0]
+        for j in range(1, rows.shape[1]):
+            sums += rows[:, j] * rows[:, j]
+    norms = np.sqrt(sums, out=sums)
     redo = ~np.isfinite(norms)
     if redo.any():
         redo &= np.isfinite(rows).all(axis=1)
         scale = np.max(np.abs(rows[redo]), axis=1)
-        norms[redo] = scale * np.linalg.norm(rows[redo] / scale[:, None], axis=1)
+        norms[redo] = scale * _row_norms(rows[redo] / scale[:, None])
     return norms
 
 
@@ -153,10 +169,21 @@ def run_experiment(
     """Integrate from the model's initial state, measure against its exact
     solution, and summarize.
 
+    The exact solution comes from an LRU cache of the last 4 grids sampled,
+    keyed by (model.exact, dt, number of levels), so runs on one grid
+    sample it once; an unhashable exact is sampled on every call.  The
+    series equals relative_error_series(traj, model.exact, norm) bitwise.
+
     Returns (trajectory, error_series, report).
     """
     traj = integrate(model, scheme, dt, t_end)
-    series = relative_error_series(traj, model.exact, norm=norm)
+    try:
+        hash(model.exact)
+    except TypeError:  # a mutable callable, such as a dataclass instance
+        reference = model.exact(traj.times)
+    else:
+        reference = _sampled_exact(model.exact, float(dt), len(traj.times))
+    series = _error_series(traj, reference, norm)
     report = ExperimentReport(
         model=model.name,
         scheme=scheme.kind,
@@ -172,6 +199,18 @@ def run_experiment(
     return traj, series, report
 
 
+# 4 is the most step sizes one figure sweeps (oscillator-error): every grid
+# of a figure stays cached while its schemes run.
+@functools.lru_cache(maxsize=4)
+def _sampled_exact(exact, dt: float, n_levels: int) -> np.ndarray:
+    """exact at t = k dt, k = 0..n_levels - 1: the grid march and the
+    second-order recurrences build as traj.times, bit for bit.  Read-only,
+    since every caller shares it."""
+    reference = np.array(exact(np.arange(n_levels) * dt), dtype=float)
+    reference.setflags(write=False)
+    return reference
+
+
 def convergence_study(
     model: OdeModel,
     scheme: SchemeSpec,
@@ -179,10 +218,18 @@ def convergence_study(
     t_end: float,
     norm: str = COMPONENT_X,
 ) -> ConvergenceStudy:
-    """Max error for each dt (descending) and orders between neighbors."""
+    """Max error for each dt (descending) and orders between neighbors.
+
+    The step sizes must be distinct, at least two of them.  Each run goes
+    through run_experiment, and so through its 4-grid cache of exact
+    samples: repeating a study on one model samples the solution once per
+    step size, up to 4 step sizes.
+    """
     dts = tuple(sorted((float(d) for d in dts), reverse=True))
     if len(dts) < 2:
         raise ValueError("need at least two step sizes")
+    if len(set(dts)) < len(dts):
+        raise ValueError(f"step sizes must be distinct, got {', '.join(map(dt_label, dts))}")
     errs, blow_ups = [], []
     for dt in dts:
         _, _, report = run_experiment(model, scheme, dt, t_end, norm=norm)

@@ -184,6 +184,8 @@ class OdeModel:
     returns the analytic state at a time, or the states at an array of N
     times as shape (N, n); equilibrium, if not None, is a fixed point
     of the flow; energy, if not None, is a conserved quantity evaluator.
+    exact must be a pure function of t: bench.run_experiment caches its
+    samples per (exact, dt, number of levels) and does not call it again.
     """
 
     name: str

@@ -84,6 +84,116 @@ def test_full_norm_error_of_huge_finite_states_is_finite(oscillator):
     np.testing.assert_allclose(series.errors, oracle, rtol=1e-14, atol=0)
 
 
+def _norm_oracle(rows):
+    """np.linalg.norm of each row, rows whose squares overflow rescaled by
+    their largest entry."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    redo = ~np.isfinite(norms) & np.isfinite(rows).all(axis=1)
+    scale = np.max(np.abs(rows[redo]), axis=1, initial=0.0)
+    norms[redo] = scale * np.linalg.norm(rows[redo] / scale[:, None], axis=1)
+    return norms
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_norms_equal_numpys_norm_bitwise(n):
+    rng = np.random.default_rng(n)
+    rows = np.exp(rng.uniform(-690, 690, (4000, n))) * rng.choice((-1.0, 1.0), (4000, n))
+    # rows at one magnitude, from tiny through overflowing squares to the
+    # edge of the range, then zeros and non-finite entries
+    magnitudes = 10.0 ** np.arange(-300, 301, 20)
+    rows = np.vstack(
+        [rows, magnitudes[:, None] * rng.uniform(0.1, 1.0, (len(magnitudes), n))]
+        + [np.full((1, n), v) for v in (0.0, -0.0, 1.7e308, np.inf, -np.inf, np.nan)]
+        + [np.column_stack([np.full(2, v), np.ones((2, n - 1))]) for v in (np.inf, np.nan)]
+    )
+    with np.errstate(over="ignore"):  # the rows of 1.7e308 have no finite norm
+        expected = _norm_oracle(rows)
+        got = bench._row_norms(rows)
+    assert np.isfinite(expected).sum() > 4000 and (expected > 1e154).sum() > 100
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+    keep = ~np.isnan(expected)
+    np.testing.assert_array_equal(got[keep].view(np.uint64), expected[keep].view(np.uint64))
+
+
+def _counting(model):
+    """The model with its exact solution wrapped in a fresh function that
+    records every call."""
+    calls = []
+
+    def exact(t):
+        calls.append(np.shape(t))
+        return model.exact(t)
+
+    return dataclasses.replace(model, exact=exact), calls
+
+
+def test_runs_on_one_grid_sample_the_exact_solution_once(oscillator):
+    model, calls = _counting(oscillator)
+    for _, scheme in bench.FIGURES["oscillator-error"]["schemes"]:
+        nl.run_experiment(model, scheme, 0.01, 5.0, norm="full")
+    assert calls == [(501,)]
+    nl.run_experiment(model, nl.SchemeSpec("explicit-euler"), 0.02, 5.0)
+    nl.run_experiment(model, nl.SchemeSpec("explicit-euler"), 0.01, 4.0)
+    assert calls == [(501,), (251,), (401,)]
+    other, other_calls = _counting(nl.make_model("oscillator", x0=0.3))
+    nl.run_experiment(other, nl.SchemeSpec("explicit-euler"), 0.01, 5.0)
+    assert len(calls) == 3 and other_calls == [(501,)]
+
+
+def test_a_figure_samples_each_of_its_step_sizes_once(tmp_path, monkeypatch):
+    calls = []
+    make_model = bench.make_model
+
+    def counting_model(kind):
+        model, model_calls = _counting(make_model(kind))
+        calls.append(model_calls)
+        return model
+
+    monkeypatch.setattr(bench, "make_model", counting_model)
+    written = nl.run_figure("seasonal-error", tmp_path)
+    assert len(written) == 16
+    assert calls == [[(101,), (1001,), (10001,)]]
+
+
+@pytest.mark.parametrize(
+    "model_kind, dt, t_end, norm, scheme_table",
+    [
+        ("oscillator", 0.01, 5.0, "full", bench.FIGURES["oscillator-error"]["schemes"]),
+        ("seasonal", 0.001, 10.0, "x", bench.FIGURES["seasonal-forcing-comparison"]["schemes"]),
+    ],
+)
+def test_cached_samples_give_the_uncached_errors_bitwise(model_kind, dt, t_end, norm, scheme_table):
+    model = nl.make_model(model_kind)
+    for _, scheme in scheme_table:
+        for _ in range(2):  # the second run hits the cache
+            traj, series, report = nl.run_experiment(model, scheme, dt, t_end, norm=norm)
+            expected = nl.relative_error_series(traj, model.exact, norm)
+            np.testing.assert_array_equal(series.times, expected.times)
+            assert series.errors.tobytes() == expected.errors.tobytes()
+            np.testing.assert_array_equal(series.absolute_fallback, expected.absolute_fallback)
+            assert report.max_error == float(np.max(expected.errors))
+            assert report.final_error == float(expected.errors[-1])
+
+
+def test_an_unhashable_exact_solution_is_sampled_on_every_run(biomass):
+    @dataclasses.dataclass
+    class CountingExact:
+        calls: int = 0
+
+        def __call__(self, t):
+            self.calls += 1
+            return biomass.exact(t)
+
+    exact = CountingExact()
+    model = dataclasses.replace(biomass, exact=exact)
+    for _ in range(2):
+        traj, series, _ = nl.run_experiment(model, nl.SchemeSpec("explicit-euler"), 0.1, 1.0)
+    assert exact.calls == 2
+    expected = nl.relative_error_series(traj, biomass.exact)
+    assert series.errors.tobytes() == expected.errors.tobytes()
+
+
 def test_euler_and_traditional_errors_are_comparable(biomass):
     # order-of-magnitude comparability, checked in both norms
     for norm in ("x", "full"):
@@ -164,6 +274,12 @@ def test_order_of_accuracy_matrix():
 def test_convergence_study_needs_two_step_sizes(biomass):
     with pytest.raises(ValueError):
         nl.convergence_study(biomass, nl.SchemeSpec("explicit-euler"), (0.1,), 1.0)
+
+
+@pytest.mark.parametrize("dts", [(0.1, 0.1), (0.1, 0.05, 0.1)])
+def test_convergence_study_rejects_repeated_step_sizes(biomass, dts):
+    with pytest.raises(ValueError, match="distinct"):
+        nl.convergence_study(biomass, nl.SchemeSpec("explicit-euler"), dts, 1.0)
 
 
 def test_report_carries_the_blow_up_step(oscillator):

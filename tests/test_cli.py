@@ -133,6 +133,17 @@ def test_convergence_marks_exact_schemes(capsys):
     assert capsys.readouterr().out.strip().splitlines()[2].endswith(",exact")
 
 
+def test_convergence_rejects_repeated_step_sizes(capsys):
+    rc = run_cli(
+        "convergence", "--model", "biomass", "--scheme", "explicit-euler",
+        "--dts", "0.1,0.1", "--tend", "1",
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "distinct" in captured.err
+
+
 def test_convergence_blow_up_prints_the_table_then_exits_3(capsys):
     rc = run_cli(
         "convergence", "--model", "oscillator", "--scheme", "explicit-euler",
