@@ -20,10 +20,13 @@ Every one of these one-step schemes is the affine map X+ = P X + Q B-hat
 (the exponential-Euler form of Hochbruck & Ostermann, "Exponential
 integrators", Acta Numerica 19, 2010); StepContext compiles (P, Q) once
 and march drives them all.  When the forcing does not depend on the state,
-march runs the whole recurrence as a log-depth prefix scan over the levels
-(doubling powers of P, held as P^s - I while they are near I).  A step
-whose powers grow (an unstable or strongly non-normal P) runs one level at
-a time instead, so it keeps the sequential accuracy and blow-up step.
+march forms c = Q B-hat^T for all steps at once and runs the whole
+recurrence as a log-depth prefix scan over the levels (doubling powers of
+P, held as P^s - I while they are near I).  The levels are held
+component-major, one column per level, so each pass of the scan is one
+(n x n) @ (n x N) product along the contiguous axis.  A step whose powers
+grow (an unstable or strongly non-normal P) runs one level at a time
+instead, so it keeps the sequential accuracy and blow-up step.
 
 A state forcing declared as the rank-one quadratic B(x) = b (u.x)^2 (the
 oscillator's) is stepped in closed form on Python floats: the explicit
@@ -127,9 +130,11 @@ class SchemeSpec:
 class Trajectory:
     """Computed time grid and states.
 
-    times[k] = k dt; states[k] is the n-vector at level k with states[0]
-    the given initial state.  If a step produced a non-finite state the
-    trajectory is truncated to the finite part and blow_up_step records the
+    times[k] = k dt; states, of shape (len(times), n), has the n-vector at
+    level k as states[k], with states[0] the given initial state.  The
+    memory layout of states is not part of the contract: it may be a
+    transposed view.  If a step produced a non-finite state the trajectory
+    is truncated to the finite part and blow_up_step records the
     index of the first non-finite level.  coeff_warning is the warning on
     the step coefficients (StepCoefficients.warning: eigenvalue fallback,
     spectrum not closed under conjugation), those of the one-step start-up
@@ -153,6 +158,7 @@ class StepContext:
       traditional-nsfd   P = I + diag(phi) A       Q = diag(phi)
       matrix-nsfd        P = I + Phi A             Q = Phi,   Phi = dt phi1(dt A)
       scalar/gamma-nsfd  P = a0 I + a1 (I + R1) A  Q = a1 (I + R1 + R0)
+                           = I + Q A
 
     with phi_i = (1 - exp(a_ii dt))/(-a_ii) (dt where a_ii = 0) and a_j the
     alpha (exact) or gamma (order-n) coefficients, kept as coeffs.  The map
@@ -206,13 +212,12 @@ class StepContext:
                 coeffs = matkit.gamma_coeffs(matkit.char_poly(a), dt)
             corrections = matkit.correction_factors(a, coeffs)
             self.coeffs = coeffs
-            alpha0, alpha1 = float(coeffs.values[0]), float(coeffs.values[1])
-            i_plus_r1 = eye + corrections.r1
-            # Q = alpha1 (I + R1 + R0) is the coefficients' forcing weight,
-            # and A Q = P - I to rounding, so the forced equilibrium
-            # D X* = -Q B holds to rounding
-            self.d = (alpha0 - 1.0) * eye + alpha1 * i_plus_r1 @ a
-            self.q = alpha1 * (i_plus_r1 + corrections.r0)
+            alpha1 = float(coeffs.values[1])
+            self.q = alpha1 * (eye + corrections.r1 + corrections.r0)
+            # P - I = Q A exactly (exp(dt z) - 1 = z (exp(dt z) - 1)/z, and
+            # the same for gamma's truncated sum), and this form does not
+            # cancel in alpha0 - 1 as a0 I + a1 (I + R1) A - I would
+            self.d = self.q @ a
         else:
             if model.name != "oscillator":
                 raise ValueError(
@@ -267,9 +272,11 @@ def approximate_forcing(ctx: StepContext, t_k) -> np.ndarray:
         if f.antiderivative is not None:
             return (f.antiderivative(t_k + dt) - f.antiderivative(t_k)) / dt
         half = dt / 2.0
-        # one evaluation at all nodes of all steps: shape t_k.shape + (5, n)
-        nodes = (t_k + half)[..., None] + half * _GL5_NODES
-        return _GL5_WEIGHTS @ f.time_fn(nodes) * half / dt
+        # one evaluation at all nodes of all steps, node-major: shape
+        # (5,) + t_k.shape + (n,), contracted as one (5,) @ (5, N n) product
+        nodes = (t_k + half) + half * _GL5_NODES.reshape((5,) + (1,) * t_k.ndim)
+        mean = _GL5_WEIGHTS @ f.time_fn(nodes).reshape(5, -1)
+        return mean.reshape(t_k.shape + (ctx.model.n,)) * half / dt
     raise ValueError("a state forcing has no per-step value: march steps it in closed form")
 
 
@@ -340,11 +347,14 @@ def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarr
 def _affine_scan(d: np.ndarray, states: np.ndarray) -> bool:
     """Run x_{k+1} = P x_k + c_k, P = I + D, in place by a doubling prefix scan.
 
-    On entry states[0] = x_0 and states[k + 1] = c_k.  The pass with shift
-    s = 1, 2, 4, ... adds P^s states[k - s] to states[k]; after it, states[k]
-    holds sum_{j = k-2s+1..k} P^{k-j} y_j (y_0 = x_0, y_j = c_{j-1}), so
-    ceil(log2(N + 1)) passes leave states[k] = P^k x_0 + sum_{j<k} P^{k-1-j} c_j
-    (Hillis & Steele, 1986; Blelloch, "Prefix sums and their applications", 1990).
+    states holds the levels component-major, one column per level: on entry
+    states[:, 0] = x_0 and states[:, k + 1] = c_k.  The pass with shift
+    s = 1, 2, 4, ... adds P^s states[:, k - s] to states[:, k]; after it,
+    states[:, k] holds sum_{j = k-2s+1..k} P^{k-j} y_j (y_0 = x_0,
+    y_j = c_{j-1}), so ceil(log2(N + 1)) passes leave
+    states[:, k] = P^k x_0 + sum_{j<k} P^{k-1-j} c_j (Hillis & Steele, 1986;
+    Blelloch, "Prefix sums and their applications", 1990).  Each pass is one
+    (n x n) @ (n x N) product, with the levels along the contiguous axis.
 
     While P^s is near I the power is held as E = P^s - I (E <- 2E + E E) and
     applied as src + E src, for the same reason the context holds D: a stored
@@ -352,13 +362,14 @@ def _affine_scan(d: np.ndarray, states: np.ndarray) -> bool:
     max|E| > 1/2 that reason is gone, and P^s = I + E is squared instead,
     which keeps the relative accuracy of decaying states.
 
-    Returns False, leaving states partly scanned, if a power has an entry
-    above _POWER_GROWTH_LIMIT (or not finite) or a state is not finite.
-    Such a P is unstable or strongly non-normal: its powers overflow, or
-    the rounding error of the squarings, which grows as the square of the
-    powers' size (the sequential loop's grows linearly), is no longer small.
+    Returns True when every level is finite.  Returns False, leaving states
+    partly scanned, if a power has an entry above _POWER_GROWTH_LIMIT (or
+    not finite) or a state is not finite.  Such a P is unstable or strongly
+    non-normal: its powers overflow, or the rounding error of the squarings,
+    which grows as the square of the powers' size (the sequential loop's
+    grows linearly), is no longer small.
     """
-    n_levels = states.shape[0]
+    n_levels = states.shape[1]
     e, p = d, None
     shift = 1
     while shift < n_levels:
@@ -366,22 +377,23 @@ def _affine_scan(d: np.ndarray, states: np.ndarray) -> bool:
             p = np.eye(e.shape[0]) + e
         if p is not None and not np.max(np.abs(p)) <= _POWER_GROWTH_LIMIT:
             return False
-        src = states[:-shift]
+        src = states[:, :-shift]
         if p is None:
-            inc = src @ e.T
+            inc = e @ src
             inc += src
             e = 2.0 * e + e @ e
         else:
-            inc = src @ p.T
+            inc = p @ src
             p = p @ p
-        states[shift:] += inc
+        states[:, shift:] += inc
         shift *= 2
     return bool(np.isfinite(states).all())
 
 
 def _affine_loop(d: np.ndarray, states: np.ndarray) -> None:
-    """The same recurrence as _affine_scan, one level at a time."""
-    levels = list(states)  # row views: level k + 1 starts as c_k
+    """The same recurrence as _affine_scan, on the same component-major
+    levels, one level at a time."""
+    levels = list(states.T)  # column views: level k + 1 starts as c_k
     for x, nxt in zip(levels, levels[1:]):
         nxt += d @ x
         nxt += x
@@ -391,12 +403,15 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
     """n_steps of a one-step scheme from x0 at t = 0: the stepping kernel.
 
     Forcing that does not depend on the state is evaluated for all steps at
-    once, c_k = Q B-hat_k, and the recurrence x_{k+1} = x_k + (D x_k + c_k)
-    runs as a log-depth prefix scan over all levels (_affine_scan), with the
-    powers P^s held as P^s - I until an entry exceeds 1/2.  If a power has
-    an entry above 4 (an unstable or strongly non-normal step) or a state
-    overflows, the run is redone one level at a time, so its accuracy and
-    blow_up_step are the sequential recurrence's.
+    once, c = Q B-hat^T with one column c_k per step, and the recurrence
+    x_{k+1} = x_k + (D x_k + c_k) runs as a log-depth prefix scan over all
+    levels (_affine_scan), held component-major as an (n, N + 1) array,
+    with the powers P^s held as P^s - I until an entry exceeds 1/2.  The
+    trajectory's states are the (N + 1, n) transposed view of that array.
+    If a power has an entry above 4 (an unstable or strongly non-normal
+    step) or a state overflows, the run is redone one level at a time
+    (_affine_loop, on the same columns), so its accuracy and blow_up_step
+    are the sequential recurrence's.
     A state forcing, the declared quadratic, steps in closed form
     (_quadratic_march).  Solver failures raise with the step index
     attached; a non-finite state truncates the trajectory and records
@@ -406,18 +421,23 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         if ctx.model.forcing.kind == "state":
             states = _quadratic_march(ctx, x0, n_steps)
+            scanned = False
         else:
-            states = np.empty((n_steps + 1, ctx.model.n))
-            states[0] = x0
-            c = approximate_forcing(ctx, np.arange(n_steps) * ctx.dt) @ ctx.q.T
-            states[1:] = c
-            if not _affine_scan(ctx.d, states):
-                states[1:] = c  # the scan never writes level 0
-                _affine_loop(ctx.d, states)
-    finite = np.all(np.isfinite(states), axis=1)
-    blow_up = None if finite.all() else int(np.argmin(finite))
-    if blow_up is not None:
-        states = states[:blow_up]
+            levels = np.empty((ctx.model.n, n_steps + 1))
+            levels[:, 0] = x0
+            c = ctx.q @ approximate_forcing(ctx, np.arange(n_steps) * ctx.dt).T
+            levels[:, 1:] = c
+            scanned = _affine_scan(ctx.d, levels)
+            if not scanned:
+                levels[:, 1:] = c  # the scan never writes level 0
+                _affine_loop(ctx.d, levels)
+            states = levels.T
+    blow_up = None
+    if not scanned:  # a successful scan has checked every level
+        finite = np.all(np.isfinite(states), axis=1)
+        if not finite.all():
+            blow_up = int(np.argmin(finite))
+            states = states[:blow_up]
     times = np.arange(states.shape[0]) * ctx.dt
     return Trajectory(times=times, states=states, blow_up_step=blow_up)
 

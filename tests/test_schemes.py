@@ -290,6 +290,13 @@ def test_matrix_and_scalar_forms_agree(biomass):
     assert np.max(np.abs(tm.states - ts.states)) <= 1e-12
 
 
+def test_scalar_step_does_not_drift_at_small_dt(biomass):
+    # D = Q A carries no rounding of alpha0 - 1, which cancels as dt -> 0:
+    # formed as a0 I + a1 (I + R1) A - I, this error reads 1.3e-13
+    _, _, report = nl.run_experiment(biomass, nl.SchemeSpec("scalar-nsfd"), 0.001, 10.0, "full")
+    assert report.max_error <= 2e-14
+
+
 def test_gamma_step_is_the_truncated_polynomial(biomass):
     dt = 0.1
     ctx = sch.StepContext(biomass, nl.SchemeSpec("gamma-nsfd"), dt)
@@ -1012,6 +1019,70 @@ def test_march_matches_the_sequential_recurrence_on_random_spectra(case):
         q=np.eye(n),
     )
     assert_matches_oracle(sch.march(ctx, x0, n_steps), sequential_oracle(ctx, x0, n_steps), 1e-13)
+
+
+# ---------------------------------------------------------------------------
+# component-major levels: the scan and the loop on (n, N + 1) arrays
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_scan_matches_the_loop_on_random_stable_steps(seed):
+    # A = V S V^-1 with cond(V) <= 3 and S real (or one rotation block) in
+    # the left half plane: every power of P = exp(dt A) has entries <= 3,
+    # under the growth guard's 4, so the scan runs to the end.  Over 300
+    # seeds the worst gap is 1.5e-15 of the largest level; the bound is
+    # 1e-14.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    v = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    while np.linalg.cond(v) > 3.0:
+        v = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    s = np.diag(-rng.uniform(0.01, 5.0, n))
+    if n >= 2 and rng.random() < 0.5:
+        s[0, 1] = rng.uniform(0.1, 5.0)
+        s[1, 0], s[1, 1] = -s[0, 1], s[0, 0]
+    a = v @ s @ np.linalg.inv(v)
+    dt = rng.uniform(1e-3, 0.5)
+    d = dt * mk.phi1(dt * a) @ a
+    levels = np.empty((n, int(rng.integers(1, 5001)) + 1))
+    levels[:, 0] = rng.standard_normal(n)
+    levels[:, 1:] = rng.standard_normal((n, levels.shape[1] - 1))
+    looped = levels.copy()
+    sch._affine_loop(d, looped)
+    assert sch._affine_scan(d, levels) is True
+    assert np.max(np.abs(levels - looped)) <= 1e-14 * np.max(np.abs(looped))
+
+
+@pytest.mark.parametrize(
+    "model_name, dt, blow_up",
+    [("biomass", 0.5, 1748), ("biomass", 0.45, 3175), ("seasonal", 0.5, 1750)],
+)
+def test_growing_steps_fall_back_to_the_loops_bits(model_name, dt, blow_up):
+    model = nl.make_model(model_name)
+    ctx = sch.StepContext(model, nl.SchemeSpec("explicit-euler"), dt)
+    x0 = model.initial_state
+    levels = np.zeros((model.n, 4001))
+    levels[:, 0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert sch._affine_scan(ctx.d, levels) is False
+    traj = sch.march(ctx, x0, 4000)
+    assert traj.blow_up_step == blow_up
+    assert np.array_equal(traj.states, sequential_oracle(ctx, x0, 4000)[:blow_up])
+
+
+@pytest.mark.parametrize("norm", [nl.COMPONENT_X, nl.EUCLIDEAN_FULL])
+def test_states_are_the_levels_in_any_memory_layout(seasonal, norm):
+    ctx = sch.StepContext(seasonal, nl.SchemeSpec("scalar-nsfd"), 0.01)
+    traj = sch.march(ctx, seasonal.initial_state, 1000)
+    assert traj.states.shape == (1001, 3)
+    assert np.array_equal(traj.states[0], seasonal.initial_state)
+    assert_matches_oracle(traj, sequential_oracle(ctx, seasonal.initial_state, 1000), 1e-13)
+    contiguous = dataclasses.replace(traj, states=np.ascontiguousarray(traj.states))
+    assert np.array_equal(
+        nl.relative_error_series(traj, seasonal.exact, norm).errors,
+        nl.relative_error_series(contiguous, seasonal.exact, norm).errors,
+    )
 
 
 # ---------------------------------------------------------------------------
