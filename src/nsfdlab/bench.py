@@ -16,10 +16,17 @@ every platform.  write_csv gives every value the bytes of Python's
 '%.16e' % v, so repeated runs are byte-identical, without formatting the
 values one by one: a vectorized kernel rounds |v| 10^p, formed as a
 double-double product, to the 17-digit mantissa and writes the digits
-through a lookup table, 2,048 rows at a time.  The few values it cannot
-decide (zeros, non-finite and extreme magnitudes, near-ties of the
-decimal rounding, a log10 rounded across a power of ten) go to Python's
-formatter.
+through a lookup table into one fixed-width record per value, 2,048 rows
+at a time.  The few values it cannot decide (zeros, non-finite and
+extreme magnitudes, near-ties of the decimal rounding, a log10 rounded
+across a power of ten) go to Python's formatter.  A block of non-negative
+values with two-digit exponents, the common case, is written as
+fixed-width rows; any other block has the records' NUL padding stripped.
+
+Error tables (t,rel_error) go through write_error_csv, which formats only
+the error column: the time column of each grid is formatted once and kept
+in a second LRU cache of 4 grids, keyed by dt and the number of levels
+like the exact samples.
 """
 from __future__ import annotations
 
@@ -43,6 +50,11 @@ NORM_KINDS = (COMPONENT_X, EUCLIDEAN_FULL)
 EXACT_FLOOR = 1e-11
 
 _DENOMINATOR_GUARD = 1e-300
+
+# run_experiment's bound on the gap between the exact solution at t = 0 and
+# the initial state: rounding of a closed form, relative to the larger
+# state's largest entry, or to 1 when that is smaller.
+_START_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -174,6 +186,11 @@ def run_experiment(
     sample it once; an unhashable exact is sampled on every call.  The
     series equals relative_error_series(traj, model.exact, norm) bitwise.
 
+    The exact solution must start at the model's initial state: if its
+    level 0 differs from traj.states[0] by more than rounding (a model
+    whose initial_state was replaced without its exact), the errors would
+    measure the distance to another solution, and ValueError is raised.
+
     Returns (trajectory, error_series, report).
     """
     traj = integrate(model, scheme, dt, t_end)
@@ -184,6 +201,7 @@ def run_experiment(
     else:
         reference = _sampled_exact(model.exact, float(dt), len(traj.times))
     series = _error_series(traj, reference, norm)
+    _check_start(model, traj.states[0], np.broadcast_to(reference, traj.states.shape)[0])
     report = ExperimentReport(
         model=model.name,
         scheme=scheme.kind,
@@ -199,6 +217,20 @@ def run_experiment(
     return traj, series, report
 
 
+def _check_start(model: OdeModel, start: np.ndarray, exact_start: np.ndarray) -> None:
+    """Raise ValueError, naming the model, both states and their gap, unless
+    the exact solution's level 0 is the trajectory's start to within
+    _START_TOLERANCE."""
+    gap = float(np.max(np.abs(start - exact_start)))
+    scale = max(1.0, float(np.max(np.abs(start))), float(np.max(np.abs(exact_start))))
+    if not gap <= _START_TOLERANCE * scale:  # a NaN gap fails too
+        raise ValueError(
+            f"model {model.name!r}: the exact solution starts at {exact_start.tolist()}, "
+            f"not at the initial state {start.tolist()} (largest gap {gap:.3e}); "
+            "its errors would be measured against another solution"
+        )
+
+
 # 4 is the most step sizes one figure sweeps (oscillator-error): every grid
 # of a figure stays cached while its schemes run.
 @functools.lru_cache(maxsize=4)
@@ -206,7 +238,7 @@ def _sampled_exact(exact, dt: float, n_levels: int) -> np.ndarray:
     """exact at t = k dt, k = 0..n_levels - 1: the grid march and the
     second-order recurrences build as traj.times, bit for bit.  Read-only,
     since every caller shares it."""
-    reference = np.array(exact(np.arange(n_levels) * dt), dtype=float)
+    reference = np.array(exact(schemes.time_grid(n_levels, dt)), dtype=float)
     reference.setflags(write=False)
     return reference
 
@@ -324,28 +356,96 @@ def write_csv(path, header: str, table) -> None:
     the bytes of Python's '%.16e' % v, comma-separated, each line ending in
     '\\n', so repeated runs are byte-identical.
 
-    A vectorized kernel (_format_block) formats the values, _BLOCK_ROWS
-    rows at a time straight into the file, so transient memory stays
-    bounded.  Zeros, non-finite values, magnitudes outside
-    [1e-280, 1e280] and values within 1e-6 of a decimal tie go to Python's
-    formatter instead.  A zero-row table writes the header line only; a
-    table that is not 2-d, or has no columns, raises ValueError.
+    A vectorized kernel (_records) formats the values into fixed-width
+    records, _BLOCK_ROWS rows at a time straight into the file, so
+    transient memory stays bounded.  Zeros, non-finite values, magnitudes
+    outside [1e-280, 1e280] and values within 1e-6 of a decimal tie go to
+    Python's formatter instead.  A block whose values are all
+    non-negative, with two-digit exponents, is written as fixed-width
+    rows; any other block has its padding stripped (_joined).  A zero-row
+    table writes the header line only; a table that is not 2-d, or has no
+    columns, raises ValueError.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] == 0:
         raise ValueError(
             f"write_csv needs a 2-d table with at least one column, got shape {table.shape}"
         )
-    separators = np.full(table.shape[1], ord(","), np.uint8)
-    separators[-1] = ord("\n")
+    n_cols = table.shape[1]
+
+    def fields(rows):
+        records = _records(table[rows].ravel(), _COMMA)
+        # the separator bytes of each row's last field (a record holds no
+        # other comma) become newlines
+        ends = records[n_cols - 1 :: n_cols, _PAD:]
+        ends[ends == _COMMA] = _NEWLINE
+        return [records]
+
+    _write_rows(path, header, len(table), fields)
+
+
+def write_error_csv(path, series: ErrorSeries) -> None:
+    """Write an error series as the table t,rel_error: the bytes that
+    write_csv gives np.column_stack((series.times, series.errors)).
+
+    A time column on the grid of its step size, schemes.time_grid(N, dt)
+    with dt = times[1] (every trajectory's times), is formatted once per
+    grid: its records come from an LRU cache of the last 4 grids, keyed by
+    (dt, N) like run_experiment's exact samples, so only the error column
+    is formatted per table.  Any other time column is formatted with the
+    table.
+    """
+    times = np.asarray(series.times, dtype=float)
+    errors = np.asarray(series.errors, dtype=float)
+    if times.ndim != 1 or times.shape != errors.shape:
+        raise ValueError(
+            f"an error table needs times and errors of one length, got shapes "
+            f"{times.shape} and {errors.shape}"
+        )
+    time_records = None
+    if len(times) > 1:
+        dt = float(times[1])
+        grid = schemes.time_grid(len(times), dt)
+        if np.array_equal(grid.view(np.uint64), times.view(np.uint64)):
+            time_records = _time_records(dt, len(times))
+
+    def fields(rows):
+        if time_records is None:
+            t = _records(times[rows], _COMMA)
+        else:
+            t = time_records[rows]
+        return [t, _records(errors[rows], _NEWLINE)]
+
+    _write_rows(path, "t,rel_error", len(times), fields)
+
+
+def _write_rows(path, header: str, n_rows: int, fields) -> None:
+    """The header line, then the rows _BLOCK_ROWS at a time: fields(rows)
+    gives the rows of the slice as record arrays whose rows, side by side,
+    are the text of the rows (see _joined)."""
     with open(path, "wb") as out:
         out.write(header.encode() + b"\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS]
-            out.write(_format_block(block.ravel(), np.tile(separators, len(block))))
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            out.write(_joined(fields(slice(start, start + _BLOCK_ROWS))))
 
 
-# Rows per block of write_csv: bounds the transient buffers.
+# 4 grids, like _sampled_exact: every grid of a figure stays cached while
+# its schemes run.
+@functools.lru_cache(maxsize=4)
+def _time_records(dt: float, n_levels: int) -> np.ndarray:
+    """The records of the times schemes.time_grid(n_levels, dt), each
+    followed by a comma: the time column of an error table.  Read-only,
+    since every table on the grid shares it."""
+    times = schemes.time_grid(n_levels, dt)
+    records = np.empty((n_levels, _RECORD.itemsize), np.uint8)
+    for start in range(0, n_levels, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        records[rows] = _records(times[rows], _COMMA)
+    records.setflags(write=False)
+    return records
+
+
+# Rows per block of write_csv and write_error_csv: bounds the transient buffers.
 _BLOCK_ROWS = 2048
 # The kernel's domain: within it the scale 10^p and its split stay finite
 # and the scale's low word stays a normal number.
@@ -362,13 +462,21 @@ _SPLIT = 134217729.0
 _EXP_MAX = 281
 # One field of the output: sign ('-' or NUL), lead digit, '.', the 16
 # further digits as four 4-byte groups, 'e', the exponent (sign and two or
-# three digits, NUL-padded to 4 bytes) and the separator.  NUL bytes are
-# stripped from the block's bytes.
+# three digits, NUL-padded to 4 bytes) and the separator.  A two-digit
+# exponent's pad byte takes the separator, leaving the last byte NUL.
 _RECORD = np.dtype(
     [("sign", "u1"), ("lead", "u1"), ("dot", "u1")]
     + [(f"digits{i}", "u4") for i in range(4)]
     + [("e", "u1"), ("exponent", "u4"), ("separator", "u1")]
 )
+# A non-negative value with a two-digit exponent has a '%.16e' text of
+# _STANDARD_LENGTH bytes; its record holds it in bytes 1..22 and the
+# separator in the exponent's pad byte _PAD, so _FIXED is its text and
+# separator without a NUL byte.
+_STANDARD_LENGTH = 22
+_PAD = 23
+_FIXED = slice(1, _PAD + 1)
+_COMMA, _NEWLINE = ord(","), ord("\n")
 
 
 @functools.cache
@@ -409,9 +517,17 @@ def _digit_quads() -> np.ndarray:
 
 
 @functools.cache
-def _exponents() -> np.ndarray:
-    """The exponent field of %.16e ('+05', '-280') of each exponent."""
-    return _ascii_words([f"{e:+03d}" for e in range(-_EXP_MAX, _EXP_MAX + 1)])
+def _exponents(separator: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent field of %.16e ('+05', '-280') of each exponent with
+    the separator after it, as the record's exponent word and last byte:
+    a two-digit exponent with the separator in its pad byte and a NUL last
+    byte, a three-digit one with the separator as the last byte."""
+    exponents = range(-_EXP_MAX, _EXP_MAX + 1)
+    pad = chr(separator)
+    words = _ascii_words([f"{e:+03d}" + (pad if abs(e) < 100 else "") for e in exponents])
+    last = np.array([0 if abs(e) < 100 else separator for e in exponents], np.uint8)
+    last.setflags(write=False)
+    return words, last
 
 
 def _split(v):
@@ -421,8 +537,10 @@ def _split(v):
     return high, v - high
 
 
-def _format_block(values: np.ndarray, separators: np.ndarray) -> bytes:
-    """'%.16e' % v for every value, each followed by its separator byte.
+def _records(values: np.ndarray, separator: int) -> np.ndarray:
+    """'%.16e' % v for every value, each followed by the separator byte, as
+    one NUL-padded _RECORD per value: a (len(values), 25) uint8 array whose
+    rows _joined turns into text.
 
     With p = 16 - floor(log10|v|), the 17-digit mantissa is |v| 10^p
     rounded to an integer.  That product is formed as Dekker's two-product
@@ -433,7 +551,9 @@ def _format_block(values: np.ndarray, separators: np.ndarray) -> bytes:
     instead when it is zero, not finite or outside [1e-280, 1e280], when
     its fraction lies within _TIE_BAND of 1/2 (ties included), or when its
     scaled floor or mantissa leaves [10^16, 10^17) (log10 rounded across a
-    power of ten, or a mantissa rounding up to 10^17).
+    power of ten, or a mantissa rounding up to 10^17).  The digits are
+    split off by division and subtraction: numpy's integer division by a
+    constant is several times cheaper than its remainder.
     """
     mag = np.abs(values)
     inside = (mag >= _KERNEL_MIN) & (mag <= _KERNEL_MAX)
@@ -458,30 +578,55 @@ def _format_block(values: np.ndarray, separators: np.ndarray) -> bytes:
     )
 
     quads = _digit_quads()
-    lead, rest = np.divmod(mantissa, 10**16)
+    lead = mantissa // 10**16
+    high = mantissa // 10**8  # the lead digit and the next 8
+    low = (mantissa - high * 10**8).astype(np.uint32)
+    high = (high - lead * 10**8).astype(np.uint32)
     rec = np.zeros(len(values), _RECORD)
     rec["sign"][values < 0] = ord("-")
     rec["lead"] = lead + ord("0")
     rec["dot"] = ord(".")
-    rec["digits0"] = quads[rest // 10**12]
-    rec["digits1"] = quads[rest // 10**8 % 10**4]
-    rec["digits2"] = quads[rest // 10**4 % 10**4]
-    rec["digits3"] = quads[rest % 10**4]
+    high_quad, low_quad = high // 10**4, low // 10**4
+    rec["digits0"] = quads[high_quad]
+    rec["digits1"] = quads[high - high_quad * 10**4]
+    rec["digits2"] = quads[low_quad]
+    rec["digits3"] = quads[low - low_quad * 10**4]
     rec["e"] = ord("e")
-    rec["exponent"] = _exponents()[index]
-    rec["separator"] = separators
+    words, last = _exponents(separator)
+    rec["exponent"] = words[index]
+    rec["separator"] = last[index]
     raw = rec.view(np.uint8).reshape(len(values), _RECORD.itemsize)
     for i in np.flatnonzero(~kernel):
         text = ("%.16e" % values[i]).encode()
-        raw[i, :-1] = 0
-        raw[i, : len(text)] = np.frombuffer(text, np.uint8)
-    return raw.tobytes().translate(None, b"\0")
+        # a text of the standard length sits where the kernel's would
+        at = _FIXED.start if len(text) == _STANDARD_LENGTH else 0
+        raw[i] = 0
+        raw[i, at : at + len(text)] = np.frombuffer(text, np.uint8)
+        raw[i, max(at + len(text), _PAD)] = separator
+    return raw
+
+
+def _fixed_width(fields) -> bool:
+    """Whether no record of the record arrays has a sign or a last byte:
+    every value is non-negative with a two-digit exponent, and every
+    fallback text has the standard length.  The _FIXED slices of such
+    records hold no NUL byte."""
+    return not any(f[:, 0].any() or f[:, -1].any() for f in fields)
+
+
+def _joined(fields) -> bytes:
+    """The text of the record arrays' rows, side by side (equal-length
+    arrays, such as a table's columns): the _FIXED slices when the rows
+    are fixed-width, otherwise the records with their NUL bytes stripped."""
+    if _fixed_width(fields):
+        return np.concatenate([f[:, _FIXED] for f in fields], axis=1).tobytes()
+    return np.concatenate(fields, axis=1).tobytes().translate(None, b"\0")
 
 
 def write_exact(model: OdeModel, dt: float, t_end: float, path) -> None:
     """Sample the exact solution at t = k dt, k = 0..floor(t_end/dt), in one
     call, and write it as CSV with columns t,x,y[,z]."""
-    times = np.arange(schemes.step_count(dt, t_end) + 1) * dt
+    times = schemes.time_grid(schemes.step_count(dt, t_end) + 1, dt)
     header = ",".join(("t", "x", "y", "z")[: model.n + 1])
     write_csv(path, header, np.column_stack((times, model.exact(times))))
 
@@ -490,8 +635,10 @@ def run_figure(figure_id: str, out_dir) -> list[Path]:
     """Write the CSV data and gnuplot script for one figure.
 
     Error figures produce <figure>_<scheme>_<dt>.csv with columns
-    t,rel_error; exact figures a single <figure>.csv with the state
-    columns.  Returns the written paths (script last).
+    t,rel_error, written by write_error_csv, so the schemes of a figure
+    share each step size's formatted time column; exact figures a single
+    <figure>.csv with the state columns, written by write_csv.  Returns the
+    written paths (script last).
     """
     if figure_id not in FIGURES:
         raise ValueError(
@@ -516,7 +663,7 @@ def run_figure(figure_id: str, out_dir) -> list[Path]:
                     model, scheme, dt, spec["t_end"], norm=spec["norm"]
                 )
                 name = f"{figure_id}_{label}_{dt_label(dt)}.csv"
-                write_csv(out / name, "t,rel_error", np.column_stack((series.times, series.errors)))
+                write_error_csv(out / name, series)
                 written.append(out / name)
                 csv_names.append((name, label, dt))
         script = _error_script(figure_id, spec, csv_names)

@@ -20,8 +20,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench, schemes
 from .models import make_model
 from .schemes import SchemeSpec
@@ -90,7 +88,7 @@ def _cmd_run(args) -> int:
     _, series, report = bench.run_experiment(model, scheme, args.dt, args.tend, norm=args.norm)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    bench.write_csv(out, "t,rel_error", np.column_stack((series.times, series.errors)))
+    bench.write_error_csv(out, series)
     print("model,scheme,dt,t_end,norm,max_error,final_error,blow_up_step")
     blow = "" if report.blow_up_step is None else report.blow_up_step
     print(

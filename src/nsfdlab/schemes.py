@@ -425,7 +425,7 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
         else:
             levels = np.empty((ctx.model.n, n_steps + 1))
             levels[:, 0] = x0
-            c = ctx.q @ approximate_forcing(ctx, np.arange(n_steps) * ctx.dt).T
+            c = ctx.q @ approximate_forcing(ctx, time_grid(n_steps, ctx.dt)).T
             levels[:, 1:] = c
             scanned = _affine_scan(ctx.d, levels)
             if not scanned:
@@ -438,7 +438,7 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
         if not finite.all():
             blow_up = int(np.argmin(finite))
             states = states[:blow_up]
-    times = np.arange(states.shape[0]) * ctx.dt
+    times = time_grid(states.shape[0], ctx.dt)
     return Trajectory(times=times, states=states, blow_up_step=blow_up)
 
 
@@ -504,6 +504,17 @@ def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=N
 def step_count(dt: float, t_end: float) -> int:
     """Steps of size dt that fit in [0, t_end], forgiving rounding in t_end/dt."""
     return int(math.floor(t_end / dt + 1e-9))
+
+
+def time_grid(n_levels: int, dt: float) -> np.ndarray:
+    """The times t_k = k dt, k = 0..n_levels - 1, of every trajectory.
+
+    Each level's time is the one product k * dt, never a running sum, so
+    every caller that builds a grid of n levels of dt gets the same bits:
+    the trajectories, the forcing times of march, and the caches of exact
+    samples and time-column text that bench keys by (dt, n_levels).
+    """
+    return np.arange(n_levels) * dt
 
 
 def _osc_velocity(ctx: StepContext, x_k, x_next):
@@ -589,5 +600,5 @@ def _integrate_second_order(ctx: StepContext, state0: np.ndarray, n_steps: int) 
         # the last level of a blow-up: by time reversal, minus the velocity
         # of the step back to the preceding level (O(dt^2) from forward)
         states[fwd, 1] = -_osc_velocity(ctx, xs[fwd], xs[fwd - 1])
-    times = np.arange(n_levels) * ctx.dt
+    times = time_grid(n_levels, ctx.dt)
     return Trajectory(times=times, states=states, blow_up_step=blow_up)

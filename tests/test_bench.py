@@ -299,17 +299,58 @@ def test_report_carries_the_blow_up_step(oscillator):
 )
 def test_report_records_the_time_reached(name, kind, dt, t_end, x0, t_reached):
     model = nl.make_model(name)
-    if x0 is not None:
+    if x0 is None:
+        traj, _, report = nl.run_experiment(model, nl.SchemeSpec(kind), dt, t_end)
+        assert report.t_end == t_end
+        assert report.t_reached == float(traj.times[-1])
+        blow_up_step = report.blow_up_step
+    else:
         # a start outside make_model's domain (0, 1/2), where the two-level
-        # recurrence blows up
+        # recurrence blows up; its exact solution starts elsewhere, so
+        # run_experiment refuses it (see
+        # test_run_experiment_rejects_a_start_off_the_exact_solution) and the
+        # trajectory's times are checked alone
         model = dataclasses.replace(model, initial_state=np.array(x0))
-    traj, _, report = nl.run_experiment(model, nl.SchemeSpec(kind), dt, t_end)
-    assert report.t_end == t_end
-    assert report.t_reached == float(traj.times[-1])
-    assert report.t_reached == pytest.approx(t_reached, rel=1e-15)
-    if report.blow_up_step is not None:
+        traj = nl.integrate(model, nl.SchemeSpec(kind), dt, t_end)
+        blow_up_step = traj.blow_up_step
+        assert blow_up_step == 16
+    assert float(traj.times[-1]) == pytest.approx(t_reached, rel=1e-15)
+    if blow_up_step is not None:
         # the last finite level, one step before the first non-finite one
-        assert report.t_reached == pytest.approx((report.blow_up_step - 1) * dt, rel=1e-15)
+        assert float(traj.times[-1]) == pytest.approx((blow_up_step - 1) * dt, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "name, kind, dt, t_end, x0",
+    [
+        ("biomass", "scalar-nsfd", 0.1, 10.0, (0.0, 0.0, 2.0)),  # twice the stock start
+        ("oscillator", "mickens-osc1", 0.5, 50.0, (2.0, 0.0)),
+    ],
+)
+def test_run_experiment_rejects_a_start_off_the_exact_solution(name, kind, dt, t_end, x0):
+    # the integration starts at x0, but exact() is still the solution from
+    # make_model's start: the errors would measure the distance between two
+    # solutions (biomass under its exact scheme would report max_error 1.0)
+    stock = nl.make_model(name)
+    model = dataclasses.replace(stock, initial_state=np.array(x0))
+    with pytest.raises(ValueError) as raised:
+        nl.run_experiment(model, nl.SchemeSpec(kind), dt, t_end)
+    message = str(raised.value)
+    gap = np.max(np.abs(np.array(x0) - stock.initial_state))
+    for part in (repr(name), str(list(x0)), str(stock.exact(0.0).tolist()), f"{gap:.3e}"):
+        assert part in message
+
+
+@pytest.mark.parametrize("name", ["oscillator", "biomass", "trees", "seasonal"])
+def test_run_experiment_accepts_the_stock_starts_and_rounding(name):
+    # every stock model's exact solution starts at its initial state
+    # exactly (the oscillator's velocity as -0.0); a start one rounding
+    # away is still accepted
+    model = nl.make_model(name)
+    np.testing.assert_array_equal(model.exact(np.zeros(1))[0], model.initial_state)
+    nudged = dataclasses.replace(model, initial_state=np.nextafter(model.initial_state, 2.0))
+    _, series, _ = nl.run_experiment(nudged, nl.SchemeSpec("explicit-euler"), 0.1, 1.0)
+    assert series.errors[0] <= 1e-15
 
 
 def test_coefficient_warning_reaches_the_trajectory_and_report():
@@ -567,18 +608,137 @@ def test_write_csv_matches_percent_e_byte_for_byte(tmp_path, cols, rows, seed, s
 
 @pytest.mark.parametrize("figure", ["seasonal-error", "oscillator-exact"])
 def test_figure_tables_keep_the_per_row_bytes(tmp_path, monkeypatch, figure):
+    # every table a figure writes, through whichever writer writes it
     written = []
-    write_csv = bench.write_csv
+    write_csv, write_error_csv = bench.write_csv, bench.write_error_csv
 
-    def recording(path, header, table):
+    def recording_csv(path, header, table):
         write_csv(path, header, table)
         written.append((Path(path), header, np.array(table)))
 
-    monkeypatch.setattr(bench, "write_csv", recording)
+    def recording_error_csv(path, series):
+        write_error_csv(path, series)
+        table = np.column_stack((series.times, series.errors))
+        written.append((Path(path), "t,rel_error", table))
+
+    monkeypatch.setattr(bench, "write_csv", recording_csv)
+    monkeypatch.setattr(bench, "write_error_csv", recording_error_csv)
     nl.run_figure(figure, tmp_path)
     assert len(written) == (15 if figure == "seasonal-error" else 1)
+    assert {path for path, _, _ in written} == set(tmp_path.glob("*.csv"))
     for path, header, table in written:
         assert path.read_bytes() == _percent_e_csv(header, table), path.name
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_figure_formats_each_grids_time_column_once(tmp_path, monkeypatch):
+    bench._time_records.cache_clear()
+    nl.run_figure("seasonal-error", tmp_path / "cold")
+    info = bench._time_records.cache_info()
+    assert (info.misses, info.hits) == (3, 12)  # 3 step sizes, 5 schemes each
+    nl.run_figure("seasonal-error", tmp_path / "warm")
+    assert bench._time_records.cache_info().misses == 3
+    # every table formatting its own time column gives the same bytes
+    monkeypatch.setattr(bench, "_time_records", bench._time_records.__wrapped__)
+    nl.run_figure("seasonal-error", tmp_path / "uncached")
+    cold = _tree_bytes(tmp_path / "cold")
+    assert len(cold) == 16
+    assert cold == _tree_bytes(tmp_path / "warm") == _tree_bytes(tmp_path / "uncached")
+
+
+def _error_csv(tmp_path, times, errors):
+    path = tmp_path / "errors.csv"
+    bench.write_error_csv(path, bench.ErrorSeries(times, errors, np.zeros(len(times), bool), "x"))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "dt, special, paths",
+    [
+        (0.01, 0.0, [True, True, True]),  # a zero is a standard-length fallback
+        (0.01, math.inf, [False, False, True]),
+        (0.01, math.nan, [False, False, True]),
+        (0.01, 1e-120, [False, False, True]),  # a 3-digit exponent in the kernel
+        (0.01, 1e-300, [False, False, True]),  # a 3-digit exponent from the fallback
+        (1e-102, None, [False, True, True]),  # times below 1e-99 in the first block
+    ],
+)
+def test_error_tables_match_percent_e_on_both_paths(tmp_path, monkeypatch, dt, special, paths):
+    # 4,100 rows: two full blocks of 2,048 and a short one; the special
+    # values sit at both ends of the first block and the start of the second
+    taken = []
+    fixed_width = bench._fixed_width
+
+    def recording(fields):
+        taken.append(fixed_width(fields))
+        return taken[-1]
+
+    monkeypatch.setattr(bench, "_fixed_width", recording)
+    times = sch.time_grid(4100, dt)
+    errors = np.random.default_rng(11).uniform(1e-16, 0.5, len(times))
+    if special is not None:
+        errors[[0, 2047, 2048, 2049]] = special
+    expected = _percent_e_csv("t,rel_error", np.column_stack((times, errors)))
+    bench._time_records.cache_clear()
+    for _ in range(2):  # the second table takes its times from the cache
+        assert _error_csv(tmp_path, times, errors) == expected
+    assert taken == paths * 2
+    assert bench._time_records.cache_info().hits == 1
+
+
+def test_time_columns_of_equal_length_grids_are_cached_apart(tmp_path):
+    # the figures never write two grids of one length with different step
+    # sizes, so the cache key's dt is checked here
+    bench._time_records.cache_clear()
+    errors = np.linspace(0.0, 1.0, 50)
+    for dt in (0.1, 0.2, 0.1):
+        times = sch.time_grid(50, dt)
+        expected = _percent_e_csv("t,rel_error", np.column_stack((times, errors)))
+        assert _error_csv(tmp_path, times, errors) == expected
+    info = bench._time_records.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        np.cumsum(np.full(3000, 0.001)),  # a running sum, off the grid k dt
+        np.concatenate(([-0.0], sch.time_grid(3000, 0.001)[1:])),  # equal, not bitwise
+        sch.time_grid(3000, 0.001)[::-1],
+        np.array([0.0]),
+    ],
+    ids=["running-sum", "negative-zero", "reversed", "one-level"],
+)
+def test_error_tables_off_the_grid_format_their_times(tmp_path, times):
+    errors = np.linspace(0.0, 1.0, len(times))
+    before = bench._time_records.cache_info()
+    expected = _percent_e_csv("t,rel_error", np.column_stack((times, errors)))
+    assert _error_csv(tmp_path, times, errors) == expected
+    assert bench._time_records.cache_info() == before
+
+
+@pytest.mark.parametrize("errors", [np.zeros(3), np.zeros((2, 2))])
+def test_write_error_csv_rejects_columns_of_other_shapes(tmp_path, errors):
+    series = bench.ErrorSeries(np.zeros(2), errors, np.zeros(2, bool), "x")
+    with pytest.raises(ValueError, match="one length"):
+        bench.write_error_csv(tmp_path / "x.csv", series)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_run_writes_the_error_table_bytes(tmp_path):
+    # nsfdlab run writes its error series through the same writer
+    from nsfdlab import cli
+
+    out = tmp_path / "run.csv"
+    assert cli.main(["run", "--model", "seasonal", "--scheme", "scalar-nsfd",
+                     "--dt", "0.01", "--tend", "10", "--out", str(out)]) == 0
+    seasonal, scheme = nl.make_model("seasonal"), nl.SchemeSpec("scalar-nsfd")
+    _, series, _ = nl.run_experiment(seasonal, scheme, 0.01, 10.0)
+    table = np.column_stack((series.times, series.errors))
+    assert out.read_bytes() == _percent_e_csv("t,rel_error", table)
 
 
 def test_written_files_end_every_line_in_lf(tmp_path):
@@ -628,7 +788,7 @@ def test_import_builds_no_csv_tables_and_loads_no_decimal_modules():
         f"sys.path.insert(0, {src!r})\n"
         "import nsfdlab\n"
         "from nsfdlab import bench\n"
-        "tables = (bench._scales, bench._digit_quads, bench._exponents)\n"
+        "tables = (bench._scales, bench._digit_quads, bench._exponents, bench._time_records)\n"
         "print(sum(t.cache_info().currsize for t in tables),"
         " 'fractions' in sys.modules, 'decimal' in sys.modules)\n"
     )

@@ -1097,6 +1097,56 @@ def test_integrate_grid_shapes(biomass):
     np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9], rtol=0, atol=1e-15)
 
 
+def assert_times_are_the_grid(traj, dt):
+    """traj.times is time_grid's k dt, k = 0..N - 1, to the bit: the grid
+    that bench's caches of exact samples and time-column text key by
+    (dt, N)."""
+    grid = sch.time_grid(len(traj.times), dt)
+    assert traj.times.tobytes() == grid.tobytes()
+    assert grid.tobytes() == np.array([k * dt for k in range(len(grid))]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "model_name, kind",
+    [("oscillator", kind) for kind in sch.SCHEME_KINDS]
+    + [("seasonal", kind) for kind in ONE_STEP_KINDS],
+)
+def test_trajectory_times_are_the_time_grid_bitwise(model_name, kind):
+    # dt 0.001 over 10,001 levels, where a running sum of dt drifts off k dt
+    traj = nl.integrate(nl.make_model(model_name), nl.SchemeSpec(kind), 0.001, 10.0)
+    assert traj.blow_up_step is None and len(traj.times) == 10001
+    assert_times_are_the_grid(traj, 0.001)
+
+
+@pytest.mark.parametrize(
+    "model_name, kind, dt, t_end, x0, scans, blow_up",
+    [
+        ("seasonal", "scalar-nsfd", 0.001, 10.0, None, [True], None),  # prefix scan
+        ("seasonal", "explicit-euler", 0.5, 2000.0, None, [False], 1750),  # level loop
+        ("oscillator", "explicit-euler", 2.5, 250.0, None, [], 18),  # closed-form quadratic
+        ("oscillator", "mickens-osc1", 0.5, 50.0, (2.0, 0.0), [], 16),  # two-level recurrence
+    ],
+    ids=["scan", "loop-blow-up", "quadratic-blow-up", "second-order-blow-up"],
+)
+def test_times_are_the_time_grid_on_every_route(
+    monkeypatch, model_name, kind, dt, t_end, x0, scans, blow_up
+):
+    taken = []
+    affine_scan = sch._affine_scan
+
+    def recording(d, levels):
+        taken.append(affine_scan(d, levels))
+        return taken[-1]
+
+    monkeypatch.setattr(sch, "_affine_scan", recording)
+    x0 = None if x0 is None else np.array(x0)
+    traj = nl.integrate(nl.make_model(model_name), nl.SchemeSpec(kind), dt, t_end, x0=x0)
+    assert taken == scans
+    assert traj.blow_up_step == blow_up
+    assert len(traj.times) == (sch.step_count(dt, t_end) + 1 if blow_up is None else blow_up)
+    assert_times_are_the_grid(traj, dt)
+
+
 def test_integrate_rejects_bad_grids(biomass):
     with pytest.raises(ValueError):
         nl.integrate(biomass, nl.SchemeSpec("explicit-euler"), 0.0, 1.0)
