@@ -12,21 +12,21 @@ of a figure measured on one grid share one sampling.
 
 Figure data is written as plain CSV plus a gnuplot script, one file per
 (scheme, dt) combination, in binary mode so every line ends in '\n' on
-every platform.  write_csv gives every value the bytes of Python's
-'%.16e' % v, so repeated runs are byte-identical, without formatting the
-values one by one: a vectorized kernel rounds |v| 10^p, formed as a
-double-double product, to the 17-digit mantissa and writes the digits
-through a lookup table into one fixed-width record per value, 2,048 rows
-at a time.  The few values it cannot decide (zeros, non-finite and
-extreme magnitudes, near-ties of the decimal rounding, a log10 rounded
-across a power of ten) go to Python's formatter.  A block of non-negative
-values with two-digit exponents, the common case, is written as
-fixed-width rows; any other block has the records' NUL padding stripped.
+every platform.  write_csv, the one CSV writer, gives every value the
+bytes of Python's '%.16e' % v, so repeated runs are byte-identical,
+without formatting the values one by one: a vectorized kernel rounds
+|v| 10^p, formed as a double-double product, to the 17-digit mantissa and
+writes the digits through a lookup table into one fixed-width record per
+value, column by column, 2,048 rows at a time.  The few values it cannot
+decide (zeros, non-finite and extreme magnitudes, near-ties of the decimal
+rounding, a log10 rounded across a power of ten) go to Python's
+formatter.  A block of non-negative values with two-digit exponents, the
+common case, is written as fixed-width rows; any other block has the
+records' NUL padding stripped.
 
-Error tables (t,rel_error) go through write_error_csv, which formats only
-the error column: the time column of each grid is formatted once and kept
-in a second LRU cache of 4 grids, keyed by dt and the number of levels
-like the exact samples.
+The time column of each grid, the first column of every error and exact
+table, is formatted once and kept in a second LRU cache of 4 grids, keyed
+by dt and the number of levels like the exact samples.
 """
 from __future__ import annotations
 
@@ -184,7 +184,8 @@ def run_experiment(
     The exact solution comes from an LRU cache of the last 4 grids sampled,
     keyed by (model.exact, dt, number of levels), so runs on one grid
     sample it once; an unhashable exact is sampled on every call.  The
-    series equals relative_error_series(traj, model.exact, norm) bitwise.
+    series equals relative_error_series(traj, model.exact, norm) bitwise;
+    its times are the grid whose text write_csv caches.
 
     The exact solution must start at the model's initial state: if its
     level 0 differs from traj.states[0] by more than rounding (a model
@@ -291,6 +292,13 @@ _ERROR_SCHEMES_OSC = (
     ("mickens-osc2", SchemeSpec(schemes.MICKENS_OSC2)),
     ("corrected-osc", SchemeSpec(schemes.CORRECTED_OSC)),
 )
+_ERROR_SCHEMES_FORCING = tuple(
+    (f"{kind}-{approx}", SchemeSpec(kind, forcing_approx=approx))
+    for kind in (schemes.SCALAR_NSFD, schemes.GAMMA_NSFD)
+    for approx in (
+        schemes.FORCING_LEFT, schemes.FORCING_MIDDLE, schemes.FORCING_HALF, schemes.FORCING_MEAN
+    )
+)
 
 
 def _figure_error(model_kind, dts, t_end, scheme_table, norm=COMPONENT_X):
@@ -321,23 +329,9 @@ FIGURES = {
     "seasonal-error": _figure_error(
         "seasonal", (0.1, 0.01, 0.001), 10.0, _ERROR_SCHEMES_BIOMASS
     ),
-    "seasonal-forcing-comparison": {
-        "kind": "error",
-        "model": "seasonal",
-        "dts": (0.001,),
-        "t_end": 10.0,
-        "schemes": tuple(
-            (f"{kind}-{approx}", SchemeSpec(kind, forcing_approx=approx))
-            for kind in (schemes.SCALAR_NSFD, schemes.GAMMA_NSFD)
-            for approx in (
-                schemes.FORCING_LEFT,
-                schemes.FORCING_MIDDLE,
-                schemes.FORCING_HALF,
-                schemes.FORCING_MEAN,
-            )
-        ),
-        "norm": COMPONENT_X,
-    },
+    "seasonal-forcing-comparison": _figure_error(
+        "seasonal", (0.001,), 10.0, _ERROR_SCHEMES_FORCING
+    ),
     "oscillator-exact": _figure_exact("oscillator", 0.01, 35.0),
     "biomass-exact": _figure_exact("biomass", 0.01, 10.0),
     "trees-exact": _figure_exact("trees", 0.01, 10.0),
@@ -351,82 +345,47 @@ def dt_label(dt: float) -> str:
     return np.format_float_positional(dt, trim="0")
 
 
-def write_csv(path, header: str, table) -> None:
-    """Write the rows of a 2-d table under a header line: every value as
-    the bytes of Python's '%.16e' % v, comma-separated, each line ending in
-    '\\n', so repeated runs are byte-identical.
+def write_csv(path, header: str, columns) -> None:
+    """Write equal-length 1-d columns as a table under a header line: every
+    value as the bytes of Python's '%.16e' % v, comma-separated, each line
+    ending in '\\n', so repeated runs are byte-identical.
 
-    A vectorized kernel (_records) formats the values into fixed-width
-    records, _BLOCK_ROWS rows at a time straight into the file, so
-    transient memory stays bounded.  Zeros, non-finite values, magnitudes
-    outside [1e-280, 1e280] and values within 1e-6 of a decimal tie go to
-    Python's formatter instead.  A block whose values are all
-    non-negative, with two-digit exponents, is written as fixed-width
-    rows; any other block has its padding stripped (_joined).  A zero-row
-    table writes the header line only; a table that is not 2-d, or has no
-    columns, raises ValueError.
+    A vectorized kernel (_records) formats each column, with a comma after
+    every column but the last and a newline after the last, _BLOCK_ROWS
+    rows at a time straight into the file; a block of non-negative values
+    with two-digit exponents is written as fixed-width rows (_joined).
+
+    A first column that is bitwise schemes.time_grid(N, dt), dt = column[1]
+    (every trajectory's times, and write_exact's), next to another column,
+    is formatted once per grid: its records come from an LRU cache of the
+    last 4 grids (_time_records).  Zero-length columns write the header
+    only.  No columns, a column that is not 1-d, columns of unequal length
+    or a 2-d array in place of the columns raise ValueError, opening no file.
     """
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 2 or table.shape[1] == 0:
-        raise ValueError(
-            f"write_csv needs a 2-d table with at least one column, got shape {table.shape}"
-        )
-    n_cols = table.shape[1]
-
-    def fields(rows):
-        records = _records(table[rows].ravel(), _COMMA)
-        # the separator bytes of each row's last field (a record holds no
-        # other comma) become newlines
-        ends = records[n_cols - 1 :: n_cols, _PAD:]
-        ends[ends == _COMMA] = _NEWLINE
-        return [records]
-
-    _write_rows(path, header, len(table), fields)
-
-
-def write_error_csv(path, series: ErrorSeries) -> None:
-    """Write an error series as the table t,rel_error: the bytes that
-    write_csv gives np.column_stack((series.times, series.errors)).
-
-    A time column on the grid of its step size, schemes.time_grid(N, dt)
-    with dt = times[1] (every trajectory's times), is formatted once per
-    grid: its records come from an LRU cache of the last 4 grids, keyed by
-    (dt, N) like run_experiment's exact samples, so only the error column
-    is formatted per table.  Any other time column is formatted with the
-    table.
-    """
-    times = np.asarray(series.times, dtype=float)
-    errors = np.asarray(series.errors, dtype=float)
-    if times.ndim != 1 or times.shape != errors.shape:
-        raise ValueError(
-            f"an error table needs times and errors of one length, got shapes "
-            f"{times.shape} and {errors.shape}"
-        )
+    if isinstance(columns, np.ndarray):
+        raise ValueError(f"write_csv takes columns, not an array of shape {columns.shape}")
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    if len({column.shape for column in columns}) != 1 or columns[0].ndim != 1:
+        shapes = [column.shape for column in columns]
+        raise ValueError(f"write_csv needs 1-d columns of one length, got shapes {shapes}")
+    times, n_rows = columns[0], len(columns[0])
+    formatted = list(zip(columns, [_COMMA] * (len(columns) - 1) + [_NEWLINE]))
     time_records = None
-    if len(times) > 1:
+    if len(columns) > 1 and n_rows > 1:
         dt = float(times[1])
-        grid = schemes.time_grid(len(times), dt)
-        if np.array_equal(grid.view(np.uint64), times.view(np.uint64)):
-            time_records = _time_records(dt, len(times))
-
-    def fields(rows):
-        if time_records is None:
-            t = _records(times[rows], _COMMA)
-        else:
-            t = time_records[rows]
-        return [t, _records(errors[rows], _NEWLINE)]
-
-    _write_rows(path, "t,rel_error", len(times), fields)
-
-
-def _write_rows(path, header: str, n_rows: int, fields) -> None:
-    """The header line, then the rows _BLOCK_ROWS at a time: fields(rows)
-    gives the rows of the slice as record arrays whose rows, side by side,
-    are the text of the rows (see _joined)."""
+        if math.isfinite(dt * n_rows):  # a grid that overflows warns, and is no grid
+            grid = schemes.time_grid(n_rows, dt).view(np.uint64)
+            if np.array_equal(grid, times.view(np.uint64)):
+                time_records = _time_records(dt, n_rows)
+                del formatted[0]
     with open(path, "wb") as out:
         out.write(header.encode() + b"\n")
         for start in range(0, n_rows, _BLOCK_ROWS):
-            out.write(_joined(fields(slice(start, start + _BLOCK_ROWS))))
+            rows = slice(start, start + _BLOCK_ROWS)
+            fields = [_records(column[rows], sep) for column, sep in formatted]
+            if time_records is not None:
+                fields.insert(0, time_records[rows])
+            out.write(_joined(fields))
 
 
 # 4 grids, like _sampled_exact: every grid of a figure stays cached while
@@ -434,8 +393,8 @@ def _write_rows(path, header: str, n_rows: int, fields) -> None:
 @functools.lru_cache(maxsize=4)
 def _time_records(dt: float, n_levels: int) -> np.ndarray:
     """The records of the times schemes.time_grid(n_levels, dt), each
-    followed by a comma: the time column of an error table.  Read-only,
-    since every table on the grid shares it."""
+    followed by a comma: the first column of a table on the grid.
+    Read-only, since every table on the grid shares it."""
     times = schemes.time_grid(n_levels, dt)
     records = np.empty((n_levels, _RECORD.itemsize), np.uint8)
     for start in range(0, n_levels, _BLOCK_ROWS):
@@ -445,7 +404,7 @@ def _time_records(dt: float, n_levels: int) -> np.ndarray:
     return records
 
 
-# Rows per block of write_csv and write_error_csv: bounds the transient buffers.
+# Rows per block of write_csv: bounds the transient buffers.
 _BLOCK_ROWS = 2048
 # The kernel's domain: within it the scale 10^p and its split stay finite
 # and the scale's low word stays a normal number.
@@ -628,17 +587,17 @@ def write_exact(model: OdeModel, dt: float, t_end: float, path) -> None:
     call, and write it as CSV with columns t,x,y[,z]."""
     times = schemes.time_grid(schemes.step_count(dt, t_end) + 1, dt)
     header = ",".join(("t", "x", "y", "z")[: model.n + 1])
-    write_csv(path, header, np.column_stack((times, model.exact(times))))
+    write_csv(path, header, (times, *model.exact(times).T))
 
 
 def run_figure(figure_id: str, out_dir) -> list[Path]:
     """Write the CSV data and gnuplot script for one figure.
 
     Error figures produce <figure>_<scheme>_<dt>.csv with columns
-    t,rel_error, written by write_error_csv, so the schemes of a figure
-    share each step size's formatted time column; exact figures a single
-    <figure>.csv with the state columns, written by write_csv.  Returns the
-    written paths (script last).
+    t,rel_error; exact figures a single <figure>.csv with the state
+    columns.  Every table goes through write_csv, so the tables of a figure
+    share each step size's formatted time column.  Returns the written
+    paths (script last).
     """
     if figure_id not in FIGURES:
         raise ValueError(
@@ -647,15 +606,14 @@ def run_figure(figure_id: str, out_dir) -> list[Path]:
     spec = FIGURES[figure_id]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    model = make_model(spec["model"])
     written = []
     if spec["kind"] == "exact":
-        model = make_model(spec["model"])
         path = out / f"{figure_id}.csv"
         write_exact(model, spec["dt"], spec["t_end"], path)
         written.append(path)
         script = _exact_script(figure_id, model.n)
     else:
-        model = make_model(spec["model"])
         csv_names = []
         for label, scheme in spec["schemes"]:
             for dt in spec["dts"]:
@@ -663,7 +621,7 @@ def run_figure(figure_id: str, out_dir) -> list[Path]:
                     model, scheme, dt, spec["t_end"], norm=spec["norm"]
                 )
                 name = f"{figure_id}_{label}_{dt_label(dt)}.csv"
-                write_error_csv(out / name, series)
+                write_csv(out / name, "t,rel_error", (series.times, series.errors))
                 written.append(out / name)
                 csv_names.append((name, label, dt))
         script = _error_script(figure_id, spec, csv_names)

@@ -9,9 +9,9 @@ Subcommands:
   figure       write the CSV data and gnuplot script for a named figure
   exact        sample the exact solution of a model into a CSV
 
-Exit codes: 0 success, 2 usage error (unknown ids, bad flags), 3 numerical
-failure (blow-up or a solver that did not converge); on blow-up the partial
-report is still written.
+Exit codes: 0 success, 2 usage error (unknown ids, bad flags or values),
+3 numerical failure (blow-up, a zero pivot, a negative discriminant or
+overflow); on blow-up the partial report is still written.
 """
 from __future__ import annotations
 
@@ -88,7 +88,7 @@ def _cmd_run(args) -> int:
     _, series, report = bench.run_experiment(model, scheme, args.dt, args.tend, norm=args.norm)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    bench.write_error_csv(out, series)
+    bench.write_csv(out, "t,rel_error", (series.times, series.errors))
     print("model,scheme,dt,t_end,norm,max_error,final_error,blow_up_step")
     blow = "" if report.blow_up_step is None else report.blow_up_step
     print(

@@ -12,8 +12,9 @@ expands the same way.  This module computes the characteristic polynomial
 (Hermite interpolation on the spectrum, read off one divided-difference
 table of exp), an order-n truncation gamma_j that needs only the
 characteristic polynomial, and the correction factors R0, R1 that recast
-the expansion as a perturbation of a first-order update.  phi1 and expm are
-the reference routes used to cross-check all of the above.
+the expansion as a perturbation of a first-order update.  phi1 gives
+matrix-nsfd's step its forcing weight dt phi1(dt A); expm, a front end over
+scipy, is the reference the tests cross-check all of the above against.
 """
 from __future__ import annotations
 

@@ -214,7 +214,8 @@ def _make_oscillator(x0: float = 0.25) -> OdeModel:
     def exact(t) -> np.ndarray:
         sn, cn, dn = jacobi_sn_cn_dn(omega * np.asarray(t, dtype=float), m_par)
         x = x0 + a_par * sn * sn
-        y = 2.0 * a_par * omega * sn * cn * dn
+        # + 0.0 maps the -0.0 at sn = 0 (a < 0) to 0.0: exact(0) is the initial state bitwise
+        y = 2.0 * a_par * omega * sn * cn * dn + 0.0
         return np.stack((x, y), axis=-1)
 
     return OdeModel(

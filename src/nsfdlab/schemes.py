@@ -481,16 +481,12 @@ def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=N
     instead of raising.  The warning of the step coefficients, if any, is
     carried as coeff_warning.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive and finite")
-    if not (np.isfinite(t_end) and t_end >= dt):
-        raise ValueError("t_end must be finite and at least dt")
+    n_steps = step_count(dt, t_end)
     state0 = np.array(model.initial_state if x0 is None else x0, dtype=float)
     if state0.shape != (model.n,):
         raise ValueError(f"initial state must have shape ({model.n},)")
     if not np.isfinite(state0).all():
         raise ValueError("initial state must be finite")
-    n_steps = step_count(dt, t_end)
     ctx = StepContext(model, scheme, dt)
     if scheme.kind in SECOND_ORDER_KINDS:
         traj, coeffs = _integrate_second_order(ctx, state0, n_steps), ctx.startup.coeffs
@@ -502,7 +498,16 @@ def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=N
 
 
 def step_count(dt: float, t_end: float) -> int:
-    """Steps of size dt that fit in [0, t_end], forgiving rounding in t_end/dt."""
+    """Steps of size dt that fit in [0, t_end], forgiving rounding in t_end/dt.
+
+    dt must be positive and finite, and t_end finite and at least dt, or
+    ValueError is raised: integrate and bench.write_exact reject the same
+    inputs with the same messages.
+    """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
+    if not (np.isfinite(t_end) and t_end >= dt):
+        raise ValueError("t_end must be finite and at least dt")
     return int(math.floor(t_end / dt + 1e-9))
 
 

@@ -410,7 +410,7 @@ def test_trees_exact_figure_contents(tmp_path):
 def test_csv_values_keep_the_fstring_bytes(tmp_path):
     values = [-0.0, 5e-324, 1.0, 1e300]
     path = tmp_path / "values.csv"
-    bench.write_csv(path, "a,b", np.array([values[:2], values[2:]]))
+    bench.write_csv(path, "a,b", tuple(np.array([values[:2], values[2:]]).T))
     expected = "a,b\n" + "\n".join(
         ",".join(f"{v:.16e}" for v in row) for row in (values[:2], values[2:])
     ) + "\n"
@@ -474,7 +474,7 @@ def _percent_e_csv(header, table):
 
 def _written(tmp_path, table, header="h"):
     path = tmp_path / "table.csv"
-    bench.write_csv(path, header, table)
+    bench.write_csv(path, header, tuple(table.T))
     return path.read_bytes()
 
 
@@ -608,21 +608,15 @@ def test_write_csv_matches_percent_e_byte_for_byte(tmp_path, cols, rows, seed, s
 
 @pytest.mark.parametrize("figure", ["seasonal-error", "oscillator-exact"])
 def test_figure_tables_keep_the_per_row_bytes(tmp_path, monkeypatch, figure):
-    # every table a figure writes, through whichever writer writes it
+    # every table a figure writes goes through write_csv
     written = []
-    write_csv, write_error_csv = bench.write_csv, bench.write_error_csv
+    write_csv = bench.write_csv
 
-    def recording_csv(path, header, table):
-        write_csv(path, header, table)
-        written.append((Path(path), header, np.array(table)))
-
-    def recording_error_csv(path, series):
-        write_error_csv(path, series)
-        table = np.column_stack((series.times, series.errors))
-        written.append((Path(path), "t,rel_error", table))
+    def recording_csv(path, header, columns):
+        write_csv(path, header, columns)
+        written.append((Path(path), header, np.column_stack(columns)))
 
     monkeypatch.setattr(bench, "write_csv", recording_csv)
-    monkeypatch.setattr(bench, "write_error_csv", recording_error_csv)
     nl.run_figure(figure, tmp_path)
     assert len(written) == (15 if figure == "seasonal-error" else 1)
     assert {path for path, _, _ in written} == set(tmp_path.glob("*.csv"))
@@ -649,9 +643,22 @@ def test_a_figure_formats_each_grids_time_column_once(tmp_path, monkeypatch):
     assert cold == _tree_bytes(tmp_path / "warm") == _tree_bytes(tmp_path / "uncached")
 
 
+def test_exact_figures_share_the_time_column_cache(tmp_path, monkeypatch):
+    bench._time_records.cache_clear()
+    nl.run_figure("biomass-exact", tmp_path / "cold")
+    nl.run_figure("biomass-exact", tmp_path / "warm")
+    info = bench._time_records.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    monkeypatch.setattr(bench, "_time_records", bench._time_records.__wrapped__)
+    nl.run_figure("biomass-exact", tmp_path / "uncached")
+    cold = _tree_bytes(tmp_path / "cold")
+    assert len(cold) == 2
+    assert cold == _tree_bytes(tmp_path / "warm") == _tree_bytes(tmp_path / "uncached")
+
+
 def _error_csv(tmp_path, times, errors):
     path = tmp_path / "errors.csv"
-    bench.write_error_csv(path, bench.ErrorSeries(times, errors, np.zeros(len(times), bool), "x"))
+    bench.write_csv(path, "t,rel_error", (times, errors))
     return path.read_bytes()
 
 
@@ -703,29 +710,31 @@ def test_time_columns_of_equal_length_grids_are_cached_apart(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "times",
+    "times, header",
     [
-        np.cumsum(np.full(3000, 0.001)),  # a running sum, off the grid k dt
-        np.concatenate(([-0.0], sch.time_grid(3000, 0.001)[1:])),  # equal, not bitwise
-        sch.time_grid(3000, 0.001)[::-1],
-        np.array([0.0]),
+        (np.cumsum(np.full(3000, 0.001)), "t,rel_error"),  # a running sum, off the grid k dt
+        (np.concatenate(([-0.0], sch.time_grid(3000, 0.001)[1:])), "t,rel_error"),  # equal, not bitwise
+        (sch.time_grid(3000, 0.001)[::-1], "t,rel_error"),
+        (np.array([0.0]), "t,rel_error"),
+        # equal to the grid of dt = -0.1, not bitwise: that grid starts at -0.0
+        (np.concatenate(([0.0], sch.time_grid(3000, -0.1)[1:])), "t,rel_error"),
+        # a grid alone: its cached records end in a comma, not a newline
+        (sch.time_grid(3000, 0.001), "t"),
+        # the grids of these steps overflow: checking them must not warn
+        (np.array([0.0, 1e308, 1.0]), "t,rel_error"),
+        (np.array([0.0, math.inf, 1.0]), "t,rel_error"),
     ],
-    ids=["running-sum", "negative-zero", "reversed", "one-level"],
+    ids=["running-sum", "negative-zero", "reversed", "one-level", "negative-step", "one-column",
+         "overflowing-step", "infinite-step"],
 )
-def test_error_tables_off_the_grid_format_their_times(tmp_path, times):
-    errors = np.linspace(0.0, 1.0, len(times))
+@pytest.mark.filterwarnings("error")
+def test_error_tables_off_the_grid_format_their_times(tmp_path, times, header):
+    columns = (times, np.linspace(0.0, 1.0, len(times)))[: header.count(",") + 1]
     before = bench._time_records.cache_info()
-    expected = _percent_e_csv("t,rel_error", np.column_stack((times, errors)))
-    assert _error_csv(tmp_path, times, errors) == expected
+    path = tmp_path / "table.csv"
+    bench.write_csv(path, header, columns)
+    assert path.read_bytes() == _percent_e_csv(header, np.column_stack(columns))
     assert bench._time_records.cache_info() == before
-
-
-@pytest.mark.parametrize("errors", [np.zeros(3), np.zeros((2, 2))])
-def test_write_error_csv_rejects_columns_of_other_shapes(tmp_path, errors):
-    series = bench.ErrorSeries(np.zeros(2), errors, np.zeros(2, bool), "x")
-    with pytest.raises(ValueError, match="one length"):
-        bench.write_error_csv(tmp_path / "x.csv", series)
-    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_run_writes_the_error_table_bytes(tmp_path):
@@ -749,10 +758,27 @@ def test_written_files_end_every_line_in_lf(tmp_path):
         assert b"\r" not in data and data.endswith(b"\n"), path.name
 
 
-@pytest.mark.parametrize("shape", [(3,), (2, 3, 4), (5, 0), (0, 0)])
-def test_write_csv_rejects_tables_that_are_not_2d_with_columns(tmp_path, shape):
-    with pytest.raises(ValueError, match=str(shape).replace("(", r"\(").replace(")", r"\)")):
-        bench.write_csv(tmp_path / "x.csv", "a", np.zeros(shape))
+@pytest.mark.parametrize(
+    "columns",
+    [
+        (),
+        (np.zeros((2, 2)), np.zeros(2)),
+        (np.zeros(2), np.zeros((2, 2))),
+        (np.zeros(2), np.zeros(3)),
+        (1.0, 2.0),
+        # a table in the old (rows, cols) layout must not be written transposed
+        np.zeros((5, 2)),
+        np.zeros(3),
+        np.zeros((2, 3, 4)),
+        np.zeros((5, 0)),
+        np.zeros((0, 0)),
+    ],
+    ids=["no-columns", "2d-first-column", "2d-column", "unequal-lengths", "scalars",
+         "rows-by-columns-array", "1d-array", "3d-array", "no-columns-array", "empty-array"],
+)
+def test_write_csv_rejects_anything_but_1d_columns_of_one_length(tmp_path, columns):
+    with pytest.raises(ValueError, match="columns"):
+        bench.write_csv(tmp_path / "x.csv", "a", columns)
     assert not (tmp_path / "x.csv").exists()
 
 

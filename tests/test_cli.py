@@ -185,6 +185,25 @@ def test_exact_subcommand_samples_the_solution(tmp_path, capsys):
     assert float(lines[1].split(",")[1]) == 0.25
 
 
+@pytest.mark.parametrize(
+    "dt, tend, message",
+    [
+        ("-0.1", "1", "dt must be positive and finite"),
+        ("0.1", "-1", "t_end must be finite and at least dt"),
+        ("inf", "1", "dt must be positive and finite"),
+        ("0", "1", "dt must be positive and finite"),
+    ],
+)
+def test_exact_and_run_reject_the_same_step_sizes(tmp_path, capsys, dt, tend, message):
+    out = tmp_path / "x.csv"
+    exact = ("exact", "--model", "biomass")
+    run = ("run", "--model", "biomass", "--scheme", "explicit-euler")
+    for command in (exact, run):
+        assert run_cli(*command, "--dt", dt, "--tend", tend, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_identical_invocations_are_byte_identical(tmp_path):
     args = (
         "run", "--model", "seasonal", "--scheme", "scalar-nsfd",

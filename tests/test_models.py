@@ -217,6 +217,14 @@ def test_oscillator_exact_initial_state(oscillator):
     assert abs(state[1]) <= 1e-15
 
 
+@pytest.mark.parametrize("kind", ["oscillator", "biomass", "trees", "seasonal"])
+def test_exact_at_zero_is_the_initial_state_bitwise(kind):
+    model = nl.make_model(kind)
+    bits = model.initial_state.view(np.uint64)
+    assert np.array_equal(np.asarray(model.exact(0.0)).view(np.uint64), bits)
+    assert np.array_equal(model.exact(np.zeros(1))[0].view(np.uint64), bits)
+
+
 def test_oscillator_energy_values(oscillator):
     assert mo.oscillator_energy(np.array([0.0, 0.0])) == 0.0
     assert abs(mo.oscillator_energy(oscillator.exact(0.0)) - OSC_ENERGY) <= 1e-15
