@@ -39,12 +39,12 @@ state forcing takes (models.Forcing), so no step needs an iterative solve.
 For the conservative oscillator x'' + x + x^2 = 0 three dedicated two-level
 recurrences are provided, all sharing the exact linear denominator
 (2 sin(dt/2))^2; they differ in the discretization of the quadratic term.
-step_osc_second_order takes one step; integrate runs each recurrence as one
-loop on Python floats (_osc_levels) whose levels equal it bitwise.
+integrate runs each recurrence as one loop on Python floats (_osc_levels).
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -292,17 +292,16 @@ def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarr
       implicit Euler          sigma = s+^2,    s+ = 2 u.p / (1 + sqrt(1 - 4 c u.p))
 
     Implicit Euler's s+ is the root of s = u.p + c s^2 that tends to u.p as
-    dt -> 0, in the form that does not cancel.  A zero pivot, or a
-    negative or non-finite discriminant, raises RuntimeError with the step
-    index.  The levels stop at the first non-finite one, which is kept.
+    dt -> 0, in the form that does not cancel.  Each rule is one loop.  A
+    zero pivot raises RuntimeError with the step index, from the division's
+    ZeroDivisionError; so does a negative or overflowing discriminant of a
+    finite state.  Finiteness is checked once, after the loop, and the
+    levels end at the first non-finite one, which is kept.  Every level
+    after it is NaN or +-inf, and so is its pivot, so a run that blows up
+    steps on to its horizon (implicit Euler stops at its discriminant test)
+    and costs what a finite run costs.
     """
     kind = ctx.scheme.kind
-    if kind == IMPLICIT_EULER:
-        rule = IMPLICIT_EULER
-    elif kind == EXPLICIT_EULER or ctx.scheme.nonlocal_b == NONLOCAL_EXPLICIT:
-        rule = NONLOCAL_EXPLICIT
-    else:
-        rule = NONLOCAL_SEMI_IMPLICIT
     b, u = ctx.model.forcing.quadratic
     (dxx, dxy), (dyx, dyy) = ctx.d.tolist()
     wx, wy = (ctx.q @ b).tolist()
@@ -310,37 +309,56 @@ def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarr
     c = ux * wx + uy * wy
     x, y = (float(v) for v in x0)
     # the levels as raw doubles, x and y interleaved: no float object per level
-    from array import array
-
     levels = array("d", (x, y))
-    for k in range(n_steps):
-        dx = dxx * x + dxy * y
-        dy = dyx * x + dyy * y
-        s = ux * x + uy * y
-        if rule == NONLOCAL_EXPLICIT:
-            sigma = s * s
-        else:
+    append = levels.append
+    if kind == IMPLICIT_EULER:
+        inf, sqrt = math.inf, math.sqrt
+        for k in range(n_steps):
+            dx = dxx * x + dxy * y
+            dy = dyx * x + dyy * y
             up = ux * (x + dx) + uy * (y + dy)
-            if rule == NONLOCAL_SEMI_IMPLICIT:
-                pivot = 1.0 - c * s
-                if pivot == 0.0:
-                    raise RuntimeError(f"step {k}: semi-implicit product step has a zero pivot")
-                sigma = s * (up / pivot)
-            else:
-                disc = 1.0 - 4.0 * c * up
-                if not 0.0 <= disc < math.inf:
-                    raise RuntimeError(
-                        f"step {k}: implicit quadratic step has no real solution "
-                        f"(discriminant {disc:.3e})"
-                    )
-                s_next = 2.0 * up / (1.0 + math.sqrt(disc))
-                sigma = s_next * s_next
-        x += dx + wx * sigma
-        y += dy + wy * sigma
-        levels.append(x)
-        levels.append(y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            break
+            disc = 1.0 - 4.0 * c * up
+            if not 0.0 <= disc < inf:
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    break  # the blow-up's first non-finite level is the last one
+                raise RuntimeError(
+                    f"step {k}: implicit quadratic step has no real solution "
+                    f"(discriminant {disc:.3e})"
+                )
+            s_next = 2.0 * up / (1.0 + sqrt(disc))
+            sigma = s_next * s_next
+            x += dx + wx * sigma
+            y += dy + wy * sigma
+            append(x)
+            append(y)
+    elif kind == EXPLICIT_EULER or ctx.scheme.nonlocal_b == NONLOCAL_EXPLICIT:
+        for _ in range(n_steps):
+            dx = dxx * x + dxy * y
+            dy = dyx * x + dyy * y
+            s = ux * x + uy * y
+            sigma = s * s
+            x += dx + wx * sigma
+            y += dy + wy * sigma
+            append(x)
+            append(y)
+    else:
+        try:
+            for k in range(n_steps):
+                dx = dxx * x + dxy * y
+                dy = dyx * x + dyy * y
+                s = ux * x + uy * y
+                up = ux * (x + dx) + uy * (y + dy)
+                sigma = s * (up / (1.0 - c * s))
+                x += dx + wx * sigma
+                y += dy + wy * sigma
+                append(x)
+                append(y)
+        except ZeroDivisionError:
+            raise RuntimeError(f"step {k}: semi-implicit product step has a zero pivot") from None
+    # the last level is finite exactly when every level is
+    if not (math.isfinite(x) and math.isfinite(y)):
+        first = int(np.argmin(np.isfinite(np.frombuffer(levels)))) // 2
+        del levels[2 * first + 2 :]
     return np.frombuffer(levels).reshape(-1, 2)
 
 
@@ -421,55 +439,26 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         if ctx.model.forcing.kind == "state":
             states = _quadratic_march(ctx, x0, n_steps)
-            scanned = False
+            # it ends at its first non-finite level, so its last level checks all
+            checked = bool(np.isfinite(states[-1]).all())
         else:
             levels = np.empty((ctx.model.n, n_steps + 1))
             levels[:, 0] = x0
             c = ctx.q @ approximate_forcing(ctx, time_grid(n_steps, ctx.dt)).T
             levels[:, 1:] = c
-            scanned = _affine_scan(ctx.d, levels)
-            if not scanned:
+            checked = _affine_scan(ctx.d, levels)
+            if not checked:
                 levels[:, 1:] = c  # the scan never writes level 0
                 _affine_loop(ctx.d, levels)
             states = levels.T
     blow_up = None
-    if not scanned:  # a successful scan has checked every level
+    if not checked:  # a successful scan has checked every level
         finite = np.all(np.isfinite(states), axis=1)
         if not finite.all():
             blow_up = int(np.argmin(finite))
             states = states[:blow_up]
     times = time_grid(states.shape[0], ctx.dt)
     return Trajectory(times=times, states=states, blow_up_step=blow_up)
-
-
-def step_osc_second_order(ctx: StepContext, x_prev: float, x_curr: float) -> float:
-    """One step of a two-level oscillator recurrence: (x_{k-1}, x_k) -> x_{k+1}.
-
-    All three variants share (x_{k+1} - 2 x_k + x_{k-1})/(2 sin(dt/2))^2
-    + x_k for the linear part and differ in the quadratic term:
-
-      mickens-osc1   cos^2(dt/2) x_k^2                     (explicit)
-      mickens-osc2   cos^2(dt/2) x_k (x_{k+1} + x_{k-1})/2 (linear solve)
-      corrected-osc  x_k (x_{k+1} + x_{k-1})/2 on the right-hand side,
-                     i.e. the averaged product form with no cos^2 factor
-                     (linear solve)
-
-    The recurrences are invariant under swapping x_{k+1} and x_{k-1}, so
-    stepping with the reversed pair walks the same orbit backwards.
-    """
-    s2 = ctx.denom
-    kind = ctx.scheme.kind
-    if kind == MICKENS_OSC1:
-        return 2.0 * x_curr - x_prev - s2 * (x_curr + ctx.cos_half_sq * x_curr * x_curr)
-    if kind == MICKENS_OSC2:
-        pivot = 1.0 + 0.5 * s2 * ctx.cos_half_sq * x_curr
-        rhs = 2.0 * x_curr - x_prev - s2 * (x_curr + 0.5 * ctx.cos_half_sq * x_curr * x_prev)
-    else:
-        pivot = 1.0 + 0.5 * s2 * x_curr
-        rhs = 2.0 * x_curr - x_prev - s2 * (x_curr + 0.5 * x_curr * x_prev)
-    if pivot == 0.0:
-        raise ZeroDivisionError(f"degenerate pivot in {kind} update (x_k = {x_curr!r})")
-    return rhs / pivot
 
 
 def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=None) -> Trajectory:
@@ -535,42 +524,55 @@ def _osc_velocity(ctx: StepContext, x_k, x_next):
     return y
 
 
-def _osc_levels(ctx: StepContext, levels, n_steps: int) -> None:
+def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
     """Extend levels, an array of doubles ending in (x_0, x_1), by the
     levels x_2, x_3, ... of a two-level recurrence, up to x_{n_steps+1} or
     up to the first non-finite level, which is left out.
 
-    This is step_osc_second_order with its constants and scheme branch
-    taken out of the loop, on Python floats; its levels equal that
-    function's bitwise.
+    All three variants share (x_{k+1} - 2 x_k + x_{k-1})/(2 sin(dt/2))^2
+    + x_k for the linear part and differ in the quadratic term:
+
+      mickens-osc1   cos^2(dt/2) x_k^2                     (explicit)
+      mickens-osc2   cos^2(dt/2) x_k (x_{k+1} + x_{k-1})/2 (linear solve)
+      corrected-osc  x_k (x_{k+1} + x_{k-1})/2 on the right-hand side,
+                     i.e. the averaged product form with no cos^2 factor
+                     (linear solve)
+
+    Each variant is one loop on Python floats.  A zero pivot 1 + g x_k
+    raises ZeroDivisionError with the step index and x_k, from the division.
+    Finiteness is checked once, after the loop: every level after the first
+    non-finite one is NaN or +-inf, and so is its pivot, so a run that blows
+    up steps on to its horizon and costs what a finite run costs.
     """
     kind = ctx.scheme.kind
     s2 = ctx.denom
+    append = levels.append
     x_prev, x_curr = levels[-2], levels[-1]
     if kind == MICKENS_OSC1:
         c2 = ctx.cos_half_sq
         for _ in range(n_steps):
             x_prev, x_curr = x_curr, 2.0 * x_curr - x_prev - s2 * (x_curr + c2 * x_curr * x_curr)
-            if not math.isfinite(x_curr):
-                break
-            levels.append(x_curr)
-        return
-    # the pivot and product weights of step_osc_second_order, grouped as it
-    # groups them: pivot = 1 + g x_k, product term h x_k x_{k-1}
-    if kind == MICKENS_OSC2:
-        g, h = 0.5 * s2 * ctx.cos_half_sq, 0.5 * ctx.cos_half_sq
+            append(x_curr)
     else:
-        g, h = 0.5 * s2, 0.5
-    for k in range(1, n_steps + 1):
-        pivot = 1.0 + g * x_curr
-        if pivot == 0.0:
+        # pivot = 1 + g x_k, product term h x_k x_{k-1}
+        if kind == MICKENS_OSC2:
+            g, h = 0.5 * s2 * ctx.cos_half_sq, 0.5 * ctx.cos_half_sq
+        else:
+            g, h = 0.5 * s2, 0.5
+        try:
+            for k in range(1, n_steps + 1):
+                x_prev, x_curr = x_curr, (
+                    2.0 * x_curr - x_prev - s2 * (x_curr + h * x_curr * x_prev)
+                ) / (1.0 + g * x_curr)
+                append(x_curr)
+        except ZeroDivisionError:
+            # the tuple assignment did not complete: x_curr is still x_k
             raise ZeroDivisionError(
                 f"step {k}: degenerate pivot in {kind} update (x_k = {x_curr!r})"
-            )
-        x_prev, x_curr = x_curr, (2.0 * x_curr - x_prev - s2 * (x_curr + h * x_curr * x_prev)) / pivot
-        if not math.isfinite(x_curr):
-            break
-        levels.append(x_curr)
+            ) from None
+    # the last level is finite exactly when every level is
+    if not math.isfinite(x_curr):
+        del levels[int(np.argmin(np.isfinite(np.frombuffer(levels)))) :]
 
 
 def _integrate_second_order(ctx: StepContext, state0: np.ndarray, n_steps: int) -> Trajectory:
@@ -582,8 +584,6 @@ def _integrate_second_order(ctx: StepContext, state0: np.ndarray, n_steps: int) 
     velocity of the final state.
     """
     # the levels as raw doubles: no float object per level
-    from array import array
-
     xs = array("d", (state0[0],))
     startup = march(ctx.startup, state0, 1)
     if startup.blow_up_step is None:

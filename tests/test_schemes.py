@@ -2,7 +2,9 @@
 treatments, equilibria, reversibility, and blow-up bookkeeping."""
 import dataclasses
 import math
+import re
 import types
+from array import array
 
 import mpmath
 import numpy as np
@@ -441,6 +443,30 @@ def test_compiled_affine_maps_match_independent_oracles(system):
 # ---------------------------------------------------------------------------
 
 
+def step_osc_second_order(ctx, x_prev, x_curr):
+    """One step of a two-level oscillator recurrence, (x_{k-1}, x_k) ->
+    x_{k+1}, with the scheme chosen and the pivot tested per step: the
+    per-step reference whose levels the loops of schemes._osc_levels equal
+    bitwise.
+
+    The recurrences are invariant under swapping x_{k+1} and x_{k-1}, so
+    stepping with the reversed pair walks the same orbit backwards.
+    """
+    s2 = ctx.denom
+    kind = ctx.scheme.kind
+    if kind == "mickens-osc1":
+        return 2.0 * x_curr - x_prev - s2 * (x_curr + ctx.cos_half_sq * x_curr * x_curr)
+    if kind == "mickens-osc2":
+        pivot = 1.0 + 0.5 * s2 * ctx.cos_half_sq * x_curr
+        rhs = 2.0 * x_curr - x_prev - s2 * (x_curr + 0.5 * ctx.cos_half_sq * x_curr * x_prev)
+    else:
+        pivot = 1.0 + 0.5 * s2 * x_curr
+        rhs = 2.0 * x_curr - x_prev - s2 * (x_curr + 0.5 * x_curr * x_prev)
+    if pivot == 0.0:
+        raise ZeroDivisionError(f"degenerate pivot in {kind} update (x_k = {x_curr!r})")
+    return rhs / pivot
+
+
 def test_second_order_hand_steps(oscillator):
     dt = 0.1
     s2 = (2.0 * math.sin(dt / 2.0)) ** 2
@@ -449,19 +475,19 @@ def test_second_order_hand_steps(oscillator):
 
     ctx = sch.StepContext(oscillator, nl.SchemeSpec("mickens-osc1"), dt)
     expected = 2 * x_curr - x_prev - s2 * (x_curr + c2 * x_curr * x_curr)
-    assert sch.step_osc_second_order(ctx, x_prev, x_curr) == expected
+    assert step_osc_second_order(ctx, x_prev, x_curr) == expected
 
     ctx = sch.StepContext(oscillator, nl.SchemeSpec("mickens-osc2"), dt)
     expected = (2 * x_curr - x_prev - s2 * (x_curr + 0.5 * c2 * x_curr * x_prev)) / (
         1.0 + 0.5 * s2 * c2 * x_curr
     )
-    assert abs(sch.step_osc_second_order(ctx, x_prev, x_curr) - expected) <= 1e-16
+    assert abs(step_osc_second_order(ctx, x_prev, x_curr) - expected) <= 1e-16
 
     ctx = sch.StepContext(oscillator, nl.SchemeSpec("corrected-osc"), dt)
     expected = (2 * x_curr - x_prev - s2 * (x_curr + 0.5 * x_curr * x_prev)) / (
         1.0 + 0.5 * s2 * x_curr
     )
-    assert abs(sch.step_osc_second_order(ctx, x_prev, x_curr) - expected) <= 1e-16
+    assert abs(step_osc_second_order(ctx, x_prev, x_curr) - expected) <= 1e-16
 
 
 @pytest.mark.parametrize("kind", ["mickens-osc1", "mickens-osc2", "corrected-osc"])
@@ -489,7 +515,11 @@ def test_second_order_degenerate_pivot_raises(oscillator, kind):
     c2 = math.cos(dt / 2.0) ** 2
     bad = -2.0 / (s2 * c2) if kind == "mickens-osc2" else -2.0 / s2
     with pytest.raises(ZeroDivisionError, match="degenerate pivot"):
-        sch.step_osc_second_order(ctx, 0.0, bad)
+        step_osc_second_order(ctx, 0.0, bad)
+    # the loop's own path: the division raises at step 1 (x_2 from x_0, x_1)
+    expected = f"step 1: degenerate pivot in {kind} update (x_k = {bad!r})"
+    with pytest.raises(ZeroDivisionError, match=re.escape(expected)):
+        sch._osc_levels(ctx, array("d", (0.0, bad)), 3)
 
 
 @pytest.mark.parametrize("kind", ["mickens-osc1", "mickens-osc2", "corrected-osc"])
@@ -500,10 +530,10 @@ def test_second_order_time_reversal(oscillator, kind):
     ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), dt)
     xs = [0.25, 0.24]
     for _ in range(50):
-        xs.append(sch.step_osc_second_order(ctx, xs[-2], xs[-1]))
+        xs.append(step_osc_second_order(ctx, xs[-2], xs[-1]))
     back = [xs[-1], xs[-2]]
     for _ in range(50):
-        back.append(sch.step_osc_second_order(ctx, back[-2], back[-1]))
+        back.append(step_osc_second_order(ctx, back[-2], back[-1]))
     assert abs(back[-1] - xs[0]) <= 1e-10
     assert abs(back[-2] - xs[1]) <= 1e-10
 
@@ -550,7 +580,7 @@ def test_velocities_equal_the_per_level_formula_bitwise(oscillator, kind, dt, x0
     xs = [float(x) for x in traj.states[:, 0]]
     if traj.blow_up_step is None:
         # the spare level past the horizon
-        xs.append(float(sch.step_osc_second_order(ctx, xs[-2], xs[-1])))
+        xs.append(float(step_osc_second_order(ctx, xs[-2], xs[-1])))
     ys = [0.0]
     for k in range(1, traj.states.shape[0]):
         if k + 1 < len(xs):
@@ -696,6 +726,66 @@ def solve_loop_oracle(ctx, x0, n_steps):
     return np.array(states)
 
 
+def quadratic_step(ctx, k, x, y):
+    """Step k of the closed form of a quadratic state forcing on Python
+    floats, with the rule chosen and the pivot and discriminant tested per
+    step: the per-step reference whose levels, and step-indexed errors, the
+    loops of schemes._quadratic_march equal bitwise."""
+    b, u = ctx.model.forcing.quadratic
+    (dxx, dxy), (dyx, dyy) = ctx.d.tolist()
+    wx, wy = (ctx.q @ b).tolist()
+    ux, uy = u.tolist()
+    c = ux * wx + uy * wy
+    kind = ctx.scheme.kind
+    if kind == "implicit-euler":
+        rule = "implicit"
+    elif kind == "explicit-euler" or ctx.scheme.nonlocal_b == sch.NONLOCAL_EXPLICIT:
+        rule = "explicit"
+    else:
+        rule = "semi-implicit"
+    dx = dxx * x + dxy * y
+    dy = dyx * x + dyy * y
+    s = ux * x + uy * y
+    if rule == "explicit":
+        sigma = s * s
+    else:
+        up = ux * (x + dx) + uy * (y + dy)
+        if rule == "semi-implicit":
+            pivot = 1.0 - c * s
+            if pivot == 0.0:
+                raise RuntimeError(f"step {k}: semi-implicit product step has a zero pivot")
+            sigma = s * (up / pivot)
+        else:
+            disc = 1.0 - 4.0 * c * up
+            if not 0.0 <= disc < math.inf:
+                raise RuntimeError(
+                    f"step {k}: implicit quadratic step has no real solution "
+                    f"(discriminant {disc:.3e})"
+                )
+            s_next = 2.0 * up / (1.0 + math.sqrt(disc))
+            sigma = s_next * s_next
+    return x + (dx + wx * sigma), y + (dy + wy * sigma)
+
+
+def quadratic_levels_oracle(ctx, x0, n_steps):
+    """The levels of quadratic_step from x0, up to and including the first
+    non-finite one."""
+    x, y = (float(v) for v in x0)
+    levels = [(x, y)]
+    for k in range(n_steps):
+        x, y = quadratic_step(ctx, k, x, y)
+        levels.append((x, y))
+        if not (math.isfinite(x) and math.isfinite(y)):
+            break
+    return np.array(levels)
+
+
+def assert_bitwise_equal(actual, expected):
+    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize("nonlocal_b", sch.NONLOCAL_KINDS)
 @pytest.mark.parametrize("kind", ONE_STEP_KINDS)
 def test_quadratic_steps_match_the_solve_loop_oracle(oscillator, kind, nonlocal_b):
@@ -706,6 +796,17 @@ def test_quadratic_steps_match_the_solve_loop_oracle(oscillator, kind, nonlocal_
     assert traj.blow_up_step is None
     gap = np.max(np.abs(traj.states - oracle)) / np.max(np.abs(oracle))
     assert gap <= 1e-13, gap
+
+
+@pytest.mark.parametrize("nonlocal_b", sch.NONLOCAL_KINDS)
+@pytest.mark.parametrize("kind", ONE_STEP_KINDS)
+def test_quadratic_loops_equal_the_per_step_oracle_bitwise(oscillator, kind, nonlocal_b):
+    general = quadratic_model([0.3, -0.7], [0.6, 0.8])
+    for model, x0 in ((oscillator, oscillator.initial_state), (general, np.array([0.2, -0.1]))):
+        ctx = sch.StepContext(model, nl.SchemeSpec(kind, nonlocal_b=nonlocal_b), 0.01)
+        traj = sch.march(ctx, x0, 2000)
+        assert traj.blow_up_step is None
+        assert_bitwise_equal(traj.states, quadratic_levels_oracle(ctx, x0, 2000))
 
 
 _normal_unit = st.floats(-1.0, 1.0, allow_subnormal=False)
@@ -839,10 +940,154 @@ def test_second_order_loop_equals_the_per_step_function_bitwise(oscillator, kind
     ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), dt)
     xs = [float(traj.states[0, 0]), float(traj.states[1, 0])]
     while len(xs) <= traj.states.shape[0]:
-        xs.append(sch.step_osc_second_order(ctx, xs[-2], xs[-1]))
+        xs.append(step_osc_second_order(ctx, xs[-2], xs[-1]))
     np.testing.assert_array_equal(traj.states[:, 0], xs[:-1])
     # the level past the kept ones is the spare level, or non-finite
     assert math.isfinite(xs[-1]) == (traj.blow_up_step is None)
+
+
+def osc_levels_oracle(ctx, xs, n_steps):
+    """Extend the list xs, ending in (x_0, x_1), by the per-step function up
+    to x_{n_steps+1}, ending before the first non-finite level; a zero
+    pivot at step k raises with "step k: " prefixed."""
+    for k in range(1, n_steps + 1):
+        try:
+            nxt = step_osc_second_order(ctx, xs[-2], xs[-1])
+        except ZeroDivisionError as exc:
+            raise ZeroDivisionError(f"step {k}: {exc}") from None
+        if not math.isfinite(nxt):
+            break
+        xs.append(nxt)
+    return xs
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (RuntimeError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(actual, expected):
+    """Each is (levels, blow_up_step), the levels compared bitwise, or the
+    (type, message) of an error."""
+    if isinstance(expected[0], type):
+        assert isinstance(actual[0], type) and actual == expected, actual
+    else:
+        assert not isinstance(actual[0], type), actual
+        assert actual[1] == expected[1]
+        assert_bitwise_equal(actual[0], expected[0])
+
+
+def quadratic_outcomes(ctx, x0, n_steps):
+    """The outcomes of march and of the per-step oracle, whose levels are
+    cut before their first non-finite one."""
+    traj = outcome(sch.march, ctx, x0, n_steps)
+    if isinstance(traj, sch.Trajectory):
+        traj = traj.states, traj.blow_up_step
+    oracle = outcome(quadratic_levels_oracle, ctx, x0, n_steps)
+    if not isinstance(oracle[0], type):
+        blow_up = first_non_finite(oracle)
+        oracle = oracle[:blow_up], blow_up
+    return traj, oracle
+
+
+def second_order_outcomes(ctx, x0, n_steps):
+    """The outcomes, as x levels, of integrate's two-level route and of the
+    per-step oracles."""
+    traj = outcome(sch._integrate_second_order, ctx, x0, n_steps)
+    if isinstance(traj, sch.Trajectory):
+        traj = traj.states[:, 0], traj.blow_up_step
+    xs = [float(x0[0])]
+    startup = quadratic_levels_oracle(ctx.startup, x0, 1)
+    if np.isfinite(startup[-1]).all():
+        xs = outcome(osc_levels_oracle, ctx, xs + [float(startup[1, 0])], n_steps)
+        if isinstance(xs[0], type):
+            return traj, xs
+    last = len(xs) - 1
+    blow_up = last + 1 if last < n_steps else None
+    return traj, (np.array(xs[: n_steps + 1 if blow_up is None else blow_up]), blow_up)
+
+
+# starts whose levels overflow to inf and then NaN, or meet a negative or
+# overflowing discriminant, within a few steps
+EDGE_STARTS = (
+    (1e80, 0.0), (-1e154, 1e154), (1e300, -1e300), (1e308, 0.0), (1e308, 1e308),
+    (3.0, 1e308), (5e307, -1e308), (-5.0, 0.0), (3.0, -2.0),
+)
+
+
+@pytest.mark.parametrize(
+    "kind, nonlocal_b",
+    [(kind, sch.NONLOCAL_SEMI_IMPLICIT) for kind in ONE_STEP_KINDS]
+    + [("scalar-nsfd", sch.NONLOCAL_EXPLICIT), ("matrix-nsfd", sch.NONLOCAL_EXPLICIT)]
+    + [(kind, sch.NONLOCAL_SEMI_IMPLICIT) for kind in sch.SECOND_ORDER_KINDS],
+)
+def test_blow_ups_and_raises_match_the_per_step_oracles(oscillator, kind, nonlocal_b):
+    spec = nl.SchemeSpec(kind, nonlocal_b=nonlocal_b)
+    models, outcomes = (oscillator, quadratic_model([0.3, -0.7], [0.6, 0.8])), quadratic_outcomes
+    if kind in sch.SECOND_ORDER_KINDS:
+        models, outcomes = (oscillator,), second_order_outcomes
+    for model in models:
+        for dt in (0.1, 0.5, 1.0, 2.5):
+            ctx = sch.StepContext(model, spec, dt)
+            for start in EDGE_STARTS:
+                assert_same_outcome(*outcomes(ctx, np.array(start), 40))
+
+
+@pytest.mark.parametrize(
+    "kind, forcing, dt, start, expected",
+    [
+        # level 1 overflows; the non-finite state then reaches the
+        # discriminant test: a blow-up, not a raise
+        ("implicit-euler", "oscillator", 0.1, (1e308, 0.0), 1),
+        # finite states whose discriminant overflows, or is negative
+        ("implicit-euler", "oscillator", 1.0, (1e308, 1e308), "step 0: .*discriminant inf"),
+        ("implicit-euler", "oscillator", 0.1, (-5.0, 0.0), "step 7: .*discriminant -"),
+        # Q = dt I and b = u = e_1: s_1 = 2 = 1/c, a zero pivot at step 1
+        ("traditional-nsfd", "e1", 0.5, (1.0, 0.0), "step 1: .*zero pivot"),
+    ],
+)
+def test_quadratic_edges_match_the_per_step_oracle(oscillator, kind, forcing, dt, start, expected):
+    model = oscillator if forcing == "oscillator" else quadratic_model([1.0, 0.0], [1.0, 0.0])
+    ctx = sch.StepContext(model, nl.SchemeSpec(kind), dt)
+    traj, oracle = quadratic_outcomes(ctx, np.array(start), 40)
+    assert_same_outcome(traj, oracle)
+    if isinstance(expected, int):
+        assert oracle[1] == expected
+    else:
+        assert oracle[0] is RuntimeError and re.match(expected, oracle[1]), oracle
+
+
+@pytest.mark.parametrize("kind", ["mickens-osc2", "corrected-osc"])
+def test_second_order_zero_pivot_after_the_first_step(oscillator, kind):
+    # x_0 is searched one ulp at a time near the time-reversed step from
+    # (bad, x_1), so that x_2 has the zero pivot of
+    # test_second_order_degenerate_pivot_raises: the loop raises at step 2
+    dt, x1 = 0.1, 0.5
+    ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), dt)
+    s2 = (2.0 * math.sin(dt / 2.0)) ** 2
+    c2 = math.cos(dt / 2.0) ** 2
+    bad = -2.0 / (s2 * c2) if kind == "mickens-osc2" else -2.0 / s2
+    up = down = step_osc_second_order(ctx, bad, x1)
+    for _ in range(5000):
+        x0 = next((x for x in (up, down) if pivot_is_zero(ctx, x, x1)), None)
+        if x0 is not None:
+            break
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+    expected = outcome(osc_levels_oracle, ctx, [x0, x1], 5)
+    assert expected[0] is ZeroDivisionError and expected[1].startswith("step 2: "), expected
+    assert_same_outcome(outcome(sch._osc_levels, ctx, array("d", (x0, x1)), 5), expected)
+
+
+def pivot_is_zero(ctx, x0, x1):
+    """Whether x_2, the step from (x_0, x_1), has a zero pivot."""
+    try:
+        step_osc_second_order(ctx, x1, step_osc_second_order(ctx, x0, x1))
+    except ZeroDivisionError:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
