@@ -150,16 +150,6 @@ class Forcing:
         if self.state_fn is None:
             object.__setattr__(self, "state_fn", _rank_one_square(b, u))
 
-    def pointwise(self, t: float, x: np.ndarray) -> np.ndarray:
-        """B evaluated at one time/state point."""
-        if self.kind == "none":
-            return np.zeros_like(np.asarray(x, dtype=float))
-        if self.kind == "constant":
-            return self.constant
-        if self.kind == "time":
-            return self.time_fn(t)
-        return self.state_fn(x)
-
 
 def _rank_one_square(b: np.ndarray, u: np.ndarray):
     """x -> b (u.x)^2 over the nonzero entries of b and u."""
@@ -201,7 +191,17 @@ class OdeModel:
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         """The vector field A x + B(t, x)."""
-        return self.a_matrix @ np.asarray(x, dtype=float) + self.forcing.pointwise(t, x)
+        x = np.asarray(x, dtype=float)
+        f = self.forcing
+        if f.kind == "constant":
+            b = f.constant
+        elif f.kind == "time":
+            b = f.time_fn(t)
+        elif f.kind == "state":
+            b = f.state_fn(x)
+        else:  # "none"
+            b = 0.0
+        return self.a_matrix @ x + b
 
 
 # --------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,13 +133,13 @@ class Trajectory:
     times[k] = k dt; states, of shape (len(times), n), has the n-vector at
     level k as states[k], with states[0] the given initial state.  The
     memory layout of states is not part of the contract: it may be a
-    transposed view.  If a step produced a non-finite state the trajectory
-    is truncated to the finite part and blow_up_step records the
-    index of the first non-finite level.  coeff_warning is the warning on
-    the step coefficients (StepCoefficients.warning: eigenvalue fallback,
-    spectrum not closed under conjugation), those of the one-step start-up
-    for a two-level recurrence; it is None without a warning or without
-    coefficients.
+    transposed view.  On every route a trajectory ends before its first
+    non-finite state: every entry of states is finite, and blow_up_step is
+    the index of the first level with a non-finite entry (None if there is
+    none).  coeff_warning is the warning on the step coefficients
+    (StepCoefficients.warning: eigenvalue fallback, spectrum not closed
+    under conjugation), those of the one-step start-up for a two-level
+    recurrence; it is None without a warning or without coefficients.
     """
 
     times: np.ndarray
@@ -169,8 +169,8 @@ class StepContext:
     keeps the same increment form for the powers P^s while max|P^s - I|
     <= 1/2, and squares P^s itself beyond that.  A second-order
     oscillator scheme holds its recurrence constants and the context of its
-    one-step start-up instead.  coeffs is None for every scheme but the
-    scalar and gamma ones.
+    one-step start-up instead, and that start-up's coeffs.  coeffs is None
+    for the Euler, traditional and matrix schemes.
 
     A state forcing is stepped in closed form for n = 2 only; any other n
     raises ValueError.
@@ -234,6 +234,7 @@ class StepContext:
             self.startup = StepContext(
                 model, SchemeSpec(SCALAR_NSFD, nonlocal_b=NONLOCAL_SEMI_IMPLICIT), dt
             )
+            self.coeffs = self.startup.coeffs
 
 
 # the Euler schemes fix their time sample by definition
@@ -295,11 +296,10 @@ def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarr
     dt -> 0, in the form that does not cancel.  Each rule is one loop.  A
     zero pivot raises RuntimeError with the step index, from the division's
     ZeroDivisionError; so does a negative or overflowing discriminant of a
-    finite state.  Finiteness is checked once, after the loop, and the
-    levels end at the first non-finite one, which is kept.  Every level
-    after it is NaN or +-inf, and so is its pivot, so a run that blows up
-    steps on to its horizon (implicit Euler stops at its discriminant test)
-    and costs what a finite run costs.
+    finite state.  The levels are raw: finiteness is left to _finite_prefix.
+    Every level after the first non-finite one is NaN or +-inf, and so is
+    its pivot, so a run that blows up steps on to its horizon (implicit
+    Euler stops at its discriminant test) and costs what a finite run costs.
     """
     kind = ctx.scheme.kind
     b, u = ctx.model.forcing.quadratic
@@ -355,10 +355,6 @@ def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarr
                 append(y)
         except ZeroDivisionError:
             raise RuntimeError(f"step {k}: semi-implicit product step has a zero pivot") from None
-    # the last level is finite exactly when every level is
-    if not (math.isfinite(x) and math.isfinite(y)):
-        first = int(np.argmin(np.isfinite(np.frombuffer(levels)))) // 2
-        del levels[2 * first + 2 :]
     return np.frombuffer(levels).reshape(-1, 2)
 
 
@@ -432,43 +428,45 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
     are the sequential recurrence's.
     A state forcing, the declared quadratic, steps in closed form
     (_quadratic_march).  Solver failures raise with the step index
-    attached; a non-finite state truncates the trajectory and records
-    blow_up_step.
+    attached; the trajectory ends before its first non-finite state
+    (_finite_prefix).
     """
     # overflow is a recorded outcome, not a warning condition
     with np.errstate(over="ignore", invalid="ignore"):
         if ctx.model.forcing.kind == "state":
             states = _quadratic_march(ctx, x0, n_steps)
-            # it ends at its first non-finite level, so its last level checks all
-            checked = bool(np.isfinite(states[-1]).all())
         else:
             levels = np.empty((ctx.model.n, n_steps + 1))
             levels[:, 0] = x0
             c = ctx.q @ approximate_forcing(ctx, time_grid(n_steps, ctx.dt)).T
             levels[:, 1:] = c
-            checked = _affine_scan(ctx.d, levels)
-            if not checked:
+            if not _affine_scan(ctx.d, levels):
                 levels[:, 1:] = c  # the scan never writes level 0
                 _affine_loop(ctx.d, levels)
             states = levels.T
+    return _finite_prefix(ctx, states)
+
+
+def _finite_prefix(ctx: StepContext, states: np.ndarray) -> Trajectory:
+    """The trajectory of the raw levels states[k] on ctx's grid, with ctx's
+    coefficient warning, ending before its first level with a non-finite
+    entry, the blow_up_step.  Every stepping route returns through here."""
     blow_up = None
-    if not checked:  # a successful scan has checked every level
-        finite = np.all(np.isfinite(states), axis=1)
-        if not finite.all():
-            blow_up = int(np.argmin(finite))
-            states = states[:blow_up]
-    times = time_grid(states.shape[0], ctx.dt)
-    return Trajectory(times=times, states=states, blow_up_step=blow_up)
+    if not np.isfinite(states).all():
+        blow_up = int(np.argmin(np.isfinite(states).all(axis=1)))
+        states = states[:blow_up]
+    warning = None if ctx.coeffs is None else ctx.coeffs.warning
+    return Trajectory(time_grid(states.shape[0], ctx.dt), states, blow_up, warning)
 
 
 def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=None) -> Trajectory:
     """March from t = 0 to t_end = floor(t_end/dt) steps of size dt.
 
     x0 defaults to the model's initial state and must be finite, like dt
-    and t_end.  Solver failures raise with the step index attached; a
-    non-finite state truncates the trajectory and records blow_up_step
-    instead of raising.  The warning of the step coefficients, if any, is
-    carried as coeff_warning.
+    and t_end.  Solver failures raise with the step index attached; the
+    trajectory ends before its first non-finite state and records it as
+    blow_up_step instead of raising.  The warning of the step coefficients,
+    if any, is carried as coeff_warning.
     """
     n_steps = step_count(dt, t_end)
     state0 = np.array(model.initial_state if x0 is None else x0, dtype=float)
@@ -478,12 +476,8 @@ def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=N
         raise ValueError("initial state must be finite")
     ctx = StepContext(model, scheme, dt)
     if scheme.kind in SECOND_ORDER_KINDS:
-        traj, coeffs = _integrate_second_order(ctx, state0, n_steps), ctx.startup.coeffs
-    else:
-        traj, coeffs = march(ctx, state0, n_steps), ctx.coeffs
-    if coeffs is not None:
-        traj = replace(traj, coeff_warning=coeffs.warning)
-    return traj
+        return _integrate_second_order(ctx, state0, n_steps)
+    return march(ctx, state0, n_steps)
 
 
 def step_count(dt: float, t_end: float) -> int:
@@ -526,8 +520,7 @@ def _osc_velocity(ctx: StepContext, x_k, x_next):
 
 def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
     """Extend levels, an array of doubles ending in (x_0, x_1), by the
-    levels x_2, x_3, ... of a two-level recurrence, up to x_{n_steps+1} or
-    up to the first non-finite level, which is left out.
+    levels x_2 .. x_{n_steps+1} of a two-level recurrence.
 
     All three variants share (x_{k+1} - 2 x_k + x_{k-1})/(2 sin(dt/2))^2
     + x_k for the linear part and differ in the quadratic term:
@@ -540,9 +533,10 @@ def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
 
     Each variant is one loop on Python floats.  A zero pivot 1 + g x_k
     raises ZeroDivisionError with the step index and x_k, from the division.
-    Finiteness is checked once, after the loop: every level after the first
-    non-finite one is NaN or +-inf, and so is its pivot, so a run that blows
-    up steps on to its horizon and costs what a finite run costs.
+    The levels are raw: finiteness is left to _finite_prefix.  Every level
+    after the first non-finite one is NaN or +-inf, and so is its pivot, so
+    a run that blows up steps on to its horizon and costs what a finite run
+    costs.
     """
     kind = ctx.scheme.kind
     s2 = ctx.denom
@@ -570,9 +564,6 @@ def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
             raise ZeroDivisionError(
                 f"step {k}: degenerate pivot in {kind} update (x_k = {x_curr!r})"
             ) from None
-    # the last level is finite exactly when every level is
-    if not math.isfinite(x_curr):
-        del levels[int(np.argmin(np.isfinite(np.frombuffer(levels)))) :]
 
 
 def _integrate_second_order(ctx: StepContext, state0: np.ndarray, n_steps: int) -> Trajectory:
@@ -580,30 +571,28 @@ def _integrate_second_order(ctx: StepContext, state0: np.ndarray, n_steps: int) 
 
     Level 1 comes from one step of the corrected one-step system form, so
     convergence measurements reflect the recurrence itself rather than an
-    exact-solution seed.  One spare level beyond the horizon supplies the
-    velocity of the final state.
+    exact-solution seed; a start-up state that is not finite becomes
+    x_1 = NaN.  One spare level beyond the horizon supplies the velocity of
+    the final state.  The trajectory ends before its first non-finite
+    (x, y) state.
     """
+    x1, y1 = _quadratic_march(ctx.startup, state0, 1)[1]
     # the levels as raw doubles: no float object per level
-    xs = array("d", (state0[0],))
-    startup = march(ctx.startup, state0, 1)
-    if startup.blow_up_step is None:
-        xs.append(startup.states[-1, 0])
-        _osc_levels(ctx, xs, n_steps)
-    # xs holds the finite levels 0 .. last; a non-finite spare level only
-    # loses the forward velocity
-    last = len(xs) - 1
-    blow_up = last + 1 if last < n_steps else None
-    n_levels = n_steps + 1 if blow_up is None else blow_up
+    xs = array("d", (state0[0], x1 if math.isfinite(x1) and math.isfinite(y1) else math.nan))
+    _osc_levels(ctx, xs, n_steps)
     xs = np.frombuffer(xs)
-    states = np.empty((n_levels, 2))
-    states[0] = state0
-    states[1:, 0] = xs[1:n_levels]
-    # levels 1 .. fwd - 1 have a forward neighbor; at most the last lacks one
-    fwd = max(1, min(n_levels, last))
-    states[1:fwd, 1] = _osc_velocity(ctx, xs[1:fwd], xs[2 : fwd + 1])
-    if fwd < n_levels:
-        # the last level of a blow-up: by time reversal, minus the velocity
-        # of the step back to the preceding level (O(dt^2) from forward)
-        states[fwd, 1] = -_osc_velocity(ctx, xs[fwd], xs[fwd - 1])
-    times = time_grid(n_levels, ctx.dt)
-    return Trajectory(times=times, states=states, blow_up_step=blow_up)
+    states = np.empty((n_steps + 1, 2))
+    states[:, 0] = xs[:-1]
+    states[0, 1] = state0[1]
+    # overflow is a recorded outcome, not a warning condition
+    with np.errstate(over="ignore", invalid="ignore"):
+        states[1:, 1] = _osc_velocity(ctx, xs[1:-1], xs[2:])
+        finite = np.isfinite(xs)
+        if not finite.all():
+            # the last finite level lacks a finite forward neighbor: by time
+            # reversal, minus the velocity of the step back to the preceding
+            # level (O(dt^2) from forward)
+            last = int(np.argmin(finite)) - 1
+            if last > 0:  # level 0 keeps its given velocity
+                states[last, 1] = -_osc_velocity(ctx, xs[last], xs[last - 1])
+    return _finite_prefix(ctx, states)

@@ -360,10 +360,17 @@ def test_coefficient_warning_reaches_the_trajectory_and_report():
         dataclasses.replace(biomass, spectrum=None),
         dataclasses.replace(oscillator, spectrum=None),
     )
+    fallback = "spectrum recovered by eigenvalue fallback"
     for model, kind in [(no_spectrum[0], "scalar-nsfd"), (no_spectrum[1], "corrected-osc")]:
         traj, _, report = nl.run_experiment(model, nl.SchemeSpec(kind), 0.1, 1.0)
-        assert traj.coeff_warning.startswith("spectrum recovered by eigenvalue fallback")
+        assert traj.coeff_warning.startswith(fallback)
         assert report.coeff_warning == traj.coeff_warning
+    # the stepping kernel itself, and a run that ends at a blow-up
+    ctx = nl.StepContext(no_spectrum[0], nl.SchemeSpec("scalar-nsfd"), 0.1)
+    assert sch.march(ctx, no_spectrum[0].initial_state, 10).coeff_warning.startswith(fallback)
+    for kind in ("scalar-nsfd", "corrected-osc"):
+        traj = nl.integrate(no_spectrum[1], nl.SchemeSpec(kind), 0.1, 4.0, x0=[3.0, 1e308])
+        assert traj.blow_up_step is not None and traj.coeff_warning.startswith(fallback)
     # a declared spectrum warns of nothing; the other schemes build no coefficients
     for model, kind in [
         (biomass, "scalar-nsfd"),

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import types
+import warnings
 from array import array
 
 import mpmath
@@ -467,6 +468,16 @@ def step_osc_second_order(ctx, x_prev, x_curr):
     return rhs / pivot
 
 
+def velocity_oracle(ctx, x_k, x_next):
+    """y_k from the one-step system row, on Python floats, which overflow
+    with no warning: (x_next - cos(dt) x_k)/sin(dt), plus tan(dt/2) x_k
+    x_next for corrected-osc."""
+    y = (x_next - math.cos(ctx.dt) * x_k) / math.sin(ctx.dt)
+    if ctx.scheme.kind == "corrected-osc":
+        y += math.tan(ctx.dt / 2.0) * x_k * x_next
+    return y
+
+
 def test_second_order_hand_steps(oscillator):
     dt = 0.1
     s2 = (2.0 * math.sin(dt / 2.0)) ** 2
@@ -575,8 +586,6 @@ def test_velocities_equal_the_per_level_formula_bitwise(oscillator, kind, dt, x0
     traj = nl.integrate(oscillator, nl.SchemeSpec(kind), dt, 5.0, x0=np.array([x0, 0.0]))
     assert traj.blow_up_step == blow_up
     ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), dt)
-    corrected = kind == "corrected-osc"
-    cos, sin, tan_half = math.cos(dt), math.sin(dt), math.tan(dt / 2.0)
     xs = [float(x) for x in traj.states[:, 0]]
     if traj.blow_up_step is None:
         # the spare level past the horizon
@@ -584,14 +593,9 @@ def test_velocities_equal_the_per_level_formula_bitwise(oscillator, kind, dt, x0
     ys = [0.0]
     for k in range(1, traj.states.shape[0]):
         if k + 1 < len(xs):
-            y = (xs[k + 1] - cos * xs[k]) / sin
-            if corrected:
-                y += tan_half * xs[k] * xs[k + 1]
-        else:  # last level of a blow-up: the backward formula
-            y = (cos * xs[k] - xs[k - 1]) / sin
-            if corrected:
-                y -= tan_half * xs[k] * xs[k - 1]
-        ys.append(y)
+            ys.append(velocity_oracle(ctx, xs[k], xs[k + 1]))
+        else:  # last level of a blow-up: minus the backward velocity
+            ys.append(-velocity_oracle(ctx, xs[k], xs[k - 1]))
     np.testing.assert_array_equal(traj.states[:, 1], ys)
 
 
@@ -994,20 +998,31 @@ def quadratic_outcomes(ctx, x0, n_steps):
 
 
 def second_order_outcomes(ctx, x0, n_steps):
-    """The outcomes, as x levels, of integrate's two-level route and of the
-    per-step oracles."""
+    """The outcomes, as (x, y) states, of integrate's two-level route and of
+    the per-step oracles, whose states are cut before their first row with
+    a non-finite entry."""
     traj = outcome(sch._integrate_second_order, ctx, x0, n_steps)
     if isinstance(traj, sch.Trajectory):
-        traj = traj.states[:, 0], traj.blow_up_step
+        traj = traj.states, traj.blow_up_step
     xs = [float(x0[0])]
     startup = quadratic_levels_oracle(ctx.startup, x0, 1)
     if np.isfinite(startup[-1]).all():
         xs = outcome(osc_levels_oracle, ctx, xs + [float(startup[1, 0])], n_steps)
         if isinstance(xs[0], type):
             return traj, xs
-    last = len(xs) - 1
-    blow_up = last + 1 if last < n_steps else None
-    return traj, (np.array(xs[: n_steps + 1 if blow_up is None else blow_up]), blow_up)
+    # xs ends before its first non-finite level, or at the spare level
+    # x_{n_steps+1}; its last kept level takes the backward velocity
+    rows = [(xs[0], float(x0[1]))]
+    for k in range(1, min(len(xs), n_steps + 1)):
+        if k + 1 < len(xs):
+            rows.append((xs[k], velocity_oracle(ctx, xs[k], xs[k + 1])))
+        else:
+            rows.append((xs[k], -velocity_oracle(ctx, xs[k], xs[k - 1])))
+    states = np.array(rows)
+    blow_up = first_non_finite(states)
+    if blow_up is None and len(states) <= n_steps:
+        blow_up = len(states)
+    return traj, (states[:blow_up], blow_up)
 
 
 # starts whose levels overflow to inf and then NaN, or meet a negative or
@@ -1033,7 +1048,10 @@ def test_blow_ups_and_raises_match_the_per_step_oracles(oscillator, kind, nonloc
         for dt in (0.1, 0.5, 1.0, 2.5):
             ctx = sch.StepContext(model, spec, dt)
             for start in EDGE_STARTS:
-                assert_same_outcome(*outcomes(ctx, np.array(start), 40))
+                actual, expected = outcomes(ctx, np.array(start), 40)
+                assert_same_outcome(actual, expected)
+                if not isinstance(actual[0], type):
+                    assert np.isfinite(actual[0]).all()
 
 
 @pytest.mark.parametrize(
@@ -1262,6 +1280,7 @@ def test_march_matches_the_sequential_recurrence_on_random_spectra(case):
         dt=dt,
         d=dt * mk.phi1(dt * a) @ a,
         q=np.eye(n),
+        coeffs=None,
     )
     assert_matches_oracle(sch.march(ctx, x0, n_steps), sequential_oracle(ctx, x0, n_steps), 1e-13)
 
@@ -1432,6 +1451,25 @@ def test_second_order_blow_up_is_recorded(oscillator):
     assert traj.blow_up_step is not None
     assert traj.states.shape[0] == traj.blow_up_step
     assert np.all(np.isfinite(traj.states))
+
+
+@pytest.mark.parametrize(
+    "dt, start, blow_up", [(0.1, (3.0, 1e308), 1), (0.5, (5e307, -1e308), 2)]
+)
+def test_two_level_run_ends_before_its_first_overflowing_velocity(oscillator, dt, start, blow_up):
+    # x stays finite past blow_up, but y_{blow_up} overflows: the run ends
+    # there, without numpy's overflow warnings
+    spec = nl.SchemeSpec("corrected-osc")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = nl.integrate(oscillator, spec, dt, 4.0, x0=np.array(start))
+    assert traj.blow_up_step == blow_up
+    assert traj.states.shape == (blow_up, 2) and np.isfinite(traj.states).all()
+    ctx = sch.StepContext(oscillator, spec, dt)
+    x1 = float(quadratic_levels_oracle(ctx.startup, start, 1)[1, 0])
+    xs = osc_levels_oracle(ctx, [start[0], x1], blow_up)
+    assert len(xs) == blow_up + 2  # x_0 .. x_{blow_up+1}, all finite
+    assert math.isinf(velocity_oracle(ctx, xs[blow_up], xs[blow_up + 1]))
 
 
 def test_stable_schemes_do_not_blow_up(biomass):
