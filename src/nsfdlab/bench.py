@@ -157,16 +157,16 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def observed_order(err_coarse: float, err_fine: float, exact_floor: float = EXACT_FLOOR):
+def observed_order(err_coarse: float, err_fine: float):
     """log2(err(dt)/err(dt/2)), or "exact" when the errors are at noise level.
 
-    A denominator of exactly zero, or both errors below exact_floor, means
+    A denominator of exactly zero, or both errors below EXACT_FLOOR, means
     the scheme reproduces the solution to rounding and no meaningful order
     can be measured.
     """
     if err_coarse < 0 or err_fine < 0:
         raise ValueError("errors must be nonnegative")
-    if err_fine == 0.0 or (err_coarse <= exact_floor and err_fine <= exact_floor):
+    if err_fine == 0.0 or (err_coarse <= EXACT_FLOOR and err_fine <= EXACT_FLOOR):
         return "exact"
     return math.log2(err_coarse / err_fine)
 

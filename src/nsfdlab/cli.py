@@ -16,7 +16,6 @@ overflow); on blow-up the partial report is still written.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -26,13 +25,12 @@ from .schemes import SchemeSpec
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
+    # no defaults: _build_model passes make_model only the options given
     parser.add_argument("--model", required=True, help="oscillator, biomass, trees or seasonal")
-    parser.add_argument("--x0", type=float, default=0.25, help="oscillator initial value (0, 1/2)")
-    parser.add_argument("--z0", type=float, default=1.0, help="biomass family initial stock")
-    parser.add_argument("--zf", type=float, default=0.5, help="plantation forcing amplitude")
-    parser.add_argument(
-        "--omega", type=float, default=2.0 * math.pi, help="seasonal forcing frequency"
-    )
+    parser.add_argument("--x0", type=float, help="oscillator initial value (0, 1/2)")
+    parser.add_argument("--z0", type=float, help="biomass family initial stock")
+    parser.add_argument("--zf", type=float, help="plantation forcing amplitude (trees, seasonal)")
+    parser.add_argument("--omega", type=float, help="seasonal forcing frequency")
 
 
 def _add_scheme_options(parser: argparse.ArgumentParser) -> None:
@@ -58,17 +56,8 @@ def _add_scheme_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_model(args):
-    params = {
-        "oscillator": {"x0": args.x0},
-        "biomass": {"z0": args.z0},
-        "trees": {"z0": args.z0, "zf": args.zf},
-        "seasonal": {"z0": args.z0, "zf": args.zf, "omega": args.omega},
-    }.get(args.model)
-    if params is None:
-        raise ValueError(
-            f"unknown model {args.model!r}; valid: oscillator, biomass, trees, seasonal"
-        )
-    return make_model(args.model, **params)
+    given = {k: getattr(args, k) for k in ("x0", "z0", "zf", "omega")}
+    return make_model(args.model, **{k: v for k, v in given.items() if v is not None})
 
 
 def _build_scheme(args) -> SchemeSpec:

@@ -11,10 +11,10 @@ expands the same way.  This module computes the characteristic polynomial
 (by the Faddeev-LeVerrier recursion), the exact coefficients alpha_j and q_j
 (Hermite interpolation on the spectrum, read off one divided-difference
 table of exp), an order-n truncation gamma_j that needs only the
-characteristic polynomial, and the correction factors R0, R1 that recast
-the expansion as a perturbation of a first-order update.  phi1 gives
-matrix-nsfd's step its forcing weight dt phi1(dt A); expm, a front end over
-scipy, is the reference the tests cross-check all of the above against.
+characteristic polynomial, the scalar steps' forcing weight Q, and the
+paper's correction factors R0, R1, which no stepper uses.  phi1 gives
+matrix-nsfd's step its forcing weight dt phi1(dt A); expm, a front end
+over scipy, is the reference the tests cross-check all of the above.
 """
 from __future__ import annotations
 
@@ -343,38 +343,50 @@ def gamma_coeffs(cp: CharPoly, dt: float) -> StepCoefficients:
     )
 
 
+def forcing_weight(a, coeffs: StepCoefficients) -> np.ndarray:
+    """Q = sum_j q_j A^j, summed as q_1 A + q_0 I + q_2 A^2 + ... (q_0 I for
+    n = 1): dt phi1(dt A) for exact alpha coefficients, its Taylor sum for
+    gamma.  a, the float array coeffs came from, is not validated again."""
+    n = a.shape[0]
+    if coeffs.n != n:
+        raise ValueError("coefficient dimension does not match the matrix")
+    q = coeffs.q_values.tolist()
+    # C order, so the flat view reaches the diagonal
+    q_mat = np.multiply(q[1] if n > 1 else 0.0, a, order="C")
+    q_mat.reshape(-1)[:: n + 1] += q[0]
+    power = a
+    for qj in q[2:]:
+        power = power @ a
+        q_mat += qj * power
+    return q_mat
+
+
 def correction_factors(a, coeffs: StepCoefficients) -> CorrectionFactors:
-    """Correction matrices R0, R1 for the scalar one-step form.
+    """Correction matrices R0, R1 of the paper's scalar one-step form.
 
     R1 = sum_{j=2}^{n-1} (alpha_j/alpha_1) A^{j-1} vanishes identically for
-    n = 2.  R0 = Q/alpha_1 - I - R1 with Q = sum_j q_j A^j the forcing
-    weight carried by coeffs; for invertible A this is
-    ((alpha_0 - 1)/alpha_1) A^{-1}, computed without the inverse and
-    without the cancellation in alpha_0 - 1, so a singular A needs no
-    special case.  alpha_1 = 0 marks a degenerate step size and raises
-    ValueError.
+    n = 2.  R0 = Q/alpha_1 - I - R1 with Q = forcing_weight(a, coeffs); for
+    invertible A this is ((alpha_0 - 1)/alpha_1) A^{-1}, computed without
+    the inverse and without the cancellation in alpha_0 - 1, so a singular
+    A needs no special case.  alpha_1 = 0 marks a degenerate step size and
+    raises ValueError.  The steppers use Q itself, not R0 and R1.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
     if n < 2:
         raise ValueError("correction factors need matrix dimension n >= 2")
-    if coeffs.n != n:
-        raise ValueError("coefficient dimension does not match the matrix")
-    alpha, q = coeffs.values.tolist(), coeffs.q_values.tolist()
+    q_mat = forcing_weight(a, coeffs)
+    alpha = coeffs.values.tolist()
     if alpha[1] == 0.0:
         raise ValueError("alpha_1 vanishes: degenerate step size for this spectrum")
-    # q_0 I + q_1 A + q_2 A^2 + ... and 0 + (alpha_2/alpha_1) A + ..., in
-    # place and term by term
+    # 0 + (alpha_2/alpha_1) A + (alpha_3/alpha_1) A^2 + ..., term by term
     r1 = np.zeros_like(a)
-    q_mat = q[1] * a
-    q_diagonal = q_mat.reshape(-1)[:: n + 1]
-    q_diagonal += q[0]
     power = a  # A^{j-1} running power
     for j in range(2, n):
         r1 += alpha[j] / alpha[1] * power
-        power = power @ a
-        q_mat += q[j] * power
+        if j < n - 1:
+            power = power @ a
     q_mat /= alpha[1]
-    q_diagonal -= 1.0
+    q_mat.reshape(-1)[:: n + 1] -= 1.0
     q_mat -= r1
     return CorrectionFactors(r0=q_mat, r1=r1)

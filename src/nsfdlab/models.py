@@ -19,13 +19,12 @@ with sn(u, 0) = sin(u).
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-_MODEL_KINDS = ("oscillator", "biomass", "trees", "seasonal")
 
 
 # --------------------------------------------------------------------------
@@ -379,10 +378,17 @@ def make_model(kind: str, **params) -> OdeModel:
     """Build a benchmark model by id.
 
     kind is one of "oscillator" (param x0), "biomass" (z0), "trees"
-    (z0, zf), "seasonal" (z0, zf, omega).  Parameter domains are checked;
-    defaults reproduce the reference configurations (x0 = 0.25; z0 = 1,
-    zf = 0.5, omega = 2 pi).
+    (z0, zf), "seasonal" (z0, zf, omega).  Parameter domains are checked,
+    and a parameter the model does not take raises ValueError; defaults
+    reproduce the reference configurations (x0 = 0.25; z0 = 1, zf = 0.5,
+    omega = 2 pi).
     """
-    if kind not in _BUILDERS:
-        raise ValueError(f"unknown model {kind!r}; valid kinds: {', '.join(_MODEL_KINDS)}")
-    return _BUILDERS[kind](**params)
+    builder = _BUILDERS.get(kind)
+    if builder is None:
+        raise ValueError(f"unknown model {kind!r}; valid kinds: {', '.join(_BUILDERS)}")
+    takes = inspect.signature(builder).parameters
+    if unknown := [name for name in params if name not in takes]:
+        raise ValueError(
+            f"model {kind!r} takes no parameter {', '.join(unknown)}; valid: {', '.join(takes)}"
+        )
+    return builder(**params)

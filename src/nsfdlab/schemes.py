@@ -5,28 +5,27 @@ per-component nonstandard scheme with denominators (1 - exp(a_ii dt))/(-a_ii).
 
 Exponential-fitted schemes: the matrix form
 
-    X_{k+1} = X_k + Phi(dt) (A X_k + B-hat),   Phi(dt) = dt phi1(dt A),
+    X_{k+1} = X_k + Q (A X_k + B-hat),   Q = dt phi1(dt A),
 
-which reproduces exp(dt A) without inverting A, and the scalar form
+which reproduces exp(dt A) without inverting A, and the scalar form, the
+same step with Q = sum_j q_j A^j from the Cayley-Hamilton coefficients
+alpha_j (exact) or gamma_j (order-n truncation).  B-hat is a per-step
+approximation of the forcing: left/right/middle endpoint values, the
+endpoint average, or the exact integral mean over the step.
 
-    X_{k+1} = alpha_0 X_k + alpha_1 [(I + R1)(A X_k + B-hat) + R0 B-hat],
-
-built from the Cayley-Hamilton coefficients alpha_j (exact) or gamma_j
-(order-n truncation).  B-hat is a per-step approximation of the forcing:
-left/right/middle endpoint values, the endpoint average, or the exact
-integral mean over the step.
-
-Every one of these one-step schemes is the affine map X+ = P X + Q B-hat
-(the exponential-Euler form of Hochbruck & Ostermann, "Exponential
-integrators", Acta Numerica 19, 2010); StepContext compiles (P, Q) once
-and march drives them all.  When the forcing does not depend on the state,
-march forms c = Q B-hat^T for all steps at once and runs the whole
-recurrence as a log-depth prefix scan over the levels (doubling powers of
-P, held as P^s - I while they are near I).  The levels are held
-component-major, one column per level, so each pass of the scan is one
-(n x n) @ (n x N) product along the contiguous axis.  A step whose powers
-grow (an unstable or strongly non-normal P) runs one level at a time
-instead, so it keeps the sequential accuracy and blow-up step.
+Every one of these one-step schemes is X+ = X + Q (A X + B-hat) with its
+own denominator matrix Q, Mickens' denominator function in matrix form:
+the affine map X+ = P X + Q B-hat, P = I + Q A (the exponential-Euler form
+of Hochbruck & Ostermann, "Exponential integrators", Acta Numerica 19,
+2010).  StepContext compiles Q and D = Q A once and march drives them all.
+When the forcing does not depend on the state, march forms c = Q B-hat^T
+for all steps at once and runs the whole recurrence as a log-depth prefix
+scan over the levels (doubling powers of P, held as P^s - I while they are
+near I).  The levels are held component-major, one column per level, so
+each pass of the scan is one (n x n) @ (n x N) product along the
+contiguous axis.  A step whose powers grow (an unstable or strongly
+non-normal P) runs one level at a time instead, so it keeps the
+sequential accuracy and blow-up step.
 
 A state forcing declared as the rank-one quadratic B(x) = b (u.x)^2 (the
 oscillator's) is stepped in closed form on Python floats: the explicit
@@ -151,26 +150,27 @@ class Trajectory:
 class StepContext:
     """Everything a stepper needs, precomputed once per (model, scheme, dt).
 
-    A one-step scheme compiles to the affine map X+ = P X + Q B-hat:
+    A one-step scheme is its denominator matrix Q, the matrix form of
+    Mickens' denominator function, and compiles to the affine map
+    X+ = X + Q (A X + B-hat) = P X + Q B-hat, with P = I + Q A:
 
-      explicit-euler     P = I + dt A              Q = dt I
-      implicit-euler     P = M                     Q = dt M,  M = (I - dt A)^-1
-      traditional-nsfd   P = I + diag(phi) A       Q = diag(phi)
-      matrix-nsfd        P = I + Phi A             Q = Phi,   Phi = dt phi1(dt A)
-      scalar/gamma-nsfd  P = a0 I + a1 (I + R1) A  Q = a1 (I + R1 + R0)
-                           = I + Q A
+      explicit-euler     Q = dt I
+      implicit-euler     Q = dt (I - dt A)^-1
+      traditional-nsfd   Q = diag(phi)
+      matrix-nsfd        Q = dt phi1(dt A)
+      scalar/gamma-nsfd  Q = sum_j q_j A^j   (matkit.forcing_weight)
 
-    with phi_i = (1 - exp(a_ii dt))/(-a_ii) (dt where a_ii = 0) and a_j the
-    alpha (exact) or gamma (order-n) coefficients, kept as coeffs.  The map
-    is held as d = P - I and q, each formed without subtracting I, and
-    applied as X + (D X + Q B-hat): P is within O(dt) of I, so a stored P
-    would round away the low digits of every step's increment, and with
-    them the forced equilibrium (P - I) X* = -Q B.  march's prefix scan
-    keeps the same increment form for the powers P^s while max|P^s - I|
-    <= 1/2, and squares P^s itself beyond that.  A second-order
-    oscillator scheme holds its recurrence constants and the context of its
-    one-step start-up instead, and that start-up's coeffs.  coeffs is None
-    for the Euler, traditional and matrix schemes.
+    with phi_i = (1 - exp(a_ii dt))/(-a_ii) (dt where a_ii = 0) and q_j from
+    the alpha (exact) or gamma (order-n) coefficients, kept as coeffs.  The
+    map is held as q and d = P - I = Q A, and applied as X + (D X + Q B-hat):
+    P is within O(dt) of I, so a stored P would round away the low digits
+    of every step's increment, and with them the forced equilibrium
+    (P - I) X* = -Q B.  march's prefix scan keeps the same increment form
+    for the powers P^s while max|P^s - I| <= 1/2, and squares P^s itself
+    beyond that.  A second-order oscillator scheme holds its recurrence
+    constants and the context of its one-step start-up instead, and that
+    start-up's coeffs.  coeffs is None for the Euler, traditional and
+    matrix schemes.
 
     A state forcing is stepped in closed form for n = 2 only; any other n
     raises ValueError.
@@ -188,37 +188,8 @@ class StepContext:
         self.dt = float(dt)
         self.coeffs = None
         a = model.a_matrix
-        eye = np.eye(model.n)
         kind = scheme.kind
-        if kind == EXPLICIT_EULER:
-            self.d, self.q = dt * a, dt * eye
-        elif kind == IMPLICIT_EULER:
-            m = np.linalg.inv(eye - dt * a)
-            # M - I = dt M A, since M (I - dt A) = I
-            self.d, self.q = dt * m @ a, dt * m
-        elif kind == TRADITIONAL_NSFD:
-            diag = np.diag(a)
-            safe = np.where(diag == 0.0, 1.0, diag)
-            # (1 - exp(lam dt))/(-lam) = expm1(lam dt)/lam, and dt for lam = 0
-            phi = np.where(diag == 0.0, dt, np.expm1(diag * dt) / safe)
-            self.d, self.q = phi[:, None] * a, np.diag(phi)
-        elif kind == MATRIX_NSFD:
-            phi_mat = dt * matkit.phi1(dt * a)
-            self.d, self.q = phi_mat @ a, phi_mat
-        elif kind in (SCALAR_NSFD, GAMMA_NSFD):
-            if kind == SCALAR_NSFD:
-                coeffs = matkit.alpha_coeffs(a, model.spectrum, dt)
-            else:
-                coeffs = matkit.gamma_coeffs(matkit.char_poly(a), dt)
-            corrections = matkit.correction_factors(a, coeffs)
-            self.coeffs = coeffs
-            alpha1 = float(coeffs.values[1])
-            self.q = alpha1 * (eye + corrections.r1 + corrections.r0)
-            # P - I = Q A exactly (exp(dt z) - 1 = z (exp(dt z) - 1)/z, and
-            # the same for gamma's truncated sum), and this form does not
-            # cancel in alpha0 - 1 as a0 I + a1 (I + R1) A - I would
-            self.d = self.q @ a
-        else:
+        if kind in SECOND_ORDER_KINDS:
             if model.name != "oscillator":
                 raise ValueError(
                     f"scheme {kind!r} applies only to the oscillator model, got {model.name!r}"
@@ -235,6 +206,27 @@ class StepContext:
                 model, SchemeSpec(SCALAR_NSFD, nonlocal_b=NONLOCAL_SEMI_IMPLICIT), dt
             )
             self.coeffs = self.startup.coeffs
+            return
+        if kind == EXPLICIT_EULER:
+            self.q = dt * np.eye(model.n)
+        elif kind == IMPLICIT_EULER:
+            self.q = dt * np.linalg.inv(np.eye(model.n) - dt * a)
+        elif kind == TRADITIONAL_NSFD:
+            diag = np.diag(a)
+            safe = np.where(diag == 0.0, 1.0, diag)
+            # (1 - exp(lam dt))/(-lam) = expm1(lam dt)/lam, and dt for lam = 0
+            self.q = np.diag(np.where(diag == 0.0, dt, np.expm1(diag * dt) / safe))
+        elif kind == MATRIX_NSFD:
+            self.q = dt * matkit.phi1(dt * a)
+        else:
+            if kind == SCALAR_NSFD:
+                self.coeffs = matkit.alpha_coeffs(a, model.spectrum, dt)
+            else:
+                self.coeffs = matkit.gamma_coeffs(matkit.char_poly(a), dt)
+            self.q = matkit.forcing_weight(a, self.coeffs)
+        # P - I = Q A for every kind (M - I = dt M A as M (I - dt A) = I, and
+        # exp(dt z) - 1 = z q(z)), and this form does not cancel in alpha_0 - 1
+        self.d = self.q @ a
 
 
 # the Euler schemes fix their time sample by definition

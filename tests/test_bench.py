@@ -210,7 +210,9 @@ def test_euler_and_traditional_errors_are_comparable(biomass):
 def test_observed_order_synthetic_values():
     assert nl.observed_order(0.04, 0.01) == 2.0
     assert nl.observed_order(5e-13, 5e-13) == "exact"
-    assert isinstance(nl.observed_order(5e-13, 5e-13, exact_floor=1e-14), float)
+    # above the floor on either side, the same ratio is a measured order
+    assert nl.observed_order(5e-11, 5e-11) == 0.0
+    assert nl.observed_order(4e-11, 5e-12) == 3.0
 
 
 def test_convergence_study_euler_is_first_order(biomass):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import nsfdlab.cli as cli
+from nsfdlab import bench, make_model
 
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
@@ -81,6 +82,31 @@ def test_unknown_scheme_is_a_usage_error(tmp_path, capsys):
     )
     assert rc == 2
     assert "unknown scheme" in capsys.readouterr().err
+
+
+def test_model_parameter_the_model_does_not_take_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    exact = ("exact", "--model", "biomass")
+    run = ("run", "--model", "biomass", "--scheme", "explicit-euler")
+    for command in (exact, run):
+        rc = run_cli(
+            *command, "--zf", "9", "--x0", "0.4", "--dt", "0.1", "--tend", "1", "--out", str(out)
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: model 'biomass' takes no parameter x0, zf; valid: z0\n"
+        )
+        assert not out.exists()
+
+
+def test_given_model_parameters_reach_the_model(tmp_path, capsys):
+    # --zf reaches make_model as given, and only then: the default differs
+    grid = ("--dt", "0.1", "--tend", "1", "--out")
+    out, default, lib = tmp_path / "cli.csv", tmp_path / "default.csv", tmp_path / "lib.csv"
+    assert run_cli("exact", "--model", "trees", "--zf", "0.3", *grid, str(out)) == 0
+    assert run_cli("exact", "--model", "trees", *grid, str(default)) == 0
+    bench.write_exact(make_model("trees", zf=0.3), 0.1, 1.0, lib)
+    assert out.read_bytes() == lib.read_bytes() != default.read_bytes()
 
 
 def test_gamma_coefficients_flag_requires_the_scalar_scheme(tmp_path, capsys):

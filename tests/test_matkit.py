@@ -527,6 +527,47 @@ def test_char_poly_and_correction_keep_the_reference_arithmetic(n):
                 assert np.array_equal(cf.r0, r0) and np.array_equal(cf.r1, r1)
 
 
+# an integer matrix, whose powers are exact, and its gamma coefficients at
+# dt = 0.1: the frozen R0, R1 depend on scalar rounding alone
+FROZEN_A = np.array(
+    [[-2.0, 1.0, 0.0, 3.0], [1.0, -4.0, 2.0, 0.0], [0.0, 1.0, -1.0, 1.0], [2.0, 0.0, 1.0, -3.0]]
+)
+FROZEN_R0 = [
+    "0x1.5d867c3ed1000p-14 0x1.b4e81b4e81b00p-13 0x1.89374bc6a7f00p-11 0x1.5d867c3ece200p-12",
+    "0x1.0624dd2f1aa00p-12 -0x1.5d867c3ece800p-14 0x1.0624dd2f1a800p-13 0x1.31d5acb6f4650p-12",
+    "0x1.e098ead65b7a0p-12 0x1.5d867c3ece000p-14 -0x1.0624dd2f1be00p-13 0x1.b4e81b4e81a80p-12",
+    "0x1.b4e81b4e81c00p-13 0x1.5d867c3ece2a0p-13 0x1.e098ead65b780p-12 0x1.0624dd2f1a800p-13",
+]
+FROZEN_R1 = [
+    "-0x1.58bf258bf258cp-4 0x1.53a06d3a06d3ap-5 0x1.999999999999bp-8 0x1.0666666666666p-3",
+    "0x1.53a06d3a06d3ap-5 -0x1.606d3a06d3a07p-3 0x1.5dddddddddddep-4 0x1.999999999999bp-8",
+    "0x1.eb851eb851ebap-9 0x1.5dddddddddddep-5 -0x1.681b4e81b4e82p-5 0x1.681b4e81b4e82p-5",
+    "0x1.5dddddddddddep-4 0x1.eb851eb851ebap-9 0x1.681b4e81b4e82p-5 -0x1.03d70a3d70a3ep-3",
+]
+
+
+def test_correction_factors_keep_their_frozen_bits():
+    cf = mk.correction_factors(FROZEN_A, mk.gamma_coeffs(mk.char_poly(FROZEN_A), 0.1))
+    for got, frozen in ((cf.r0, FROZEN_R0), (cf.r1, FROZEN_R1)):
+        assert [" ".join(v.hex() for v in row) for row in got.tolist()] == frozen
+
+
+def test_forcing_weight_is_the_q_polynomial():
+    # q_0 I + q_1 A + ... for n = 2..4, and q_0 for n = 1, where the
+    # correction factors are not defined
+    for a in (ROT, BIO, FROZEN_A):
+        co = mk.gamma_coeffs(mk.char_poly(a), 0.1)
+        expected = sum(q * np.linalg.matrix_power(a, j) for j, q in enumerate(co.q_values))
+        np.testing.assert_allclose(mk.forcing_weight(a, co), expected, rtol=1e-15, atol=0)
+    one = np.array([[-0.7]])
+    co = mk.alpha_coeffs(one, ((-0.7, 1),), 0.1)
+    assert mk.forcing_weight(one, co).tolist() == [[co.q_values[0]]]
+    with pytest.raises(ValueError, match="n >= 2"):
+        mk.correction_factors(one, co)
+    with pytest.raises(ValueError, match="dimension"):
+        mk.forcing_weight(BIO, mk.gamma_coeffs(mk.char_poly(ROT), 0.1))
+
+
 @pytest.mark.parametrize("layout", ["fortran", "strided"])
 def test_results_do_not_depend_on_the_memory_layout(layout):
     # flat diagonal views of a non-C-ordered input would miss the matrix
@@ -544,6 +585,8 @@ def test_results_do_not_depend_on_the_memory_layout(layout):
         for co in (mk.alpha_coeffs(a, None, 0.1), mk.gamma_coeffs(cp, 0.1)):
             cf, cf_other = mk.correction_factors(a, co), mk.correction_factors(other, co)
             assert np.array_equal(cf_other.r0, cf.r0) and np.array_equal(cf_other.r1, cf.r1)
+            # forcing_weight does not validate, so it takes the layout as given
+            assert np.array_equal(mk.forcing_weight(other, co), mk.forcing_weight(a, co))
 
 
 def _triangular(diagonal):

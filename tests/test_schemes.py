@@ -84,7 +84,7 @@ SINGULAR_MATRICES = {
 @pytest.mark.parametrize("dt", [0.1, 1.0])
 @pytest.mark.parametrize("name", list(SINGULAR_MATRICES))
 def test_scalar_scheme_on_singular_matrices_matches_expm_and_phi1(name, dt):
-    # R0 = Q/alpha_1 - I - R1 needs no inverse, so a singular (or
+    # Q = sum_j q_j A^j needs no inverse, so a singular (or
     # determinant-underflowing) A steps like any other
     a, spectrum = SINGULAR_MATRICES[name]
     n = a.shape[0]
@@ -100,6 +100,32 @@ def test_scalar_scheme_on_singular_matrices_matches_expm_and_phi1(name, dt):
     ctx = sch.StepContext(model, nl.SchemeSpec("scalar-nsfd"), dt)
     np.testing.assert_allclose(np.eye(n) + ctx.d, scipy.linalg.expm(dt * a), rtol=0, atol=2e-15)
     np.testing.assert_allclose(ctx.q, dt * mk.phi1(dt * a), rtol=0, atol=2e-15)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.8])
+def test_scalar_scheme_is_mickens_exact_scheme_for_n_equal_one(b):
+    # x' = lam x + b: Q = (exp(lam dt) - 1)/lam, Mickens' exact denominator,
+    # so 1,000 steps follow the 40-digit flow to rounding
+    lam, dt, x0 = -0.7, 0.01, 1.3
+    model = mo.OdeModel(
+        name="scalar",
+        n=1,
+        a_matrix=np.array([[lam]]),
+        spectrum=((lam, 1),),
+        forcing=mo.Forcing(kind="constant", constant=np.array([b])),
+        initial_state=np.array([x0]),
+        exact=None,
+    )
+    traj = nl.integrate(model, nl.SchemeSpec("scalar-nsfd"), dt, 1000 * dt)
+    assert traj.states.shape == (1001, 1) and traj.coeff_warning is None
+    with mpmath.workdps(40):
+        lam_mp, x_eq = mpmath.mpf(lam), -mpmath.mpf(b) / mpmath.mpf(lam)
+        flow = [x_eq + mpmath.exp(lam_mp * k * mpmath.mpf(dt)) * (x0 - x_eq) for k in range(1001)]
+        exact = np.array([float(v) for v in flow])
+    scale = np.arange(1001) * np.finfo(float).eps * np.max(np.abs(exact))
+    assert np.all(np.abs(traj.states[:, 0] - exact) <= scale)
+    with pytest.raises(ValueError, match="gamma coefficients need matrix dimension n >= 2"):
+        nl.integrate(model, nl.SchemeSpec("gamma-nsfd"), dt, 1000 * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +428,7 @@ def affine_oracle(kind, a, dt):
 @st.composite
 def well_conditioned_systems(draw):
     """A = V diag(lambda) V^T with a random orthogonal V and real eigenvalues
-    at least 0.3 apart and 0.1 away from zero (R0 needs A^-1), and a step."""
+    at least 0.3 apart and 0.1 away from zero, and a step."""
     n = draw(st.integers(2, 4))
     lam = np.cumsum(
         [draw(st.floats(-5.0, -1.0))] + draw(st.lists(st.floats(0.3, 1.5), min_size=n - 1, max_size=n - 1))
@@ -437,6 +463,8 @@ def test_compiled_affine_maps_match_independent_oracles(system):
         for got, oracle in ((ctx.d, p - eye), (ctx.q, q)):
             gap = np.max(np.abs(got - oracle)) / np.max(np.abs(oracle))
             assert gap <= 1e-10, (kind, gap)
+        # every kind is its Q: D = Q A, to the bit and the sign of zero
+        assert ctx.d.tobytes() == (ctx.q @ a).tobytes(), kind
 
 
 # ---------------------------------------------------------------------------
