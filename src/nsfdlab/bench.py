@@ -584,7 +584,9 @@ def _joined(fields) -> bytes:
 
 def write_exact(model: OdeModel, dt: float, t_end: float, path) -> None:
     """Sample the exact solution at t = k dt, k = 0..floor(t_end/dt), in one
-    call, and write it as CSV with columns t,x,y[,z]."""
+    call, and write it as CSV with columns t,x,y[,z] (n <= 3, or ValueError)."""
+    if model.n > 3:
+        raise ValueError(f"exact CSV columns t,x,y,z name at most 3 states, got n = {model.n}")
     times = schemes.time_grid(schemes.step_count(dt, t_end) + 1, dt)
     header = ",".join(("t", "x", "y", "z")[: model.n + 1])
     write_csv(path, header, (times, *model.exact(times).T))

@@ -109,11 +109,16 @@ def oscillator_energy(state) -> float:
 # model container
 # --------------------------------------------------------------------------
 
+# the field each forcing kind reads
+_KIND_FIELDS = {"none": None, "constant": "constant", "time": "time_fn", "state": "quadratic"}
+
+
 @dataclass(frozen=True)
 class Forcing:
     """Forcing term B of X' = A X + B.
 
-    kind is one of "none", "constant", "time", "state".  For "time",
+    kind is one of "none", "constant", "time", "state"; each but "none"
+    needs the field it reads (constant, time_fn, quadratic).  For "time",
     antiderivative (if set) is the componentwise primitive of time_fn, used
     for the exact integral-mean approximation.  Both take a time or an
     array of times; an array of shape S gives shape S + (n,), so the
@@ -136,9 +141,12 @@ class Forcing:
     quadratic: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
+        if self.kind not in _KIND_FIELDS:
+            raise ValueError(f"unknown forcing kind {self.kind!r}; valid: {', '.join(_KIND_FIELDS)}")
+        needed = _KIND_FIELDS[self.kind]
+        if needed and getattr(self, needed) is None:
+            raise ValueError(f"a {self.kind} forcing needs its {needed} declaration")
         if self.quadratic is None:
-            if self.kind == "state":
-                raise ValueError("a state forcing needs its quadratic declaration (b, u)")
             return
         b, u = (np.array(v, dtype=float) for v in self.quadratic)
         if b.ndim != 1 or b.shape != u.shape:

@@ -14,18 +14,10 @@ approximation of the forcing: left/right/middle endpoint values, the
 endpoint average, or the exact integral mean over the step.
 
 Every one of these one-step schemes is X+ = X + Q (A X + B-hat) with its
-own denominator matrix Q, Mickens' denominator function in matrix form:
-the affine map X+ = P X + Q B-hat, P = I + Q A (the exponential-Euler form
-of Hochbruck & Ostermann, "Exponential integrators", Acta Numerica 19,
-2010).  StepContext compiles Q and D = Q A once and march drives them all.
-When the forcing does not depend on the state, march forms c = Q B-hat^T
-for all steps at once and runs the whole recurrence as a log-depth prefix
-scan over the levels (doubling powers of P, held as P^s - I while they are
-near I).  The levels are held component-major, one column per level, so
-each pass of the scan is one (n x n) @ (n x N) product along the
-contiguous axis.  A step whose powers grow (an unstable or strongly
-non-normal P) runs one level at a time instead, so it keeps the
-sequential accuracy and blow-up step.
+own denominator matrix Q, Mickens' denominator function in matrix form,
+which StepContext compiles once.  march, the one stepping kernel, runs the
+recurrence of a forcing that does not depend on the state for all levels
+at once, as a log-depth prefix scan (_affine_scan).
 
 A state forcing declared as the rank-one quadratic B(x) = b (u.x)^2 (the
 oscillator's) is stepped in closed form on Python floats: the explicit
@@ -38,7 +30,8 @@ state forcing takes (models.Forcing), so no step needs an iterative solve.
 For the conservative oscillator x'' + x + x^2 = 0 three dedicated two-level
 recurrences are provided, all sharing the exact linear denominator
 (2 sin(dt/2))^2; they differ in the discretization of the quadratic term.
-integrate runs each recurrence as one loop on Python floats (_osc_levels).
+Their context is that of their one-step start-up, and march runs each
+recurrence as one loop on Python floats (_osc_levels).
 """
 from __future__ import annotations
 
@@ -123,6 +116,11 @@ class SchemeSpec:
             raise ValueError(
                 f"unknown nonlocal form {self.nonlocal_b!r}; valid: {', '.join(NONLOCAL_KINDS)}"
             )
+        if self.kind in SECOND_ORDER_KINDS and self.nonlocal_b != NONLOCAL_SEMI_IMPLICIT:
+            raise ValueError(
+                f"scheme {self.kind!r} starts with the semi-implicit product; "
+                f"nonlocal form {self.nonlocal_b!r} does not apply"
+            )
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ class Trajectory:
     the index of the first level with a non-finite entry (None if there is
     none).  coeff_warning is the warning on the step coefficients
     (StepCoefficients.warning: eigenvalue fallback, spectrum not closed
-    under conjugation), those of the one-step start-up for a two-level
+    under conjugation), those of its start-up step for a two-level
     recurrence; it is None without a warning or without coefficients.
     """
 
@@ -167,10 +165,11 @@ class StepContext:
     of every step's increment, and with them the forced equilibrium
     (P - I) X* = -Q B.  march's prefix scan keeps the same increment form
     for the powers P^s while max|P^s - I| <= 1/2, and squares P^s itself
-    beyond that.  A second-order oscillator scheme holds its recurrence
-    constants and the context of its one-step start-up instead, and that
-    start-up's coeffs.  coeffs is None for the Euler, traditional and
-    matrix schemes.
+    beyond that.  coeffs is None for the Euler, traditional and matrix
+    schemes.  A two-level oscillator scheme compiles the Q, d and coeffs of
+    its start-up, scalar-nsfd with the semi-implicit product, plus its
+    recurrence constants; a model that does not declare x'' + x + x^2 = 0
+    (by A and the quadratic, not by name) raises ValueError.
 
     A state forcing is stepped in closed form for n = 2 only; any other n
     raises ValueError.
@@ -190,23 +189,17 @@ class StepContext:
         a = model.a_matrix
         kind = scheme.kind
         if kind in SECOND_ORDER_KINDS:
-            if model.name != "oscillator":
-                raise ValueError(
-                    f"scheme {kind!r} applies only to the oscillator model, got {model.name!r}"
-                )
+            # x'' + x + x^2 = 0: A = [[0, 1], [-1, 0]], b = (0, -1), u = e_1
+            f = model.forcing
+            if not (f.kind == "state" and np.array_equal(a, [[0.0, 1.0], [-1.0, 0.0]])
+                    and np.array_equal(f.quadratic, [[0.0, -1.0], [1.0, 0.0]])):
+                raise ValueError(f"scheme {kind!r} applies only to the oscillator equation")
             self.denom = (2.0 * math.sin(dt / 2.0)) ** 2
             self.cos_half_sq = math.cos(dt / 2.0) ** 2
             self.cos_dt = math.cos(dt)
             self.sin_dt = math.sin(dt)
             self.tan_half = math.tan(dt / 2.0)
-            # start-up level x_1 comes from one step of the corrected
-            # one-step form, i.e. the scalar scheme with the semi-implicit
-            # product forcing
-            self.startup = StepContext(
-                model, SchemeSpec(SCALAR_NSFD, nonlocal_b=NONLOCAL_SEMI_IMPLICIT), dt
-            )
-            self.coeffs = self.startup.coeffs
-            return
+            # then the start-up's Q, as scalar-nsfd's
         if kind == EXPLICIT_EULER:
             self.q = dt * np.eye(model.n)
         elif kind == IMPLICIT_EULER:
@@ -219,10 +212,10 @@ class StepContext:
         elif kind == MATRIX_NSFD:
             self.q = dt * matkit.phi1(dt * a)
         else:
-            if kind == SCALAR_NSFD:
-                self.coeffs = matkit.alpha_coeffs(a, model.spectrum, dt)
-            else:
+            if kind == GAMMA_NSFD:
                 self.coeffs = matkit.gamma_coeffs(matkit.char_poly(a), dt)
+            else:
+                self.coeffs = matkit.alpha_coeffs(a, model.spectrum, dt)
             self.q = matkit.forcing_weight(a, self.coeffs)
         # P - I = Q A for every kind (M - I = dt M A as M (I - dt A) = I, and
         # exp(dt z) - 1 = z q(z)), and this form does not cancel in alpha_0 - 1
@@ -406,7 +399,7 @@ def _affine_loop(d: np.ndarray, states: np.ndarray) -> None:
 
 
 def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
-    """n_steps of a one-step scheme from x0 at t = 0: the stepping kernel.
+    """n_steps of ctx's scheme from x0 at t = 0: the one stepping kernel.
 
     Forcing that does not depend on the state is evaluated for all steps at
     once, c = Q B-hat^T with one column c_k per step, and the recurrence
@@ -419,13 +412,16 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
     (_affine_loop, on the same columns), so its accuracy and blow_up_step
     are the sequential recurrence's.
     A state forcing, the declared quadratic, steps in closed form
-    (_quadratic_march).  Solver failures raise with the step index
-    attached; the trajectory ends before its first non-finite state
-    (_finite_prefix).
+    (_quadratic_march), and a two-level oscillator scheme runs its
+    recurrence from that closed form's first step (_two_level_states).
+    Solver failures raise with the step index attached; the trajectory ends
+    before its first non-finite state (_finite_prefix).
     """
     # overflow is a recorded outcome, not a warning condition
     with np.errstate(over="ignore", invalid="ignore"):
-        if ctx.model.forcing.kind == "state":
+        if ctx.scheme.kind in SECOND_ORDER_KINDS:
+            states = _two_level_states(ctx, x0, n_steps)
+        elif ctx.model.forcing.kind == "state":
             states = _quadratic_march(ctx, x0, n_steps)
         else:
             levels = np.empty((ctx.model.n, n_steps + 1))
@@ -442,7 +438,8 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
 def _finite_prefix(ctx: StepContext, states: np.ndarray) -> Trajectory:
     """The trajectory of the raw levels states[k] on ctx's grid, with ctx's
     coefficient warning, ending before its first level with a non-finite
-    entry, the blow_up_step.  Every stepping route returns through here."""
+    entry, the blow_up_step.  march, the one stepping kernel, returns every
+    route through here."""
     blow_up = None
     if not np.isfinite(states).all():
         blow_up = int(np.argmin(np.isfinite(states).all(axis=1)))
@@ -455,10 +452,10 @@ def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=N
     """March from t = 0 to t_end = floor(t_end/dt) steps of size dt.
 
     x0 defaults to the model's initial state and must be finite, like dt
-    and t_end.  Solver failures raise with the step index attached; the
-    trajectory ends before its first non-finite state and records it as
-    blow_up_step instead of raising.  The warning of the step coefficients,
-    if any, is carried as coeff_warning.
+    and t_end; every scheme then runs through march on its StepContext.
+    Solver failures raise with the step index attached; the trajectory ends
+    before its first non-finite state and records it as blow_up_step
+    instead of raising, and carries the coefficients' warning, if any.
     """
     n_steps = step_count(dt, t_end)
     state0 = np.array(model.initial_state if x0 is None else x0, dtype=float)
@@ -466,10 +463,7 @@ def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=N
         raise ValueError(f"initial state must have shape ({model.n},)")
     if not np.isfinite(state0).all():
         raise ValueError("initial state must be finite")
-    ctx = StepContext(model, scheme, dt)
-    if scheme.kind in SECOND_ORDER_KINDS:
-        return _integrate_second_order(ctx, state0, n_steps)
-    return march(ctx, state0, n_steps)
+    return march(StepContext(model, scheme, dt), state0, n_steps)
 
 
 def step_count(dt: float, t_end: float) -> int:
@@ -525,10 +519,8 @@ def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
 
     Each variant is one loop on Python floats.  A zero pivot 1 + g x_k
     raises ZeroDivisionError with the step index and x_k, from the division.
-    The levels are raw: finiteness is left to _finite_prefix.  Every level
-    after the first non-finite one is NaN or +-inf, and so is its pivot, so
-    a run that blows up steps on to its horizon and costs what a finite run
-    costs.
+    The levels are raw, and a blow-up steps on to the horizon, as in
+    _quadratic_march.
     """
     kind = ctx.scheme.kind
     s2 = ctx.denom
@@ -558,17 +550,16 @@ def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
             ) from None
 
 
-def _integrate_second_order(ctx: StepContext, state0: np.ndarray, n_steps: int) -> Trajectory:
-    """Drive a two-level recurrence and rebuild (x, y) states.
+def _two_level_states(ctx: StepContext, state0: np.ndarray, n_steps: int) -> np.ndarray:
+    """The raw (x, y) states of a two-level recurrence, levels 0..n_steps.
 
-    Level 1 comes from one step of the corrected one-step system form, so
-    convergence measurements reflect the recurrence itself rather than an
-    exact-solution seed; a start-up state that is not finite becomes
-    x_1 = NaN.  One spare level beyond the horizon supplies the velocity of
-    the final state.  The trajectory ends before its first non-finite
-    (x, y) state.
+    Level 1 is one step of ctx's start-up, the corrected one-step system
+    form, so convergence measurements reflect the recurrence itself rather
+    than an exact-solution seed; a start-up state that is not finite
+    becomes x_1 = NaN.  One spare level beyond the horizon supplies the
+    velocity of the final state.  Runs under march's np.errstate.
     """
-    x1, y1 = _quadratic_march(ctx.startup, state0, 1)[1]
+    x1, y1 = _quadratic_march(ctx, state0, 1)[1]
     # the levels as raw doubles: no float object per level
     xs = array("d", (state0[0], x1 if math.isfinite(x1) and math.isfinite(y1) else math.nan))
     _osc_levels(ctx, xs, n_steps)
@@ -576,15 +567,13 @@ def _integrate_second_order(ctx: StepContext, state0: np.ndarray, n_steps: int) 
     states = np.empty((n_steps + 1, 2))
     states[:, 0] = xs[:-1]
     states[0, 1] = state0[1]
-    # overflow is a recorded outcome, not a warning condition
-    with np.errstate(over="ignore", invalid="ignore"):
-        states[1:, 1] = _osc_velocity(ctx, xs[1:-1], xs[2:])
-        finite = np.isfinite(xs)
-        if not finite.all():
-            # the last finite level lacks a finite forward neighbor: by time
-            # reversal, minus the velocity of the step back to the preceding
-            # level (O(dt^2) from forward)
-            last = int(np.argmin(finite)) - 1
-            if last > 0:  # level 0 keeps its given velocity
-                states[last, 1] = -_osc_velocity(ctx, xs[last], xs[last - 1])
-    return _finite_prefix(ctx, states)
+    states[1:, 1] = _osc_velocity(ctx, xs[1:-1], xs[2:])
+    finite = np.isfinite(xs)
+    if not finite.all():
+        # the last finite level lacks a finite forward neighbor: by time
+        # reversal, minus the velocity of the step back to the preceding
+        # level (O(dt^2) from forward)
+        last = int(np.argmin(finite)) - 1
+        if last > 0:  # level 0 keeps its given velocity
+            states[last, 1] = -_osc_velocity(ctx, xs[last], xs[last - 1])
+    return states

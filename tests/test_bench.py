@@ -416,6 +416,22 @@ def test_trees_exact_figure_contents(tmp_path):
     np.testing.assert_allclose(first, [0.0, 0.0, 0.0, 1.0], rtol=0, atol=1e-15)
 
 
+def test_write_exact_refuses_a_model_with_more_states_than_column_names(tmp_path):
+    # x' = -x on four states: t,x,y,z cannot name five columns
+    decay = mo.OdeModel(
+        name="decay-4",
+        n=4,
+        a_matrix=-np.eye(4),
+        spectrum=((-1.0, 4),),
+        forcing=mo.Forcing(kind="none"),
+        initial_state=np.ones(4),
+        exact=lambda t: np.multiply.outer(np.exp(-np.asarray(t, dtype=float)), np.ones(4)),
+    )
+    with pytest.raises(ValueError, match="n = 4"):
+        bench.write_exact(decay, 0.1, 1.0, tmp_path / "e.csv")
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_csv_values_keep_the_fstring_bytes(tmp_path):
     values = [-0.0, 5e-324, 1.0, 1e300]
     path = tmp_path / "values.csv"

@@ -109,6 +109,17 @@ def test_given_model_parameters_reach_the_model(tmp_path, capsys):
     assert out.read_bytes() == lib.read_bytes() != default.read_bytes()
 
 
+def test_two_level_scheme_with_the_explicit_nonlocal_form_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = run_cli(
+        "run", "--model", "oscillator", "--scheme", "mickens-osc1", "--nonlocal-b", "explicit",
+        "--dt", "0.1", "--tend", "1", "--out", str(out),
+    )
+    assert rc == 2
+    assert "nonlocal form 'explicit'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gamma_coefficients_flag_requires_the_scalar_scheme(tmp_path, capsys):
     rc = run_cli(
         "run", "--model", "biomass", "--scheme", "explicit-euler", "--coeffs", "gamma",

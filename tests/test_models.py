@@ -343,6 +343,23 @@ def test_oscillator_forcing_is_a_declared_quadratic(oscillator):
             np.testing.assert_array_equal(oscillator.forcing.state_fn(np.array(x)), [0.0, -math.inf])
 
 
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        # a kind the steppers and rhs do not know would drop the forcing
+        ({"kind": "Constant", "constant": np.ones(3)}, "unknown forcing kind 'Constant'"),
+        ({"kind": "quadratic", "quadratic": ([0.0, -1.0], [1.0, 0.0])}, "unknown forcing kind"),
+        # a kind without the field it reads
+        ({"kind": "constant"}, "constant forcing needs its constant"),
+        ({"kind": "time", "antiderivative": np.sin}, "time forcing needs its time_fn"),
+        ({"kind": "state", "constant": np.ones(2)}, "state forcing needs its quadratic"),
+    ],
+)
+def test_forcing_rejects_unknown_kinds_and_missing_fields(fields, match):
+    with pytest.raises(ValueError, match=match):
+        mo.Forcing(**fields)
+
+
 def test_quadratic_declaration_needs_matching_vectors():
     with pytest.raises(ValueError, match="one length"):
         mo.Forcing(kind="state", quadratic=([0.0, -1.0], [1.0, 0.0, 0.0]))
