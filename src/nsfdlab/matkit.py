@@ -9,12 +9,14 @@ so a one-step method can be written with n scalar coefficients instead of a
 matrix function; the forcing weight dt phi1(dt A) = sum_j q_j(dt) A^j
 expands the same way.  This module computes the characteristic polynomial
 (by the Faddeev-LeVerrier recursion), the exact coefficients alpha_j and q_j
-(Hermite interpolation on the spectrum, read off one divided-difference
-table of exp), an order-n truncation gamma_j that needs only the
+(Hermite interpolation on the spectrum, read off divided-difference tables
+of exp and phi1), an order-n truncation gamma_j that needs only the
 characteristic polynomial, the scalar steps' forcing weight Q, and the
-paper's correction factors R0, R1, which no stepper uses.  phi1 gives
-matrix-nsfd's step its forcing weight dt phi1(dt A); expm, a front end
-over scipy, is the reference the tests cross-check all of the above.
+paper's correction factors R0, R1, which no stepper uses.  One
+Paterson-Stockmeyer kernel evaluates exp and phi1 together: phi1 gives
+matrix-nsfd's step its forcing weight dt phi1(dt A), and alpha_coeffs
+reads both tables from it.  expm, a front end over scipy, is the
+reference the tests cross-check all of the above.
 """
 from __future__ import annotations
 
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.linalg is imported on first use, in expm and alpha_coeffs: loaded
-# with the package, it would more than double the cost of every import,
-# model build and CLI call for the sake of the exact-alpha schemes alone.
+# scipy.linalg is imported on first use, in expm, which no stepping path
+# calls: loaded with the package, it would more than double the cost of
+# every import, model build and CLI call for the sake of the tests' oracle.
 
 # Coefficient kinds carried by StepCoefficients.
 EXACT_ALPHA = "exact-alpha"
@@ -175,6 +177,19 @@ def phi1(m) -> np.ndarray:
     """The entire function phi1(M) = sum_{k>=0} M^k/(k+1)!.
 
     Satisfies phi1(M) M = exp(M) - I, but is defined for singular M too.
+    Its kernel, _exp_phi1, evaluates exp(M) alongside; alpha_coeffs reads
+    both divided-difference tables from one call of it.  Overflow raises
+    OverflowError.
+    """
+    acc = _exp_phi1(as_square_matrix(m))[1]
+    if not np.isfinite(acc).all():
+        raise OverflowError("phi1 overflowed (norm too large)")
+    return acc
+
+
+def _exp_phi1(m: np.ndarray, triangular_diagonal=None) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(M), phi1(M)) for a finite square float or complex array M.
+
     M is scaled down to 1-norm <= 1/2, where the Taylor polynomial of
     degree 16 leaves a tail below 1e-19.  The polynomial is evaluated by
     the Paterson-Stockmeyer scheme (SIAM J. Comput. 2, 1973) in blocks of
@@ -182,13 +197,23 @@ def phi1(m) -> np.ndarray:
     with the coefficient table, and Horner's rule in X^4 joins them, 7
     matrix products in all against 17 for Horner's rule in X.  The scaling
     is undone with the doubling identities phi1(2X) = (exp(X) + I) phi1(X)/2
-    and exp(2X) = exp(X)^2.  Overflow raises OverflowError.
+    and exp(2X) = exp(X)^2.  For an upper triangular M, pass its diagonal
+    as triangular_diagonal: the diagonal of exp(X) is then set to the
+    exponentials of X's diagonal before each squaring and at the end (Al-Mohy
+    & Higham, SIAM J. Matrix Anal. Appl. 31, 2009, Code Fragment 2.1), so
+    the squarings do not magnify its rounding, which a wide spread of the
+    diagonal would otherwise raise to about ||M||_1 eps.  Overflow in the
+    squarings is left to the caller: the result then holds non-finite
+    entries, and no warning is raised.  A 1-norm too large to scale down
+    raises OverflowError.
     """
-    m = as_square_matrix(m)
     n = m.shape[0]
-    nrm = np.abs(m).sum(axis=0).max()  # the 1-norm
-    squarings = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
-    powers = np.zeros((4, n, n))  # I, X, X^2, X^3
+    # the 1-norm, and nrm / 0.5, are inf if they overflow: math.ceil then
+    # raises OverflowError, with no numpy warning on the way
+    with np.errstate(over="ignore"):
+        nrm = np.abs(m).sum(axis=0).max()
+        squarings = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
+    powers = np.zeros((4, n, n), dtype=m.dtype)  # I, X, X^2, X^3
     flat = powers.reshape(4, n * n)
     flat[0, :: n + 1] = 1.0
     _, x, x2, x3 = powers
@@ -205,12 +230,14 @@ def phi1(m) -> np.ndarray:
     ex = x @ acc
     ex.reshape(-1)[:: n + 1] += 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
+        for k in range(squarings, 0, -1):
+            if triangular_diagonal is not None:
+                ex.reshape(-1)[:: n + 1] = np.exp(triangular_diagonal / 2.0**k)
             acc = (ex @ acc + acc) / 2.0
             ex = ex @ ex
-    if not np.isfinite(acc).all():
-        raise OverflowError("phi1 overflowed (norm too large)")
-    return acc
+        if triangular_diagonal is not None:
+            ex.reshape(-1)[:: n + 1] = np.exp(triangular_diagonal)
+    return ex, acc
 
 
 def _normalize_spectrum(spectrum, n: int) -> list[tuple[complex, int]]:
@@ -245,14 +272,16 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
     p(z) = sum_j alpha_j z^j is the Hermite interpolant of exp(dt z) on the
     spectrum (derivatives matched up to multiplicity), so p(A) = exp(dt A);
     q(z) = sum_j q_values[j] z^j interpolates (exp(dt z) - 1)/z the same way,
-    so q(A) = dt phi1(dt A).  Both come from one divided-difference table
+    so q(A) = dt phi1(dt A).  Both come from divided-difference tables
     (Opitz, ZAMM 44, 1964): with the eigenvalues, each repeated by its
-    multiplicity, after a node 0 on the diagonal of an upper bidiagonal Z
-    with ones above it, row 1 of exp(dt Z) holds the Newton coefficients of
-    exp(dt z) and row 0 those of (exp(dt z) - 1)/z, confluent ones
-    included.  No division by eigenvalue gaps occurs, so clustered and
-    repeated eigenvalues lose no accuracy (McCurdy, Ng & Parlett, Math.
-    Comp. 43, 1984).  The Newton forms are expanded in complex arithmetic
+    multiplicity, on the diagonal of an n x n upper bidiagonal J with ones
+    above it, row 0 of exp(dt J) holds the Newton coefficients of exp(dt z)
+    and row 0 of dt phi1(dt J) those of (exp(dt z) - 1)/z, confluent ones
+    included.  One call of phi1's kernel evaluates both.  No division by
+    eigenvalue gaps occurs, so clustered and repeated eigenvalues lose no
+    accuracy (McCurdy, Ng & Parlett, Math. Comp. 43, 1984); the tests hold
+    every entry of both rows, and of alpha and q, to a relative 5e-14 of a
+    40-digit oracle.  The Newton forms are expanded in complex arithmetic
     where the spectrum is complex, and the real parts are kept.  If
     spectrum is None the eigenvalues of A come from the LAPACK fallback
     np.linalg.eigvals, and the result carries a warning; so does a
@@ -277,17 +306,12 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
         dt_nodes = dt * nodes
     if not np.isfinite(dt_nodes).all():
         raise OverflowError("dt times the spectrum overflowed")
-    # dt Z built in place, with the entries of dt * Z
-    dt_z = np.zeros((n + 1, n + 1), dtype=nodes.dtype)
-    flat = dt_z.reshape(-1)
-    flat[n + 2 :: n + 2] = dt_nodes
-    flat[1 :: n + 2] = dt
-    import scipy.linalg
-
+    dt_j = np.diag(dt_nodes) + dt * np.eye(n, k=1)
+    exp_dt_j, phi1_dt_j = _exp_phi1(dt_j, dt_nodes)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = scipy.linalg.expm(dt_z)
-    alpha = _newton_to_monomial(table[1, 1:].tolist(), lams)
-    q = _newton_to_monomial(table[0, 1:].tolist(), lams)
+        q_newton = dt * phi1_dt_j[0]
+    alpha = _newton_to_monomial(exp_dt_j[0].tolist(), lams)
+    q = _newton_to_monomial(q_newton.tolist(), lams)
     if np.iscomplexobj(nodes) and not np.array_equal(
         np.sort_complex(nodes), np.sort_complex(nodes.conj())
     ):
@@ -347,6 +371,11 @@ def forcing_weight(a, coeffs: StepCoefficients) -> np.ndarray:
     """Q = sum_j q_j A^j, summed as q_1 A + q_0 I + q_2 A^2 + ... (q_0 I for
     n = 1): dt phi1(dt A) for exact alpha coefficients, its Taylor sum for
     gamma.  a, the float array coeffs came from, is not validated again."""
+    return _weight_and_powers(a, coeffs)[0]
+
+
+def _weight_and_powers(a, coeffs: StepCoefficients) -> tuple[np.ndarray, list]:
+    """forcing_weight's Q and the powers [A, A^2, ..., A^(n-1)] it summed."""
     n = a.shape[0]
     if coeffs.n != n:
         raise ValueError("coefficient dimension does not match the matrix")
@@ -354,11 +383,11 @@ def forcing_weight(a, coeffs: StepCoefficients) -> np.ndarray:
     # C order, so the flat view reaches the diagonal
     q_mat = np.multiply(q[1] if n > 1 else 0.0, a, order="C")
     q_mat.reshape(-1)[:: n + 1] += q[0]
-    power = a
+    powers = [a]
     for qj in q[2:]:
-        power = power @ a
-        q_mat += qj * power
-    return q_mat
+        powers.append(powers[-1] @ a)
+        q_mat += qj * powers[-1]
+    return q_mat, powers
 
 
 def correction_factors(a, coeffs: StepCoefficients) -> CorrectionFactors:
@@ -368,24 +397,22 @@ def correction_factors(a, coeffs: StepCoefficients) -> CorrectionFactors:
     n = 2.  R0 = Q/alpha_1 - I - R1 with Q = forcing_weight(a, coeffs); for
     invertible A this is ((alpha_0 - 1)/alpha_1) A^{-1}, computed without
     the inverse and without the cancellation in alpha_0 - 1, so a singular
-    A needs no special case.  alpha_1 = 0 marks a degenerate step size and
-    raises ValueError.  The steppers use Q itself, not R0 and R1.
+    A needs no special case.  R1 reuses the powers of A that Q summed.
+    alpha_1 = 0 marks a degenerate step size and raises ValueError.  The
+    steppers use Q itself, not R0 and R1.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
     if n < 2:
         raise ValueError("correction factors need matrix dimension n >= 2")
-    q_mat = forcing_weight(a, coeffs)
+    q_mat, powers = _weight_and_powers(a, coeffs)
     alpha = coeffs.values.tolist()
     if alpha[1] == 0.0:
         raise ValueError("alpha_1 vanishes: degenerate step size for this spectrum")
     # 0 + (alpha_2/alpha_1) A + (alpha_3/alpha_1) A^2 + ..., term by term
     r1 = np.zeros_like(a)
-    power = a  # A^{j-1} running power
-    for j in range(2, n):
-        r1 += alpha[j] / alpha[1] * power
-        if j < n - 1:
-            power = power @ a
+    for alpha_j, power in zip(alpha[2:], powers):
+        r1 += alpha_j / alpha[1] * power
     q_mat /= alpha[1]
     q_mat.reshape(-1)[:: n + 1] -= 1.0
     q_mat -= r1

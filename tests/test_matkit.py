@@ -124,8 +124,11 @@ def test_expm_overflow_raises():
 # OverflowError, not let a RuntimeWarning escape on the way.
 @pytest.mark.filterwarnings("error")
 def test_phi1_overflow_raises():
-    with pytest.raises(OverflowError):
-        mk.phi1(800.0 * np.eye(2))
+    # exp(800) overflows in the squarings; a 1-norm near the float64 limit
+    # overflows when it is halved to count them
+    for m in (800.0 * np.eye(2), np.diag([1e308, 0.0])):
+        with pytest.raises(OverflowError):
+            mk.phi1(m)
 
 
 @pytest.mark.filterwarnings("error")
@@ -614,6 +617,79 @@ def test_alpha_and_correction_match_a_40_digit_oracle(a, spectrum):
     cf = mk.correction_factors(a, co)
     q = co.values[1] * (np.eye(n) + cf.r1 + cf.r0)
     assert np.linalg.norm(q - dt_phi1) <= 1e-14 * np.linalg.norm(dt_phi1)
+
+
+def _test_spectra(n, rng):
+    """Eigenvalue lists, each eigenvalue repeated by its multiplicity:
+    distinct, one pair 1e-3 / 1e-6 / 1e-9 apart, one Jordan block of size
+    n or 2, complex pairs, a wide spread over [-30, 2], and a stiff one
+    with one eigenvalue in [-1e5, -1e2]."""
+    base = np.sort(rng.uniform(-5.0, 1.0, n)).tolist()
+    pairs = [complex(re, im) for re, im in zip(base, rng.uniform(0.5, 5.0, n // 2))]
+    spectra = {
+        "distinct": base,
+        "jordan": [base[0]] * n,
+        "jordan-2": [base[0]] * 2 + base[1 : n - 1],
+        "complex": [z for p in pairs for z in (p, p.conjugate())] + base[: n % 2],
+        "wide": np.sort(rng.uniform(-30.0, 2.0, n)).tolist(),
+        "stiff": base[:-1] + [-(10.0 ** rng.uniform(2.0, 5.0))],
+    }
+    for e in (3, 6, 9):
+        spectra[f"cluster-1e-{e}"] = [base[0], base[0] + 10.0**-e] + base[1 : n - 1]
+    return spectra
+
+
+def _mp_newton_rows(nodes, dt):
+    """Newton coefficients of exp(dt z) and (exp(dt z) - 1)/z on nodes, and
+    the monomial coefficients expanded from them, to 40 digits.
+
+    The rows are rows 1 and 0 of the exponential of dt Z, with 0 and then
+    the nodes on the diagonal of Z and ones above it (Opitz's table)."""
+    n = len(nodes)
+    with mpmath.workdps(40):
+        mp_nodes = [mpmath.mpmathify(lam) for lam in nodes]
+        dt_z = mpmath.zeros(n + 1)
+        for i in range(n):
+            dt_z[i, i + 1] = dt
+            dt_z[i + 1, i + 1] = dt * mp_nodes[i]
+        table = mpmath.expm(dt_z)
+        rows = [[table[r, k] for k in range(1, n + 1)] for r in (1, 0)]
+        expanded = []
+        for coef in rows:
+            coef = list(coef)
+            for k in range(n - 2, -1, -1):
+                for j in range(k, n - 1):
+                    coef[j] -= mp_nodes[k] * coef[j + 1]
+            expanded.append(coef)
+        return [np.array([complex(c) for c in r]) for r in rows + expanded]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_newton_rows_and_coefficients_match_a_40_digit_oracle(n):
+    # row 0 of exp(dt J) and of dt phi1(dt J), J the eigenvalues with ones
+    # above them, and alpha and q expanded from them, each entry against
+    # the oracle.  Measured at worst: rows 7.2e-15 (wide spreads at
+    # dt = 3), coefficients 1.4e-14 (a complex pair at dt = 3).
+    # scipy.linalg.expm of the (n+1) x (n+1) table, which alpha_coeffs
+    # used before, put the coefficients of these same cases off by up to
+    # 4.6e-8 (1e-9 clusters), 1.0e-9 (wide spreads), 3.4e-12 (Jordan
+    # blocks), 6.8e-13 (complex pairs) and 1.0e-13 (stiff spreads)
+    rng = np.random.default_rng(400 + n)
+    for dt in (0.01, 0.1, 1.0, 3.0):
+        for name, lams in _test_spectra(n, rng).items():
+            exp_row, q_row, alpha, q = _mp_newton_rows(lams, dt)
+            dt_nodes = dt * np.array(lams)
+            exp_dt_j, phi1_dt_j = mk._exp_phi1(np.diag(dt_nodes) + dt * np.eye(n, k=1), dt_nodes)
+            assert np.array_equal(np.diag(exp_dt_j), np.exp(dt_nodes))
+            co = mk.alpha_coeffs(np.eye(n), tuple((lam, 1) for lam in lams), dt)
+            for got, exact in (
+                (exp_dt_j[0], exp_row),
+                (dt * phi1_dt_j[0], q_row),
+                (co.values, alpha.real),
+                (co.q_values, q.real),
+            ):
+                err = np.max(np.abs(got - exact) / np.abs(exact))
+                assert err <= 5e-14, (name, dt, err)
 
 
 def test_correction_vanishing_alpha1_is_step_size_error():
