@@ -96,8 +96,7 @@ class ExperimentReport:
 @dataclass(frozen=True)
 class ConvergenceStudy:
     """Max errors over a step-size sweep and the observed orders between
-    consecutive step sizes (each halving ratio log2(err_i/err_{i+1}), or
-    the string "exact" when both errors sit at rounding level).
+    consecutive step sizes (observed_order: a float, "exact" or None).
     blow_up_steps holds each step size's blow-up step, or None."""
 
     dts: tuple
@@ -133,7 +132,9 @@ def _error_series(traj: Trajectory, reference, norm: str) -> ErrorSeries:
         num = _row_norms(traj.states - reference)
         den = _row_norms(reference)
     fallback = den < _DENOMINATOR_GUARD
-    errors = np.where(fallback, num, num / np.where(fallback, 1.0, den))
+    # a finite state far from a tiny exact value has the relative error inf
+    with np.errstate(over="ignore"):
+        errors = np.where(fallback, num, num / np.where(fallback, 1.0, den))
     return ErrorSeries(times=traj.times, errors=errors, absolute_fallback=fallback, norm=norm)
 
 
@@ -158,7 +159,8 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def observed_order(err_coarse: float, err_fine: float):
-    """log2(err(dt)/err(dt/2)), or "exact" when the errors are at noise level.
+    """log2(err(dt)/err(dt/2)), "exact" when the errors are at noise level,
+    or None when either error is not finite.
 
     A denominator of exactly zero, or both errors below EXACT_FLOOR, means
     the scheme reproduces the solution to rounding and no meaningful order
@@ -166,6 +168,8 @@ def observed_order(err_coarse: float, err_fine: float):
     """
     if err_coarse < 0 or err_fine < 0:
         raise ValueError("errors must be nonnegative")
+    if not (math.isfinite(err_coarse) and math.isfinite(err_fine)):
+        return None
     if err_fine == 0.0 or (err_coarse <= EXACT_FLOOR and err_fine <= EXACT_FLOOR):
         return "exact"
     return math.log2(err_coarse / err_fine)

@@ -9,9 +9,10 @@ Subcommands:
   figure       write the CSV data and gnuplot script for a named figure
   exact        sample the exact solution of a model into a CSV
 
-Exit codes: 0 success, 2 usage error (unknown ids, bad flags or values),
-3 numerical failure (blow-up, a zero pivot, a negative discriminant or
-overflow); on blow-up the partial report is still written.
+Exit codes: 0 success, 2 usage error (ValueError: unknown ids, bad flags
+or values), 3 numerical failure (blow-up, or RuntimeError or OverflowError:
+a zero pivot, a negative discriminant, overflowing coefficients); on
+blow-up the partial report is still written.
 """
 from __future__ import annotations
 
@@ -93,11 +94,11 @@ def _cmd_convergence(args) -> int:
     dts = [float(tok) for tok in args.dts.split(",") if tok]
     study = bench.convergence_study(model, scheme, dts, args.tend, norm=args.norm)
     print("dt,max_error,order")
-    for i, (dt, err) in enumerate(zip(study.dts, study.max_errors)):
-        order = "" if i == 0 else study.orders[i - 1]
+    # the first row, and an order without a finite error, are empty cells
+    for dt, err, order in zip(study.dts, study.max_errors, (None,) + study.orders):
         if isinstance(order, float):
             order = f"{order:.3f}"
-        print(f"{bench.dt_label(dt)},{err:.16e},{order}")
+        print(f"{bench.dt_label(dt)},{err:.16e},{'' if order is None else order}")
     # the table is the result; the blow-ups go to stderr, outside its format
     blown = [
         f"dt = {bench.dt_label(dt)} at step {k}"
@@ -171,7 +172,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, OverflowError, ZeroDivisionError) as exc:
+    except (RuntimeError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -204,15 +204,16 @@ def _exp_phi1(m: np.ndarray, triangular_diagonal=None) -> tuple[np.ndarray, np.n
     the squarings do not magnify its rounding, which a wide spread of the
     diagonal would otherwise raise to about ||M||_1 eps.  Overflow in the
     squarings is left to the caller: the result then holds non-finite
-    entries, and no warning is raised.  A 1-norm too large to scale down
-    raises OverflowError.
+    entries, and no warning is raised.  So does a 1-norm above 2^1022,
+    which no finite power of two scales down to 1/2: both results are then
+    all inf, and each caller reports the overflow in its own words.
     """
     n = m.shape[0]
-    # the 1-norm, and nrm / 0.5, are inf if they overflow: math.ceil then
-    # raises OverflowError, with no numpy warning on the way
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflowing 1-norm is inf
         nrm = np.abs(m).sum(axis=0).max()
-        squarings = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
+    if not nrm <= 2.0**1022:  # else 2^squarings overflows
+        return np.full_like(m, np.inf), np.full_like(m, np.inf)
+    squarings = 0 if nrm <= 0.5 else math.ceil(math.log2(nrm / 0.5))
     powers = np.zeros((4, n, n), dtype=m.dtype)  # I, X, X^2, X^3
     flat = powers.reshape(4, n * n)
     flat[0, :: n + 1] = 1.0

@@ -133,10 +133,11 @@ class Trajectory:
     transposed view.  On every route a trajectory ends before its first
     non-finite state: every entry of states is finite, and blow_up_step is
     the index of the first level with a non-finite entry (None if there is
-    none).  coeff_warning is the warning on the step coefficients
-    (StepCoefficients.warning: eigenvalue fallback, spectrum not closed
-    under conjugation), those of its start-up step for a two-level
-    recurrence; it is None without a warning or without coefficients.
+    none); a two-level recurrence's y_k needs x_{k+1}.  coeff_warning is
+    the warning on the step coefficients (StepCoefficients.warning:
+    eigenvalue fallback, spectrum not closed under conjugation), those of
+    its start-up step for a two-level recurrence; it is None without a
+    warning or without coefficients.
     """
 
     times: np.ndarray
@@ -414,8 +415,8 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
     A state forcing, the declared quadratic, steps in closed form
     (_quadratic_march), and a two-level oscillator scheme runs its
     recurrence from that closed form's first step (_two_level_states).
-    Solver failures raise with the step index attached; the trajectory ends
-    before its first non-finite state (_finite_prefix).
+    Solver failures raise RuntimeError with the step index attached; the
+    trajectory ends before its first non-finite state (_finite_prefix).
     """
     # overflow is a recorded outcome, not a warning condition
     with np.errstate(over="ignore", invalid="ignore"):
@@ -491,19 +492,6 @@ def time_grid(n_levels: int, dt: float) -> np.ndarray:
     return np.arange(n_levels) * dt
 
 
-def _osc_velocity(ctx: StepContext, x_k, x_next):
-    """y_k from the one-step system row (x_{k+1} - cos(dt) x_k)/sin(dt).
-
-    The Mickens system has y_k equal to that quotient; the corrected system
-    adds tan(dt/2) x_k x_{k+1}.  x_k and x_next are numbers or equal-length
-    arrays of levels; the array result equals the per-level one bitwise.
-    """
-    y = (x_next - ctx.cos_dt * x_k) / ctx.sin_dt
-    if ctx.scheme.kind == CORRECTED_OSC:
-        y += ctx.tan_half * x_k * x_next
-    return y
-
-
 def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
     """Extend levels, an array of doubles ending in (x_0, x_1), by the
     levels x_2 .. x_{n_steps+1} of a two-level recurrence.
@@ -518,9 +506,9 @@ def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
                      (linear solve)
 
     Each variant is one loop on Python floats.  A zero pivot 1 + g x_k
-    raises ZeroDivisionError with the step index and x_k, from the division.
-    The levels are raw, and a blow-up steps on to the horizon, as in
-    _quadratic_march.
+    raises RuntimeError with the step index and x_k, from the division's
+    ZeroDivisionError.  The levels are raw, and a blow-up steps on to the
+    horizon, as in _quadratic_march.
     """
     kind = ctx.scheme.kind
     s2 = ctx.denom
@@ -545,7 +533,7 @@ def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
                 append(x_curr)
         except ZeroDivisionError:
             # the tuple assignment did not complete: x_curr is still x_k
-            raise ZeroDivisionError(
+            raise RuntimeError(
                 f"step {k}: degenerate pivot in {kind} update (x_k = {x_curr!r})"
             ) from None
 
@@ -553,27 +541,21 @@ def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
 def _two_level_states(ctx: StepContext, state0: np.ndarray, n_steps: int) -> np.ndarray:
     """The raw (x, y) states of a two-level recurrence, levels 0..n_steps.
 
-    Level 1 is one step of ctx's start-up, the corrected one-step system
-    form, so convergence measurements reflect the recurrence itself rather
-    than an exact-solution seed; a start-up state that is not finite
-    becomes x_1 = NaN.  One spare level beyond the horizon supplies the
-    velocity of the final state.  Runs under march's np.errstate.
+    x_1 is the x of one step of ctx's start-up, the corrected one-step
+    system form, finite or not, so convergence measurements reflect the
+    recurrence, not an exact-solution seed.  y_0 is given; y_k, k >= 1,
+    is the system row (x_{k+1} - cos(dt) x_k)/sin(dt), plus tan(dt/2)
+    x_k x_{k+1} for corrected-osc, from the recurrence's levels up to a
+    spare x_{n_steps+1}.  Runs under march's np.errstate.
     """
-    x1, y1 = _quadratic_march(ctx, state0, 1)[1]
     # the levels as raw doubles: no float object per level
-    xs = array("d", (state0[0], x1 if math.isfinite(x1) and math.isfinite(y1) else math.nan))
+    xs = array("d", (state0[0], _quadratic_march(ctx, state0, 1)[1, 0]))
     _osc_levels(ctx, xs, n_steps)
     xs = np.frombuffer(xs)
     states = np.empty((n_steps + 1, 2))
     states[:, 0] = xs[:-1]
     states[0, 1] = state0[1]
-    states[1:, 1] = _osc_velocity(ctx, xs[1:-1], xs[2:])
-    finite = np.isfinite(xs)
-    if not finite.all():
-        # the last finite level lacks a finite forward neighbor: by time
-        # reversal, minus the velocity of the step back to the preceding
-        # level (O(dt^2) from forward)
-        last = int(np.argmin(finite)) - 1
-        if last > 0:  # level 0 keeps its given velocity
-            states[last, 1] = -_osc_velocity(ctx, xs[last], xs[last - 1])
+    states[1:, 1] = (xs[2:] - ctx.cos_dt * xs[1:-1]) / ctx.sin_dt
+    if ctx.scheme.kind == CORRECTED_OSC:
+        states[1:, 1] += ctx.tan_half * xs[1:-1] * xs[2:]
     return states

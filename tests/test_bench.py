@@ -213,6 +213,26 @@ def test_observed_order_synthetic_values():
     # above the floor on either side, the same ratio is a measured order
     assert nl.observed_order(5e-11, 5e-11) == 0.0
     assert nl.observed_order(4e-11, 5e-12) == 3.0
+    # without a finite error on both sides there is no order
+    for pair in ((math.inf, math.inf), (math.inf, 1e-3), (1e-3, math.inf), (math.nan, 1e-3)):
+        assert nl.observed_order(*pair) is None, pair
+    with pytest.raises(ValueError, match="nonnegative"):
+        nl.observed_order(-math.inf, 1e-3)
+
+
+def test_an_overflowing_relative_error_is_inf_without_a_warning(biomass):
+    # explicit Euler at dt 0.5 grows (spectral radius 1.5) to finite states
+    # near 1e211, while the exact x decays below 1e-260: the ratio overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj, series, report = nl.run_experiment(
+            biomass, nl.SchemeSpec("explicit-euler"), 0.5, 600.0
+        )
+    assert report.blow_up_step is None and np.isfinite(traj.states).all()
+    assert math.isinf(report.max_error)
+    overflowed = np.isinf(series.errors)
+    assert overflowed.any() and not series.absolute_fallback[overflowed].any()
+    assert not np.isnan(series.errors).any()
 
 
 def test_convergence_study_euler_is_first_order(biomass):
@@ -296,7 +316,8 @@ def test_report_carries_the_blow_up_step(oscillator):
     [
         ("biomass", "explicit-euler", 0.3, 1.0, None, 0.9),  # 3 whole steps fit in 1.0
         ("oscillator", "explicit-euler", 2.5, 250.0, None, 42.5),  # level 18 is not finite
-        ("oscillator", "mickens-osc1", 0.5, 50.0, (2.0, 0.0), 7.5),  # level 16 is not finite
+        # x_16 overflows, so level 15's velocity is not finite
+        ("oscillator", "mickens-osc1", 0.5, 50.0, (2.0, 0.0), 7.0),
     ],
 )
 def test_report_records_the_time_reached(name, kind, dt, t_end, x0, t_reached):
@@ -315,7 +336,7 @@ def test_report_records_the_time_reached(name, kind, dt, t_end, x0, t_reached):
         model = dataclasses.replace(model, initial_state=np.array(x0))
         traj = nl.integrate(model, nl.SchemeSpec(kind), dt, t_end)
         blow_up_step = traj.blow_up_step
-        assert blow_up_step == 16
+        assert blow_up_step == 15
     assert float(traj.times[-1]) == pytest.approx(t_reached, rel=1e-15)
     if blow_up_step is not None:
         # the last finite level, one step before the first non-finite one

@@ -195,6 +195,20 @@ def test_convergence_blow_up_prints_the_table_then_exits_3(capsys):
     assert "dt = 2.5 at step 18" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+def test_convergence_with_an_infinite_error_prints_an_empty_order(capsys):
+    # explicit Euler on biomass blows up at dt 1 and, at dt 0.5, overflows
+    # the relative error of finite states against a vanishing exact x
+    rc = run_cli(
+        "convergence", "--model", "biomass", "--scheme", "explicit-euler",
+        "--dts", "1,0.5", "--tend", "600",
+    )
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["dt,max_error,order", "1.0,inf,", "0.5,inf,"]
+    assert captured.err == "blow-up: dt = 1.0 at step 512\n"
+
+
 def test_figure_subcommand_writes_files(tmp_path, capsys):
     rc = run_cli("figure", "--id", "trees-exact", "--out-dir", str(tmp_path))
     assert rc == 0

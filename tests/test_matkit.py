@@ -1,6 +1,7 @@
 """Characteristic polynomials, matrix functions, step coefficients and the
 correction factors of the scalar one-step form."""
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -124,21 +125,27 @@ def test_expm_overflow_raises():
 # OverflowError, not let a RuntimeWarning escape on the way.
 @pytest.mark.filterwarnings("error")
 def test_phi1_overflow_raises():
-    # exp(800) overflows in the squarings; a 1-norm near the float64 limit
-    # overflows when it is halved to count them
-    for m in (800.0 * np.eye(2), np.diag([1e308, 0.0])):
-        with pytest.raises(OverflowError):
+    # exp(800) overflows in the squarings; a 1-norm above 2^1022 has no
+    # finite scaling power 2^s, and one near the float64 limit overflows
+    for m in (800.0 * np.eye(2), np.diag([1.5 * 2.0**1022, 0.0]), np.diag([1e308, 0.0])):
+        with pytest.raises(OverflowError, match=re.escape("phi1 overflowed (norm too large)")):
             mk.phi1(m)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("declared", [True, False], ids=["declared", "fallback"])
 def test_alpha_overflow_raises(declared):
-    # exp(800) overflows inside expm; dt times the eigenvalue 1e200
-    # overflows before it
-    for diagonal, dt in (([800.0, -1.0], 1.0), ([1e200, -1.0], 1e200)):
+    # exp(800) overflows in the squarings; dt times the eigenvalue 1e200
+    # overflows before them; dt 1e308 on the eigenvalues 1 and -1 gives a
+    # 1-norm that overflows
+    coefficients = re.escape("alpha coefficients overflowed (dt times the spectrum too large)")
+    for diagonal, dt, message in (
+        ([800.0, -1.0], 1.0, coefficients),
+        ([1e200, -1.0], 1e200, "dt times the spectrum overflowed"),
+        ([1.0, -1.0], 1e308, coefficients),
+    ):
         spectrum = tuple((lam, 1) for lam in diagonal) if declared else None
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=message):
             mk.alpha_coeffs(np.diag(diagonal), spectrum, dt)
 
 

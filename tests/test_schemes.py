@@ -591,7 +591,7 @@ def step_osc_second_order(ctx, x_prev, x_curr):
         pivot = 1.0 + 0.5 * s2 * x_curr
         rhs = 2.0 * x_curr - x_prev - s2 * (x_curr + 0.5 * x_curr * x_prev)
     if pivot == 0.0:
-        raise ZeroDivisionError(f"degenerate pivot in {kind} update (x_k = {x_curr!r})")
+        raise RuntimeError(f"degenerate pivot in {kind} update (x_k = {x_curr!r})")
     return rhs / pivot
 
 
@@ -652,11 +652,11 @@ def test_second_order_degenerate_pivot_raises(oscillator, kind):
     s2 = (2.0 * math.sin(dt / 2.0)) ** 2
     c2 = math.cos(dt / 2.0) ** 2
     bad = -2.0 / (s2 * c2) if kind == "mickens-osc2" else -2.0 / s2
-    with pytest.raises(ZeroDivisionError, match="degenerate pivot"):
+    with pytest.raises(RuntimeError, match="degenerate pivot"):
         step_osc_second_order(ctx, 0.0, bad)
     # the loop's own path: the division raises at step 1 (x_2 from x_0, x_1)
     expected = f"step 1: degenerate pivot in {kind} update (x_k = {bad!r})"
-    with pytest.raises(ZeroDivisionError, match=re.escape(expected)):
+    with pytest.raises(RuntimeError, match=re.escape(expected)):
         sch._osc_levels(ctx, array("d", (0.0, bad)), 3)
 
 
@@ -714,24 +714,22 @@ def test_velocity_reconstruction_identities(oscillator):
 @pytest.mark.parametrize(
     "kind, dt, x0, blow_up",
     [(kind, 1e-3, 0.25, None) for kind in ("mickens-osc1", "mickens-osc2", "corrected-osc")]
-    # a blow-up: the last kept level has no forward neighbor
-    + [("mickens-osc1", 0.1, 2.0, 42)],
+    # a blow-up: x_42 is not finite, so neither is y_41
+    + [("mickens-osc1", 0.1, 2.0, 41)],
 )
 def test_velocities_equal_the_per_level_formula_bitwise(oscillator, kind, dt, x0, blow_up):
     traj = nl.integrate(oscillator, nl.SchemeSpec(kind), dt, 5.0, x0=np.array([x0, 0.0]))
     assert traj.blow_up_step == blow_up
     ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), dt)
     xs = [float(x) for x in traj.states[:, 0]]
-    if traj.blow_up_step is None:
-        # the spare level past the horizon
-        xs.append(float(step_osc_second_order(ctx, xs[-2], xs[-1])))
-    ys = [0.0]
-    for k in range(1, traj.states.shape[0]):
-        if k + 1 < len(xs):
-            ys.append(velocity_oracle(ctx, xs[k], xs[k + 1]))
-        else:  # last level of a blow-up: minus the backward velocity
-            ys.append(-velocity_oracle(ctx, xs[k], xs[k - 1]))
+    # the level past the kept ones: the spare level past the horizon, or the
+    # blow-up level's finite x
+    xs.append(step_osc_second_order(ctx, xs[-2], xs[-1]))
+    ys = [0.0] + [velocity_oracle(ctx, xs[k], xs[k + 1]) for k in range(1, len(xs) - 1)]
     np.testing.assert_array_equal(traj.states[:, 1], ys)
+    if blow_up is not None:
+        x_next = step_osc_second_order(ctx, xs[-2], xs[-1])
+        assert math.isfinite(xs[-1]) and not math.isfinite(velocity_oracle(ctx, xs[-1], x_next))
 
 
 def test_scalar_and_corrected_forms_walk_the_same_orbit(oscillator):
@@ -1078,10 +1076,12 @@ def test_second_order_loop_equals_the_per_step_function_bitwise(oscillator, kind
     traj = nl.integrate(oscillator, nl.SchemeSpec(kind), dt, 10.0, x0=np.array([x0, 0.0]))
     ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), dt)
     xs = [float(traj.states[0, 0]), float(traj.states[1, 0])]
-    while len(xs) <= traj.states.shape[0]:
+    while len(xs) <= traj.states.shape[0] + 1:
         xs.append(step_osc_second_order(ctx, xs[-2], xs[-1]))
-    np.testing.assert_array_equal(traj.states[:, 0], xs[:-1])
-    # the level past the kept ones is the spare level, or non-finite
+    np.testing.assert_array_equal(traj.states[:, 0], xs[:-2])
+    # the level past the kept ones is finite: the spare level, or the x of
+    # the blow-up level, whose successor is not finite
+    assert math.isfinite(xs[-2])
     assert math.isfinite(xs[-1]) == (traj.blow_up_step is None)
 
 
@@ -1092,8 +1092,8 @@ def osc_levels_oracle(ctx, xs, n_steps):
     for k in range(1, n_steps + 1):
         try:
             nxt = step_osc_second_order(ctx, xs[-2], xs[-1])
-        except ZeroDivisionError as exc:
-            raise ZeroDivisionError(f"step {k}: {exc}") from None
+        except RuntimeError as exc:
+            raise RuntimeError(f"step {k}: {exc}") from None
         if not math.isfinite(nxt):
             break
         xs.append(nxt)
@@ -1104,7 +1104,7 @@ def outcome(fn, *args):
     """fn's result, or the type and message of the error it raised."""
     try:
         return fn(*args)
-    except (RuntimeError, ZeroDivisionError) as exc:
+    except RuntimeError as exc:
         return type(exc), str(exc)
 
 
@@ -1139,20 +1139,17 @@ def second_order_outcomes(ctx, x0, n_steps):
     traj = outcome(sch.march, ctx, x0, n_steps)
     if isinstance(traj, sch.Trajectory):
         traj = traj.states, traj.blow_up_step
-    xs = [float(x0[0])]
-    startup = quadratic_levels_oracle(ctx, x0, 1)
-    if np.isfinite(startup[-1]).all():
-        xs = outcome(osc_levels_oracle, ctx, xs + [float(startup[1, 0])], n_steps)
-        if isinstance(xs[0], type):
-            return traj, xs
-    # xs ends before its first non-finite level, or at the spare level
-    # x_{n_steps+1}; its last kept level takes the backward velocity
+    # x_1 is the start-up's, finite or not
+    x1 = float(quadratic_levels_oracle(ctx, x0, 1)[1, 0])
+    xs = outcome(osc_levels_oracle, ctx, [float(x0[0]), x1], n_steps)
+    if isinstance(xs[0], type):
+        return traj, xs
+    # xs ends before its first non-finite level after x_1, or at the spare
+    # level x_{n_steps+1}; each level's velocity needs the next level
     rows = [(xs[0], float(x0[1]))]
-    for k in range(1, min(len(xs), n_steps + 1)):
-        if k + 1 < len(xs):
-            rows.append((xs[k], velocity_oracle(ctx, xs[k], xs[k + 1])))
-        else:
-            rows.append((xs[k], -velocity_oracle(ctx, xs[k], xs[k - 1])))
+    rows += [
+        (xs[k], velocity_oracle(ctx, xs[k], xs[k + 1])) for k in range(1, min(len(xs) - 1, n_steps + 1))
+    ]
     states = np.array(rows)
     blow_up = first_non_finite(states)
     if blow_up is None and len(states) <= n_steps:
@@ -1230,7 +1227,7 @@ def test_second_order_zero_pivot_after_the_first_step(oscillator, kind):
             break
         up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
     expected = outcome(osc_levels_oracle, ctx, [x0, x1], 5)
-    assert expected[0] is ZeroDivisionError and expected[1].startswith("step 2: "), expected
+    assert expected[0] is RuntimeError and expected[1].startswith("step 2: "), expected
     assert_same_outcome(outcome(sch._osc_levels, ctx, array("d", (x0, x1)), 5), expected)
 
 
@@ -1238,7 +1235,7 @@ def pivot_is_zero(ctx, x0, x1):
     """Whether x_2, the step from (x_0, x_1), has a zero pivot."""
     try:
         step_osc_second_order(ctx, x1, step_osc_second_order(ctx, x0, x1))
-    except ZeroDivisionError:
+    except RuntimeError:
         return True
     return False
 
@@ -1265,6 +1262,68 @@ def test_forced_equilibrium_is_a_fixed_point(trees, kind):
 def test_oscillator_rest_state_is_a_fixed_point(oscillator, kind):
     traj = nl.integrate(oscillator, nl.SchemeSpec(kind), 0.1, 2.0, x0=np.zeros(2))
     assert np.max(np.abs(traj.states)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# dynamic consistency at every step size
+# ---------------------------------------------------------------------------
+
+# An exact scheme has P = exp(dt A), so on a stable A it decays to the
+# equilibrium at every dt, and it keeps every state nonnegative when the
+# flow does, with A Metzler, B >= 0 and X_0 >= 0 (Mickens, "Nonstandard
+# Finite Difference Models of Differential Equations", 1994; Anguelov &
+# Lubuma, Numer. Methods PDE 17, 2001).
+CONSISTENCY_DTS = (0.01, 0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0)
+# both hold to rounding only: over this sweep the lowest state is -2.9e-15
+# (scalar-nsfd) and -1.2e-15 (matrix-nsfd) of the largest, both on biomass
+# at dt 50, and the largest final distance to the equilibrium is 3.1e-15 of
+# the initial one
+CONSISTENCY_ROUNDING = 2e-14
+
+
+def metzler_model(seed):
+    """A random stable upper triangular Metzler system X' = A X + B with
+    n = 2..4, B >= 0 and X_0 >= 0.  The diagonal is the declared spectrum,
+    with a repeated eigenvalue on odd seeds."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    diag = -rng.uniform(0.1, 5.0, n)
+    if seed % 2:
+        diag[1] = diag[0]
+    lams, counts = np.unique(diag, return_counts=True)
+    return mo.OdeModel(
+        name=f"metzler-{seed}",
+        n=n,
+        a_matrix=np.diag(diag) + np.triu(rng.uniform(0.0, 2.0, (n, n)), 1),
+        spectrum=tuple((lam, int(count)) for lam, count in zip(lams, counts)),
+        forcing=mo.Forcing(kind="constant", constant=rng.uniform(0.0, 1.0, n)),
+        initial_state=rng.uniform(0.0, 1.0, n),
+        exact=None,
+    )
+
+
+@pytest.mark.parametrize("kind", ["matrix-nsfd", "scalar-nsfd"])
+@pytest.mark.parametrize("model_name", ["biomass", "trees"])
+def test_exact_schemes_decay_to_the_equilibrium_at_every_step_size(model_name, kind):
+    model = nl.make_model(model_name)
+    start_gap = np.max(np.abs(model.initial_state - model.equilibrium))
+    for dt in CONSISTENCY_DTS:
+        # the slowest mode is exp(-t), below 1e-21 by t = 50
+        traj = nl.integrate(model, nl.SchemeSpec(kind), dt, 60.0)
+        assert traj.blow_up_step is None
+        gap = np.max(np.abs(traj.states[-1] - model.equilibrium))
+        assert gap <= CONSISTENCY_ROUNDING * start_gap, (dt, gap / start_gap)
+
+
+@pytest.mark.parametrize("kind", ["matrix-nsfd", "scalar-nsfd"])
+def test_exact_schemes_stay_nonnegative_at_every_step_size(kind):
+    models = [nl.make_model(name) for name in ("biomass", "trees", "seasonal")]
+    for model in models + [metzler_model(seed) for seed in range(6)]:
+        for dt in CONSISTENCY_DTS:
+            traj = nl.integrate(model, nl.SchemeSpec(kind), dt, 60.0)
+            assert traj.blow_up_step is None
+            low = np.min(traj.states) / np.max(np.abs(traj.states))
+            assert low >= -CONSISTENCY_ROUNDING, (model.name, dt, low)
 
 
 # ---------------------------------------------------------------------------
@@ -1523,7 +1582,7 @@ def test_trajectory_times_are_the_time_grid_bitwise(model_name, kind):
         ("seasonal", "scalar-nsfd", 0.001, 10.0, None, [True], None),  # prefix scan
         ("seasonal", "explicit-euler", 0.5, 2000.0, None, [False], 1750),  # level loop
         ("oscillator", "explicit-euler", 2.5, 250.0, None, [], 18),  # closed-form quadratic
-        ("oscillator", "mickens-osc1", 0.5, 50.0, (2.0, 0.0), [], 16),  # two-level recurrence
+        ("oscillator", "mickens-osc1", 0.5, 50.0, (2.0, 0.0), [], 15),  # two-level recurrence
     ],
     ids=["scan", "loop-blow-up", "quadratic-blow-up", "second-order-blow-up"],
 )
@@ -1605,6 +1664,23 @@ def test_two_level_run_ends_before_its_first_overflowing_velocity(oscillator, dt
     xs = osc_levels_oracle(ctx, [start[0], x1], blow_up)
     assert len(xs) == blow_up + 2  # x_0 .. x_{blow_up+1}, all finite
     assert math.isinf(velocity_oracle(ctx, xs[blow_up], xs[blow_up + 1]))
+
+
+@pytest.mark.parametrize("kind", sch.SECOND_ORDER_KINDS)
+def test_two_level_run_takes_the_start_ups_x_whatever_its_velocity(oscillator, kind):
+    # from (1e308, 0) at dt 1 the start-up step gives x_1 = 0 and y_1 = -inf;
+    # the run keeps x_1 and reports the recurrence's own y_1, which is finite
+    start, dt = np.array([1e308, 0.0]), 1.0
+    ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), dt)
+    x1, startup_y1 = quadratic_levels_oracle(ctx, start, 1)[1]
+    assert math.isfinite(x1) and math.isinf(startup_y1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = nl.integrate(oscillator, nl.SchemeSpec(kind), dt, 40.0, x0=start)
+    xs = osc_levels_oracle(ctx, [start[0], float(x1)], 1)
+    assert traj.blow_up_step == 2
+    assert traj.states[1, 0] == x1
+    assert traj.states[1, 1] == velocity_oracle(ctx, xs[1], xs[2])
 
 
 def test_stable_schemes_do_not_blow_up(biomass):
