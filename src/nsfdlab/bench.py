@@ -160,11 +160,11 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 def observed_order(err_coarse: float, err_fine: float):
     """log2(err(dt)/err(dt/2)), "exact" when the errors are at noise level,
-    or None when either error is not finite.
+    or None when either error is not finite or only err(dt) is 0.
 
     A denominator of exactly zero, or both errors below EXACT_FLOOR, means
     the scheme reproduces the solution to rounding and no meaningful order
-    can be measured.
+    can be measured; a zero err(dt) beside err(dt/2) > EXACT_FLOOR has none.
     """
     if err_coarse < 0 or err_fine < 0:
         raise ValueError("errors must be nonnegative")
@@ -172,7 +172,7 @@ def observed_order(err_coarse: float, err_fine: float):
         return None
     if err_fine == 0.0 or (err_coarse <= EXACT_FLOOR and err_fine <= EXACT_FLOOR):
         return "exact"
-    return math.log2(err_coarse / err_fine)
+    return math.log2(err_coarse / err_fine) if err_coarse else None
 
 
 def run_experiment(

@@ -1,6 +1,6 @@
 """Small-matrix machinery for exponential-fitted one-step schemes.
 
-Everything works on plain float64 numpy arrays.  The Cayley-Hamilton theorem
+Matrices are plain float64 numpy arrays.  The Cayley-Hamilton theorem
 turns the matrix exponential of an n x n matrix into a finite expansion
 
     exp(dt A) = sum_{j=0}^{n-1} alpha_j(dt) A^j,
@@ -13,13 +13,13 @@ expands the same way.  This module computes the characteristic polynomial
 of exp and phi1), an order-n truncation gamma_j that needs only the
 characteristic polynomial, the scalar steps' forcing weight Q, and the
 paper's correction factors R0, R1, which no stepper uses.  One
-Paterson-Stockmeyer kernel evaluates exp and phi1 together: phi1 gives
-matrix-nsfd's step its forcing weight dt phi1(dt A), and alpha_coeffs
-reads both tables from it.  expm, a front end over scipy, is the
-reference the tests cross-check all of the above.
+Paterson-Stockmeyer kernel evaluates exp and phi1 together, for
+matrix-nsfd's forcing weight dt phi1(dt A) and alpha_coeffs' tables; expm,
+a front end over scipy, is the reference the tests cross-check them with.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -52,9 +52,12 @@ def as_square_matrix(a) -> np.ndarray:
     """Validate and return `a` as a C-contiguous n x n float64 array (n >= 1).
 
     The routines below write to diagonals through flat views, which only
-    reach the matrix itself in C order.
+    reach the matrix itself in C order.  A complex matrix raises ValueError.
     """
-    m = np.asarray(a, dtype=float, order="C")
+    m = np.asarray(a, order="C")
+    if m.dtype.kind == "c":
+        raise ValueError("expected a real matrix")
+    m = m.astype(float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -177,9 +180,7 @@ def phi1(m) -> np.ndarray:
     """The entire function phi1(M) = sum_{k>=0} M^k/(k+1)!.
 
     Satisfies phi1(M) M = exp(M) - I, but is defined for singular M too.
-    Its kernel, _exp_phi1, evaluates exp(M) alongside; alpha_coeffs reads
-    both divided-difference tables from one call of it.  Overflow raises
-    OverflowError.
+    Overflow raises OverflowError, and a complex M ValueError.
     """
     acc = _exp_phi1(as_square_matrix(m))[1]
     if not np.isfinite(acc).all():
@@ -202,35 +203,33 @@ def _exp_phi1(m: np.ndarray, triangular_diagonal=None) -> tuple[np.ndarray, np.n
     exponentials of X's diagonal before each squaring and at the end (Al-Mohy
     & Higham, SIAM J. Matrix Anal. Appl. 31, 2009, Code Fragment 2.1), so
     the squarings do not magnify its rounding, which a wide spread of the
-    diagonal would otherwise raise to about ||M||_1 eps.  Overflow in the
-    squarings is left to the caller: the result then holds non-finite
-    entries, and no warning is raised.  So does a 1-norm above 2^1022,
-    which no finite power of two scales down to 1/2: both results are then
-    all inf, and each caller reports the overflow in its own words.
+    diagonal would otherwise raise to about ||M||_1 eps.  One error state
+    covers the whole kernel: overflow leaves non-finite entries and no
+    warning, and a 1-norm above 2^1022, which no power of two scales down
+    to 1/2, makes both results all inf, for each caller to report.
     """
     n = m.shape[0]
-    with np.errstate(over="ignore"):  # an overflowing 1-norm is inf
-        nrm = np.abs(m).sum(axis=0).max()
-    if not nrm <= 2.0**1022:  # else 2^squarings overflows
-        return np.full_like(m, np.inf), np.full_like(m, np.inf)
-    squarings = 0 if nrm <= 0.5 else math.ceil(math.log2(nrm / 0.5))
-    powers = np.zeros((4, n, n), dtype=m.dtype)  # I, X, X^2, X^3
-    flat = powers.reshape(4, n * n)
-    flat[0, :: n + 1] = 1.0
-    _, x, x2, x3 = powers
-    np.divide(m, 2.0**squarings, out=x)
-    np.matmul(x, x, out=x2)
-    np.matmul(x2, x, out=x3)
-    x4 = x2 @ x2
-    blocks = (_PHI1_BLOCKS @ flat).reshape(4, n, n)
-    acc = x4 * _PHI1_TOP
-    acc += blocks[3]
-    for i in (2, 1, 0):
-        acc = x4 @ acc
-        acc += blocks[i]
-    ex = x @ acc
-    ex.reshape(-1)[:: n + 1] += 1.0
     with np.errstate(over="ignore", invalid="ignore"):
+        nrm = np.abs(m).sum(axis=0).max()  # inf if it overflows
+        if not nrm <= 2.0**1022:  # else 2^squarings overflows
+            return np.full_like(m, np.inf), np.full_like(m, np.inf)
+        squarings = 0 if nrm <= 0.5 else math.ceil(math.log2(nrm / 0.5))
+        powers = np.zeros((4, n, n), dtype=m.dtype)  # I, X, X^2, X^3
+        flat = powers.reshape(4, n * n)
+        flat[0, :: n + 1] = 1.0
+        _, x, x2, x3 = powers
+        np.divide(m, 2.0**squarings, out=x)
+        np.matmul(x, x, out=x2)
+        np.matmul(x2, x, out=x3)
+        x4 = x2 @ x2
+        blocks = (_PHI1_BLOCKS @ flat).reshape(4, n, n)
+        acc = x4 * _PHI1_TOP
+        acc += blocks[3]
+        for i in (2, 1, 0):
+            acc = x4 @ acc
+            acc += blocks[i]
+        ex = x @ acc
+        ex.reshape(-1)[:: n + 1] += 1.0
         for k in range(squarings, 0, -1):
             if triangular_diagonal is not None:
                 ex.reshape(-1)[:: n + 1] = np.exp(triangular_diagonal / 2.0**k)
@@ -247,9 +246,7 @@ def _normalize_spectrum(spectrum, n: int) -> list[tuple[complex, int]]:
         raise ValueError("spectrum multiplicities must be positive")
     total = sum(mult for _, mult in items)
     if total != n:
-        raise ValueError(
-            f"spectrum multiplicities sum to {total}, expected matrix dimension {n}"
-        )
+        raise ValueError(f"spectrum multiplicities sum to {total}, expected matrix dimension {n}")
     return items
 
 
@@ -278,17 +275,18 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
     multiplicity, on the diagonal of an n x n upper bidiagonal J with ones
     above it, row 0 of exp(dt J) holds the Newton coefficients of exp(dt z)
     and row 0 of dt phi1(dt J) those of (exp(dt z) - 1)/z, confluent ones
-    included.  One call of phi1's kernel evaluates both.  No division by
-    eigenvalue gaps occurs, so clustered and repeated eigenvalues lose no
-    accuracy (McCurdy, Ng & Parlett, Math. Comp. 43, 1984); the tests hold
-    every entry of both rows, and of alpha and q, to a relative 5e-14 of a
-    40-digit oracle.  The Newton forms are expanded in complex arithmetic
-    where the spectrum is complex, and the real parts are kept.  If
-    spectrum is None the eigenvalues of A come from the LAPACK fallback
-    np.linalg.eigvals, and the result carries a warning; so does a
-    spectrum that is not closed under conjugation, with the size of the
-    imaginary parts dropped.  Coefficients that overflow raise
-    OverflowError.
+    included.  One call of phi1's kernel, in its one error state, evaluates
+    both and is the only n x n work; dt times the eigenvalues, the overflow
+    checks, the Newton forms and the conjugation check run on Python
+    scalars.  No division by eigenvalue gaps occurs, so clustered and
+    repeated eigenvalues lose no accuracy (McCurdy, Ng & Parlett, Math.
+    Comp. 43, 1984): the tests hold both rows, alpha and q to 5e-14 of a
+    40-digit oracle.  Newton forms on a complex spectrum are expanded in
+    complex arithmetic, and the real parts kept.  If spectrum is None the
+    eigenvalues of A come from the LAPACK fallback np.linalg.eigvals, and
+    the result carries a warning; so does a spectrum that is not closed
+    under conjugation, with the size of the imaginary parts dropped.
+    Coefficients that overflow raise OverflowError.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
@@ -302,24 +300,20 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
         lams = [lam for lam, mult in _normalize_spectrum(spectrum, n) for _ in range(mult)]
     if not any(lam.imag for lam in lams):
         lams = [lam.real for lam in lams]
-    nodes = np.array(lams)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dt_nodes = dt * nodes
-    if not np.isfinite(dt_nodes).all():
+    dt_lams = [dt * lam for lam in lams]  # inf on overflow, with no warning
+    if not all(map(cmath.isfinite, dt_lams)):
         raise OverflowError("dt times the spectrum overflowed")
-    dt_j = np.diag(dt_nodes) + dt * np.eye(n, k=1)
-    exp_dt_j, phi1_dt_j = _exp_phi1(dt_j, dt_nodes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q_newton = dt * phi1_dt_j[0]
+    dt_j = np.diag(dt_lams)
+    dt_j.reshape(-1)[1 :: n + 1] = dt
+    exp_dt_j, phi1_dt_j = _exp_phi1(dt_j, dt_j.diagonal())
     alpha = _newton_to_monomial(exp_dt_j[0].tolist(), lams)
-    q = _newton_to_monomial(q_newton.tolist(), lams)
-    if np.iscomplexobj(nodes) and not np.array_equal(
-        np.sort_complex(nodes), np.sort_complex(nodes.conj())
+    q = _newton_to_monomial([dt * c for c in phi1_dt_j[0].tolist()], lams)
+    if isinstance(lams[0], complex) and sorted((z.real, z.imag) for z in lams) != sorted(
+        (z.real, -z.imag) for z in lams
     ):
-        dropped = max(abs(c.imag) for c in alpha + q)
         notes.append(
-            f"spectrum not closed under conjugation; dropped imaginary parts "
-            f"of magnitude {dropped:.2e}"
+            "spectrum not closed under conjugation; dropped imaginary parts "
+            f"of magnitude {max(abs(c.imag) for c in alpha + q):.2e}"
         )
     values = [c.real for c in alpha]
     q_values = [c.real for c in q]

@@ -35,6 +35,7 @@ recurrence as one loop on Python floats (_osc_levels).
 """
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -82,8 +83,6 @@ NONLOCAL_KINDS = (NONLOCAL_EXPLICIT, NONLOCAL_SEMI_IMPLICIT)
 _POWER_FORM_SWITCH = 0.5
 # ... and leaves a step whose powers have an entry above this to the loop
 _POWER_GROWTH_LIMIT = 4.0
-
-_GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
 @dataclass(frozen=True)
@@ -227,6 +226,12 @@ class StepContext:
 _EULER_FORCING = {EXPLICIT_EULER: FORCING_LEFT, IMPLICIT_EULER: FORCING_RIGHT}
 
 
+@functools.cache
+def _gauss_legendre_5() -> tuple[np.ndarray, np.ndarray]:
+    """5-point Gauss-Legendre nodes and weights, loading numpy.polynomial on first use."""
+    return np.polynomial.legendre.leggauss(5)
+
+
 def approximate_forcing(ctx: StepContext, t_k) -> np.ndarray:
     """The forcing value B-hat on [t_k, t_k + dt] of a forcing that does
     not depend on the state.
@@ -259,10 +264,11 @@ def approximate_forcing(ctx: StepContext, t_k) -> np.ndarray:
         if f.antiderivative is not None:
             return (f.antiderivative(t_k + dt) - f.antiderivative(t_k)) / dt
         half = dt / 2.0
+        gl_nodes, gl_weights = _gauss_legendre_5()
         # one evaluation at all nodes of all steps, node-major: shape
         # (5,) + t_k.shape + (n,), contracted as one (5,) @ (5, N n) product
-        nodes = (t_k + half) + half * _GL5_NODES.reshape((5,) + (1,) * t_k.ndim)
-        mean = _GL5_WEIGHTS @ f.time_fn(nodes).reshape(5, -1)
+        nodes = (t_k + half) + half * gl_nodes.reshape((5,) + (1,) * t_k.ndim)
+        mean = gl_weights @ f.time_fn(nodes).reshape(5, -1)
         return mean.reshape(t_k.shape + (ctx.model.n,)) * half / dt
     raise ValueError("a state forcing has no per-step value: march steps it in closed form")
 

@@ -216,6 +216,9 @@ def test_observed_order_synthetic_values():
     # without a finite error on both sides there is no order
     for pair in ((math.inf, math.inf), (math.inf, 1e-3), (1e-3, math.inf), (math.nan, 1e-3)):
         assert nl.observed_order(*pair) is None, pair
+    # nor beside a coarse error of exactly zero, unless both are at noise level
+    assert nl.observed_order(0.0, 1e-3) is None
+    assert nl.observed_order(0.0, 1e-12) == "exact"
     with pytest.raises(ValueError, match="nonnegative"):
         nl.observed_order(-math.inf, 1e-3)
 

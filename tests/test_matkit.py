@@ -62,6 +62,25 @@ def test_char_poly_rejects_nonfinite_and_nonsquare():
         mk.char_poly(np.ones((2, 3)))
 
 
+# Cast to float, a complex matrix would lose its imaginary part with only
+# numpy's ComplexWarning: phi1([[1j, 0], [0, 0]]) would be the identity.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "m", [[[1j, 0.0], [0.0, 0.0]], ROT.astype(complex)], ids=["list", "complex-dtype"]
+)
+def test_complex_matrices_are_rejected_not_cast(m):
+    co = mk.gamma_coeffs(mk.char_poly(ROT), 0.1)
+    for call in (
+        lambda: mk.phi1(m),
+        lambda: mk.char_poly(m),
+        lambda: mk.correction_factors(m, co),
+        lambda: mk.alpha_coeffs(m, ROT_SPECTRUM, 0.1),
+        lambda: mk.alpha_coeffs(m, None, 0.1),
+    ):
+        with pytest.raises(ValueError, match="expected a real matrix"):
+            call()
+
+
 @given(a=int_matrices)
 @settings(max_examples=80, deadline=None)
 def test_char_poly_constant_term_is_signed_determinant(a):
@@ -285,12 +304,13 @@ def test_alpha_root_fallback_warns_and_agrees():
 
 @st.composite
 def orthogonally_similar_matrices(draw):
-    """Real A = Q J Q^T with n <= 6 and Q orthogonal, plus a step dt.  J is
-    diagonal (distinct reals), carries as many 2 x 2 rotation-scaling
-    blocks (complex pairs re +- i im) as fit, is one Jordan block
-    (repeated, n >= 2), or is diagonal with its first two eigenvalues
-    1e-9 .. 1e-3 apart (clustered, n >= 2).  Otherwise real parts step up
-    by 0.1 .. 2 from a start in [-5, 1], so no two eigenvalues coincide."""
+    """Real A = Q J Q^T with n <= 6 and Q orthogonal, its spectrum as
+    (eigenvalue, multiplicity) pairs, and a step dt.  J is diagonal
+    (distinct reals), carries as many 2 x 2 rotation-scaling blocks
+    (complex pairs re +- i im) as fit, is one Jordan block (repeated,
+    n >= 2), or is diagonal with its first two eigenvalues 1e-9 .. 1e-3
+    apart (clustered, n >= 2).  Otherwise real parts step up by 0.1 .. 2
+    from a start in [-5, 1], so no two eigenvalues coincide."""
     cls = draw(st.sampled_from(["distinct", "complex", "repeated", "clustered"]))
     n = draw(st.integers(2 if cls in ("repeated", "clustered") else 1, 6))
     pairs = n // 2 if cls == "complex" else 0
@@ -298,7 +318,9 @@ def orthogonally_similar_matrices(draw):
     blocks = []
     if cls == "repeated":
         blocks.append(re * np.eye(n) + np.eye(n, k=1))
+        spectrum = ((re, n),)
     else:
+        spectrum = ()
         for j in range(n - pairs):
             if j == 1 and cls == "clustered":
                 re += 10.0 ** draw(st.floats(-9.0, -3.0))
@@ -307,22 +329,119 @@ def orthogonally_similar_matrices(draw):
             if j < pairs:
                 im = draw(st.floats(0.1, 5.0))
                 blocks.append(np.array([[re, im], [-im, re]]))
+                spectrum += ((complex(re, im), 1), (complex(re, -im), 1))
             else:
                 blocks.append(np.array([[re]]))
+                spectrum += ((re, 1),)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return q @ scipy.linalg.block_diag(*blocks) @ q.T, draw(st.floats(1e-3, 0.5))
+    return q @ scipy.linalg.block_diag(*blocks) @ q.T, spectrum, draw(st.floats(1e-3, 0.5))
 
 
 @given(case=orthogonally_similar_matrices())
 @settings(max_examples=100, deadline=None)
 def test_alpha_eigenvalue_fallback_reproduces_expm(case):
-    a, dt = case
+    a, _, dt = case
     co = mk.alpha_coeffs(a, None, dt)
     assert co.warning is not None and "fallback" in co.warning
     rebuilt = sum(value * np.linalg.matrix_power(a, j) for j, value in enumerate(co.values))
     expected = scipy.linalg.expm(dt * a)
     assert np.linalg.norm(rebuilt - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def _alpha_reference(a, spectrum, dt):
+    """alpha_coeffs' arithmetic around the same kernel, in numpy: the
+    bidiagonal as np.diag + dt np.eye(n, k=1), the products dt lambda and
+    dt phi1 as arrays under np.errstate, and closure under conjugation by
+    np.sort_complex.  The reference bits of alpha_coeffs, and its errors."""
+    a = mk.as_square_matrix(a)
+    n = a.shape[0]
+    if not (math.isfinite(dt) and dt >= 0):
+        raise ValueError("dt must be nonnegative and finite")
+    notes = []
+    if spectrum is None:
+        lams = np.linalg.eigvals(a).tolist()
+        notes.append("spectrum recovered by eigenvalue fallback (lower trust)")
+    else:
+        lams = [lam for lam, mult in mk._normalize_spectrum(spectrum, n) for _ in range(mult)]
+    if not any(lam.imag for lam in lams):
+        lams = [lam.real for lam in lams]
+    nodes = np.array(lams)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt_nodes = dt * nodes
+    if not np.isfinite(dt_nodes).all():
+        raise OverflowError("dt times the spectrum overflowed")
+    exp_dt_j, phi1_dt_j = mk._exp_phi1(np.diag(dt_nodes) + dt * np.eye(n, k=1), dt_nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_newton = dt * phi1_dt_j[0]
+    alpha = mk._newton_to_monomial(exp_dt_j[0].tolist(), lams)
+    q = mk._newton_to_monomial(q_newton.tolist(), lams)
+    if np.iscomplexobj(nodes) and not np.array_equal(
+        np.sort_complex(nodes), np.sort_complex(nodes.conj())
+    ):
+        dropped = max(abs(c.imag) for c in alpha + q)
+        notes.append(
+            f"spectrum not closed under conjugation; dropped imaginary parts "
+            f"of magnitude {dropped:.2e}"
+        )
+    values = np.array([c.real for c in alpha])
+    q_values = np.array([c.real for c in q])
+    if not (np.isfinite(values).all() and np.isfinite(q_values).all()):
+        raise OverflowError("alpha coefficients overflowed (dt times the spectrum too large)")
+    return mk.StepCoefficients(n, dt, values, q_values, mk.EXACT_ALPHA, "; ".join(notes) or None)
+
+
+def _alpha_outcome(fn, a, spectrum, dt):
+    """The bits of a result, (values, q_values, warning), or the type and
+    message of the error raised."""
+    try:
+        co = fn(a, spectrum, dt)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return co.values.tobytes(), co.q_values.tobytes(), co.warning
+
+
+def _assert_alpha_keeps_the_reference_bits(a, spectrum, dt):
+    got = _alpha_outcome(mk.alpha_coeffs, a, spectrum, dt)
+    assert got == _alpha_outcome(_alpha_reference, a, spectrum, dt), (spectrum, dt)
+    return got
+
+
+# no filterwarnings("error") mark: a failing draw's report would then stop
+# the session on a DeprecationWarning from hypothesis' own imports; the
+# RuntimeWarnings that numpy raises are errors in the whole suite
+@given(
+    case=orthogonally_similar_matrices(),
+    dt=st.one_of(st.none(), st.sampled_from([0.0, 1e-300, 3.0, 50.0, 1e300])),
+)
+@settings(max_examples=150, deadline=None)
+def test_alpha_keeps_the_reference_bits(case, dt):
+    # both routes on distinct, clustered, repeated and complex spectra, at
+    # the drawn step or at one from zero up to an overflowing one
+    a, spectrum, drawn_dt = case
+    for route in (spectrum, None):
+        _assert_alpha_keeps_the_reference_bits(a, route, drawn_dt if dt is None else dt)
+
+
+@pytest.mark.filterwarnings("error")
+def test_alpha_keeps_the_reference_bits_and_messages_at_the_edges():
+    # spectra not closed under conjugation, with their warning
+    for spectrum in (((1j, 2),), ((1 + 2j, 1), (1 - 2j, 1), (3j, 1)), ((-0.5 + 1e-9j, 2),)):
+        n = sum(mult for _, mult in spectrum)
+        warning = _assert_alpha_keeps_the_reference_bits(np.eye(n), spectrum, 0.1)[2]
+        assert warning.startswith("spectrum not closed under conjugation; dropped imaginary")
+    # signed zeros: dt = 0 on negative eigenvalues, and eigenvalues -0.0
+    for spectrum in (((-1.0, 3),), ((-0.0, 2),), ((complex(-0.0, -1.0), 1), (-1j, 1))):
+        n = sum(mult for _, mult in spectrum)
+        for dt in (0.0, 0.1):
+            _assert_alpha_keeps_the_reference_bits(np.eye(n), spectrum, dt)
+    # test_alpha_overflow_raises pins both overflow messages; a product
+    # dt lambda with components near the float64 limit is finite, though
+    # its abs() would raise Python's own OverflowError, and the kernel's
+    # 1-norm overflows instead
+    spectrum = ((complex(1.5e308, 1.5e308), 1), (complex(1.5e308, -1.5e308), 1))
+    got = _assert_alpha_keeps_the_reference_bits(np.eye(2), spectrum, 1.0)
+    assert got == (OverflowError, "alpha coefficients overflowed (dt times the spectrum too large)")
 
 
 def test_alpha_unpaired_conjugate_warns_but_solves():
