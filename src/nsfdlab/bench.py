@@ -24,9 +24,9 @@ formatter.  A block of non-negative values with two-digit exponents, the
 common case, is written as fixed-width rows; any other block has the
 records' NUL padding stripped.
 
-The time column of each grid, the first column of every error and exact
-table, is formatted once and kept in a second LRU cache of 4 grids, keyed
-by dt and the number of levels like the exact samples.
+Every table is its time grid plus value columns: write_csv takes the
+step dt, and formats the grid's time column once, keeping it in a second
+LRU cache of 4 grids keyed by dt and the number of levels.
 """
 from __future__ import annotations
 
@@ -189,7 +189,7 @@ def run_experiment(
     keyed by (model.exact, dt, number of levels), so runs on one grid
     sample it once; an unhashable exact is sampled on every call.  The
     series equals relative_error_series(traj, model.exact, norm) bitwise;
-    its times are the grid whose text write_csv caches.
+    its times are schemes.time_grid(N, dt), write_csv's grid for dt.
 
     The exact solution must start at the model's initial state: if its
     level 0 differs from traj.states[0] by more than rounding (a model
@@ -349,22 +349,20 @@ def dt_label(dt: float) -> str:
     return np.format_float_positional(dt, trim="0")
 
 
-def write_csv(path, header: str, columns) -> None:
-    """Write equal-length 1-d columns as a table under a header line: every
-    value as the bytes of Python's '%.16e' % v, comma-separated, each line
-    ending in '\\n', so repeated runs are byte-identical.
+def write_csv(path, header: str, dt: float, columns) -> None:
+    """Write the time grid of dt and equal-length 1-d value columns as a
+    table under a header line: the times schemes.time_grid(N, dt) first,
+    every value as the bytes of Python's '%.16e' % v, comma-separated,
+    each line ending in '\\n', so repeated runs are byte-identical.
 
-    A vectorized kernel (_records) formats each column, with a comma after
-    every column but the last and a newline after the last, _BLOCK_ROWS
-    rows at a time straight into the file; a block of non-negative values
-    with two-digit exponents is written as fixed-width rows (_joined).
-
-    A first column that is bitwise schemes.time_grid(N, dt), dt = column[1]
-    (every trajectory's times, and write_exact's), next to another column,
-    is formatted once per grid: its records come from an LRU cache of the
-    last 4 grids (_time_records).  Zero-length columns write the header
-    only.  No columns, a column that is not 1-d, columns of unequal length
-    or a 2-d array in place of the columns raise ValueError, opening no file.
+    The time column's records come from an LRU cache of the last 4 grids
+    (_time_records).  A vectorized kernel (_records) formats each value
+    column, _BLOCK_ROWS rows at a time straight into the file; a block of
+    non-negative values with two-digit exponents is written as fixed-width
+    rows (_joined).  Zero-length columns write the header only.  A dt that
+    is not positive and finite (step_count's check), no value columns, a
+    column that is not 1-d, columns of unequal length or a 2-d array in
+    place of the columns raise ValueError, opening no file.
     """
     if isinstance(columns, np.ndarray):
         raise ValueError(f"write_csv takes columns, not an array of shape {columns.shape}")
@@ -372,24 +370,14 @@ def write_csv(path, header: str, columns) -> None:
     if len({column.shape for column in columns}) != 1 or columns[0].ndim != 1:
         shapes = [column.shape for column in columns]
         raise ValueError(f"write_csv needs 1-d columns of one length, got shapes {shapes}")
-    times, n_rows = columns[0], len(columns[0])
+    schemes.step_count(dt, dt)  # ValueError unless dt is positive and finite
+    times = _time_records(dt, len(columns[0]))
     formatted = list(zip(columns, [_COMMA] * (len(columns) - 1) + [_NEWLINE]))
-    time_records = None
-    if len(columns) > 1 and n_rows > 1:
-        dt = float(times[1])
-        if math.isfinite(dt * n_rows):  # a grid that overflows warns, and is no grid
-            grid = schemes.time_grid(n_rows, dt).view(np.uint64)
-            if np.array_equal(grid, times.view(np.uint64)):
-                time_records = _time_records(dt, n_rows)
-                del formatted[0]
     with open(path, "wb") as out:
         out.write(header.encode() + b"\n")
-        for start in range(0, n_rows, _BLOCK_ROWS):
+        for start in range(0, len(times), _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            fields = [_records(column[rows], sep) for column, sep in formatted]
-            if time_records is not None:
-                fields.insert(0, time_records[rows])
-            out.write(_joined(fields))
+            out.write(_joined([times[rows]] + [_records(c[rows], sep) for c, sep in formatted]))
 
 
 # 4 grids, like _sampled_exact: every grid of a figure stays cached while
@@ -397,8 +385,8 @@ def write_csv(path, header: str, columns) -> None:
 @functools.lru_cache(maxsize=4)
 def _time_records(dt: float, n_levels: int) -> np.ndarray:
     """The records of the times schemes.time_grid(n_levels, dt), each
-    followed by a comma: the first column of a table on the grid.
-    Read-only, since every table on the grid shares it."""
+    followed by a comma: write_csv's first column of every table on the
+    grid.  Read-only, since every table on the grid shares it."""
     times = schemes.time_grid(n_levels, dt)
     records = np.empty((n_levels, _RECORD.itemsize), np.uint8)
     for start in range(0, n_levels, _BLOCK_ROWS):
@@ -593,7 +581,7 @@ def write_exact(model: OdeModel, dt: float, t_end: float, path) -> None:
         raise ValueError(f"exact CSV columns t,x,y,z name at most 3 states, got n = {model.n}")
     times = schemes.time_grid(schemes.step_count(dt, t_end) + 1, dt)
     header = ",".join(("t", "x", "y", "z")[: model.n + 1])
-    write_csv(path, header, (times, *model.exact(times).T))
+    write_csv(path, header, dt, tuple(model.exact(times).T))
 
 
 def run_figure(figure_id: str, out_dir) -> list[Path]:
@@ -601,9 +589,9 @@ def run_figure(figure_id: str, out_dir) -> list[Path]:
 
     Error figures produce <figure>_<scheme>_<dt>.csv with columns
     t,rel_error; exact figures a single <figure>.csv with the state
-    columns.  Every table goes through write_csv, so the tables of a figure
-    share each step size's formatted time column.  Returns the written
-    paths (script last).
+    columns.  Every table goes through write_csv on its step size's grid,
+    so the tables of a figure share each step size's formatted time
+    column.  Returns the written paths (script last).
     """
     if figure_id not in FIGURES:
         raise ValueError(
@@ -627,7 +615,7 @@ def run_figure(figure_id: str, out_dir) -> list[Path]:
                     model, scheme, dt, spec["t_end"], norm=spec["norm"]
                 )
                 name = f"{figure_id}_{label}_{dt_label(dt)}.csv"
-                write_csv(out / name, "t,rel_error", (series.times, series.errors))
+                write_csv(out / name, "t,rel_error", dt, (series.errors,))
                 written.append(out / name)
                 csv_names.append((name, label, dt))
         script = _error_script(figure_id, spec, csv_names)

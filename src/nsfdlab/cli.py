@@ -78,7 +78,7 @@ def _cmd_run(args) -> int:
     _, series, report = bench.run_experiment(model, scheme, args.dt, args.tend, norm=args.norm)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    bench.write_csv(out, "t,rel_error", (series.times, series.errors))
+    bench.write_csv(out, "t,rel_error", args.dt, (series.errors,))
     print("model,scheme,dt,t_end,norm,max_error,final_error,blow_up_step")
     blow = "" if report.blow_up_step is None else report.blow_up_step
     print(

@@ -205,20 +205,23 @@ def _exp_phi1(m: np.ndarray, triangular_diagonal=None) -> tuple[np.ndarray, np.n
     the squarings do not magnify its rounding, which a wide spread of the
     diagonal would otherwise raise to about ||M||_1 eps.  One error state
     covers the whole kernel: overflow leaves non-finite entries and no
-    warning, and a 1-norm above 2^1022, which no power of two scales down
-    to 1/2, makes both results all inf, for each caller to report.
+    warning, a 1-norm above 2^1022 is scaled in two steps (_halved), and
+    one that overflows makes both results all inf, for each caller to report.
     """
     n = m.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         nrm = np.abs(m).sum(axis=0).max()  # inf if it overflows
-        if not nrm <= 2.0**1022:  # else 2^squarings overflows
+        if not math.isfinite(nrm):
             return np.full_like(m, np.inf), np.full_like(m, np.inf)
-        squarings = 0 if nrm <= 0.5 else math.ceil(math.log2(nrm / 0.5))
+        if nrm <= 2.0**1022:
+            squarings = 0 if nrm <= 0.5 else math.ceil(math.log2(nrm / 0.5))
+        else:  # nrm / 0.5 may overflow
+            squarings = math.ceil(math.log2(nrm)) + 1
         powers = np.zeros((4, n, n), dtype=m.dtype)  # I, X, X^2, X^3
         flat = powers.reshape(4, n * n)
         flat[0, :: n + 1] = 1.0
         _, x, x2, x3 = powers
-        np.divide(m, 2.0**squarings, out=x)
+        x[...] = _halved(m, squarings)
         np.matmul(x, x, out=x2)
         np.matmul(x2, x, out=x3)
         x4 = x2 @ x2
@@ -232,12 +235,17 @@ def _exp_phi1(m: np.ndarray, triangular_diagonal=None) -> tuple[np.ndarray, np.n
         ex.reshape(-1)[:: n + 1] += 1.0
         for k in range(squarings, 0, -1):
             if triangular_diagonal is not None:
-                ex.reshape(-1)[:: n + 1] = np.exp(triangular_diagonal / 2.0**k)
+                ex.reshape(-1)[:: n + 1] = np.exp(_halved(triangular_diagonal, k))
             acc = (ex @ acc + acc) / 2.0
             ex = ex @ ex
         if triangular_diagonal is not None:
             ex.reshape(-1)[:: n + 1] = np.exp(triangular_diagonal)
     return ex, acc
+
+
+def _halved(v, k: int):
+    """v / 2^k, in two steps where 2^k overflows (k > 1023)."""
+    return v / 2.0**k if k <= 1023 else v / 2.0**1023 / 2.0 ** (k - 1023)
 
 
 def _normalize_spectrum(spectrum, n: int) -> list[tuple[complex, int]]:

@@ -457,16 +457,14 @@ def test_write_exact_refuses_a_model_with_more_states_than_column_names(tmp_path
 
 
 def test_csv_values_keep_the_fstring_bytes(tmp_path):
-    values = [-0.0, 5e-324, 1.0, 1e300]
+    rows = [[0.0, -0.0, 5e-324], [0.5, 1.0, 1e300]]  # t = k * 0.5, then the values
     path = tmp_path / "values.csv"
-    bench.write_csv(path, "a,b", tuple(np.array([values[:2], values[2:]]).T))
-    expected = "a,b\n" + "\n".join(
-        ",".join(f"{v:.16e}" for v in row) for row in (values[:2], values[2:])
-    ) + "\n"
+    bench.write_csv(path, "t,a,b", 0.5, tuple(np.array(rows)[:, 1:].T))
+    expected = "t,a,b\n" + "\n".join(",".join(f"{v:.16e}" for v in row) for row in rows) + "\n"
     assert path.read_bytes() == expected.encode()
     assert path.read_text().splitlines()[1:] == [
-        "-0.0000000000000000e+00,4.9406564584124654e-324",
-        "1.0000000000000000e+00,1.0000000000000001e+300",
+        "0.0000000000000000e+00,-0.0000000000000000e+00,4.9406564584124654e-324",
+        "5.0000000000000000e-01,1.0000000000000000e+00,1.0000000000000001e+300",
     ]
 
 
@@ -521,9 +519,16 @@ def _percent_e_csv(header, table):
     return ("\n".join(lines) + "\n").encode()
 
 
-def _written(tmp_path, table, header="h"):
+def _on_the_grid(dt, table):
+    """The table with the times k dt, k = 0..len(table) - 1, as its first
+    column: the rows write_csv writes for dt and the table's columns."""
+    table = np.asarray(table, dtype=float)
+    return np.column_stack((np.arange(len(table)) * dt, table))
+
+
+def _written(tmp_path, table, header="h", dt=0.1):
     path = tmp_path / "table.csv"
-    bench.write_csv(path, header, tuple(table.T))
+    bench.write_csv(path, header, dt, tuple(table.T))
     return path.read_bytes()
 
 
@@ -616,13 +621,13 @@ def test_write_csv_matches_percent_e_on_edge_values(tmp_path):
     values = _edge_values()
     for cols in (1, 3):
         table = np.resize(values, (-(-len(values) // cols), cols))
-        assert _written(tmp_path, table) == _percent_e_csv("h", table)
+        assert _written(tmp_path, table) == _percent_e_csv("h", _on_the_grid(0.1, table))
 
 
 def test_write_csv_matches_percent_e_on_random_bit_patterns(tmp_path):
     rng = np.random.default_rng(20240601)
     table = rng.integers(0, 2**64, (2**15, 4), dtype=np.uint64).view(np.float64)
-    assert _written(tmp_path, table) == _percent_e_csv("h", table)
+    assert _written(tmp_path, table, dt=1e-102) == _percent_e_csv("h", _on_the_grid(1e-102, table))
 
 
 _bit_patterns = st.integers(0, 2**64 - 1).map(
@@ -640,19 +645,21 @@ _signed = st.builds(lambda v, neg: -v if neg else v, st.one_of(_bit_patterns, _t
 @given(
     cols=st.integers(1, 4),
     rows=st.sampled_from([0, 1, 2, 2047, 2048, 2049]),
+    # times with two- and three-digit exponents, and subnormal ones
+    dt=st.sampled_from([0.001, 0.1, 3.0, 1e-102, 1e300, 5e-324]),
     seed=st.integers(0, 2**32 - 1),
     special=st.lists(st.tuples(st.integers(0, 2**20), _signed), max_size=24),
 )
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_write_csv_matches_percent_e_byte_for_byte(tmp_path, cols, rows, seed, special):
+def test_write_csv_matches_percent_e_byte_for_byte(tmp_path, cols, rows, dt, seed, special):
     # random bit patterns throughout, drawn values at drawn positions
     flat = np.random.default_rng(seed).integers(0, 2**64, rows * cols, dtype=np.uint64).view(np.float64)
     for position, value in special:
         if rows:
             flat[position % flat.size] = value
     table = flat.reshape(rows, cols)
-    header = "t,a,b,c"[: 2 * cols - 1]
-    assert _written(tmp_path, table, header) == _percent_e_csv(header, table)
+    header = "t,a,b,c,d"[: 2 * cols + 1]
+    assert _written(tmp_path, table, header, dt) == _percent_e_csv(header, _on_the_grid(dt, table))
 
 
 @pytest.mark.parametrize("figure", ["seasonal-error", "oscillator-exact"])
@@ -661,9 +668,9 @@ def test_figure_tables_keep_the_per_row_bytes(tmp_path, monkeypatch, figure):
     written = []
     write_csv = bench.write_csv
 
-    def recording_csv(path, header, columns):
-        write_csv(path, header, columns)
-        written.append((Path(path), header, np.column_stack(columns)))
+    def recording_csv(path, header, dt, columns):
+        write_csv(path, header, dt, columns)
+        written.append((Path(path), header, _on_the_grid(dt, np.column_stack(columns))))
 
     monkeypatch.setattr(bench, "write_csv", recording_csv)
     nl.run_figure(figure, tmp_path)
@@ -705,9 +712,9 @@ def test_exact_figures_share_the_time_column_cache(tmp_path, monkeypatch):
     assert cold == _tree_bytes(tmp_path / "warm") == _tree_bytes(tmp_path / "uncached")
 
 
-def _error_csv(tmp_path, times, errors):
+def _error_csv(tmp_path, dt, errors):
     path = tmp_path / "errors.csv"
-    bench.write_csv(path, "t,rel_error", (times, errors))
+    bench.write_csv(path, "t,rel_error", dt, (errors,))
     return path.read_bytes()
 
 
@@ -733,14 +740,13 @@ def test_error_tables_match_percent_e_on_both_paths(tmp_path, monkeypatch, dt, s
         return taken[-1]
 
     monkeypatch.setattr(bench, "_fixed_width", recording)
-    times = sch.time_grid(4100, dt)
-    errors = np.random.default_rng(11).uniform(1e-16, 0.5, len(times))
+    errors = np.random.default_rng(11).uniform(1e-16, 0.5, 4100)
     if special is not None:
         errors[[0, 2047, 2048, 2049]] = special
-    expected = _percent_e_csv("t,rel_error", np.column_stack((times, errors)))
+    expected = _percent_e_csv("t,rel_error", _on_the_grid(dt, errors))
     bench._time_records.cache_clear()
     for _ in range(2):  # the second table takes its times from the cache
-        assert _error_csv(tmp_path, times, errors) == expected
+        assert _error_csv(tmp_path, dt, errors) == expected
     assert taken == paths * 2
     assert bench._time_records.cache_info().hits == 1
 
@@ -751,39 +757,10 @@ def test_time_columns_of_equal_length_grids_are_cached_apart(tmp_path):
     bench._time_records.cache_clear()
     errors = np.linspace(0.0, 1.0, 50)
     for dt in (0.1, 0.2, 0.1):
-        times = sch.time_grid(50, dt)
-        expected = _percent_e_csv("t,rel_error", np.column_stack((times, errors)))
-        assert _error_csv(tmp_path, times, errors) == expected
+        expected = _percent_e_csv("t,rel_error", _on_the_grid(dt, errors))
+        assert _error_csv(tmp_path, dt, errors) == expected
     info = bench._time_records.cache_info()
     assert (info.misses, info.hits) == (2, 1)
-
-
-@pytest.mark.parametrize(
-    "times, header",
-    [
-        (np.cumsum(np.full(3000, 0.001)), "t,rel_error"),  # a running sum, off the grid k dt
-        (np.concatenate(([-0.0], sch.time_grid(3000, 0.001)[1:])), "t,rel_error"),  # equal, not bitwise
-        (sch.time_grid(3000, 0.001)[::-1], "t,rel_error"),
-        (np.array([0.0]), "t,rel_error"),
-        # equal to the grid of dt = -0.1, not bitwise: that grid starts at -0.0
-        (np.concatenate(([0.0], sch.time_grid(3000, -0.1)[1:])), "t,rel_error"),
-        # a grid alone: its cached records end in a comma, not a newline
-        (sch.time_grid(3000, 0.001), "t"),
-        # the grids of these steps overflow: checking them must not warn
-        (np.array([0.0, 1e308, 1.0]), "t,rel_error"),
-        (np.array([0.0, math.inf, 1.0]), "t,rel_error"),
-    ],
-    ids=["running-sum", "negative-zero", "reversed", "one-level", "negative-step", "one-column",
-         "overflowing-step", "infinite-step"],
-)
-@pytest.mark.filterwarnings("error")
-def test_error_tables_off_the_grid_format_their_times(tmp_path, times, header):
-    columns = (times, np.linspace(0.0, 1.0, len(times)))[: header.count(",") + 1]
-    before = bench._time_records.cache_info()
-    path = tmp_path / "table.csv"
-    bench.write_csv(path, header, columns)
-    assert path.read_bytes() == _percent_e_csv(header, np.column_stack(columns))
-    assert bench._time_records.cache_info() == before
 
 
 def test_cli_run_writes_the_error_table_bytes(tmp_path):
@@ -827,12 +804,20 @@ def test_written_files_end_every_line_in_lf(tmp_path):
 )
 def test_write_csv_rejects_anything_but_1d_columns_of_one_length(tmp_path, columns):
     with pytest.raises(ValueError, match="columns"):
-        bench.write_csv(tmp_path / "x.csv", "a", columns)
+        bench.write_csv(tmp_path / "x.csv", "a", 0.1, columns)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_write_csv_rejects_a_step_that_is_not_positive_and_finite(tmp_path, dt):
+    # step_count's check and message, before any file is opened
+    with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+        bench.write_csv(tmp_path / "x.csv", "t,a", dt, (np.zeros(3),))
     assert not (tmp_path / "x.csv").exists()
 
 
 def test_write_csv_of_zero_rows_writes_the_header_only(tmp_path):
-    assert _written(tmp_path, np.zeros((0, 2)), "t,x") == b"t,x\n"
+    assert _written(tmp_path, np.zeros((0, 1)), "t,x") == b"t,x\n"
 
 
 def test_dt_labels_of_figures_and_cli_step_sizes_are_unchanged():

@@ -144,11 +144,31 @@ def test_expm_overflow_raises():
 # OverflowError, not let a RuntimeWarning escape on the way.
 @pytest.mark.filterwarnings("error")
 def test_phi1_overflow_raises():
-    # exp(800) overflows in the squarings; a 1-norm above 2^1022 has no
-    # finite scaling power 2^s, and one near the float64 limit overflows
-    for m in (800.0 * np.eye(2), np.diag([1.5 * 2.0**1022, 0.0]), np.diag([1e308, 0.0])):
+    # exp(800) overflows in the squarings, and so do the exponentials of the
+    # 1-norms above 2^1022, scaled by two powers of two; a 1-norm that
+    # overflows itself gives the kernel's all-inf result
+    for m in (
+        800.0 * np.eye(2),
+        np.diag([1.5 * 2.0**1022, 0.0]),
+        np.diag([1e308, 0.0]),
+        np.array([[1e308, 0.0], [1e308, 0.0]]),
+    ):
         with pytest.raises(OverflowError, match=re.escape("phi1 overflowed (norm too large)")):
             mk.phi1(m)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_1_norm_above_2_1022_runs_every_doubling():
+    # 2^squarings overflows float64 here, but phi1(-s) = (1 - e^-s)/s is
+    # 1e-308 at s = 1e308, and alpha's doublings reset the diagonal of exp:
+    # on the eigenvalues -1e308 and -1 at dt 1, alpha_1 = e^-1 / (1e308 - 1)
+    # and q_1 = (1 - e^-1 - 1e-308) / (1e308 - 1)
+    assert mk.phi1(np.diag([-1e308, 0.0])).tobytes() == np.diag([1e-308, 1.0]).tobytes()
+    e1 = math.exp(-1.0)
+    for spectrum in (((-1e308, 1), (-1.0, 1)), None):
+        co = mk.alpha_coeffs(np.diag([-1e308, -1.0]), spectrum, 1.0)
+        np.testing.assert_allclose(co.values, [e1, e1 * 1e-308], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(co.q_values, [1 - e1, (1 - e1) * 1e-308], rtol=1e-12, atol=0)
 
 
 @pytest.mark.filterwarnings("error")

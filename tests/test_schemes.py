@@ -1326,6 +1326,88 @@ def test_exact_schemes_stay_nonnegative_at_every_step_size(kind):
             assert low >= -CONSISTENCY_ROUNDING, (model.name, dt, low)
 
 
+def gamma_order_system(n, seed):
+    """A = Q diag(lambda) Q^T with Q a random orthogonal matrix and lambda
+    uniform in [-2, 1], unforced, from a random start."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(-2.0, 1.0, n)
+    return mo.OdeModel(
+        name=f"gamma-order-{seed}",
+        n=n,
+        a_matrix=q @ np.diag(lam) @ q.T,
+        spectrum=tuple((float(v), 1) for v in lam),
+        forcing=mo.Forcing(kind="none"),
+        initial_state=rng.uniform(-1.0, 1.0, n),
+        exact=None,
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gamma_is_order_n_on_random_systems(n):
+    # the truncation gamma_j(dt) = dt^j/j! + (dt^n/n!) c_j matches exp(dt A)
+    # to order n; criterion 04 checks biomass (n = 3) only.  Observed orders
+    # between dt 0.1, 0.05 and 0.025 to t = 1 against scipy's expm measured
+    # n - 0.06 to n + 0.12 on 200 systems per n; these are 5 of them
+    dts = (0.1, 0.05, 0.025)
+    for seed in range(5):
+        model = gamma_order_system(n, 1000 * n + seed)
+        errors = []
+        for dt in dts:
+            traj = nl.integrate(model, nl.SchemeSpec("gamma-nsfd"), dt, 1.0)
+            exact = [scipy.linalg.expm(t * model.a_matrix) @ model.initial_state for t in traj.times]
+            errors.append(np.max(np.linalg.norm(traj.states - exact, axis=1)))
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all(np.abs(orders - n) <= 0.2), (seed, orders)
+
+
+def energy_drifts(oscillator, nonlocal_b, dt, t_end=350.0):
+    """The relative drifts |E(X_k) - E_0| / E_0 of the energy
+    E = y^2/2 + x^2/2 + x^3/3 and of Kahan's modified energy along a
+    scalar-nsfd and a matrix-nsfd run from the stock start.
+
+    With the semi-implicit product x_k x_{k+1} the exact scheme is Kahan's
+    method at the step h = 2 tan(dt/2): the Cayley transform of h A is
+    exp(dt A), and (I - h A/2)^-1 h = A^-1 (exp(dt A) - I) is its forcing
+    weight.  On the cubic Hamiltonian Kahan's method conserves
+    E + (h/3) grad E^T (I - (h/2) f')^-1 f (Celledoni, McLachlan, Owren &
+    Quispel, J. Phys. A 46, 2013), where f(X) = (y, -x - x^2)."""
+    h = 2.0 * math.tan(dt / 2.0)
+    for kind in ("scalar-nsfd", "matrix-nsfd"):
+        traj = nl.integrate(oscillator, nl.SchemeSpec(kind, nonlocal_b=nonlocal_b), dt, t_end)
+        assert traj.blow_up_step is None
+        x, y = traj.states.T
+        energy = y**2 / 2 + x**2 / 2 + x**3 / 3
+        # (I - (h/2) f')^-1 f, with f' = [[0, 1], [-1 - 2x, 0]]
+        fx, fy = y, -x - x**2
+        det = 1.0 + h * h / 4 * (1 + 2 * x)
+        vx, vy = (fx + h / 2 * fy) / det, (fy - h / 2 * (1 + 2 * x) * fx) / det
+        modified = energy + h / 3 * ((x + x**2) * vx + y * vy)
+        yield (
+            kind,
+            traj.times,
+            np.abs(energy - energy[0]) / energy[0],
+            np.abs(modified - modified[0]) / modified[0],
+        )
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.01])
+def test_one_step_exact_schemes_keep_the_oscillator_energy_bounded(oscillator, dt):
+    # the paper's Hamiltonian claim for the one-step exact schemes, which
+    # criterion 06 checks for the two-level kinds only: the late/early
+    # window ratio of the energy error reads 1.000 at dt 0.1 and 0.01 to
+    # t = 350, and the modified energy drifts by at most 1.6e-14 (rounding
+    # over 35,000 steps); the explicit product is the negative control, at
+    # 4.1 and 6.0
+    for nonlocal_b in sch.NONLOCAL_KINDS:
+        for kind, times, drift, modified in energy_drifts(oscillator, nonlocal_b, dt):
+            ratio = np.max(drift[times >= 300.0]) / np.max(drift[times <= 50.0])
+            if nonlocal_b == sch.NONLOCAL_SEMI_IMPLICIT:
+                assert ratio <= 1.05 and np.max(modified) <= 1e-13, (kind, ratio, np.max(modified))
+            else:
+                assert ratio >= 3.0, (kind, ratio)
+
+
 # ---------------------------------------------------------------------------
 # the linear stepping kernel against the sequential recurrence
 # ---------------------------------------------------------------------------
