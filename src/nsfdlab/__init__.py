@@ -17,13 +17,11 @@ from .bench import (
     run_figure,
 )
 from .matkit import (
-    CharPoly,
     CorrectionFactors,
     StepCoefficients,
     alpha_coeffs,
     char_poly,
     correction_factors,
-    expm,
     gamma_coeffs,
     phi1,
     power_reduction,
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "COMPONENT_X",
     "EUCLIDEAN_FULL",
-    "CharPoly",
     "ConvergenceStudy",
     "CorrectionFactors",
     "ErrorSeries",
@@ -67,7 +64,6 @@ __all__ = [
     "convergence_study",
     "correction_factors",
     "elliptic_k",
-    "expm",
     "gamma_coeffs",
     "integrate",
     "jacobi_sn",

@@ -372,26 +372,25 @@ def write_csv(path, header: str, dt: float, columns) -> None:
         raise ValueError(f"write_csv needs 1-d columns of one length, got shapes {shapes}")
     schemes.step_count(dt, dt)  # ValueError unless dt is positive and finite
     times = _time_records(dt, len(columns[0]))
-    formatted = list(zip(columns, [_COMMA] * (len(columns) - 1) + [_NEWLINE]))
     with open(path, "wb") as out:
         out.write(header.encode() + b"\n")
         for start in range(0, len(times), _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            out.write(_joined([times[rows]] + [_records(c[rows], sep) for c, sep in formatted]))
+            out.write(_joined([times[rows]] + [_records(c[rows]) for c in columns]))
 
 
 # 4 grids, like _sampled_exact: every grid of a figure stays cached while
 # its schemes run.
 @functools.lru_cache(maxsize=4)
 def _time_records(dt: float, n_levels: int) -> np.ndarray:
-    """The records of the times schemes.time_grid(n_levels, dt), each
-    followed by a comma: write_csv's first column of every table on the
-    grid.  Read-only, since every table on the grid shares it."""
+    """The records of the times schemes.time_grid(n_levels, dt): write_csv's
+    first column of every table on the grid.  Read-only, since every table
+    on the grid shares it."""
     times = schemes.time_grid(n_levels, dt)
     records = np.empty((n_levels, _RECORD.itemsize), np.uint8)
     for start in range(0, n_levels, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        records[rows] = _records(times[rows], _COMMA)
+        records[rows] = _records(times[rows])
     records.setflags(write=False)
     return records
 
@@ -412,22 +411,18 @@ _SPLIT = 134217729.0
 # power of ten; the tables below are indexed by exponent + _EXP_MAX.
 _EXP_MAX = 281
 # One field of the output: sign ('-' or NUL), lead digit, '.', the 16
-# further digits as four 4-byte groups, 'e', the exponent (sign and two or
-# three digits, NUL-padded to 4 bytes) and the separator.  A two-digit
-# exponent's pad byte takes the separator, leaving the last byte NUL.
+# further digits as four 4-byte groups, 'e' and the exponent (sign and two
+# or three digits, NUL-padded to 4 bytes): 24 bytes, the longest '%.16e'
+# text.
 _RECORD = np.dtype(
     [("sign", "u1"), ("lead", "u1"), ("dot", "u1")]
     + [(f"digits{i}", "u4") for i in range(4)]
-    + [("e", "u1"), ("exponent", "u4"), ("separator", "u1")]
+    + [("e", "u1"), ("exponent", "u4")]
 )
 # A non-negative value with a two-digit exponent has a '%.16e' text of
-# _STANDARD_LENGTH bytes; its record holds it in bytes 1..22 and the
-# separator in the exponent's pad byte _PAD, so _FIXED is its text and
-# separator without a NUL byte.
+# _STANDARD_LENGTH bytes, which its record holds in the _FIXED bytes 1..22.
 _STANDARD_LENGTH = 22
-_PAD = 23
-_FIXED = slice(1, _PAD + 1)
-_COMMA, _NEWLINE = ord(","), ord("\n")
+_FIXED = slice(1, _STANDARD_LENGTH + 1)
 
 
 @functools.cache
@@ -468,17 +463,10 @@ def _digit_quads() -> np.ndarray:
 
 
 @functools.cache
-def _exponents(separator: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exponent field of %.16e ('+05', '-280') of each exponent with
-    the separator after it, as the record's exponent word and last byte:
-    a two-digit exponent with the separator in its pad byte and a NUL last
-    byte, a three-digit one with the separator as the last byte."""
-    exponents = range(-_EXP_MAX, _EXP_MAX + 1)
-    pad = chr(separator)
-    words = _ascii_words([f"{e:+03d}" + (pad if abs(e) < 100 else "") for e in exponents])
-    last = np.array([0 if abs(e) < 100 else separator for e in exponents], np.uint8)
-    last.setflags(write=False)
-    return words, last
+def _exponents() -> np.ndarray:
+    """The exponent field of %.16e ('+05', '-280') of each exponent, as the
+    record's exponent word."""
+    return _ascii_words([f"{e:+03d}" for e in range(-_EXP_MAX, _EXP_MAX + 1)])
 
 
 def _split(v):
@@ -488,10 +476,9 @@ def _split(v):
     return high, v - high
 
 
-def _records(values: np.ndarray, separator: int) -> np.ndarray:
-    """'%.16e' % v for every value, each followed by the separator byte, as
-    one NUL-padded _RECORD per value: a (len(values), 25) uint8 array whose
-    rows _joined turns into text.
+def _records(values: np.ndarray) -> np.ndarray:
+    """'%.16e' % v for every value, as one NUL-padded _RECORD per value: a
+    (len(values), 24) uint8 array whose rows _joined turns into text.
 
     With p = 16 - floor(log10|v|), the 17-digit mantissa is |v| 10^p
     rounded to an integer.  That product is formed as Dekker's two-product
@@ -543,9 +530,7 @@ def _records(values: np.ndarray, separator: int) -> np.ndarray:
     rec["digits2"] = quads[low_quad]
     rec["digits3"] = quads[low - low_quad * 10**4]
     rec["e"] = ord("e")
-    words, last = _exponents(separator)
-    rec["exponent"] = words[index]
-    rec["separator"] = last[index]
+    rec["exponent"] = _exponents()[index]
     raw = rec.view(np.uint8).reshape(len(values), _RECORD.itemsize)
     for i in np.flatnonzero(~kernel):
         text = ("%.16e" % values[i]).encode()
@@ -553,25 +538,29 @@ def _records(values: np.ndarray, separator: int) -> np.ndarray:
         at = _FIXED.start if len(text) == _STANDARD_LENGTH else 0
         raw[i] = 0
         raw[i, at : at + len(text)] = np.frombuffer(text, np.uint8)
-        raw[i, max(at + len(text), _PAD)] = separator
     return raw
 
 
 def _fixed_width(fields) -> bool:
-    """Whether no record of the record arrays has a sign or a last byte:
+    """Whether no record of the record arrays has a sign or a last byte (a
+    three-digit exponent, or a fallback text placed at byte 0):
     every value is non-negative with a two-digit exponent, and every
     fallback text has the standard length.  The _FIXED slices of such
-    records hold no NUL byte."""
+    records are their whole text."""
     return not any(f[:, 0].any() or f[:, -1].any() for f in fields)
 
 
 def _joined(fields) -> bytes:
     """The text of the record arrays' rows, side by side (equal-length
-    arrays, such as a table's columns): the _FIXED slices when the rows
-    are fixed-width, otherwise the records with their NUL bytes stripped."""
-    if _fixed_width(fields):
-        return np.concatenate([f[:, _FIXED] for f in fields], axis=1).tobytes()
-    return np.concatenate(fields, axis=1).tobytes().translate(None, b"\0")
+    arrays, such as a table's columns), comma-separated and each ending in
+    '\\n': the _FIXED slices when the rows are fixed-width, otherwise the
+    records with their NUL bytes stripped."""
+    fixed = _fixed_width(fields)
+    comma, newline = (np.full((len(fields[0]), 1), sep, np.uint8) for sep in b",\n")
+    parts = [part for f in fields for part in (f[:, _FIXED] if fixed else f, comma)]
+    parts[-1] = newline
+    text = np.concatenate(parts, axis=1).tobytes()
+    return text if fixed else text.translate(None, b"\0")
 
 
 def write_exact(model: OdeModel, dt: float, t_end: float, path) -> None:

@@ -7,29 +7,26 @@ turns the matrix exponential of an n x n matrix into a finite expansion
 
 so a one-step method can be written with n scalar coefficients instead of a
 matrix function; the forcing weight dt phi1(dt A) = sum_j q_j(dt) A^j
-expands the same way.  This module computes the characteristic polynomial
-(by the Faddeev-LeVerrier recursion), the exact coefficients alpha_j and q_j
+expands the same way.  This module computes the reduction coefficients
+c_j of the characteristic polynomial, A^n = sum_j c_j A^j (by the
+Faddeev-LeVerrier recursion), the exact coefficients alpha_j and q_j
 (Hermite interpolation on the spectrum, read off divided-difference tables
 of exp and phi1), an order-n truncation gamma_j that needs only the
 characteristic polynomial, the scalar steps' forcing weight Q, and the
 paper's correction factors R0, R1, which no stepper uses.  One
 Paterson-Stockmeyer kernel evaluates exp and phi1 together, for
-matrix-nsfd's forcing weight dt phi1(dt A) and alpha_coeffs' tables; expm,
-a front end over scipy, is the reference the tests cross-check them with.
+matrix-nsfd's forcing weight dt phi1(dt A) and alpha_coeffs' tables.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-# scipy.linalg is imported on first use, in expm, which no stepping path
-# calls: loaded with the package, it would more than double the cost of
-# every import, model build and CLI call for the sake of the tests' oracle.
 
 # Coefficient kinds carried by StepCoefficients.
 EXACT_ALPHA = "exact-alpha"
@@ -66,25 +63,10 @@ def as_square_matrix(a) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CharPoly:
-    """Reduction coefficients c_j with A^n = sum_{j<n} c_j A^j.
-
-    Equivalently the characteristic polynomial is
-    p(lambda) = lambda^n - sum_j c_j lambda^j.
-    """
-
-    n: int
-    c: np.ndarray
-
-    def monic(self) -> np.ndarray:
-        """Coefficients of p in descending powers, [1, -c_{n-1}, ..., -c_0]."""
-        return np.concatenate(([1.0], -self.c[::-1]))
-
-
-@dataclass(frozen=True)
 class StepCoefficients:
-    """Scalar coefficients of one step: the propagator sum_j values[j] A^j
-    and the forcing weight Q = sum_j q_values[j] A^j.
+    """Scalar coefficients of one step of an n x n system: the propagator
+    sum_j values[j] A^j and the forcing weight Q = sum_j q_values[j] A^j,
+    j < n, so both arrays have length n.
 
     kind is EXACT_ALPHA (exp(dt A) and dt phi1(dt A) reproduced exactly on
     the spectrum) or TRUNCATED_ORDER_N (gamma coefficients, order-n
@@ -93,8 +75,6 @@ class StepCoefficients:
     (eigenvalue fallback, spectrum not closed under conjugation).
     """
 
-    n: int
-    dt: float
     values: np.ndarray
     q_values: np.ndarray
     kind: str
@@ -116,11 +96,12 @@ class CorrectionFactors:
     r1: np.ndarray
 
 
-def char_poly(a) -> CharPoly:
+def char_poly(a) -> np.ndarray:
     """Characteristic polynomial by the Faddeev-LeVerrier trace recursion.
 
-    Returns c with A^n = sum_{j=0}^{n-1} c_j A^j.  Exact up to rounding;
-    no eigenvalue computation involved.
+    Returns the array c of length n with A^n = sum_{j=0}^{n-1} c_j A^j, so
+    the characteristic polynomial is lambda^n - sum_j c_j lambda^j.  Exact
+    up to rounding; no eigenvalue computation involved.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
@@ -133,11 +114,12 @@ def char_poly(a) -> CharPoly:
         if k < n:
             diagonal += pk  # M_{k+1} = A M_k + p_k I
             am = a @ am
-    return CharPoly(n=n, c=-p)
+    return -p
 
 
-def power_reduction(cp: CharPoly, k: int) -> np.ndarray:
-    """Coefficients beta_{k,j} with A^k = sum_{j<n} beta_{k,j} A^j.
+def power_reduction(c: np.ndarray, k: int) -> np.ndarray:
+    """Coefficients beta_{k,j} with A^k = sum_{j<n} beta_{k,j} A^j, for
+    c = char_poly(A) and n = len(c).
 
     beta_{k,j} = delta_{k,j} for k < n, c_j for k = n, and for k > n the
     recursion beta_{k,0} = c_0 beta_{k-1,n-1},
@@ -145,47 +127,41 @@ def power_reduction(cp: CharPoly, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("power k must be nonnegative")
-    n = cp.n
+    n = len(c)
     if k < n:
         beta = np.zeros(n)
         beta[k] = 1.0
         return beta
-    beta = cp.c.astype(float).copy()
+    beta = np.array(c, dtype=float)
     for _ in range(k - n):
         top = beta[n - 1]
         new = np.empty(n)
-        new[0] = cp.c[0] * top
-        new[1:] = cp.c[1:] * top + beta[:-1]
+        new[0] = c[0] * top
+        new[1:] = c[1:] * top + beta[:-1]
         beta = new
     return beta
-
-
-def expm(m) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with a diagonal Pade core).
-
-    Thin validated front end over scipy.linalg.expm; overflow surfaces as
-    OverflowError instead of silent non-finite entries.
-    """
-    m = as_square_matrix(m)
-    import scipy.linalg
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(m)
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("matrix exponential overflowed (norm too large)")
-    return out
 
 
 def phi1(m) -> np.ndarray:
     """The entire function phi1(M) = sum_{k>=0} M^k/(k+1)!.
 
     Satisfies phi1(M) M = exp(M) - I, but is defined for singular M too.
-    Overflow raises OverflowError, and a complex M ValueError.
+    An upper triangular M hands its diagonal to the kernel, so a small
+    eigenvalue beside a large one keeps its exponential.  Overflow raises
+    OverflowError, and a complex M ValueError.
     """
-    acc = _exp_phi1(as_square_matrix(m))[1]
+    m = as_square_matrix(m)
+    triangular = not any(map(m.reshape(-1).tolist().__getitem__, _strictly_lower(m.shape[0])))
+    acc = _exp_phi1(m, m.diagonal() if triangular else None)[1]
     if not np.isfinite(acc).all():
         raise OverflowError("phi1 overflowed (norm too large)")
     return acc
+
+
+@functools.cache
+def _strictly_lower(n: int) -> tuple[int, ...]:
+    """Flat indices of the entries below the diagonal of an n x n matrix."""
+    return tuple(i * n + j for i in range(n) for j in range(i))
 
 
 def _exp_phi1(m: np.ndarray, triangular_diagonal=None) -> tuple[np.ndarray, np.ndarray]:
@@ -328,8 +304,6 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
     if not all(map(math.isfinite, values + q_values)):
         raise OverflowError("alpha coefficients overflowed (dt times the spectrum too large)")
     return StepCoefficients(
-        n=n,
-        dt=dt,
         values=np.array(values),
         q_values=np.array(q_values),
         kind=EXACT_ALPHA,
@@ -337,8 +311,9 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
     )
 
 
-def gamma_coeffs(cp: CharPoly, dt: float) -> StepCoefficients:
-    """Order-n truncation gamma_j(dt) = dt^j/j! + (dt^n/n!) c_j.
+def gamma_coeffs(c: np.ndarray, dt: float) -> StepCoefficients:
+    """Order-n truncation gamma_j(dt) = dt^j/j! + (dt^n/n!) c_j, for
+    c = char_poly(A) and n = len(c).
 
     Agrees with alpha_j(dt) through O(dt^n); by Cayley-Hamilton the induced
     propagator sum_j gamma_j A^j equals the Taylor sum of exp(dt A) through
@@ -347,27 +322,21 @@ def gamma_coeffs(cp: CharPoly, dt: float) -> StepCoefficients:
     polynomial, no eigenvalues.  Coefficients that overflow raise
     OverflowError.
     """
-    if cp.n < 2:
+    n = len(c)
+    if n < 2:
         raise ValueError("gamma coefficients need matrix dimension n >= 2")
     if not (math.isfinite(dt) and dt >= 0):
         raise ValueError("dt must be nonnegative and finite")
-    if cp.n >= len(_FACTORIALS):
-        raise OverflowError(f"gamma coefficients need {cp.n}!, beyond the float64 range")
+    if n >= len(_FACTORIALS):
+        raise OverflowError(f"gamma coefficients need {n}!, beyond the float64 range")
     with np.errstate(over="ignore", invalid="ignore"):
-        taylor = dt ** np.arange(cp.n + 1) / _FACTORIALS[: cp.n + 1]
-        values = taylor[:-1] + taylor[-1] * cp.c
+        taylor = dt ** np.arange(n + 1) / _FACTORIALS[: n + 1]
+        values = taylor[:-1] + taylor[-1] * c
     # dt^j/j! is finite for j < n whenever dt^n/n! is, and an infinite
     # dt^n/n! makes every value infinite or NaN
     if not np.isfinite(values).all():
         raise OverflowError("gamma coefficients overflowed (dt or the matrix norm too large)")
-    return StepCoefficients(
-        n=cp.n,
-        dt=dt,
-        values=values,
-        q_values=taylor[1:],
-        kind=TRUNCATED_ORDER_N,
-        warning=None,
-    )
+    return StepCoefficients(values=values, q_values=taylor[1:], kind=TRUNCATED_ORDER_N)
 
 
 def forcing_weight(a, coeffs: StepCoefficients) -> np.ndarray:
@@ -380,7 +349,7 @@ def forcing_weight(a, coeffs: StepCoefficients) -> np.ndarray:
 def _weight_and_powers(a, coeffs: StepCoefficients) -> tuple[np.ndarray, list]:
     """forcing_weight's Q and the powers [A, A^2, ..., A^(n-1)] it summed."""
     n = a.shape[0]
-    if coeffs.n != n:
+    if len(coeffs.q_values) != n:
         raise ValueError("coefficient dimension does not match the matrix")
     q = coeffs.q_values.tolist()
     # C order, so the flat view reaches the diagonal

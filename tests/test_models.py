@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,9 +177,9 @@ def test_import_and_model_building_leave_scipy_special_unloaded():
 
 
 def test_import_and_model_building_load_no_scipy_module():
-    # scipy.linalg waits for the first exact-alpha coefficients and
-    # scipy.special for the first elliptic function, so neither the import
-    # nor a model build loads any part of scipy
+    # no nsfdlab module imports scipy.linalg, and scipy.special waits for
+    # the first elliptic function, so neither the import nor a model build
+    # loads any part of scipy
     src = str(Path(nl.__file__).resolve().parents[1])
     code = (
         "import sys\n"
@@ -265,7 +266,7 @@ def test_biomass_exact_matches_matrix_exponential(biomass):
     x0 = biomass.exact(0.0)
     np.testing.assert_array_equal(x0, [0.0, 0.0, 1.0])
     for t in (0.1, 1.0, 3.7, 10.0):
-        oracle = mk.expm(t * biomass.a_matrix) @ x0
+        oracle = scipy.linalg.expm(t * biomass.a_matrix) @ x0
         np.testing.assert_allclose(biomass.exact(t), oracle, rtol=0, atol=1e-12)
 
 
@@ -274,7 +275,7 @@ def test_trees_exact_matches_variation_of_constants(trees):
     x0 = trees.exact(0.0)
     eq = np.linalg.solve(trees.a_matrix, -trees.forcing.constant)
     for t in (0.1, 1.0, 5.0, 10.0):
-        oracle = eq + mk.expm(t * trees.a_matrix) @ (x0 - eq)
+        oracle = eq + scipy.linalg.expm(t * trees.a_matrix) @ (x0 - eq)
         np.testing.assert_allclose(trees.exact(t), oracle, rtol=0, atol=1e-12)
 
 
@@ -395,9 +396,9 @@ def test_declared_spectrum_matches_characteristic_roots(kind):
         (complex(lam) for lam, mult in model.spectrum for _ in range(mult)),
         key=lambda z: (z.real, z.imag),
     )
-    computed = sorted(
-        np.roots(mk.char_poly(model.a_matrix).monic()), key=lambda z: (z.real, z.imag)
-    )
+    # lambda^n - sum_j c_j lambda^j, in descending powers
+    monic = np.concatenate(([1.0], -mk.char_poly(model.a_matrix)[::-1]))
+    computed = sorted(np.roots(monic), key=lambda z: (z.real, z.imag))
     np.testing.assert_allclose(computed, declared, rtol=0, atol=1e-10)
 
 
