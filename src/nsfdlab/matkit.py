@@ -16,6 +16,14 @@ characteristic polynomial, the scalar steps' forcing weight Q, and the
 paper's correction factors R0, R1, which no stepper uses.  One
 Paterson-Stockmeyer kernel evaluates exp and phi1 together, for
 matrix-nsfd's forcing weight dt phi1(dt A) and alpha_coeffs' tables.
+
+The matrices are small (n <= 6 in the models and the benchmark), so a call
+spends more time in numpy's per-call dispatch than in arithmetic.  The
+routines therefore call np.add.reduce itself rather than the ndarray
+methods that wrap it, take maxima of a few column sums in Python and
+check finiteness by counting, and the kernel copies its stack of powers
+from a cached template; each such step computes the same bits as the
+method it replaces.
 """
 from __future__ import annotations
 
@@ -49,7 +57,9 @@ def as_square_matrix(a) -> np.ndarray:
     """Validate and return `a` as a C-contiguous n x n float64 array (n >= 1).
 
     The routines below write to diagonals through flat views, which only
-    reach the matrix itself in C order.  A complex matrix raises ValueError.
+    reach the matrix itself in C order.  A complex matrix, one that is not
+    square (or is empty) and one with a non-finite entry raise ValueError.
+    A C-contiguous float64 array is returned as it is, not copied.
     """
     m = np.asarray(a, order="C")
     if m.dtype.kind == "c":
@@ -57,9 +67,15 @@ def as_square_matrix(a) -> np.ndarray:
     m = m.astype(float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if not _all_finite(m):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def _all_finite(v) -> bool:
+    """Whether every entry of the array v is finite: isfinite(v).all(), by
+    counting, which skips the reduction machinery."""
+    return np.count_nonzero(np.isfinite(v)) == v.size
 
 
 @dataclass(frozen=True)
@@ -109,7 +125,7 @@ def char_poly(a) -> np.ndarray:
     am = a.copy()  # A M_k, with M_1 = I
     for k in range(1, n + 1):
         diagonal = am.reshape(-1)[:: n + 1]
-        pk = -diagonal.sum() / k
+        pk = -np.add.reduce(diagonal) / k
         p[n - k] = pk
         if k < n:
             diagonal += pk  # M_{k+1} = A M_k + p_k I
@@ -147,21 +163,34 @@ def phi1(m) -> np.ndarray:
 
     Satisfies phi1(M) M = exp(M) - I, but is defined for singular M too.
     An upper triangular M hands its diagonal to the kernel, so a small
-    eigenvalue beside a large one keeps its exponential.  Overflow raises
-    OverflowError, and a complex M ValueError.
+    eigenvalue beside a large one keeps its exponential.  A lower triangular
+    M is run as its transpose in the same way, since phi1(M) = phi1(M^T)^T,
+    and the result is copied back to C order.  Both triangularity checks
+    read one list of the entries and stop at the first nonzero one.  A full
+    matrix with such a spread of eigenvalues still loses the small one (that
+    would need a Schur form).  Overflow raises OverflowError, and a complex
+    M ValueError.
     """
     m = as_square_matrix(m)
-    triangular = not any(map(m.reshape(-1).tolist().__getitem__, _strictly_lower(m.shape[0])))
-    acc = _exp_phi1(m, m.diagonal() if triangular else None)[1]
-    if not np.isfinite(acc).all():
+    lower, upper = _strictly_lower_and_upper(m.shape[0])
+    entries = m.reshape(-1).tolist()
+    if not any(map(entries.__getitem__, lower)):
+        acc = _exp_phi1(m, m.diagonal())[1]
+    elif not any(map(entries.__getitem__, upper)):  # phi1(M) = phi1(M^T)^T
+        acc = _exp_phi1(m.T, m.diagonal())[1].T.copy()
+    else:
+        acc = _exp_phi1(m)[1]
+    if not _all_finite(acc):
         raise OverflowError("phi1 overflowed (norm too large)")
     return acc
 
 
 @functools.cache
-def _strictly_lower(n: int) -> tuple[int, ...]:
-    """Flat indices of the entries below the diagonal of an n x n matrix."""
-    return tuple(i * n + j for i in range(n) for j in range(i))
+def _strictly_lower_and_upper(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Flat indices of the entries below and above the diagonal of an
+    n x n matrix."""
+    lower = tuple(i * n + j for i in range(n) for j in range(i))
+    return lower, tuple(j * n + i for i in range(n) for j in range(i))
 
 
 def _exp_phi1(m: np.ndarray, triangular_diagonal=None) -> tuple[np.ndarray, np.ndarray]:
@@ -183,21 +212,29 @@ def _exp_phi1(m: np.ndarray, triangular_diagonal=None) -> tuple[np.ndarray, np.n
     covers the whole kernel: overflow leaves non-finite entries and no
     warning, a 1-norm above 2^1022 is scaled in two steps (_halved), and
     one that overflows makes both results all inf, for each caller to report.
+
+    For n <= 6 the matrix products are a small part of a call; the rest is
+    numpy's per-call dispatch, about a microsecond for each operation (the
+    error state, the 1-norm, each product and update).  So the column sums
+    of the 1-norm come from np.add.reduce itself and their maximum from
+    Python's max, the stack I, X, X^2, X^3 is a copy of a cached read-only
+    (I, 0, 0, 0) per (n, dtype) (_identity_stack), and M / 2^s is written
+    into its slot by _halved's out=.  The tests hold the kernel to a
+    reference copy bit for bit.
     """
     n = m.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        nrm = np.abs(m).sum(axis=0).max()  # inf if it overflows
+        nrm = max(np.add.reduce(np.abs(m), axis=0).tolist())  # inf if it overflows
         if not math.isfinite(nrm):
             return np.full_like(m, np.inf), np.full_like(m, np.inf)
         if nrm <= 2.0**1022:
             squarings = 0 if nrm <= 0.5 else math.ceil(math.log2(nrm / 0.5))
         else:  # nrm / 0.5 may overflow
             squarings = math.ceil(math.log2(nrm)) + 1
-        powers = np.zeros((4, n, n), dtype=m.dtype)  # I, X, X^2, X^3
+        powers = _identity_stack(n, m.dtype).copy()  # I, X, X^2, X^3
         flat = powers.reshape(4, n * n)
-        flat[0, :: n + 1] = 1.0
-        _, x, x2, x3 = powers
-        x[...] = _halved(m, squarings)
+        x, x2, x3 = powers[1], powers[2], powers[3]
+        _halved(m, squarings, out=x)
         np.matmul(x, x, out=x2)
         np.matmul(x2, x, out=x3)
         x4 = x2 @ x2
@@ -219,9 +256,22 @@ def _exp_phi1(m: np.ndarray, triangular_diagonal=None) -> tuple[np.ndarray, np.n
     return ex, acc
 
 
-def _halved(v, k: int):
-    """v / 2^k, in two steps where 2^k overflows (k > 1023)."""
-    return v / 2.0**k if k <= 1023 else v / 2.0**1023 / 2.0 ** (k - 1023)
+def _halved(v, k: int, out=None):
+    """v / 2^k, into out if given, in two steps where 2^k overflows
+    (k > 1023)."""
+    if k <= 1023:
+        return np.divide(v, 2.0**k, out=out)
+    return np.divide(np.divide(v, 2.0**1023, out=out), 2.0 ** (k - 1023), out=out)
+
+
+@functools.cache
+def _identity_stack(n: int, dtype) -> np.ndarray:
+    """The read-only 4 x n x n stack (I, 0, 0, 0) of dtype, which
+    _exp_phi1 copies for its powers I, X, X^2, X^3."""
+    stack = np.zeros((4, n, n), dtype=dtype)
+    stack.reshape(4, n * n)[0, :: n + 1] = 1.0
+    stack.flags.writeable = False
+    return stack
 
 
 def _normalize_spectrum(spectrum, n: int) -> list[tuple[complex, int]]:
@@ -287,7 +337,8 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
     dt_lams = [dt * lam for lam in lams]  # inf on overflow, with no warning
     if not all(map(cmath.isfinite, dt_lams)):
         raise OverflowError("dt times the spectrum overflowed")
-    dt_j = np.diag(dt_lams)
+    dt_j = np.zeros((n, n), dtype=complex if isinstance(lams[0], complex) else float)
+    dt_j.reshape(-1)[:: n + 1] = dt_lams
     dt_j.reshape(-1)[1 :: n + 1] = dt
     exp_dt_j, phi1_dt_j = _exp_phi1(dt_j, dt_j.diagonal())
     alpha = _newton_to_monomial(exp_dt_j[0].tolist(), lams)
@@ -334,7 +385,7 @@ def gamma_coeffs(c: np.ndarray, dt: float) -> StepCoefficients:
         values = taylor[:-1] + taylor[-1] * c
     # dt^j/j! is finite for j < n whenever dt^n/n! is, and an infinite
     # dt^n/n! makes every value infinite or NaN
-    if not np.isfinite(values).all():
+    if not _all_finite(values):
         raise OverflowError("gamma coefficients overflowed (dt or the matrix norm too large)")
     return StepCoefficients(values=values, q_values=taylor[1:], kind=TRUNCATED_ORDER_N)
 
@@ -382,7 +433,7 @@ def correction_factors(a, coeffs: StepCoefficients) -> CorrectionFactors:
     if alpha[1] == 0.0:
         raise ValueError("alpha_1 vanishes: degenerate step size for this spectrum")
     # 0 + (alpha_2/alpha_1) A + (alpha_3/alpha_1) A^2 + ..., term by term
-    r1 = np.zeros_like(a)
+    r1 = np.zeros((n, n))
     for alpha_j, power in zip(alpha[2:], powers):
         r1 += alpha_j / alpha[1] * power
     q_mat /= alpha[1]

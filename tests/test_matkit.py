@@ -211,6 +211,85 @@ def test_phi1_matches_scipy_series_on_random_matrix():
     np.testing.assert_allclose(mk.phi1(m), expected, rtol=0, atol=1e-11)
 
 
+def _exp_phi1_reference(m, triangular_diagonal=None):
+    """The exp/phi1 kernel as matkit first wrote it: the norm by ndarray
+    methods, the stack of powers from np.zeros, M / 2^s copied in, all
+    under one error state.  The reference bits of mk._exp_phi1."""
+    n = m.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = np.abs(m).sum(axis=0).max()  # inf if it overflows
+        if not math.isfinite(nrm):
+            return np.full_like(m, np.inf), np.full_like(m, np.inf)
+        if nrm <= 2.0**1022:
+            squarings = 0 if nrm <= 0.5 else math.ceil(math.log2(nrm / 0.5))
+        else:  # nrm / 0.5 may overflow
+            squarings = math.ceil(math.log2(nrm)) + 1
+        powers = np.zeros((4, n, n), dtype=m.dtype)  # I, X, X^2, X^3
+        flat = powers.reshape(4, n * n)
+        flat[0, :: n + 1] = 1.0
+        _, x, x2, x3 = powers
+        x[...] = _halved_reference(m, squarings)
+        np.matmul(x, x, out=x2)
+        np.matmul(x2, x, out=x3)
+        x4 = x2 @ x2
+        blocks = (mk._PHI1_BLOCKS @ flat).reshape(4, n, n)
+        acc = x4 * mk._PHI1_TOP
+        acc += blocks[3]
+        for i in (2, 1, 0):
+            acc = x4 @ acc
+            acc += blocks[i]
+        ex = x @ acc
+        ex.reshape(-1)[:: n + 1] += 1.0
+        for k in range(squarings, 0, -1):
+            if triangular_diagonal is not None:
+                ex.reshape(-1)[:: n + 1] = np.exp(_halved_reference(triangular_diagonal, k))
+            acc = (ex @ acc + acc) / 2.0
+            ex = ex @ ex
+        if triangular_diagonal is not None:
+            ex.reshape(-1)[:: n + 1] = np.exp(triangular_diagonal)
+    return ex, acc
+
+
+def _halved_reference(v, k):
+    return v / 2.0**k if k <= 1023 else v / 2.0**1023 / 2.0 ** (k - 1023)
+
+
+@st.composite
+def kernel_arguments(draw):
+    """A finite n x n real or complex matrix, n = 1..6, full or upper
+    triangular, with the diagonal to pass as triangular_diagonal (None for
+    a full one).  Its largest entry has magnitude 2^e times a mantissa in
+    [1, 2): e near 0 (none to a few halvings) mostly, down to -1074
+    (subnormal entries), and from 1020 to 1023 (a 1-norm above 2^1022,
+    scaled in two steps, or one that overflows); a 1-norm of 2^60 to
+    2^1020 takes the same paths with fewer doublings.  Some entries may be
+    signed zeros."""
+    triangular = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 7))
+    m = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        m = m + 1j * rng.standard_normal((n, n))
+    if triangular:
+        m = np.triu(m)
+    m[rng.random((n, n)) < rng.choice([0.0, 0.0, 0.3, 1.0])] *= 0.0
+    low, high = ((-8, 8), (-8, 8), (-8, 8), (-1074, 60), (1020, 1023))[rng.integers(5)]
+    largest = np.abs(m).max()
+    if largest:
+        m = m / largest * math.ldexp(rng.uniform(1.0, 2.0), int(rng.integers(low, high + 1)))
+    return m, (m.diagonal() if triangular else None)
+
+
+@pytest.mark.filterwarnings("error")
+@given(case=kernel_arguments())
+@settings(max_examples=100, deadline=None)
+def test_exp_phi1_keeps_the_reference_bits(case):
+    m, triangular_diagonal = case
+    got = mk._exp_phi1(m, triangular_diagonal)
+    expected = _exp_phi1_reference(m, triangular_diagonal)
+    assert [(r.dtype, r.tobytes()) for r in got] == [(r.dtype, r.tobytes()) for r in expected]
+
+
 # ---------------------------------------------------------------------------
 # alpha_coeffs
 # ---------------------------------------------------------------------------
@@ -355,7 +434,7 @@ def test_alpha_eigenvalue_fallback_reproduces_expm(case):
 
 
 def _alpha_reference(a, spectrum, dt):
-    """alpha_coeffs' arithmetic around the same kernel, in numpy: the
+    """alpha_coeffs' arithmetic around the reference kernel, in numpy: the
     bidiagonal as np.diag + dt np.eye(n, k=1), the products dt lambda and
     dt phi1 as arrays under np.errstate, and closure under conjugation by
     np.sort_complex.  The reference bits of alpha_coeffs, and its errors."""
@@ -376,7 +455,7 @@ def _alpha_reference(a, spectrum, dt):
         dt_nodes = dt * nodes
     if not np.isfinite(dt_nodes).all():
         raise OverflowError("dt times the spectrum overflowed")
-    exp_dt_j, phi1_dt_j = mk._exp_phi1(np.diag(dt_nodes) + dt * np.eye(n, k=1), dt_nodes)
+    exp_dt_j, phi1_dt_j = _exp_phi1_reference(np.diag(dt_nodes) + dt * np.eye(n, k=1), dt_nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         q_newton = dt * phi1_dt_j[0]
     alpha = mk._newton_to_monomial(exp_dt_j[0].tolist(), lams)
@@ -412,9 +491,7 @@ def _assert_alpha_keeps_the_reference_bits(a, spectrum, dt):
     return got
 
 
-# no filterwarnings("error") mark: a failing draw's report would then stop
-# the session on a DeprecationWarning from hypothesis' own imports; the
-# RuntimeWarnings that numpy raises are errors in the whole suite
+@pytest.mark.filterwarnings("error")
 @given(
     case=orthogonally_similar_matrices(),
     dt=st.one_of(st.none(), st.sampled_from([0.0, 1e-300, 3.0, 50.0, 1e300])),
@@ -615,20 +692,30 @@ def test_phi1_matches_a_40_digit_oracle(n):
         assert err <= 1e-14, (norm, err)
 
 
+_TRIANGULAR_1E8 = np.array([[-1e8, 1.0, 0.5], [0.0, -1.0, 2.0], [0.0, 0.0, -0.5]])
+
+
 @pytest.mark.parametrize(
     "m",
     [
         np.diag([-1e16, -1.0]),
         np.diag([-1e15, -1.0]),
-        np.array([[-1e8, 1.0, 0.5], [0.0, -1.0, 2.0], [0.0, 0.0, -0.5]]),
+        _TRIANGULAR_1E8,
+        np.array([[-1e16, 0.0], [1.0, -1.0]]),
+        np.array([[-1e15, 0.0], [1.0, -1.0]]),
+        _TRIANGULAR_1E8.T,
     ],
-    ids=["diag-1e16", "diag-1e15", "triangular-1e8"],
+    ids=["diag-1e16", "diag-1e15", "triangular-1e8", "lower-1e16", "lower-1e15", "lower-1e8"],
 )
 def test_phi1_keeps_a_small_eigenvalue_beside_a_large_one(m):
     # scaled by 2^50 and more, exp(-1) rounds to 1, so the diagonal of the
-    # triangular argument's exp must be reset before each doubling
+    # triangular argument's exp must be reset before each doubling; a lower
+    # triangular argument is run as its transpose, phi1(M) = phi1(M^T)^T
     _, expected = _mp_exp_and_phi(m, 1.0)
-    assert np.all(np.abs(mk.phi1(m) - expected) <= 1e-15 * np.abs(expected))
+    got = mk.phi1(m)
+    assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+    assert got.flags.c_contiguous
+    assert got.tobytes() == np.ascontiguousarray(mk.phi1(m.T).T).tobytes()
 
 
 def _char_poly_loop(a):
