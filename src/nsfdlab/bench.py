@@ -61,11 +61,11 @@ _START_TOLERANCE = 1e-12
 class ErrorSeries:
     """Per-level error of a trajectory against the exact solution.
 
+    errors[k] is the error at level k, time k dt of the trajectory's step;
     absolute_fallback marks levels where the exact value vanished and the
     entry records the absolute instead of the relative error.
     """
 
-    times: np.ndarray
     errors: np.ndarray
     absolute_fallback: np.ndarray
     norm: str
@@ -77,8 +77,7 @@ class ExperimentReport:
 
     t_end is the requested horizon; t_reached is the time of the last level
     computed, step_count(dt, t_end) steps of dt, or of the last finite
-    level after a blow-up.  coeff_warning is the trajectory's warning on
-    its step coefficients, or None.
+    level after a blow-up.
     """
 
     model: str
@@ -90,7 +89,6 @@ class ExperimentReport:
     final_error: float
     blow_up_step: int | None
     t_reached: float
-    coeff_warning: str | None
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,7 @@ def _error_series(traj: Trajectory, reference, norm: str) -> ErrorSeries:
     # a finite state far from a tiny exact value has the relative error inf
     with np.errstate(over="ignore"):
         errors = np.where(fallback, num, num / np.where(fallback, 1.0, den))
-    return ErrorSeries(times=traj.times, errors=errors, absolute_fallback=fallback, norm=norm)
+    return ErrorSeries(errors=errors, absolute_fallback=fallback, norm=norm)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -188,8 +186,8 @@ def run_experiment(
     The exact solution comes from an LRU cache of the last 4 grids sampled,
     keyed by (model.exact, dt, number of levels), so runs on one grid
     sample it once; an unhashable exact is sampled on every call.  The
-    series equals relative_error_series(traj, model.exact, norm) bitwise;
-    its times are schemes.time_grid(N, dt), write_csv's grid for dt.
+    series equals relative_error_series(traj, model.exact, norm) bitwise,
+    on the grid schemes.time_grid(N, dt) of traj.times and write_csv.
 
     The exact solution must start at the model's initial state: if its
     level 0 differs from traj.states[0] by more than rounding (a model
@@ -199,12 +197,13 @@ def run_experiment(
     Returns (trajectory, error_series, report).
     """
     traj = integrate(model, scheme, dt, t_end)
+    n_levels = len(traj.states)
     try:
         hash(model.exact)
     except TypeError:  # a mutable callable, such as a dataclass instance
         reference = model.exact(traj.times)
     else:
-        reference = _sampled_exact(model.exact, float(dt), len(traj.times))
+        reference = _sampled_exact(model.exact, float(dt), n_levels)
     series = _error_series(traj, reference, norm)
     _check_start(model, traj.states[0], np.broadcast_to(reference, traj.states.shape)[0])
     report = ExperimentReport(
@@ -216,8 +215,8 @@ def run_experiment(
         max_error=float(np.max(series.errors)),
         final_error=float(series.errors[-1]),
         blow_up_step=traj.blow_up_step,
-        t_reached=float(traj.times[-1]),
-        coeff_warning=traj.coeff_warning,
+        # the product k dt of time_grid, so the grid's last time to the bit
+        t_reached=(n_levels - 1) * traj.dt,
     )
     return traj, series, report
 
@@ -240,9 +239,9 @@ def _check_start(model: OdeModel, start: np.ndarray, exact_start: np.ndarray) ->
 # of a figure stays cached while its schemes run.
 @functools.lru_cache(maxsize=4)
 def _sampled_exact(exact, dt: float, n_levels: int) -> np.ndarray:
-    """exact at t = k dt, k = 0..n_levels - 1: the grid march and the
-    second-order recurrences build as traj.times, bit for bit.  Read-only,
-    since every caller shares it."""
+    """exact at t = k dt, k = 0..n_levels - 1: the grid traj.times of a
+    trajectory of n_levels levels of dt, bit for bit.  Read-only, since
+    every caller shares it."""
     reference = np.array(exact(schemes.time_grid(n_levels, dt)), dtype=float)
     reference.setflags(write=False)
     return reference

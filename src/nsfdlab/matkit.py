@@ -36,10 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Coefficient kinds carried by StepCoefficients.
-EXACT_ALPHA = "exact-alpha"
-TRUNCATED_ORDER_N = "truncated-order-n"
-
 # Spectrum entries are (eigenvalue, algebraic multiplicity) pairs.
 Spectrum = tuple[tuple[complex, int], ...]
 
@@ -84,16 +80,15 @@ class StepCoefficients:
     sum_j values[j] A^j and the forcing weight Q = sum_j q_values[j] A^j,
     j < n, so both arrays have length n.
 
-    kind is EXACT_ALPHA (exp(dt A) and dt phi1(dt A) reproduced exactly on
-    the spectrum) or TRUNCATED_ORDER_N (gamma coefficients, order-n
-    accurate, with Q = sum_{j<n} dt^{j+1}/(j+1)! A^j).  In both, A Q equals
-    sum_j values[j] A^j - I.  warning is None or a human-readable note
-    (eigenvalue fallback, spectrum not closed under conjugation).
+    alpha_coeffs reproduces exp(dt A) and dt phi1(dt A) exactly on the
+    spectrum; gamma_coeffs is order-n accurate, with
+    Q = sum_{j<n} dt^{j+1}/(j+1)! A^j.  In both, A Q equals
+    sum_j values[j] A^j - I.  warning is None, or the note that alpha's
+    spectrum came from the eigenvalue fallback.
     """
 
     values: np.ndarray
     q_values: np.ndarray
-    kind: str
     warning: str | None = None
 
 
@@ -274,14 +269,23 @@ def _identity_stack(n: int, dtype) -> np.ndarray:
     return stack
 
 
-def _normalize_spectrum(spectrum, n: int) -> list[tuple[complex, int]]:
+def _normalize_spectrum(spectrum, n: int) -> list[complex]:
+    """The eigenvalues of (eigenvalue, multiplicity) pairs, each repeated
+    by its multiplicity.  Multiplicities that are not positive or do not sum
+    to n, and a spectrum that is not closed under conjugation (no real
+    matrix has one), raise ValueError."""
     items = [(complex(lam), int(mult)) for lam, mult in spectrum]
     if any(mult < 1 for _, mult in items):
         raise ValueError("spectrum multiplicities must be positive")
     total = sum(mult for _, mult in items)
     if total != n:
         raise ValueError(f"spectrum multiplicities sum to {total}, expected matrix dimension {n}")
-    return items
+    lams = [lam for lam, mult in items for _ in range(mult)]
+    if any(z.imag for z in lams) and sorted((z.real, z.imag) for z in lams) != sorted(
+        (z.real, -z.imag) for z in lams
+    ):
+        raise ValueError("spectrum is not closed under conjugation, so no real matrix has it")
+    return lams
 
 
 def _newton_to_monomial(dd: list, nodes: list) -> list:
@@ -311,27 +315,27 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
     and row 0 of dt phi1(dt J) those of (exp(dt z) - 1)/z, confluent ones
     included.  One call of phi1's kernel, in its one error state, evaluates
     both and is the only n x n work; dt times the eigenvalues, the overflow
-    checks, the Newton forms and the conjugation check run on Python
-    scalars.  No division by eigenvalue gaps occurs, so clustered and
-    repeated eigenvalues lose no accuracy (McCurdy, Ng & Parlett, Math.
-    Comp. 43, 1984): the tests hold both rows, alpha and q to 5e-14 of a
+    checks and the Newton forms run on Python scalars.  No division by
+    eigenvalue gaps occurs, so clustered and repeated eigenvalues lose no
+    accuracy (McCurdy, Ng & Parlett, Math. Comp. 43, 1984): the tests hold both rows, alpha and q to 5e-14 of a
     40-digit oracle.  Newton forms on a complex spectrum are expanded in
     complex arithmetic, and the real parts kept.  If spectrum is None the
     eigenvalues of A come from the LAPACK fallback np.linalg.eigvals, and
-    the result carries a warning; so does a spectrum that is not closed
-    under conjugation, with the size of the imaginary parts dropped.
-    Coefficients that overflow raise OverflowError.
+    the result's warning says so; the tests hold that route to 1e-12 of
+    expm, as they do a declared spectrum.  A declared spectrum that is not
+    closed under conjugation raises ValueError (_normalize_spectrum), and
+    coefficients that overflow raise OverflowError.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
     if not (math.isfinite(dt) and dt >= 0):
         raise ValueError("dt must be nonnegative and finite")
-    notes = []
+    warning = None
     if spectrum is None:
         lams = np.linalg.eigvals(a).tolist()
-        notes.append("spectrum recovered by eigenvalue fallback (lower trust)")
+        warning = "spectrum recovered by eigenvalue fallback"
     else:
-        lams = [lam for lam, mult in _normalize_spectrum(spectrum, n) for _ in range(mult)]
+        lams = _normalize_spectrum(spectrum, n)
     if not any(lam.imag for lam in lams):
         lams = [lam.real for lam in lams]
     dt_lams = [dt * lam for lam in lams]  # inf on overflow, with no warning
@@ -343,23 +347,11 @@ def alpha_coeffs(a, spectrum: Spectrum | None, dt: float) -> StepCoefficients:
     exp_dt_j, phi1_dt_j = _exp_phi1(dt_j, dt_j.diagonal())
     alpha = _newton_to_monomial(exp_dt_j[0].tolist(), lams)
     q = _newton_to_monomial([dt * c for c in phi1_dt_j[0].tolist()], lams)
-    if isinstance(lams[0], complex) and sorted((z.real, z.imag) for z in lams) != sorted(
-        (z.real, -z.imag) for z in lams
-    ):
-        notes.append(
-            "spectrum not closed under conjugation; dropped imaginary parts "
-            f"of magnitude {max(abs(c.imag) for c in alpha + q):.2e}"
-        )
     values = [c.real for c in alpha]
     q_values = [c.real for c in q]
     if not all(map(math.isfinite, values + q_values)):
         raise OverflowError("alpha coefficients overflowed (dt times the spectrum too large)")
-    return StepCoefficients(
-        values=np.array(values),
-        q_values=np.array(q_values),
-        kind=EXACT_ALPHA,
-        warning="; ".join(notes) or None,
-    )
+    return StepCoefficients(np.array(values), np.array(q_values), warning)
 
 
 def gamma_coeffs(c: np.ndarray, dt: float) -> StepCoefficients:
@@ -387,7 +379,7 @@ def gamma_coeffs(c: np.ndarray, dt: float) -> StepCoefficients:
     # dt^n/n! makes every value infinite or NaN
     if not _all_finite(values):
         raise OverflowError("gamma coefficients overflowed (dt or the matrix norm too large)")
-    return StepCoefficients(values=values, q_values=taylor[1:], kind=TRUNCATED_ORDER_N)
+    return StepCoefficients(values=values, q_values=taylor[1:])
 
 
 def forcing_weight(a, coeffs: StepCoefficients) -> np.ndarray:

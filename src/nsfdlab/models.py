@@ -285,8 +285,8 @@ def _trees_exact(t, z0: float, zf: float) -> np.ndarray:
 
 
 def _make_biomass(z0: float = 1.0) -> OdeModel:
-    if z0 <= 0:
-        raise ValueError(f"z0 must be positive, got {z0}")
+    if not (math.isfinite(z0) and z0 > 0):
+        raise ValueError(f"z0 must be positive and finite, got {z0}")
     return OdeModel(
         name="biomass",
         n=3,
@@ -301,10 +301,10 @@ def _make_biomass(z0: float = 1.0) -> OdeModel:
 
 
 def _make_trees(z0: float = 1.0, zf: float = 0.5) -> OdeModel:
-    if z0 <= 0:
-        raise ValueError(f"z0 must be positive, got {z0}")
-    if zf < 0:
-        raise ValueError(f"zf must be nonnegative, got {zf}")
+    if not (math.isfinite(z0) and z0 > 0):
+        raise ValueError(f"z0 must be positive and finite, got {z0}")
+    if not (math.isfinite(zf) and zf >= 0):
+        raise ValueError(f"zf must be nonnegative and finite, got {zf}")
     return OdeModel(
         name="trees",
         n=3,
@@ -327,12 +327,12 @@ def _third_component(values: np.ndarray) -> np.ndarray:
 
 
 def _make_seasonal(z0: float = 1.0, zf: float = 0.5, omega: float = 2.0 * math.pi) -> OdeModel:
-    if z0 <= 0:
-        raise ValueError(f"z0 must be positive, got {z0}")
-    if zf < 0:
-        raise ValueError(f"zf must be nonnegative, got {zf}")
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not (math.isfinite(z0) and z0 > 0):
+        raise ValueError(f"z0 must be positive and finite, got {z0}")
+    if not (math.isfinite(zf) and zf >= 0):
+        raise ValueError(f"zf must be nonnegative and finite, got {zf}")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     w2 = omega * omega
     d1, d3, d5 = 1.0 + w2, 9.0 + w2, 25.0 + w2
 

@@ -124,25 +124,25 @@ class SchemeSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Computed time grid and states.
+    """Computed states on the time grid of the step dt.
 
-    times[k] = k dt; states, of shape (len(times), n), has the n-vector at
-    level k as states[k], with states[0] the given initial state.  The
-    memory layout of states is not part of the contract: it may be a
-    transposed view.  On every route a trajectory ends before its first
-    non-finite state: every entry of states is finite, and blow_up_step is
-    the index of the first level with a non-finite entry (None if there is
-    none); a two-level recurrence's y_k needs x_{k+1}.  coeff_warning is
-    the warning on the step coefficients (StepCoefficients.warning:
-    eigenvalue fallback, spectrum not closed under conjugation), those of
-    its start-up step for a two-level recurrence; it is None without a
-    warning or without coefficients.
+    states, of shape (N, n), has the n-vector at level k, time k dt, as
+    states[k], with states[0] the given initial state; times is that grid,
+    time_grid(N, dt), built on each read.  The memory layout of states is
+    not part of the contract: it may be a transposed view.  On every route
+    a trajectory ends before its first non-finite state: every entry of
+    states is finite, and blow_up_step is the index of the first level with
+    a non-finite entry (None if there is none); a two-level recurrence's
+    y_k needs x_{k+1}.
     """
 
-    times: np.ndarray
+    dt: float
     states: np.ndarray
     blow_up_step: int | None = None
-    coeff_warning: str | None = None
+
+    @property
+    def times(self) -> np.ndarray:
+        return time_grid(len(self.states), self.dt)
 
 
 class StepContext:
@@ -159,15 +159,14 @@ class StepContext:
       scalar/gamma-nsfd  Q = sum_j q_j A^j   (matkit.forcing_weight)
 
     with phi_i = (1 - exp(a_ii dt))/(-a_ii) (dt where a_ii = 0) and q_j from
-    the alpha (exact) or gamma (order-n) coefficients, kept as coeffs.  The
-    map is held as q and d = P - I = Q A, and applied as X + (D X + Q B-hat):
+    the alpha (exact) or gamma (order-n) coefficients.  The map is held as
+    q and d = P - I = Q A, and applied as X + (D X + Q B-hat):
     P is within O(dt) of I, so a stored P would round away the low digits
     of every step's increment, and with them the forced equilibrium
     (P - I) X* = -Q B.  march's prefix scan keeps the same increment form
     for the powers P^s while max|P^s - I| <= 1/2, and squares P^s itself
-    beyond that.  coeffs is None for the Euler, traditional and matrix
-    schemes.  A two-level oscillator scheme compiles the Q, d and coeffs of
-    its start-up, scalar-nsfd with the semi-implicit product, plus its
+    beyond that.  A two-level oscillator scheme compiles the q and d of its
+    start-up, scalar-nsfd with the semi-implicit product, plus its
     recurrence constants; a model that does not declare x'' + x + x^2 = 0
     (by A and the quadratic, not by name) raises ValueError.
 
@@ -185,7 +184,6 @@ class StepContext:
         self.model = model
         self.scheme = scheme
         self.dt = float(dt)
-        self.coeffs = None
         a = model.a_matrix
         kind = scheme.kind
         if kind in SECOND_ORDER_KINDS:
@@ -213,10 +211,10 @@ class StepContext:
             self.q = dt * matkit.phi1(dt * a)
         else:
             if kind == GAMMA_NSFD:
-                self.coeffs = matkit.gamma_coeffs(matkit.char_poly(a), dt)
+                coeffs = matkit.gamma_coeffs(matkit.char_poly(a), dt)
             else:
-                self.coeffs = matkit.alpha_coeffs(a, model.spectrum, dt)
-            self.q = matkit.forcing_weight(a, self.coeffs)
+                coeffs = matkit.alpha_coeffs(a, model.spectrum, dt)
+            self.q = matkit.forcing_weight(a, coeffs)
         # P - I = Q A for every kind (M - I = dt M A as M (I - dt A) = I, and
         # exp(dt z) - 1 = z q(z)), and this form does not cancel in alpha_0 - 1
         self.d = self.q @ a
@@ -443,16 +441,14 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
 
 
 def _finite_prefix(ctx: StepContext, states: np.ndarray) -> Trajectory:
-    """The trajectory of the raw levels states[k] on ctx's grid, with ctx's
-    coefficient warning, ending before its first level with a non-finite
-    entry, the blow_up_step.  march, the one stepping kernel, returns every
-    route through here."""
+    """The trajectory of the raw levels states[k] with ctx's step, ending
+    before its first level with a non-finite entry, the blow_up_step.
+    march, the one stepping kernel, returns every route through here."""
     blow_up = None
     if not np.isfinite(states).all():
         blow_up = int(np.argmin(np.isfinite(states).all(axis=1)))
         states = states[:blow_up]
-    warning = None if ctx.coeffs is None else ctx.coeffs.warning
-    return Trajectory(time_grid(states.shape[0], ctx.dt), states, blow_up, warning)
+    return Trajectory(ctx.dt, states, blow_up)
 
 
 def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=None) -> Trajectory:
@@ -462,7 +458,7 @@ def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=N
     and t_end; every scheme then runs through march on its StepContext.
     Solver failures raise with the step index attached; the trajectory ends
     before its first non-finite state and records it as blow_up_step
-    instead of raising, and carries the coefficients' warning, if any.
+    instead of raising.
     """
     n_steps = step_count(dt, t_end)
     state0 = np.array(model.initial_state if x0 is None else x0, dtype=float)

@@ -169,7 +169,8 @@ def test_cached_samples_give_the_uncached_errors_bitwise(model_kind, dt, t_end, 
         for _ in range(2):  # the second run hits the cache
             traj, series, report = nl.run_experiment(model, scheme, dt, t_end, norm=norm)
             expected = nl.relative_error_series(traj, model.exact, norm)
-            np.testing.assert_array_equal(series.times, expected.times)
+            assert len(series.errors) == len(expected.errors) == len(traj.times)
+            assert report.t_reached == float(traj.times[-1])
             assert series.errors.tobytes() == expected.errors.tobytes()
             np.testing.assert_array_equal(series.absolute_fallback, expected.absolute_fallback)
             assert report.max_error == float(np.max(expected.errors))
@@ -379,34 +380,33 @@ def test_run_experiment_accepts_the_stock_starts_and_rounding(name):
     assert series.errors[0] <= 1e-15
 
 
-def test_coefficient_warning_reaches_the_trajectory_and_report():
+def test_a_model_without_a_spectrum_steps_on_the_eigenvalue_fallback():
+    # alpha's eigenvalues then come from np.linalg.eigvals: the step is the
+    # declared spectrum's to rounding, through run_experiment and through a
+    # run that ends at a blow-up
     biomass = nl.make_model("biomass")
     oscillator = nl.make_model("oscillator")
-    no_spectrum = (
-        dataclasses.replace(biomass, spectrum=None),
-        dataclasses.replace(oscillator, spectrum=None),
-    )
-    fallback = "spectrum recovered by eigenvalue fallback"
-    for model, kind in [(no_spectrum[0], "scalar-nsfd"), (no_spectrum[1], "corrected-osc")]:
-        traj, _, report = nl.run_experiment(model, nl.SchemeSpec(kind), 0.1, 1.0)
-        assert traj.coeff_warning.startswith(fallback)
-        assert report.coeff_warning == traj.coeff_warning
-    # the stepping kernel itself, and a run that ends at a blow-up
-    ctx = nl.StepContext(no_spectrum[0], nl.SchemeSpec("scalar-nsfd"), 0.1)
-    assert sch.march(ctx, no_spectrum[0].initial_state, 10).coeff_warning.startswith(fallback)
+    no_spectrum = {
+        "biomass": dataclasses.replace(biomass, spectrum=None),
+        "oscillator": dataclasses.replace(oscillator, spectrum=None),
+    }
+    for model, kind in [(biomass, "scalar-nsfd"), (oscillator, "corrected-osc")]:
+        declared = nl.StepContext(model, nl.SchemeSpec(kind), 0.1)
+        fallback = nl.StepContext(no_spectrum[model.name], nl.SchemeSpec(kind), 0.1)
+        np.testing.assert_allclose(fallback.q, declared.q, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(fallback.d, declared.d, rtol=0, atol=1e-15)
+        _, _, expected = nl.run_experiment(model, nl.SchemeSpec(kind), 0.1, 1.0)
+        _, _, report = nl.run_experiment(no_spectrum[model.name], nl.SchemeSpec(kind), 0.1, 1.0)
+        assert report.max_error == pytest.approx(expected.max_error, rel=1e-9, abs=1e-14)
     for kind in ("scalar-nsfd", "corrected-osc"):
-        traj = nl.integrate(no_spectrum[1], nl.SchemeSpec(kind), 0.1, 4.0, x0=[3.0, 1e308])
-        assert traj.blow_up_step is not None and traj.coeff_warning.startswith(fallback)
-    # a declared spectrum warns of nothing; the other schemes build no coefficients
-    for model, kind in [
-        (biomass, "scalar-nsfd"),
-        (oscillator, "corrected-osc"),
-        (no_spectrum[0], "gamma-nsfd"),
-        (no_spectrum[0], "matrix-nsfd"),
-        (no_spectrum[0], "explicit-euler"),
-    ]:
-        traj, _, report = nl.run_experiment(model, nl.SchemeSpec(kind), 0.1, 1.0)
-        assert traj.coeff_warning is None and report.coeff_warning is None
+        scheme = nl.SchemeSpec(kind)
+        traj = nl.integrate(no_spectrum["oscillator"], scheme, 0.1, 4.0, x0=[3.0, 1e308])
+        assert traj.blow_up_step is not None
+    # the other schemes never read the spectrum
+    for kind in ("gamma-nsfd", "matrix-nsfd", "explicit-euler"):
+        traj = nl.integrate(no_spectrum["biomass"], nl.SchemeSpec(kind), 0.1, 1.0)
+        expected = nl.integrate(biomass, nl.SchemeSpec(kind), 0.1, 1.0)
+        assert traj.states.tobytes() == expected.states.tobytes()
 
 
 def test_oscillator_scheme_ranking_at_small_dt(oscillator):
@@ -771,8 +771,8 @@ def test_cli_run_writes_the_error_table_bytes(tmp_path):
     assert cli.main(["run", "--model", "seasonal", "--scheme", "scalar-nsfd",
                      "--dt", "0.01", "--tend", "10", "--out", str(out)]) == 0
     seasonal, scheme = nl.make_model("seasonal"), nl.SchemeSpec("scalar-nsfd")
-    _, series, _ = nl.run_experiment(seasonal, scheme, 0.01, 10.0)
-    table = np.column_stack((series.times, series.errors))
+    traj, series, _ = nl.run_experiment(seasonal, scheme, 0.01, 10.0)
+    table = np.column_stack((traj.times, series.errors))
     assert out.read_bytes() == _percent_e_csv("t,rel_error", table)
 
 

@@ -99,6 +99,17 @@ def test_model_parameter_the_model_does_not_take_is_a_usage_error(tmp_path, caps
         assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_model_parameter_is_a_usage_error(tmp_path, capsys, value):
+    out = tmp_path / "x.csv"
+    rc = run_cli(
+        "exact", "--model", "biomass", "--z0", value, "--dt", "0.1", "--tend", "1", "--out", str(out)
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: z0 must be positive and finite, got {value}\n"
+    assert not out.exists()
+
+
 def test_given_model_parameters_reach_the_model(tmp_path, capsys):
     # --zf reaches make_model as given, and only then: the default differs
     grid = ("--dt", "0.1", "--tend", "1", "--out")

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import nsfdlab.matkit as mk
+import nsfdlab.models as mo
+import nsfdlab.schemes as sch
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 ROT_SPECTRUM = ((1j, 1), (-1j, 1))
@@ -298,9 +300,10 @@ def test_exp_phi1_keeps_the_reference_bits(case):
 @pytest.mark.parametrize("dt", [0.1, 0.01, 1.0])
 def test_alpha_rotation_is_cos_sin(dt):
     co = mk.alpha_coeffs(ROT, ROT_SPECTRUM, dt)
-    assert co.kind == mk.EXACT_ALPHA
     assert co.warning is None
     np.testing.assert_allclose(co.values, [math.cos(dt), math.sin(dt)], rtol=0, atol=1e-14)
+    # q(i) = (exp(i dt) - 1)/i: dt phi1(dt A) on the spectrum, exactly
+    np.testing.assert_allclose(co.q_values, [math.sin(dt), 1.0 - math.cos(dt)], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("dt", [0.1, 0.01])
@@ -425,29 +428,32 @@ def orthogonally_similar_matrices(draw):
 @given(case=orthogonally_similar_matrices())
 @settings(max_examples=100, deadline=None)
 def test_alpha_eigenvalue_fallback_reproduces_expm(case):
-    a, _, dt = case
-    co = mk.alpha_coeffs(a, None, dt)
-    assert co.warning is not None and "fallback" in co.warning
-    rebuilt = sum(value * np.linalg.matrix_power(a, j) for j, value in enumerate(co.values))
+    # the fallback is held to the declared spectrum's bound on the same
+    # draws: relative Frobenius error 1e-12 of expm on both routes
+    a, spectrum, dt = case
     expected = scipy.linalg.expm(dt * a)
-    assert np.linalg.norm(rebuilt - expected) <= 1e-10 * np.linalg.norm(expected)
+    for route in (None, spectrum):
+        co = mk.alpha_coeffs(a, route, dt)
+        assert (co.warning is not None and "fallback" in co.warning) == (route is None)
+        rebuilt = sum(value * np.linalg.matrix_power(a, j) for j, value in enumerate(co.values))
+        assert np.linalg.norm(rebuilt - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def _alpha_reference(a, spectrum, dt):
     """alpha_coeffs' arithmetic around the reference kernel, in numpy: the
-    bidiagonal as np.diag + dt np.eye(n, k=1), the products dt lambda and
-    dt phi1 as arrays under np.errstate, and closure under conjugation by
-    np.sort_complex.  The reference bits of alpha_coeffs, and its errors."""
+    bidiagonal as np.diag + dt np.eye(n, k=1), and the products dt lambda
+    and dt phi1 as arrays under np.errstate.  The reference bits of
+    alpha_coeffs, and its errors."""
     a = mk.as_square_matrix(a)
     n = a.shape[0]
     if not (math.isfinite(dt) and dt >= 0):
         raise ValueError("dt must be nonnegative and finite")
-    notes = []
+    warning = None
     if spectrum is None:
         lams = np.linalg.eigvals(a).tolist()
-        notes.append("spectrum recovered by eigenvalue fallback (lower trust)")
+        warning = "spectrum recovered by eigenvalue fallback"
     else:
-        lams = [lam for lam, mult in mk._normalize_spectrum(spectrum, n) for _ in range(mult)]
+        lams = mk._normalize_spectrum(spectrum, n)
     if not any(lam.imag for lam in lams):
         lams = [lam.real for lam in lams]
     nodes = np.array(lams)
@@ -460,19 +466,11 @@ def _alpha_reference(a, spectrum, dt):
         q_newton = dt * phi1_dt_j[0]
     alpha = mk._newton_to_monomial(exp_dt_j[0].tolist(), lams)
     q = mk._newton_to_monomial(q_newton.tolist(), lams)
-    if np.iscomplexobj(nodes) and not np.array_equal(
-        np.sort_complex(nodes), np.sort_complex(nodes.conj())
-    ):
-        dropped = max(abs(c.imag) for c in alpha + q)
-        notes.append(
-            f"spectrum not closed under conjugation; dropped imaginary parts "
-            f"of magnitude {dropped:.2e}"
-        )
     values = np.array([c.real for c in alpha])
     q_values = np.array([c.real for c in q])
     if not (np.isfinite(values).all() and np.isfinite(q_values).all()):
         raise OverflowError("alpha coefficients overflowed (dt times the spectrum too large)")
-    return mk.StepCoefficients(values, q_values, mk.EXACT_ALPHA, "; ".join(notes) or None)
+    return mk.StepCoefficients(values, q_values, warning)
 
 
 def _alpha_outcome(fn, a, spectrum, dt):
@@ -507,13 +505,18 @@ def test_alpha_keeps_the_reference_bits(case, dt):
 
 @pytest.mark.filterwarnings("error")
 def test_alpha_keeps_the_reference_bits_and_messages_at_the_edges():
-    # spectra not closed under conjugation, with their warning
+    # spectra not closed under conjugation raise; one closed under it whose
+    # pairs are split unevenly does not
+    unclosed = (ValueError, "spectrum is not closed under conjugation, so no real matrix has it")
     for spectrum in (((1j, 2),), ((1 + 2j, 1), (1 - 2j, 1), (3j, 1)), ((-0.5 + 1e-9j, 2),)):
         n = sum(mult for _, mult in spectrum)
-        warning = _assert_alpha_keeps_the_reference_bits(np.eye(n), spectrum, 0.1)[2]
-        assert warning.startswith("spectrum not closed under conjugation; dropped imaginary")
+        got = _assert_alpha_keeps_the_reference_bits(np.eye(n), spectrum, 0.1)
+        assert got == unclosed
+    got = _assert_alpha_keeps_the_reference_bits(np.eye(4), ((1j, 2), (-1j, 1), (-1j, 1)), 0.1)
+    assert got[2] is None
     # signed zeros: dt = 0 on negative eigenvalues, and eigenvalues -0.0
-    for spectrum in (((-1.0, 3),), ((-0.0, 2),), ((complex(-0.0, -1.0), 1), (-1j, 1))):
+    conjugate_pair = ((complex(-0.0, -1.0), 1), (complex(-0.0, 1.0), 1))
+    for spectrum in (((-1.0, 3),), ((-0.0, 2),), conjugate_pair):
         n = sum(mult for _, mult in spectrum)
         for dt in (0.0, 0.1):
             _assert_alpha_keeps_the_reference_bits(np.eye(n), spectrum, dt)
@@ -526,10 +529,27 @@ def test_alpha_keeps_the_reference_bits_and_messages_at_the_edges():
     assert got == (OverflowError, "alpha coefficients overflowed (dt times the spectrum too large)")
 
 
-def test_alpha_unpaired_conjugate_warns_but_solves():
-    co = mk.alpha_coeffs(ROT, ((1j, 2),), 0.1)
-    assert co.warning is not None
-    assert np.all(np.isfinite(co.values))
+def test_alpha_spectrum_not_closed_under_conjugation_raises():
+    # no real matrix has such a spectrum: an input error, from alpha_coeffs
+    # and from the context of a model that declares it
+    message = "spectrum is not closed under conjugation"
+    with pytest.raises(ValueError, match=message):
+        mk.alpha_coeffs(ROT, ((1j, 2),), 0.1)
+    model = mo.OdeModel(
+        name="rotation",
+        n=2,
+        a_matrix=ROT,
+        spectrum=((1j, 2),),
+        forcing=mo.Forcing(kind="none"),
+        initial_state=np.array([1.0, 0.0]),
+        exact=None,
+    )
+    with pytest.raises(ValueError, match=message):
+        sch.StepContext(model, sch.SchemeSpec(sch.SCALAR_NSFD), 0.1)
+    # the multisets are compared, not the pairs: 1j twice against -1j twice
+    uneven = mk.alpha_coeffs(np.eye(4), ((1j, 2), (-1j, 1), (-1j, 1)), 0.1)
+    paired = mk.alpha_coeffs(np.eye(4), ((1j, 2), (-1j, 2)), 0.1)
+    assert uneven.values.tobytes() == paired.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +567,10 @@ def test_gamma_biomass_closed_form(dt):
 @pytest.mark.parametrize("dt", [0.1, 0.01])
 def test_gamma_rotation_closed_form(dt):
     co = mk.gamma_coeffs(mk.char_poly(ROT), dt)
-    assert co.kind == mk.TRUNCATED_ORDER_N
     np.testing.assert_allclose(co.values, [1 - dt**2 / 2, dt], rtol=1e-14, atol=0)
+    # the Taylor sum of dt phi1(dt A): q_j = dt^{j+1}/(j+1)!
+    np.testing.assert_allclose(co.q_values, [dt, dt**2 / 2], rtol=1e-15, atol=0)
+    assert co.warning is None
 
 
 def test_gamma_matches_alpha_to_order_n():
@@ -940,9 +962,7 @@ def test_newton_rows_and_coefficients_match_a_40_digit_oracle(n):
 
 
 def test_correction_vanishing_alpha1_is_step_size_error():
-    bad = mk.StepCoefficients(
-        values=np.array([1.0, 0.0]), q_values=np.array([0.1, 0.0]), kind=mk.EXACT_ALPHA
-    )
+    bad = mk.StepCoefficients(values=np.array([1.0, 0.0]), q_values=np.array([0.1, 0.0]))
     with pytest.raises(ValueError, match="step size"):
         mk.correction_factors(ROT, bad)
 

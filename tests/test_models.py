@@ -371,6 +371,25 @@ def test_make_model_oscillator_rejects_bad_x0():
         nl.make_model("oscillator", x0=0.6)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "kind, param",
+    [
+        ("oscillator", "x0"),
+        ("biomass", "z0"),
+        ("trees", "z0"),
+        ("trees", "zf"),
+        ("seasonal", "z0"),
+        ("seasonal", "zf"),
+        ("seasonal", "omega"),
+    ],
+)
+def test_make_model_rejects_non_finite_parameters(kind, param, value):
+    # NaN fails every comparison, so a sign check alone would let it through
+    with pytest.raises(ValueError, match=f"^{param} must"):
+        nl.make_model(kind, **{param: value})
+
+
 def test_make_model_biomass_structure(biomass):
     np.testing.assert_array_equal(
         biomass.a_matrix, [[-1.0, 3.0, 0.0], [0.0, -3.0, 5.0], [0.0, 0.0, -5.0]]

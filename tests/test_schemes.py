@@ -134,7 +134,7 @@ def test_scalar_scheme_is_mickens_exact_scheme_for_n_equal_one(b):
         exact=None,
     )
     traj = nl.integrate(model, nl.SchemeSpec("scalar-nsfd"), dt, 1000 * dt)
-    assert traj.states.shape == (1001, 1) and traj.coeff_warning is None
+    assert traj.states.shape == (1001, 1) and traj.blow_up_step is None
     with mpmath.workdps(40):
         lam_mp, x_eq = mpmath.mpf(lam), -mpmath.mpf(b) / mpmath.mpf(lam)
         flow = [x_eq + mpmath.exp(lam_mp * k * mpmath.mpf(dt)) * (x0 - x_eq) for k in range(1001)]
@@ -689,8 +689,6 @@ def test_second_order_startup_is_shared_with_the_scalar_form(oscillator):
         ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), dt)
         assert_bitwise_equal(ctx.q, scalar.q)
         assert_bitwise_equal(ctx.d, scalar.d)
-        assert_bitwise_equal(ctx.coeffs.q_values, scalar.coeffs.q_values)
-        assert ctx.coeffs.kind == scalar.coeffs.kind
 
 
 def test_velocity_reconstruction_identities(oscillator):
@@ -1771,10 +1769,10 @@ def test_stable_schemes_do_not_blow_up(biomass):
 
 
 def test_euler_error_grows_over_successive_periods(oscillator):
-    _, series, _ = nl.run_experiment(
+    traj, series, _ = nl.run_experiment(
         oscillator, nl.SchemeSpec("explicit-euler"), 0.05, 35.0, norm="full"
     )
     period = nl.oscillator_period(0.25)
-    t, e = series.times, series.errors
+    t, e = traj.times, series.errors
     window_max = [np.max(e[(t >= k * period) & (t < (k + 1) * period)]) for k in range(5)]
     assert all(a < b for a, b in zip(window_max, window_max[1:]))
