@@ -10,9 +10,10 @@ Subcommands:
   exact        sample the exact solution of a model into a CSV
 
 Exit codes: 0 success, 2 usage error (ValueError: unknown ids, bad flags
-or values), 3 numerical failure (blow-up, or RuntimeError or OverflowError:
-a zero pivot, a negative discriminant, overflowing coefficients); on
-blow-up the partial report is still written.
+or values; OSError: an output path that cannot be written), 3 numerical
+failure (blow-up, or RuntimeError or OverflowError: a zero pivot, a
+negative discriminant, overflowing coefficients); on blow-up the partial
+report is still written.
 """
 from __future__ import annotations
 
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, OverflowError) as exc:

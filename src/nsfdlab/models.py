@@ -26,6 +26,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import matkit
+
 
 # --------------------------------------------------------------------------
 # elliptic integral and Jacobi functions
@@ -177,24 +179,40 @@ def _rank_one_square(b: np.ndarray, u: np.ndarray):
 class OdeModel:
     """A benchmark system X' = A X + B with its exact solution.
 
-    spectrum lists (eigenvalue, multiplicity) pairs of a_matrix; exact(t)
-    returns the analytic state at a time, or the states at an array of N
-    times as shape (N, n); equilibrium, if not None, is a fixed point
-    of the flow; energy, if not None, is a conserved quantity evaluator.
-    exact must be a pure function of t: bench.run_experiment caches its
-    samples per (exact, dt, number of levels) and does not call it again.
+    n is a_matrix's size.  spectrum lists (eigenvalue, multiplicity) pairs
+    of a_matrix, or is None for matkit.alpha_coeffs' eigenvalue fallback;
+    exact(t) returns the analytic state at a time, or the states at an
+    array of N times as shape (N, n); equilibrium, if not None, is a fixed
+    point of the flow; energy, if not None, is a conserved quantity
+    evaluator.  exact must be a pure function of t: bench.run_experiment
+    caches its samples per (exact, dt, number of levels) and does not call
+    it again.
+
+    Every build, dataclasses.replace included, checks a_matrix
+    (matkit.as_square_matrix: real, square, finite; a C-ordered float64
+    array is kept as it is) and a declared spectrum (_normalize_spectrum:
+    positive multiplicities summing to n, closed under conjugation), and
+    raises ValueError, so every scheme sees a valid model.
     """
 
     name: str
-    n: int
     a_matrix: np.ndarray
-    spectrum: tuple[tuple[complex, int], ...]
+    spectrum: tuple[tuple[complex, int], ...] | None
     forcing: Forcing
     initial_state: np.ndarray
     exact: Callable[[float | np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
     equilibrium: np.ndarray | None = None
     energy: Callable[[np.ndarray], float] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "a_matrix", matkit.as_square_matrix(self.a_matrix))
+        if self.spectrum is not None:
+            matkit._normalize_spectrum(self.spectrum, self.n)
+
+    @property
+    def n(self) -> int:
+        return self.a_matrix.shape[0]
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         """The vector field A x + B(t, x)."""
@@ -227,7 +245,6 @@ def _make_oscillator(x0: float = 0.25) -> OdeModel:
 
     return OdeModel(
         name="oscillator",
-        n=2,
         a_matrix=np.array([[0.0, 1.0], [-1.0, 0.0]]),
         spectrum=((1j, 1), (-1j, 1)),
         # B(x) = (0, -x^2): b = (0, -1), u = e_1
@@ -289,7 +306,6 @@ def _make_biomass(z0: float = 1.0) -> OdeModel:
         raise ValueError(f"z0 must be positive and finite, got {z0}")
     return OdeModel(
         name="biomass",
-        n=3,
         a_matrix=_BIOMASS_A.copy(),
         spectrum=_BIOMASS_SPECTRUM,
         forcing=Forcing(kind="none"),
@@ -307,7 +323,6 @@ def _make_trees(z0: float = 1.0, zf: float = 0.5) -> OdeModel:
         raise ValueError(f"zf must be nonnegative and finite, got {zf}")
     return OdeModel(
         name="trees",
-        n=3,
         a_matrix=_BIOMASS_A.copy(),
         spectrum=_BIOMASS_SPECTRUM,
         forcing=Forcing(kind="constant", constant=np.array([0.0, 0.0, zf])),
@@ -364,7 +379,6 @@ def _make_seasonal(z0: float = 1.0, zf: float = 0.5, omega: float = 2.0 * math.p
 
     return OdeModel(
         name="seasonal",
-        n=3,
         a_matrix=_BIOMASS_A.copy(),
         spectrum=_BIOMASS_SPECTRUM,
         forcing=Forcing(kind="time", time_fn=time_fn, antiderivative=antiderivative),

@@ -166,9 +166,10 @@ class StepContext:
     (P - I) X* = -Q B.  march's prefix scan keeps the same increment form
     for the powers P^s while max|P^s - I| <= 1/2, and squares P^s itself
     beyond that.  A two-level oscillator scheme compiles the q and d of its
-    start-up, scalar-nsfd with the semi-implicit product, plus its
-    recurrence constants; a model that does not declare x'' + x + x^2 = 0
-    (by A and the quadratic, not by name) raises ValueError.
+    start-up, scalar-nsfd with the semi-implicit product, and nothing
+    else; a model that does not declare x'' + x + x^2 = 0 (by A and the
+    quadratic, not by name) raises ValueError.  A was checked when the
+    model was built (models.OdeModel).
 
     A state forcing is stepped in closed form for n = 2 only; any other n
     raises ValueError.
@@ -192,11 +193,6 @@ class StepContext:
             if not (f.kind == "state" and np.array_equal(a, [[0.0, 1.0], [-1.0, 0.0]])
                     and np.array_equal(f.quadratic, [[0.0, -1.0], [1.0, 0.0]])):
                 raise ValueError(f"scheme {kind!r} applies only to the oscillator equation")
-            self.denom = (2.0 * math.sin(dt / 2.0)) ** 2
-            self.cos_half_sq = math.cos(dt / 2.0) ** 2
-            self.cos_dt = math.cos(dt)
-            self.sin_dt = math.sin(dt)
-            self.tan_half = math.tan(dt / 2.0)
             # then the start-up's Q, as scalar-nsfd's
         if kind == EXPLICIT_EULER:
             self.q = dt * np.eye(model.n)
@@ -510,21 +506,21 @@ def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
     Each variant is one loop on Python floats.  A zero pivot 1 + g x_k
     raises RuntimeError with the step index and x_k, from the division's
     ZeroDivisionError.  The levels are raw, and a blow-up steps on to the
-    horizon, as in _quadratic_march.
+    horizon, as in _quadratic_march.  The constants come from ctx.dt.
     """
     kind = ctx.scheme.kind
-    s2 = ctx.denom
+    s2 = (2.0 * math.sin(ctx.dt / 2.0)) ** 2
+    c2 = math.cos(ctx.dt / 2.0) ** 2
     append = levels.append
     x_prev, x_curr = levels[-2], levels[-1]
     if kind == MICKENS_OSC1:
-        c2 = ctx.cos_half_sq
         for _ in range(n_steps):
             x_prev, x_curr = x_curr, 2.0 * x_curr - x_prev - s2 * (x_curr + c2 * x_curr * x_curr)
             append(x_curr)
     else:
         # pivot = 1 + g x_k, product term h x_k x_{k-1}
         if kind == MICKENS_OSC2:
-            g, h = 0.5 * s2 * ctx.cos_half_sq, 0.5 * ctx.cos_half_sq
+            g, h = 0.5 * s2 * c2, 0.5 * c2
         else:
             g, h = 0.5 * s2, 0.5
         try:
@@ -548,7 +544,7 @@ def _two_level_states(ctx: StepContext, state0: np.ndarray, n_steps: int) -> np.
     recurrence, not an exact-solution seed.  y_0 is given; y_k, k >= 1,
     is the system row (x_{k+1} - cos(dt) x_k)/sin(dt), plus tan(dt/2)
     x_k x_{k+1} for corrected-osc, from the recurrence's levels up to a
-    spare x_{n_steps+1}.  Runs under march's np.errstate.
+    spare x_{n_steps+1}, with dt = ctx.dt.  Runs under march's np.errstate.
     """
     # the levels as raw doubles: no float object per level
     xs = array("d", (state0[0], _quadratic_march(ctx, state0, 1)[1, 0]))
@@ -557,7 +553,7 @@ def _two_level_states(ctx: StepContext, state0: np.ndarray, n_steps: int) -> np.
     states = np.empty((n_steps + 1, 2))
     states[:, 0] = xs[:-1]
     states[0, 1] = state0[1]
-    states[1:, 1] = (xs[2:] - ctx.cos_dt * xs[1:-1]) / ctx.sin_dt
+    states[1:, 1] = (xs[2:] - math.cos(ctx.dt) * xs[1:-1]) / math.sin(ctx.dt)
     if ctx.scheme.kind == CORRECTED_OSC:
-        states[1:, 1] += ctx.tan_half * xs[1:-1] * xs[2:]
+        states[1:, 1] += math.tan(ctx.dt / 2.0) * xs[1:-1] * xs[2:]
     return states

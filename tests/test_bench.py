@@ -444,7 +444,6 @@ def test_write_exact_refuses_a_model_with_more_states_than_column_names(tmp_path
     # x' = -x on four states: t,x,y,z cannot name five columns
     decay = mo.OdeModel(
         name="decay-4",
-        n=4,
         a_matrix=-np.eye(4),
         spectrum=((-1.0, 4),),
         forcing=mo.Forcing(kind="none"),

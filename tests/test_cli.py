@@ -110,6 +110,26 @@ def test_non_finite_model_parameter_is_a_usage_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["figure", "run"])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, command):
+    # a path below an existing file cannot be made: exit 2 with one line,
+    # not an uncaught OSError
+    blocker = tmp_path / "e.csv"
+    blocker.write_text("x\n")
+    if command == "figure":
+        argv = ("figure", "--id", "biomass-exact", "--out-dir", str(blocker))
+    else:
+        argv = (
+            "run", "--model", "biomass", "--scheme", "scalar-nsfd",
+            "--dt", "0.1", "--tend", "1", "--out", str(blocker / "x.csv"),
+        )
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert blocker.read_text() == "x\n"
+
+
 def test_given_model_parameters_reach_the_model(tmp_path, capsys):
     # --zf reaches make_model as given, and only then: the default differs
     grid = ("--dt", "0.1", "--tend", "1", "--out")

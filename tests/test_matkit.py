@@ -531,21 +531,19 @@ def test_alpha_keeps_the_reference_bits_and_messages_at_the_edges():
 
 def test_alpha_spectrum_not_closed_under_conjugation_raises():
     # no real matrix has such a spectrum: an input error, from alpha_coeffs
-    # and from the context of a model that declares it
+    # and from building a model that declares it
     message = "spectrum is not closed under conjugation"
     with pytest.raises(ValueError, match=message):
         mk.alpha_coeffs(ROT, ((1j, 2),), 0.1)
-    model = mo.OdeModel(
-        name="rotation",
-        n=2,
-        a_matrix=ROT,
-        spectrum=((1j, 2),),
-        forcing=mo.Forcing(kind="none"),
-        initial_state=np.array([1.0, 0.0]),
-        exact=None,
-    )
     with pytest.raises(ValueError, match=message):
-        sch.StepContext(model, sch.SchemeSpec(sch.SCALAR_NSFD), 0.1)
+        mo.OdeModel(
+            name="rotation",
+            a_matrix=ROT,
+            spectrum=((1j, 2),),
+            forcing=mo.Forcing(kind="none"),
+            initial_state=np.array([1.0, 0.0]),
+            exact=None,
+        )
     # the multisets are compared, not the pairs: 1j twice against -1j twice
     uneven = mk.alpha_coeffs(np.eye(4), ((1j, 2), (-1j, 1), (-1j, 1)), 0.1)
     paired = mk.alpha_coeffs(np.eye(4), ((1j, 2), (-1j, 2)), 0.1)

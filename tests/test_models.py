@@ -1,5 +1,6 @@
 """Elliptic special functions, the oscillator's closed-form solution, and
 the biomass model family with its forced variants."""
+import dataclasses
 import math
 import subprocess
 import sys
@@ -396,6 +397,58 @@ def test_make_model_biomass_structure(biomass):
     )
     assert biomass.forcing.kind == "none"
     np.testing.assert_array_equal(biomass.initial_state, [0.0, 0.0, 1.0])
+
+
+def _bad_a_matrix(a, change):
+    if change == "3x2":
+        return a[:, :2].copy()
+    bad = a.astype(complex) if change == "complex" else a.copy()
+    bad[0, 1] = {"nan": math.nan, "inf": math.inf, "complex": 3.0 + 1e-3j}[change]
+    return bad
+
+
+BAD_A_MESSAGES = {
+    "nan": "^matrix entries must be finite$",
+    "inf": "^matrix entries must be finite$",
+    "3x2": r"^expected a square matrix, got shape \(3, 2\)$",
+    "complex": "^expected a real matrix$",
+}
+
+
+@pytest.mark.parametrize("change", sorted(BAD_A_MESSAGES))
+def test_a_bad_a_matrix_is_refused_when_the_model_is_built(biomass, change):
+    # one answer whatever scheme would follow: the copy is never built, so
+    # no scheme can step it (a NaN entry used to pass explicit Euler as a
+    # blow-up at step 1 and raise under the matkit schemes)
+    with pytest.raises(ValueError, match=BAD_A_MESSAGES[change]):
+        dataclasses.replace(biomass, a_matrix=_bad_a_matrix(biomass.a_matrix, change))
+
+
+def test_the_size_is_read_off_the_matrix(biomass):
+    assert "n" not in {f.name for f in dataclasses.fields(mo.OdeModel)}
+    for kind in ("oscillator", "biomass", "trees", "seasonal"):
+        model = nl.make_model(kind)
+        assert model.n == model.a_matrix.shape[0]
+    with pytest.raises(TypeError):
+        dataclasses.replace(biomass, n=2)
+    # a C-ordered float64 matrix is kept as it is; a list becomes one
+    a = np.array(biomass.a_matrix)
+    assert dataclasses.replace(biomass, a_matrix=a).a_matrix is a
+    listed = dataclasses.replace(biomass, a_matrix=a.tolist()).a_matrix
+    assert listed.dtype == np.float64 and listed.flags.c_contiguous
+    np.testing.assert_array_equal(listed, a)
+
+
+def test_a_declared_spectrum_must_fit_the_matrix(biomass):
+    with pytest.raises(ValueError, match="multiplicities sum to 2, expected matrix dimension 3"):
+        dataclasses.replace(biomass, spectrum=((-1.0, 1), (-3.0, 1)))
+    # None is the eigenvalue fallback, and scalar-nsfd steps on it
+    undeclared = dataclasses.replace(biomass, spectrum=None)
+    spec = nl.SchemeSpec("scalar-nsfd")
+    traj = nl.integrate(undeclared, spec, 0.1, 2.0)
+    declared = nl.integrate(biomass, spec, 0.1, 2.0)
+    assert traj.blow_up_step is None and traj.states.shape == declared.states.shape
+    np.testing.assert_allclose(traj.states, declared.states, rtol=0, atol=1e-14)
 
 
 def test_make_model_parameters_propagate():

@@ -26,7 +26,6 @@ def make_linear_model(diag, x0=None):
     n = diag.size
     return mo.OdeModel(
         name="diag",
-        n=n,
         a_matrix=np.diag(diag),
         spectrum=tuple((lam, 1) for lam in diag),
         forcing=mo.Forcing(kind="none"),
@@ -107,7 +106,6 @@ def test_scalar_scheme_on_singular_matrices_matches_expm_and_phi1(name, dt):
     n = a.shape[0]
     model = mo.OdeModel(
         name=name,
-        n=n,
         a_matrix=a,
         spectrum=spectrum,
         forcing=mo.Forcing(kind="none"),
@@ -126,7 +124,6 @@ def test_scalar_scheme_is_mickens_exact_scheme_for_n_equal_one(b):
     lam, dt, x0 = -0.7, 0.01, 1.3
     model = mo.OdeModel(
         name="scalar",
-        n=1,
         a_matrix=np.array([[lam]]),
         spectrum=((lam, 1),),
         forcing=mo.Forcing(kind="constant", constant=np.array([b])),
@@ -203,7 +200,6 @@ def test_fixed_point_divergence_reports_step_index():
     # so the stepper error must carry "step 0"
     model = mo.OdeModel(
         name="runaway",
-        n=2,
         a_matrix=np.zeros((2, 2)),
         spectrum=((0.0, 2),),
         forcing=mo.Forcing(kind="state", quadratic=([1.0, 0.0], [1.0, 0.0])),
@@ -281,7 +277,6 @@ def test_matrix_scheme_handles_singular_matrices():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     model = mo.OdeModel(
         name="shear",
-        n=2,
         a_matrix=a,
         spectrum=((0.0, 2),),
         forcing=mo.Forcing(kind="none"),
@@ -313,7 +308,6 @@ def test_scalar_step_is_the_coefficient_polynomial(biomass):
 def test_scalar_scheme_preserves_the_rotation_orbit():
     rotation = mo.OdeModel(
         name="rotation",
-        n=2,
         a_matrix=np.array([[0.0, 1.0], [-1.0, 0.0]]),
         spectrum=((1j, 1), (-1j, 1)),
         forcing=mo.Forcing(kind="none"),
@@ -463,7 +457,6 @@ def test_compiled_affine_maps_match_independent_oracles(system):
     a, lam, dt = system
     model = mo.OdeModel(
         name="random",
-        n=a.shape[0],
         a_matrix=a,
         spectrum=tuple((complex(v), 1) for v in lam),
         forcing=mo.Forcing(kind="none"),
@@ -520,7 +513,6 @@ def long_run_system(n, spectrum_class):
     b = rng.uniform(-1.0, 1.0, n) if (n + index) % 2 else None
     model = mo.OdeModel(
         name=spectrum_class,
-        n=n,
         a_matrix=a,
         spectrum=tuple(spectrum),
         forcing=mo.Forcing(kind="none") if b is None else mo.Forcing(kind="constant", constant=b),
@@ -580,13 +572,14 @@ def step_osc_second_order(ctx, x_prev, x_curr):
     The recurrences are invariant under swapping x_{k+1} and x_{k-1}, so
     stepping with the reversed pair walks the same orbit backwards.
     """
-    s2 = ctx.denom
+    s2 = (2.0 * math.sin(ctx.dt / 2.0)) ** 2
+    c2 = math.cos(ctx.dt / 2.0) ** 2
     kind = ctx.scheme.kind
     if kind == "mickens-osc1":
-        return 2.0 * x_curr - x_prev - s2 * (x_curr + ctx.cos_half_sq * x_curr * x_curr)
+        return 2.0 * x_curr - x_prev - s2 * (x_curr + c2 * x_curr * x_curr)
     if kind == "mickens-osc2":
-        pivot = 1.0 + 0.5 * s2 * ctx.cos_half_sq * x_curr
-        rhs = 2.0 * x_curr - x_prev - s2 * (x_curr + 0.5 * ctx.cos_half_sq * x_curr * x_prev)
+        pivot = 1.0 + 0.5 * s2 * c2 * x_curr
+        rhs = 2.0 * x_curr - x_prev - s2 * (x_curr + 0.5 * c2 * x_curr * x_prev)
     else:
         pivot = 1.0 + 0.5 * s2 * x_curr
         rhs = 2.0 * x_curr - x_prev - s2 * (x_curr + 0.5 * x_curr * x_prev)
@@ -689,6 +682,14 @@ def test_second_order_startup_is_shared_with_the_scalar_form(oscillator):
         ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), dt)
         assert_bitwise_equal(ctx.q, scalar.q)
         assert_bitwise_equal(ctx.d, scalar.d)
+
+
+@pytest.mark.parametrize("kind", sch.SCHEME_KINDS)
+def test_every_context_is_its_affine_map(oscillator, kind):
+    # the two-level recurrences take their constants from dt, so every
+    # context holds the same five things
+    ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), 0.05)
+    assert sorted(vars(ctx)) == ["d", "dt", "model", "q", "scheme"]
 
 
 def test_velocity_reconstruction_identities(oscillator):
@@ -983,12 +984,11 @@ def test_implicit_quadratic_step_without_a_real_root_raises(oscillator):
         nl.integrate(oscillator, nl.SchemeSpec("implicit-euler"), 1.0, 5.0, x0=np.array([-5.0, 0.0]))
 
 
-def quadratic_model(b, u, n=2, a_matrix=None):
+def quadratic_model(b, u, a_matrix=None, spectrum=((1j, 1), (-1j, 1))):
     return mo.OdeModel(
         name="quadratic",
-        n=n,
         a_matrix=np.array([[0.0, 1.0], [-1.0, 0.0]]) if a_matrix is None else a_matrix,
-        spectrum=((1j, 1), (-1j, 1)),
+        spectrum=spectrum,
         forcing=mo.Forcing(kind="state", quadratic=(b, u)),
         initial_state=np.array([2.0, 0.0]),
         exact=None,
@@ -1034,7 +1034,7 @@ def test_state_forcing_has_no_per_step_forcing_value(oscillator):
 
 def test_quadratic_declaration_is_planar():
     a = np.diag([-1.0, -2.0, -3.0])
-    model = quadratic_model([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], n=3, a_matrix=a)
+    model = quadratic_model([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], a_matrix=a, spectrum=None)
     with pytest.raises(ValueError, match="n = 3"):
         sch.StepContext(model, nl.SchemeSpec("explicit-euler"), 0.1)
 
@@ -1291,7 +1291,6 @@ def metzler_model(seed):
     lams, counts = np.unique(diag, return_counts=True)
     return mo.OdeModel(
         name=f"metzler-{seed}",
-        n=n,
         a_matrix=np.diag(diag) + np.triu(rng.uniform(0.0, 2.0, (n, n)), 1),
         spectrum=tuple((lam, int(count)) for lam, count in zip(lams, counts)),
         forcing=mo.Forcing(kind="constant", constant=rng.uniform(0.0, 1.0, n)),
@@ -1332,7 +1331,6 @@ def gamma_order_system(n, seed):
     lam = rng.uniform(-2.0, 1.0, n)
     return mo.OdeModel(
         name=f"gamma-order-{seed}",
-        n=n,
         a_matrix=q @ np.diag(lam) @ q.T,
         spectrum=tuple((float(v), 1) for v in lam),
         forcing=mo.Forcing(kind="none"),
