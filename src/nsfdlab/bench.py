@@ -16,13 +16,14 @@ every platform.  write_csv, the one CSV writer, gives every value the
 bytes of Python's '%.16e' % v, so repeated runs are byte-identical,
 without formatting the values one by one: a vectorized kernel rounds
 |v| 10^p, formed as a double-double product, to the 17-digit mantissa and
-writes the digits through a lookup table into one fixed-width record per
-value, column by column, 2,048 rows at a time.  The few values it cannot
-decide (zeros, non-finite and extreme magnitudes, near-ties of the decimal
-rounding, a log10 rounded across a power of ten) go to Python's
-formatter.  A block of non-negative values with two-digit exponents, the
-common case, is written as fixed-width rows; any other block has the
-records' NUL padding stripped.
+writes each value's text as one 24-byte record of six aligned uint32
+words, each taken from a lookup table, column by column, 2,048 rows at a
+time.  The few values it cannot decide (zeros, non-finite and extreme
+magnitudes, near-ties of the decimal rounding, a log10 rounded across a
+power of ten) go to Python's formatter.  The rows of a block are built in
+one buffer.  A block of non-negative values with two-digit exponents,
+the common case, is fixed-width, and the file takes its buffer without a
+copy; any other block has the records' NUL padding stripped.
 
 Every table is its time grid plus value columns: write_csv takes the
 step dt, and formats the grid's time column once, keeping it in a second
@@ -386,7 +387,7 @@ def _time_records(dt: float, n_levels: int) -> np.ndarray:
     first column of every table on the grid.  Read-only, since every table
     on the grid shares it."""
     times = schemes.time_grid(n_levels, dt)
-    records = np.empty((n_levels, _RECORD.itemsize), np.uint8)
+    records = np.empty((n_levels, _RECORD_BYTES), np.uint8)
     for start in range(0, n_levels, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         records[rows] = _records(times[rows])
@@ -409,15 +410,10 @@ _SPLIT = 134217729.0
 # [-_EXP_MAX, _EXP_MAX], with one to spare for a log10 rounded across a
 # power of ten; the tables below are indexed by exponent + _EXP_MAX.
 _EXP_MAX = 281
-# One field of the output: sign ('-' or NUL), lead digit, '.', the 16
-# further digits as four 4-byte groups, 'e' and the exponent (sign and two
-# or three digits, NUL-padded to 4 bytes): 24 bytes, the longest '%.16e'
-# text.
-_RECORD = np.dtype(
-    [("sign", "u1"), ("lead", "u1"), ("dot", "u1")]
-    + [(f"digits{i}", "u4") for i in range(4)]
-    + [("e", "u1"), ("exponent", "u4")]
-)
+# The record of one value, the longest '%.16e' text: sign ('-' or NUL),
+# lead digit, '.', the 16 further digits, 'e' and the exponent (sign and
+# two or three digits, NUL-padded to 4 bytes), built as six uint32 words.
+_RECORD_BYTES = 24
 # A non-negative value with a two-digit exponent has a '%.16e' text of
 # _STANDARD_LENGTH bytes, which its record holds in the _FIXED bytes 1..22.
 _STANDARD_LENGTH = 22
@@ -462,6 +458,21 @@ def _digit_quads() -> np.ndarray:
 
 
 @functools.cache
+def _leads() -> np.ndarray:
+    """A record's first word, NUL (a non-negative value's sign), the lead
+    digit, '.' and the next digit, indexed by the value of the two digits
+    (12: NUL '1.2')."""
+    return _ascii_words([f"\0{i // 10}.{i % 10}" for i in range(100)])
+
+
+@functools.cache
+def _tails() -> np.ndarray:
+    """The last three digits and 'e' ('000e'..'999e'), indexed by the
+    value of the digits."""
+    return _ascii_words([f"{i:03d}e" for i in range(1000)])
+
+
+@functools.cache
 def _exponents() -> np.ndarray:
     """The exponent field of %.16e ('+05', '-280') of each exponent, as the
     record's exponent word."""
@@ -476,8 +487,9 @@ def _split(v):
 
 
 def _records(values: np.ndarray) -> np.ndarray:
-    """'%.16e' % v for every value, as one NUL-padded _RECORD per value: a
-    (len(values), 24) uint8 array whose rows _joined turns into text.
+    """'%.16e' % v for every value, as one NUL-padded 24-byte record per
+    value: a (len(values), 24) uint8 array whose rows _joined turns into
+    text.
 
     With p = 16 - floor(log10|v|), the 17-digit mantissa is |v| 10^p
     rounded to an integer.  That product is formed as Dekker's two-product
@@ -488,9 +500,16 @@ def _records(values: np.ndarray) -> np.ndarray:
     instead when it is zero, not finite or outside [1e-280, 1e280], when
     its fraction lies within _TIE_BAND of 1/2 (ties included), or when its
     scaled floor or mantissa leaves [10^16, 10^17) (log10 rounded across a
-    power of ten, or a mantissa rounding up to 10^17).  The digits are
-    split off by division and subtraction: numpy's integer division by a
-    constant is several times cheaper than its remainder.
+    power of ten, or a mantissa rounding up to 10^17); its mantissa is set
+    to 10^16 first, so that every table lookup stays in range.
+
+    The digits are split off by division and subtraction (numpy's integer
+    division by a constant is several times cheaper than its remainder)
+    into the keys of the record's six aligned uint32 words, each stored
+    from a lookup table: NUL, the lead digit, '.' and the next digit
+    (_leads, by the first two digits); three groups of four digits
+    (_digit_quads); the last three digits and 'e' (_tails); the exponent
+    (_exponents).  A negative value then gets '-' in byte 0.
     """
     mag = np.abs(values)
     inside = (mag >= _KERNEL_MIN) & (mag <= _KERNEL_MAX)
@@ -514,24 +533,27 @@ def _records(values: np.ndarray) -> np.ndarray:
         & (mantissa < 10**17)
     )
 
+    fallback = np.flatnonzero(~kernel)
+    mantissa[fallback] = 10**16
+
+    # int64 keys: numpy indexes about twice as fast with them as with
+    # narrower ones, which it converts first
+    high = mantissa // 10**7  # the lead digit and the next 9
+    low = mantissa - high * 10**7
+    lead = high // 10**8  # the lead digit and the next one
+    middle = high - lead * 10**8
+    middle_quad, low_quad = middle // 10**4, low // 10**3
     quads = _digit_quads()
-    lead = mantissa // 10**16
-    high = mantissa // 10**8  # the lead digit and the next 8
-    low = (mantissa - high * 10**8).astype(np.uint32)
-    high = (high - lead * 10**8).astype(np.uint32)
-    rec = np.zeros(len(values), _RECORD)
-    rec["sign"][values < 0] = ord("-")
-    rec["lead"] = lead + ord("0")
-    rec["dot"] = ord(".")
-    high_quad, low_quad = high // 10**4, low // 10**4
-    rec["digits0"] = quads[high_quad]
-    rec["digits1"] = quads[high - high_quad * 10**4]
-    rec["digits2"] = quads[low_quad]
-    rec["digits3"] = quads[low - low_quad * 10**4]
-    rec["e"] = ord("e")
-    rec["exponent"] = _exponents()[index]
-    raw = rec.view(np.uint8).reshape(len(values), _RECORD.itemsize)
-    for i in np.flatnonzero(~kernel):
+    words = np.empty((len(values), _RECORD_BYTES // 4), np.uint32)
+    words[:, 0] = _leads()[lead]
+    words[:, 1] = quads[middle_quad]
+    words[:, 2] = quads[middle - middle_quad * 10**4]
+    words[:, 3] = quads[low_quad]
+    words[:, 4] = _tails()[low - low_quad * 10**3]
+    words[:, 5] = _exponents()[index]
+    raw = words.view(np.uint8)
+    raw[values < 0, 0] = ord("-")
+    for i in fallback:
         text = ("%.16e" % values[i]).encode()
         # a text of the standard length sits where the kernel's would
         at = _FIXED.start if len(text) == _STANDARD_LENGTH else 0
@@ -549,17 +571,23 @@ def _fixed_width(fields) -> bool:
     return not any(f[:, 0].any() or f[:, -1].any() for f in fields)
 
 
-def _joined(fields) -> bytes:
+def _joined(fields):
     """The text of the record arrays' rows, side by side (equal-length
     arrays, such as a table's columns), comma-separated and each ending in
-    '\\n': the _FIXED slices when the rows are fixed-width, otherwise the
-    records with their NUL bytes stripped."""
+    '\\n', built in one (rows, width) uint8 buffer.  When the rows are
+    fixed-width the buffer holds the _FIXED slices and is returned as it
+    is, for the file to take without a copy; otherwise it holds the whole
+    records, and their text with the NUL bytes stripped is returned as
+    bytes."""
     fixed = _fixed_width(fields)
-    comma, newline = (np.full((len(fields[0]), 1), sep, np.uint8) for sep in b",\n")
-    parts = [part for f in fields for part in (f[:, _FIXED] if fixed else f, comma)]
-    parts[-1] = newline
-    text = np.concatenate(parts, axis=1).tobytes()
-    return text if fixed else text.translate(None, b"\0")
+    field = _FIXED if fixed else slice(0, _RECORD_BYTES)
+    step = field.stop - field.start + 1
+    text = np.empty((len(fields[0]), step * len(fields)), np.uint8)
+    for k, f in enumerate(fields):
+        text[:, k * step : (k + 1) * step - 1] = f[:, field]
+    text[:, step - 1 :: step] = ord(",")
+    text[:, -1] = ord("\n")
+    return text if fixed else text.tobytes().translate(None, b"\0")
 
 
 def write_exact(model: OdeModel, dt: float, t_end: float, path) -> None:

@@ -9,6 +9,9 @@ Subcommands:
   figure       write the CSV data and gnuplot script for a named figure
   exact        sample the exact solution of a model into a CSV
 
+main builds its argument parser once per process and reuses it on every
+call.
+
 Exit codes: 0 success, 2 usage error (ValueError: unknown ids, bad flags
 or values; OSError: an output path that cannot be written), 3 numerical
 failure (blow-up, or RuntimeError or OverflowError: a zero pivot, a
@@ -18,6 +21,7 @@ report is still written.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -73,12 +77,21 @@ def _build_scheme(args) -> SchemeSpec:
     )
 
 
+def _output_path(args) -> Path:
+    """args.out, its directory made once the step sizes are known to be
+    valid, so a usage error makes no directory and an output directory
+    that cannot be made fails before any integration or sampling."""
+    schemes.step_count(args.dt, args.tend)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _cmd_run(args) -> int:
     model = _build_model(args)
     scheme = _build_scheme(args)
+    out = _output_path(args)
     _, series, report = bench.run_experiment(model, scheme, args.dt, args.tend, norm=args.norm)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     bench.write_csv(out, "t,rel_error", args.dt, (series.errors,))
     print("model,scheme,dt,t_end,norm,max_error,final_error,blow_up_step")
     blow = "" if report.blow_up_step is None else report.blow_up_step
@@ -121,13 +134,15 @@ def _cmd_figure(args) -> int:
 
 def _cmd_exact(args) -> int:
     model = _build_model(args)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output_path(args)
     bench.write_exact(model, args.dt, args.tend, out)
     print(out)
     return 0
 
 
+# main parses into a fresh namespace on every call, so one parser serves
+# every call in a process: the tests and the benchmark call main many times.
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsfdlab",

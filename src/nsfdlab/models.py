@@ -190,9 +190,10 @@ class OdeModel:
 
     Every build, dataclasses.replace included, checks a_matrix
     (matkit.as_square_matrix: real, square, finite; a C-ordered float64
-    array is kept as it is) and a declared spectrum (_normalize_spectrum:
-    positive multiplicities summing to n, closed under conjugation), and
-    raises ValueError, so every scheme sees a valid model.
+    array is kept as it is), a declared spectrum (_normalize_spectrum:
+    positive multiplicities summing to n, closed under conjugation) and the
+    length n of initial_state and of the forcing's constant or quadratic
+    vectors, and raises ValueError, so every scheme sees a valid model.
     """
 
     name: str
@@ -207,8 +208,19 @@ class OdeModel:
 
     def __post_init__(self):
         object.__setattr__(self, "a_matrix", matkit.as_square_matrix(self.a_matrix))
+        n = self.n
         if self.spectrum is not None:
-            matkit._normalize_spectrum(self.spectrum, self.n)
+            matkit._normalize_spectrum(self.spectrum, n)
+        quadratic = self.forcing.quadratic
+        vectors = {
+            "initial_state": self.initial_state,
+            "forcing.constant": self.forcing.constant,
+            # b and u share one shape (Forcing checks it)
+            "forcing.quadratic": None if quadratic is None else quadratic[0],
+        }
+        for name, vector in vectors.items():
+            if vector is not None and np.shape(vector) != (n,):
+                raise ValueError(f"{name} must have length n = {n}, got shape {np.shape(vector)}")
 
     @property
     def n(self) -> int:

@@ -847,7 +847,8 @@ def test_import_builds_no_csv_tables_and_loads_no_decimal_modules():
         f"sys.path.insert(0, {src!r})\n"
         "import nsfdlab\n"
         "from nsfdlab import bench\n"
-        "tables = (bench._scales, bench._digit_quads, bench._exponents, bench._time_records)\n"
+        "tables = (bench._scales, bench._digit_quads, bench._leads, bench._tails, bench._exponents,"
+        " bench._time_records)\n"
         "print(sum(t.cache_info().currsize for t in tables),"
         " 'fractions' in sys.modules, 'decimal' in sys.modules)\n"
     )

@@ -111,11 +111,13 @@ def test_non_finite_model_parameter_is_a_usage_error(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("command", ["figure", "run"])
-def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, command):
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
     # a path below an existing file cannot be made: exit 2 with one line,
-    # not an uncaught OSError
+    # not an uncaught OSError, and run fails before it integrates
     blocker = tmp_path / "e.csv"
     blocker.write_text("x\n")
+    runs = []
+    monkeypatch.setattr(bench, "run_experiment", lambda *args, **kwargs: runs.append(args))
     if command == "figure":
         argv = ("figure", "--id", "biomass-exact", "--out-dir", str(blocker))
     else:
@@ -128,6 +130,27 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert blocker.read_text() == "x\n"
+    assert runs == []
+
+
+def test_main_reuses_one_parser_without_carrying_options_over(tmp_path, capsys):
+    cli._parser.cache_clear()
+    case = ("run", "--model", "seasonal", "--scheme", "scalar-nsfd", "--dt", "0.1", "--tend", "1")
+    mean, default = tmp_path / "mean.csv", tmp_path / "default.csv"
+    assert run_cli(*case, "--forcing-approx", "mean", "--out", str(mean)) == 0
+    assert run_cli(*case, "--out", str(default)) == 0
+    # a figure after a run still parses its own options
+    assert run_cli("figure", "--id", "biomass-exact", "--out-dir", str(tmp_path / "fig")) == 0
+    assert (tmp_path / "fig" / "biomass-exact.csv").is_file()
+    assert cli._parser.cache_info().misses == 1
+    printed = capsys.readouterr().out
+    # the second run took the default forcing approximation, as a fresh
+    # process does; the first one's flag changed its bytes
+    argv = list(case) + ["--out", "fresh.csv"]
+    run_fresh(f"assert cli.main({argv!r}) == 0\n", tmp_path)
+    assert default.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert mean.read_bytes() != default.read_bytes()
+    assert printed.count("model,scheme,dt,") == 2
 
 
 def test_given_model_parameters_reach_the_model(tmp_path, capsys):
@@ -277,13 +300,14 @@ def test_exact_subcommand_samples_the_solution(tmp_path, capsys):
     ],
 )
 def test_exact_and_run_reject_the_same_step_sizes(tmp_path, capsys, dt, tend, message):
-    out = tmp_path / "x.csv"
+    # the output's directory is made only for valid step sizes
+    out = tmp_path / "d" / "x.csv"
     exact = ("exact", "--model", "biomass")
     run = ("run", "--model", "biomass", "--scheme", "explicit-euler")
     for command in (exact, run):
         assert run_cli(*command, "--dt", dt, "--tend", tend, "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        assert not out.parent.exists()
 
 
 def test_identical_invocations_are_byte_identical(tmp_path):

@@ -2,6 +2,7 @@
 the biomass model family with its forced variants."""
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -449,6 +450,37 @@ def test_a_declared_spectrum_must_fit_the_matrix(biomass):
     declared = nl.integrate(biomass, spec, 0.1, 2.0)
     assert traj.blow_up_step is None and traj.states.shape == declared.states.shape
     np.testing.assert_allclose(traj.states, declared.states, rtol=0, atol=1e-14)
+
+
+WRONG_LENGTHS = {
+    # a length-1 constant used to be broadcast to every component
+    "constant-1": ("biomass", "forcing.constant", (1,)),
+    "constant-2": ("biomass", "forcing.constant", (2,)),
+    "quadratic": ("oscillator", "forcing.quadratic", (3,)),
+    "initial-state-2": ("biomass", "initial_state", (2,)),
+    "initial-state-column": ("biomass", "initial_state", (3, 1)),
+}
+
+
+def _with_wrong_length(model, field, shape):
+    if field == "initial_state":
+        return dataclasses.replace(model, initial_state=np.ones(shape))
+    if field == "forcing.constant":
+        return dataclasses.replace(model, forcing=mo.Forcing(kind="constant", constant=np.ones(shape)))
+    return dataclasses.replace(
+        model, forcing=mo.Forcing(kind="state", quadratic=(np.ones(shape), np.ones(shape)))
+    )
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_LENGTHS))
+def test_vectors_of_another_length_are_refused_when_the_model_is_built(case):
+    kind, field, shape = WRONG_LENGTHS[case]
+    model = nl.make_model(kind)
+    message = rf"^{field} must have length n = {model.n}, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        _with_wrong_length(model, field, shape)
+    # the same fields at the model's length build
+    assert _with_wrong_length(model, field, (model.n,)).n == model.n
 
 
 def test_make_model_parameters_propagate():

@@ -984,13 +984,13 @@ def test_implicit_quadratic_step_without_a_real_root_raises(oscillator):
         nl.integrate(oscillator, nl.SchemeSpec("implicit-euler"), 1.0, 5.0, x0=np.array([-5.0, 0.0]))
 
 
-def quadratic_model(b, u, a_matrix=None, spectrum=((1j, 1), (-1j, 1))):
+def quadratic_model(b, u, a_matrix=None, spectrum=((1j, 1), (-1j, 1)), x0=(2.0, 0.0)):
     return mo.OdeModel(
         name="quadratic",
         a_matrix=np.array([[0.0, 1.0], [-1.0, 0.0]]) if a_matrix is None else a_matrix,
         spectrum=spectrum,
         forcing=mo.Forcing(kind="state", quadratic=(b, u)),
-        initial_state=np.array([2.0, 0.0]),
+        initial_state=np.array(x0),
         exact=None,
     )
 
@@ -1034,7 +1034,9 @@ def test_state_forcing_has_no_per_step_forcing_value(oscillator):
 
 def test_quadratic_declaration_is_planar():
     a = np.diag([-1.0, -2.0, -3.0])
-    model = quadratic_model([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], a_matrix=a, spectrum=None)
+    model = quadratic_model(
+        [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], a_matrix=a, spectrum=None, x0=(2.0, 0.0, 0.0)
+    )
     with pytest.raises(ValueError, match="n = 3"):
         sch.StepContext(model, nl.SchemeSpec("explicit-euler"), 0.1)
 
