@@ -6,7 +6,8 @@ Subcommands:
                series CSV and print a one-line report
   convergence  step-size sweep, print a dt/max_error/order table (exit 3
                after the table if any step size blew up)
-  figure       write the CSV data and gnuplot script for a named figure
+  figure       write the CSV data and gnuplot scripts of one or more named
+               figures, or of all, into one directory (ids checked first)
   exact        sample the exact solution of a model into a CSV
 
 main builds its argument parser once per process and reuses it on every
@@ -126,9 +127,15 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    paths = bench.run_figure(args.id, args.out_dir)
-    for p in paths:
-        print(p)
+    valid = sorted(bench.FIGURES)
+    ids = [i for token in args.id for i in (valid if token == "all" else [token])]
+    # every id is checked before the first figure makes the directory
+    for figure_id in ids:
+        if figure_id not in bench.FIGURES:
+            raise ValueError(f"unknown figure {figure_id!r}; valid: {', '.join(valid)}, all")
+    for figure_id in ids:
+        for p in bench.run_figure(figure_id, args.out_dir):
+            print(p)
     return 0
 
 
@@ -167,8 +174,9 @@ def _parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--norm", default=bench.COMPONENT_X, choices=bench.NORM_KINDS)
     p_conv.set_defaults(handler=_cmd_convergence)
 
-    p_fig = sub.add_parser("figure", help="write CSV data and gnuplot script for a figure")
-    p_fig.add_argument("--id", required=True, help=", ".join(sorted(bench.FIGURES)))
+    p_fig = sub.add_parser("figure", help="write CSV data and gnuplot scripts for figures")
+    ids = ", ".join(sorted(bench.FIGURES))
+    p_fig.add_argument("--id", required=True, nargs="+", help=f"one or more of {ids}, or all")
     p_fig.add_argument("--out-dir", default="figures")
     p_fig.set_defaults(handler=_cmd_figure)
 

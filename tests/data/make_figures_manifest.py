@@ -1,12 +1,12 @@
 """Regenerate figures.json, the manifest of the paper's figure files.
 
-It writes all nine figures of nsfdlab.bench.FIGURES into a temporary
-directory and records, for each file, its row count, its sha256 and the
-maximum of each value column, with the numpy and scipy versions it was
-made with.  A CSV's rows are its lines below the header and its value
-columns every column but t; a gnuplot script's rows are its lines, and it
-has no value columns.  tests/test_figures.py checks a fresh run against
-the manifest.
+It writes all nine figures into a temporary directory with one
+`nsfdlab figure --id all` call (cli.main, which prints the written paths)
+and records, for each file, its row count, its sha256 and the maximum of
+each value column, with the numpy and scipy versions it was made with.
+A CSV's rows are its lines below the header and its value columns every
+column but t; a gnuplot script's rows are its lines, and it has no value
+columns.  tests/test_figures.py checks a fresh run against the manifest.
 
 Run from the repository root after a change that moves a figure, and
 commit the result with the change:
@@ -24,16 +24,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from nsfdlab import bench
+from nsfdlab import cli
 
 MANIFEST = Path(__file__).with_name("figures.json")
-
-
-def write_figures(out_dir) -> None:
-    """All nine figures into one directory (their file names start with
-    the figure id, so none collide)."""
-    for figure_id in sorted(bench.FIGURES):
-        bench.run_figure(figure_id, out_dir)
 
 
 def summarize(path: Path) -> dict:
@@ -58,7 +51,9 @@ def manifest_of(out_dir) -> dict:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as out_dir:
-        write_figures(out_dir)
+        status = cli.main(["figure", "--id", "all", "--out-dir", out_dir])
+        if status != 0:
+            return status
         manifest = manifest_of(out_dir)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True, allow_nan=False) + "\n")
     print(f"{MANIFEST}: {len(manifest['files'])} files")

@@ -623,6 +623,25 @@ def test_write_csv_matches_percent_e_on_edge_values(tmp_path):
         assert _written(tmp_path, table) == _percent_e_csv("h", _on_the_grid(0.1, table))
 
 
+def test_records_survive_a_log10_rounded_down_across_a_power_of_ten(monkeypatch):
+    # numpy's log10 is exact at powers of ten, so the scaled floor never
+    # reaches 10^17 here; a libm whose log10 is one ulp low puts it there,
+    # and those rows must take the fallback, not index past _leads
+    powers = np.array([float(f"1e{k}") for k in range(-279, 280)])
+    values = [powers]
+    for toward in (math.inf, -math.inf):
+        near = powers
+        for _ in range(4):
+            near = np.nextafter(near, toward)
+            values.append(near)
+    values = np.concatenate(values)
+    real_log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: np.nextafter(real_log10(x), -np.inf))
+    records = bench._records(values)
+    assert len(values) == 5031
+    assert [bytes(r).replace(b"\0", b"").decode() for r in records] == ["%.16e" % v for v in values]
+
+
 def test_write_csv_matches_percent_e_on_random_bit_patterns(tmp_path):
     rng = np.random.default_rng(20240601)
     table = rng.integers(0, 2**64, (2**15, 4), dtype=np.uint64).view(np.float64)

@@ -278,6 +278,33 @@ def test_figure_unknown_id_is_a_usage_error(tmp_path, capsys):
     assert "valid" in capsys.readouterr().err
 
 
+def test_figure_with_several_ids_is_the_one_id_calls(tmp_path, capsys):
+    ids = ("trees-exact", "biomass-error")
+    singles = []
+    for figure_id in ids:
+        assert run_cli("figure", "--id", figure_id, "--out-dir", str(tmp_path / "one")) == 0
+        singles += capsys.readouterr().out.splitlines()
+    assert run_cli("figure", "--id", *ids, "--out-dir", str(tmp_path / "both")) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [line.replace(str(tmp_path / "one"), str(tmp_path / "both")) for line in singles]
+    one, both = (sorted((tmp_path / d).iterdir()) for d in ("one", "both"))
+    assert [p.name for p in one] == [p.name for p in both]
+    assert len(one) == 2 + 16  # trees-exact's table and script, biomass-error's 15 and script
+    for a, b in zip(one, both):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_an_unknown_id_among_several_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "new"
+    rc = run_cli("figure", "--id", "trees-exact", "figure-42", "--out-dir", str(out_dir))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "valid" in captured.err and captured.err.rstrip().endswith("trees-exact, all")
+    assert captured.out == ""
+    assert not out_dir.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exact_subcommand_samples_the_solution(tmp_path, capsys):
     out = tmp_path / "orbit.csv"
     rc = run_cli(
