@@ -62,30 +62,25 @@ _START_TOLERANCE = 1e-12
 class ErrorSeries:
     """Per-level error of a trajectory against the exact solution.
 
-    errors[k] is the error at level k, time k dt of the trajectory's step;
-    absolute_fallback marks levels where the exact value vanished and the
-    entry records the absolute instead of the relative error.
+    errors[k] is the error at level k, time k dt of the trajectory's step,
+    in the norm the caller chose; absolute_fallback marks levels where the
+    exact value vanished and the entry records the absolute instead of the
+    relative error.
     """
 
     errors: np.ndarray
     absolute_fallback: np.ndarray
-    norm: str
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Summary of one integration run measured against the exact solution.
+    """What one integration run found against the exact solution; the
+    model, scheme, dt, t_end and norm are run_experiment's arguments.
 
-    t_end is the requested horizon; t_reached is the time of the last level
-    computed, step_count(dt, t_end) steps of dt, or of the last finite
-    level after a blow-up.
+    t_reached is the time of the last level computed, step_count(dt, t_end)
+    steps of dt, or of the last finite level after a blow-up.
     """
 
-    model: str
-    scheme: str
-    dt: float
-    t_end: float
-    norm: str
     max_error: float
     final_error: float
     blow_up_step: int | None
@@ -134,7 +129,7 @@ def _error_series(traj: Trajectory, reference, norm: str) -> ErrorSeries:
     # a finite state far from a tiny exact value has the relative error inf
     with np.errstate(over="ignore"):
         errors = np.where(fallback, num, num / np.where(fallback, 1.0, den))
-    return ErrorSeries(errors=errors, absolute_fallback=fallback, norm=norm)
+    return ErrorSeries(errors=errors, absolute_fallback=fallback)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -195,7 +190,9 @@ def run_experiment(
     whose initial_state was replaced without its exact), the errors would
     measure the distance to another solution, and ValueError is raised.
 
-    Returns (trajectory, error_series, report).
+    Returns (trajectory, error_series, report).  The series and the report
+    hold only what the run found; the model, scheme, dt, t_end and norm
+    are the caller's own arguments.
     """
     traj = integrate(model, scheme, dt, t_end)
     n_levels = len(traj.states)
@@ -208,11 +205,6 @@ def run_experiment(
     series = _error_series(traj, reference, norm)
     _check_start(model, traj.states[0], np.broadcast_to(reference, traj.states.shape)[0])
     report = ExperimentReport(
-        model=model.name,
-        scheme=scheme.kind,
-        dt=dt,
-        t_end=t_end,
-        norm=norm,
         max_error=float(np.max(series.errors)),
         final_error=float(series.errors[-1]),
         blow_up_step=traj.blow_up_step,
@@ -305,14 +297,13 @@ _ERROR_SCHEMES_FORCING = tuple(
 )
 
 
-def _figure_error(model_kind, dts, t_end, scheme_table, norm=COMPONENT_X):
+def _figure_error(model_kind, dts, t_end, scheme_table):
     return {
         "kind": "error",
         "model": model_kind,
         "dts": dts,
         "t_end": t_end,
         "schemes": scheme_table,
-        "norm": norm,
     }
 
 
@@ -627,9 +618,7 @@ def run_figure(figure_id: str, out_dir) -> list[Path]:
         csv_names = []
         for label, scheme in spec["schemes"]:
             for dt in spec["dts"]:
-                _, series, _ = run_experiment(
-                    model, scheme, dt, spec["t_end"], norm=spec["norm"]
-                )
+                _, series, _ = run_experiment(model, scheme, dt, spec["t_end"])
                 name = f"{figure_id}_{label}_{dt_label(dt)}.csv"
                 write_csv(out / name, "t,rel_error", dt, (series.errors,))
                 written.append(out / name)

@@ -16,8 +16,12 @@ call.
 Exit codes: 0 success, 2 usage error (ValueError: unknown ids, bad flags
 or values; OSError: an output path that cannot be written), 3 numerical
 failure (blow-up, or RuntimeError or OverflowError: a zero pivot, a
-negative discriminant, overflowing coefficients); on blow-up the partial
-report is still written.
+singular implicit Euler matrix I - dt A, a negative discriminant,
+overflowing coefficients); on blow-up the partial report is still written.
+
+run prints the case as parsed and built (model, scheme, dt, t_end, norm;
+the scheme is gamma-nsfd under --coeffs gamma) and then the run's
+findings, the only fields of bench.ExperimentReport.
 """
 from __future__ import annotations
 
@@ -97,8 +101,8 @@ def _cmd_run(args) -> int:
     print("model,scheme,dt,t_end,norm,max_error,final_error,blow_up_step")
     blow = "" if report.blow_up_step is None else report.blow_up_step
     print(
-        f"{report.model},{report.scheme},{bench.dt_label(report.dt)},{report.t_end},"
-        f"{report.norm},{report.max_error:.16e},{report.final_error:.16e},{blow}"
+        f"{model.name},{scheme.kind},{bench.dt_label(args.dt)},{args.tend},"
+        f"{args.norm},{report.max_error:.16e},{report.final_error:.16e},{blow}"
     )
     return 0 if report.blow_up_step is None else 3
 

@@ -191,9 +191,10 @@ class OdeModel:
     Every build, dataclasses.replace included, checks a_matrix
     (matkit.as_square_matrix: real, square, finite; a C-ordered float64
     array is kept as it is), a declared spectrum (_normalize_spectrum:
-    positive multiplicities summing to n, closed under conjugation) and the
-    length n of initial_state and of the forcing's constant or quadratic
-    vectors, and raises ValueError, so every scheme sees a valid model.
+    positive multiplicities summing to n, closed under conjugation) and that
+    initial_state and the forcing's constant or quadratic vectors (b and u)
+    have length n and finite entries, and raises ValueError, naming the
+    field, so every scheme sees a valid model.
     """
 
     name: str
@@ -221,6 +222,10 @@ class OdeModel:
         for name, vector in vectors.items():
             if vector is not None and np.shape(vector) != (n,):
                 raise ValueError(f"{name} must have length n = {n}, got shape {np.shape(vector)}")
+        vectors["forcing.quadratic"] = quadratic  # b and u, as one (2, n) array
+        for name, vector in vectors.items():
+            if vector is not None and not np.isfinite(vector).all():
+                raise ValueError(f"{name} must be finite, got {np.asarray(vector).tolist()}")
 
     @property
     def n(self) -> int:

@@ -171,6 +171,11 @@ class StepContext:
     quadratic, not by name) raises ValueError.  A was checked when the
     model was built (models.OdeModel).
 
+    A build never warns: every kind raises OverflowError naming the scheme
+    and dt when Q or D is not finite (or dt A, matkit's coefficients or
+    phi1 overflow on the way), and implicit Euler raises RuntimeError,
+    naming them too, when I - dt A is singular.
+
     A state forcing is stepped in closed form for n = 2 only; any other n
     raises ValueError.
     """
@@ -194,26 +199,50 @@ class StepContext:
                     and np.array_equal(f.quadratic, [[0.0, -1.0], [1.0, 0.0]])):
                 raise ValueError(f"scheme {kind!r} applies only to the oscillator equation")
             # then the start-up's Q, as scalar-nsfd's
-        if kind == EXPLICIT_EULER:
-            self.q = dt * np.eye(model.n)
-        elif kind == IMPLICIT_EULER:
-            self.q = dt * np.linalg.inv(np.eye(model.n) - dt * a)
-        elif kind == TRADITIONAL_NSFD:
-            diag = np.diag(a)
-            safe = np.where(diag == 0.0, 1.0, diag)
-            # (1 - exp(lam dt))/(-lam) = expm1(lam dt)/lam, and dt for lam = 0
-            self.q = np.diag(np.where(diag == 0.0, dt, np.expm1(diag * dt) / safe))
-        elif kind == MATRIX_NSFD:
-            self.q = dt * matkit.phi1(dt * a)
-        else:
-            if kind == GAMMA_NSFD:
-                coeffs = matkit.gamma_coeffs(matkit.char_poly(a), dt)
-            else:
-                coeffs = matkit.alpha_coeffs(a, model.spectrum, dt)
-            self.q = matkit.forcing_weight(a, coeffs)
-        # P - I = Q A for every kind (M - I = dt M A as M (I - dt A) = I, and
-        # exp(dt z) - 1 = z q(z)), and this form does not cancel in alpha_0 - 1
-        self.d = self.q @ a
+        context = f"scheme {kind!r} at dt = {self.dt!r}"
+        # Q's failures name the scheme and dt; an overflow is OverflowError
+        # for every kind, from matkit, _denominator or the check below, and
+        # never a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                self.q = _denominator(model, kind, dt)
+            except (OverflowError, RuntimeError) as exc:
+                raise type(exc)(f"{context}: {exc}") from None
+            # P - I = Q A for every kind (M - I = dt M A as M (I - dt A) = I,
+            # and exp(dt z) - 1 = z q(z)), and this form does not cancel in
+            # alpha_0 - 1
+            self.d = self.q @ a
+        if not (matkit._all_finite(self.q) and matkit._all_finite(self.d)):
+            raise OverflowError(f"{context}: Q or D = Q A overflowed")
+
+
+def _denominator(model: OdeModel, kind: str, dt: float) -> np.ndarray:
+    """The denominator matrix Q of a kind, as tabled in StepContext.  An
+    overflowing dt A, which implicit Euler and phi1 take, raises
+    OverflowError, and a singular I - dt A RuntimeError."""
+    a = model.a_matrix
+    if kind == EXPLICIT_EULER:
+        return dt * np.eye(model.n)
+    if kind == TRADITIONAL_NSFD:
+        diag = np.diag(a)
+        safe = np.where(diag == 0.0, 1.0, diag)
+        # (1 - exp(lam dt))/(-lam) = expm1(lam dt)/lam, and dt for lam = 0
+        return np.diag(np.where(diag == 0.0, dt, np.expm1(diag * dt) / safe))
+    if kind in (IMPLICIT_EULER, MATRIX_NSFD):
+        dt_a = dt * a
+        if not matkit._all_finite(dt_a):
+            raise OverflowError("dt A overflowed")
+        if kind == MATRIX_NSFD:
+            return dt * matkit.phi1(dt_a)
+        try:
+            return dt * np.linalg.inv(np.eye(model.n) - dt_a)
+        except np.linalg.LinAlgError:  # a ValueError, which the CLI calls a usage error
+            raise RuntimeError("I - dt A is singular") from None
+    if kind == GAMMA_NSFD:
+        coeffs = matkit.gamma_coeffs(matkit.char_poly(a), dt)
+    else:  # scalar-nsfd, and the two-level kinds' start-up
+        coeffs = matkit.alpha_coeffs(a, model.spectrum, dt)
+    return matkit.forcing_weight(a, coeffs)
 
 
 # the Euler schemes fix their time sample by definition

@@ -66,6 +66,28 @@ def test_run_blow_up_still_writes_the_partial_report(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 19  # header + 18 finite levels
 
 
+@pytest.mark.parametrize(
+    "argv, case, blow_up",
+    [
+        (["--model", "biomass", "--scheme", "scalar-nsfd", "--dt", "0.1", "--tend", "1"],
+         "biomass,scalar-nsfd,0.1,1.0,x", ""),
+        (["--model", "seasonal", "--scheme", "scalar-nsfd", "--coeffs", "gamma",
+          "--dt", "0.05", "--tend", "2", "--norm", "full"],
+         "seasonal,gamma-nsfd,0.05,2.0,full", ""),
+        (["--model", "oscillator", "--scheme", "explicit-euler", "--dt", "2.5", "--tend", "250"],
+         "oscillator,explicit-euler,2.5,250.0,x", "18"),
+    ],
+    ids=["biomass", "seasonal-gamma-full", "oscillator-blow-up"],
+)
+def test_run_row_starts_with_the_case_as_parsed(tmp_path, capsys, argv, case, blow_up):
+    # the case's fields come from the command line and the built model and
+    # scheme, since the report holds only the run's findings
+    rc = run_cli("run", *argv, "--out", str(tmp_path / "x.csv"))
+    fields = capsys.readouterr().out.splitlines()[1].split(",")
+    assert ",".join(fields[:5]) == case
+    assert fields[-1] == blow_up and rc == (3 if blow_up else 0)
+
+
 def test_unknown_model_is_a_usage_error(tmp_path, capsys):
     rc = run_cli(
         "run", "--model", "pendulum", "--scheme", "explicit-euler",

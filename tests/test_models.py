@@ -483,6 +483,37 @@ def test_vectors_of_another_length_are_refused_when_the_model_is_built(case):
     assert _with_wrong_length(model, field, (model.n,)).n == model.n
 
 
+NON_FINITE_ENTRIES = {
+    "initial-state": ("biomass", "initial_state"),
+    "constant": ("trees", "forcing.constant"),
+    "quadratic-b": ("oscillator", "forcing.quadratic"),
+    "quadratic-u": ("oscillator", "forcing.quadratic"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_ENTRIES))
+def test_vectors_with_a_non_finite_entry_are_refused_when_the_model_is_built(case, value):
+    # refused at build: a NaN forcing is not a blow-up at step 1, and a NaN
+    # initial state does not wait for integrate
+    kind, field = NON_FINITE_ENTRIES[case]
+    model = nl.make_model(kind)
+    if case == "initial-state":
+        vector = model.initial_state.copy()
+        vector[-1] = value
+        changes = {"initial_state": vector}
+    elif case == "constant":
+        vector = model.forcing.constant.copy()
+        vector[-1] = value
+        changes = {"forcing": mo.Forcing(kind="constant", constant=vector)}
+    else:
+        b, u = (v.copy() for v in model.forcing.quadratic)
+        (b if case == "quadratic-b" else u)[-1] = value
+        changes = {"forcing": mo.Forcing(kind="state", quadratic=(b, u))}
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
+        dataclasses.replace(model, **changes)
+
+
 def test_make_model_parameters_propagate():
     sea = nl.make_model("seasonal", zf=0.25, omega=3.0)
     assert sea.params["zf"] == 0.25 and sea.params["omega"] == 3.0

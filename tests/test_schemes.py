@@ -85,6 +85,29 @@ def test_second_order_schemes_require_the_oscillator(biomass, oscillator):
         )
 
 
+@pytest.mark.parametrize(
+    "kind, diag, dt",
+    [(kind, [1e308, -1.0], 10.0)
+     for kind in sch.SCHEME_KINDS if kind not in sch.SECOND_ORDER_KINDS]
+    # expm1(800 dt) overflows: Q itself is not finite
+    + [("traditional-nsfd", [800.0, -1.0], 1.0)],
+)
+def test_every_one_step_context_raises_overflow_naming_the_scheme_and_dt(kind, diag, dt):
+    # one rule for every kind, with no numpy warning on the way (the suite
+    # turns RuntimeWarning into an error); explicit Euler's Q = 10 I is
+    # finite and its D = 10 A is not
+    with pytest.raises(OverflowError, match=re.escape(f"scheme '{kind}' at dt = {dt!r}: ")):
+        sch.StepContext(make_linear_model(diag), nl.SchemeSpec(kind), dt)
+
+
+def test_implicit_euler_on_a_singular_step_matrix_raises_runtime_error():
+    # I - dt A = 0: numpy's LinAlgError is a ValueError, which the CLI
+    # would report as a usage error
+    message = re.escape("scheme 'implicit-euler' at dt = 1.0: I - dt A is singular")
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        sch.StepContext(make_linear_model([1.0]), nl.SchemeSpec("implicit-euler"), 1.0)
+
+
 SINGULAR_MATRICES = {
     "nilpotent-2": (np.array([[0.0, 1.0], [0.0, 0.0]]), ((0.0, 2),)),
     "nilpotent-3": (np.diag([1.0, 1.0], 1), ((0.0, 3),)),
