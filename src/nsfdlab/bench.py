@@ -5,10 +5,12 @@ component (E_k = |x_k - x^e_k| / |x^e_k|, the natural choice for decaying
 positive solutions) or in the full Euclidean norm.  Where the exact value
 is zero the entry falls back to the absolute error and is flagged.
 
-run_experiment samples the exact solution through a module-level LRU
-cache of at most 4 grids (the step sizes of the longest figure sweep),
-keyed by the exact callable, dt and the number of levels, so the schemes
-of a figure measured on one grid share one sampling.
+run_experiment and write_exact sample the exact solution through a
+module-level LRU cache of at most 4 grids (the step sizes of the longest
+figure sweep), keyed by the exact callable, dt and the number of levels.
+The stock models' exact solutions compare by value (models.make_model),
+so the schemes of a figure measured on one grid share one sampling, and
+so do the figures and models built later on the same grid and parameters.
 
 Figure data is written as plain CSV plus a gnuplot script, one file per
 (scheme, dt) combination, in binary mode so every line ends in '\n' on
@@ -181,9 +183,11 @@ def run_experiment(
 
     The exact solution comes from an LRU cache of the last 4 grids sampled,
     keyed by (model.exact, dt, number of levels), so runs on one grid
-    sample it once; an unhashable exact is sampled on every call.  The
-    series equals relative_error_series(traj, model.exact, norm) bitwise,
-    on the grid schemes.time_grid(N, dt) of traj.times and write_csv.
+    sample it once; a stock model's exact compares by value, so runs on
+    models built apart with equal parameters share its samples too.  An
+    unhashable exact is sampled on every call.  The series equals
+    relative_error_series(traj, model.exact, norm) bitwise, on the grid
+    schemes.time_grid(N, dt) of traj.times and write_csv.
 
     The exact solution must start at the model's initial state: if its
     level 0 differs from traj.states[0] by more than rounding (a model
@@ -196,12 +200,7 @@ def run_experiment(
     """
     traj = integrate(model, scheme, dt, t_end)
     n_levels = len(traj.states)
-    try:
-        hash(model.exact)
-    except TypeError:  # a mutable callable, such as a dataclass instance
-        reference = model.exact(traj.times)
-    else:
-        reference = _sampled_exact(model.exact, float(dt), n_levels)
+    reference = _exact_samples(model.exact, dt, n_levels)
     series = _error_series(traj, reference, norm)
     _check_start(model, traj.states[0], np.broadcast_to(reference, traj.states.shape)[0])
     report = ExperimentReport(
@@ -226,6 +225,18 @@ def _check_start(model: OdeModel, start: np.ndarray, exact_start: np.ndarray) ->
             f"not at the initial state {start.tolist()} (largest gap {gap:.3e}); "
             "its errors would be measured against another solution"
         )
+
+
+def _exact_samples(exact, dt: float, n_levels: int) -> np.ndarray:
+    """exact on the grid schemes.time_grid(n_levels, dt): from the
+    _sampled_exact cache, or sampled on every call when exact is
+    unhashable."""
+    dt = float(dt)
+    try:
+        hash(exact)
+    except TypeError:  # a mutable callable, such as a dataclass instance
+        return exact(schemes.time_grid(n_levels, dt))
+    return _sampled_exact(exact, dt, n_levels)
 
 
 # 4 is the most step sizes one figure sweeps (oscillator-error): every grid
@@ -583,12 +594,13 @@ def _joined(fields):
 
 def write_exact(model: OdeModel, dt: float, t_end: float, path) -> None:
     """Sample the exact solution at t = k dt, k = 0..floor(t_end/dt), in one
-    call, and write it as CSV with columns t,x,y[,z] (n <= 3, or ValueError)."""
+    call or from run_experiment's cache of exact samples, and write it as
+    CSV with columns t,x,y[,z] (n <= 3, or ValueError)."""
     if model.n > 3:
         raise ValueError(f"exact CSV columns t,x,y,z name at most 3 states, got n = {model.n}")
-    times = schemes.time_grid(schemes.step_count(dt, t_end) + 1, dt)
+    n_levels = schemes.step_count(dt, t_end) + 1
     header = ",".join(("t", "x", "y", "z")[: model.n + 1])
-    write_csv(path, header, dt, tuple(model.exact(times).T))
+    write_csv(path, header, dt, tuple(_exact_samples(model.exact, dt, n_levels).T))
 
 
 def run_figure(figure_id: str, out_dir) -> list[Path]:

@@ -124,7 +124,10 @@ class Forcing:
     antiderivative (if set) is the componentwise primitive of time_fn, used
     for the exact integral-mean approximation.  Both take a time or an
     array of times; an array of shape S gives shape S + (n,), so the
-    steppers evaluate the forcing of every step in one call.
+    steppers evaluate the forcing of every step in one call.  Both must be
+    pure functions of t, like OdeModel.exact: schemes.march caches the
+    per-step values of a grid per (time_fn, antiderivative, rule, dt,
+    number of steps) and does not call them again.
 
     For "state", quadratic = (b, u) declares the rank-one quadratic
     B(x) = b (u.x)^2 as data, and the steppers step it in closed form; a
@@ -186,7 +189,10 @@ class OdeModel:
     point of the flow; energy, if not None, is a conserved quantity
     evaluator.  exact must be a pure function of t: bench.run_experiment
     caches its samples per (exact, dt, number of levels) and does not call
-    it again.
+    it again.  The stock models' exact, time_fn and antiderivative are
+    _Bound functions, which compare by value: two make_model calls with
+    equal parameters give equal functions of equal hash, and so share
+    those caches.
 
     Every build, dataclasses.replace included, checks a_matrix
     (matkit.as_square_matrix: real, square, finite; a C-ordered float64
@@ -250,16 +256,30 @@ class OdeModel:
 # builders
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Bound:
+    """fn(t, *args): a module-level function of (t, params) bound to a
+    model's parameters.  It compares and hashes by (fn, args), so the
+    bindings of equal parameters are one cache key, and it holds nothing
+    but them."""
+
+    fn: Callable[..., np.ndarray]
+    args: tuple
+
+    def __call__(self, t) -> np.ndarray:
+        return self.fn(t, *self.args)
+
+
+def _oscillator_exact(t, x0: float, a_par: float, omega: float, m_par: float) -> np.ndarray:
+    sn, cn, dn = jacobi_sn_cn_dn(omega * np.asarray(t, dtype=float), m_par)
+    x = x0 + a_par * sn * sn
+    # + 0.0 maps the -0.0 at sn = 0 (a < 0) to 0.0: exact(0) is the initial state bitwise
+    y = 2.0 * a_par * omega * sn * cn * dn + 0.0
+    return np.stack((x, y), axis=-1)
+
+
 def _make_oscillator(x0: float = 0.25) -> OdeModel:
     a_par, omega, m_par = oscillator_params(x0)
-
-    def exact(t) -> np.ndarray:
-        sn, cn, dn = jacobi_sn_cn_dn(omega * np.asarray(t, dtype=float), m_par)
-        x = x0 + a_par * sn * sn
-        # + 0.0 maps the -0.0 at sn = 0 (a < 0) to 0.0: exact(0) is the initial state bitwise
-        y = 2.0 * a_par * omega * sn * cn * dn + 0.0
-        return np.stack((x, y), axis=-1)
-
     return OdeModel(
         name="oscillator",
         a_matrix=np.array([[0.0, 1.0], [-1.0, 0.0]]),
@@ -267,7 +287,7 @@ def _make_oscillator(x0: float = 0.25) -> OdeModel:
         # B(x) = (0, -x^2): b = (0, -1), u = e_1
         forcing=Forcing(kind="state", quadratic=(np.array([0.0, -1.0]), np.array([1.0, 0.0]))),
         initial_state=np.array([x0, 0.0]),
-        exact=exact,
+        exact=_Bound(_oscillator_exact, (x0, a_par, omega, m_par)),
         params={"x0": x0, "a": a_par, "omega": omega, "m": m_par},
         equilibrium=np.array([0.0, 0.0]),
         energy=oscillator_energy,
@@ -327,7 +347,7 @@ def _make_biomass(z0: float = 1.0) -> OdeModel:
         spectrum=_BIOMASS_SPECTRUM,
         forcing=Forcing(kind="none"),
         initial_state=np.array([0.0, 0.0, z0]),
-        exact=lambda t: _biomass_homogeneous(t, z0),
+        exact=_Bound(_biomass_homogeneous, (z0,)),
         params={"z0": z0},
         equilibrium=np.zeros(3),
     )
@@ -344,7 +364,7 @@ def _make_trees(z0: float = 1.0, zf: float = 0.5) -> OdeModel:
         spectrum=_BIOMASS_SPECTRUM,
         forcing=Forcing(kind="constant", constant=np.array([0.0, 0.0, zf])),
         initial_state=np.array([0.0, 0.0, z0]),
-        exact=lambda t: _trees_exact(t, z0, zf),
+        exact=_Bound(_trees_exact, (z0, zf)),
         params={"z0": z0, "zf": zf},
         # A X + B vanishes at (zf, zf/3, zf/5): long-time limit of every orbit
         equilibrium=np.array([zf, zf / 3.0, zf / 5.0]),
@@ -358,6 +378,37 @@ def _third_component(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _seasonal_exact(t, z0: float, zf: float, omega: float) -> np.ndarray:
+    # the seasonal part in partial fractions: every term carries a factor
+    # cos(omega t) - exp(-k t) or sin(omega t), so each vanishes exactly at
+    # t = 0 and exact(0) is the initial state to the bit;
+    # cos(omega t) - exp(-k t) = (cos(omega t) - 1) - (exp(-k t) - 1) keeps
+    # its digits near t = 0
+    w2 = omega * omega
+    d1, d3, d5 = 1.0 + w2, 9.0 + w2, 25.0 + w2
+    t = np.asarray(t, dtype=float)
+    m1, m3, m5 = np.expm1(-t), np.expm1(-3.0 * t), np.expm1(-5.0 * t)
+    cm = -2.0 * np.sin(0.5 * omega * t) ** 2  # cos(omega t) - 1
+    sw = np.sin(omega * t)
+    c1, c3, c5 = cm - m1, cm - m3, cm - m5
+    out = _trees_exact(t, z0, zf)
+    out[..., 0] += 15.0 / 8.0 * zf * (
+        c1 / d1 - 6.0 * c3 / d3 + 5.0 * c5 / d5 + omega * sw * (1.0 / d1 - 2.0 / d3 + 1.0 / d5)
+    )
+    out[..., 1] += zf * (7.5 * c3 / d3 - 12.5 * c5 / d5 + 2.5 * omega * sw * (1.0 / d3 - 1.0 / d5))
+    out[..., 2] += zf * (5.0 * c5 + omega * sw) / d5
+    return out
+
+
+def _seasonal_forcing(t, zf: float, omega: float) -> np.ndarray:
+    return _third_component(zf * (1.0 + np.cos(omega * np.asarray(t, dtype=float))))
+
+
+def _seasonal_antiderivative(t, zf: float, omega: float) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    return _third_component(zf * (t + np.sin(omega * t) / omega))
+
+
 def _make_seasonal(z0: float = 1.0, zf: float = 0.5, omega: float = 2.0 * math.pi) -> OdeModel:
     if not (math.isfinite(z0) and z0 > 0):
         raise ValueError(f"z0 must be positive and finite, got {z0}")
@@ -365,42 +416,17 @@ def _make_seasonal(z0: float = 1.0, zf: float = 0.5, omega: float = 2.0 * math.p
         raise ValueError(f"zf must be nonnegative and finite, got {zf}")
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive and finite, got {omega}")
-    w2 = omega * omega
-    d1, d3, d5 = 1.0 + w2, 9.0 + w2, 25.0 + w2
-
-    def exact(t) -> np.ndarray:
-        # the seasonal part in partial fractions: every term carries a
-        # factor cos(omega t) - exp(-k t) or sin(omega t), so each vanishes
-        # exactly at t = 0 and exact(0) is the initial state to the bit;
-        # cos(omega t) - exp(-k t) = (cos(omega t) - 1) - (exp(-k t) - 1)
-        # keeps its digits near t = 0
-        t = np.asarray(t, dtype=float)
-        m1, m3, m5 = np.expm1(-t), np.expm1(-3.0 * t), np.expm1(-5.0 * t)
-        cm = -2.0 * np.sin(0.5 * omega * t) ** 2  # cos(omega t) - 1
-        sw = np.sin(omega * t)
-        c1, c3, c5 = cm - m1, cm - m3, cm - m5
-        out = _trees_exact(t, z0, zf)
-        out[..., 0] += 15.0 / 8.0 * zf * (
-            c1 / d1 - 6.0 * c3 / d3 + 5.0 * c5 / d5 + omega * sw * (1.0 / d1 - 2.0 / d3 + 1.0 / d5)
-        )
-        out[..., 1] += zf * (7.5 * c3 / d3 - 12.5 * c5 / d5 + 2.5 * omega * sw * (1.0 / d3 - 1.0 / d5))
-        out[..., 2] += zf * (5.0 * c5 + omega * sw) / d5
-        return out
-
-    def time_fn(t) -> np.ndarray:
-        return _third_component(zf * (1.0 + np.cos(omega * np.asarray(t, dtype=float))))
-
-    def antiderivative(t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return _third_component(zf * (t + np.sin(omega * t) / omega))
-
     return OdeModel(
         name="seasonal",
         a_matrix=_BIOMASS_A.copy(),
         spectrum=_BIOMASS_SPECTRUM,
-        forcing=Forcing(kind="time", time_fn=time_fn, antiderivative=antiderivative),
+        forcing=Forcing(
+            kind="time",
+            time_fn=_Bound(_seasonal_forcing, (zf, omega)),
+            antiderivative=_Bound(_seasonal_antiderivative, (zf, omega)),
+        ),
         initial_state=np.array([0.0, 0.0, z0]),
-        exact=exact,
+        exact=_Bound(_seasonal_exact, (z0, zf, omega)),
         params={"z0": z0, "zf": zf, "omega": omega},
     )
 
@@ -420,7 +446,9 @@ def make_model(kind: str, **params) -> OdeModel:
     (z0, zf), "seasonal" (z0, zf, omega).  Parameter domains are checked,
     and a parameter the model does not take raises ValueError; defaults
     reproduce the reference configurations (x0 = 0.25; z0 = 1, zf = 0.5,
-    omega = 2 pi).
+    omega = 2 pi).  A parameter -0.0 is built as 0.0: the two compare
+    equal with one hash, so the model functions' cache keys could not tell
+    their samples apart.
     """
     builder = _BUILDERS.get(kind)
     if builder is None:
@@ -430,4 +458,5 @@ def make_model(kind: str, **params) -> OdeModel:
         raise ValueError(
             f"model {kind!r} takes no parameter {', '.join(unknown)}; valid: {', '.join(takes)}"
         )
-    return builder(**params)
+    # x + 0.0 is x for every float but -0.0, which it maps to 0.0
+    return builder(**{k: v + 0.0 if isinstance(v, float) else v for k, v in params.items()})

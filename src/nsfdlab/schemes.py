@@ -272,32 +272,73 @@ def approximate_forcing(ctx: StepContext, t_k) -> np.ndarray:
     state forcing has no such value and raises ValueError.
     """
     f = ctx.model.forcing
-    dt = ctx.dt
     t_k = np.asarray(t_k, dtype=float)
     if f.kind == "none":
         return np.zeros(t_k.shape + (ctx.model.n,))
     if f.kind == "constant":
         return np.broadcast_to(f.constant, t_k.shape + (ctx.model.n,))
     if f.kind == "time":
-        strategy = _EULER_FORCING.get(ctx.scheme.kind, ctx.scheme.forcing_approx)
-        if strategy == FORCING_LEFT:
-            return f.time_fn(t_k)
-        if strategy == FORCING_RIGHT:
-            return f.time_fn(t_k + dt)
-        if strategy == FORCING_MIDDLE:
-            return f.time_fn(t_k + dt / 2.0)
-        if strategy == FORCING_HALF:
-            return 0.5 * (f.time_fn(t_k) + f.time_fn(t_k + dt))
-        if f.antiderivative is not None:
-            return (f.antiderivative(t_k + dt) - f.antiderivative(t_k)) / dt
-        half = dt / 2.0
-        gl_nodes, gl_weights = _gauss_legendre_5()
-        # one evaluation at all nodes of all steps, node-major: shape
-        # (5,) + t_k.shape + (n,), contracted as one (5,) @ (5, N n) product
-        nodes = (t_k + half) + half * gl_nodes.reshape((5,) + (1,) * t_k.ndim)
-        mean = gl_weights @ f.time_fn(nodes).reshape(5, -1)
-        return mean.reshape(t_k.shape + (ctx.model.n,)) * half / dt
+        return _time_forcing(f.time_fn, f.antiderivative, _forcing_rule(ctx), ctx.dt, t_k)
     raise ValueError("a state forcing has no per-step value: march steps it in closed form")
+
+
+def _forcing_rule(ctx: StepContext) -> str:
+    """The forcing approximation a scheme steps with: its own, or the
+    Euler schemes' fixed time sample."""
+    return _EULER_FORCING.get(ctx.scheme.kind, ctx.scheme.forcing_approx)
+
+
+def _time_forcing(time_fn, antiderivative, rule: str, dt: float, t_k: np.ndarray) -> np.ndarray:
+    """B-hat of a time forcing by one rule, at the start times t_k of steps
+    of dt (approximate_forcing)."""
+    if rule == FORCING_LEFT:
+        return time_fn(t_k)
+    if rule == FORCING_RIGHT:
+        return time_fn(t_k + dt)
+    if rule == FORCING_MIDDLE:
+        return time_fn(t_k + dt / 2.0)
+    if rule == FORCING_HALF:
+        return 0.5 * (time_fn(t_k) + time_fn(t_k + dt))
+    if antiderivative is not None:
+        return (antiderivative(t_k + dt) - antiderivative(t_k)) / dt
+    half = dt / 2.0
+    gl_nodes, gl_weights = _gauss_legendre_5()
+    # one evaluation at all nodes of all steps, node-major: shape
+    # (5,) + t_k.shape + (n,), contracted as one (5,) @ (5, N n) product
+    nodes = (t_k + half) + half * gl_nodes.reshape((5,) + (1,) * t_k.ndim)
+    values = time_fn(nodes)
+    mean = gl_weights @ values.reshape(5, -1)
+    return mean.reshape(values.shape[1:]) * half / dt
+
+
+def _step_forcing(ctx: StepContext, n_steps: int) -> np.ndarray:
+    """B-hat of every step of n_steps of ctx.dt from t = 0, shape
+    (n_steps, n).  A time forcing's comes from the _grid_forcing cache, or
+    is computed on every call when its functions are unhashable."""
+    f = ctx.model.forcing
+    if f.kind == "time":
+        key = (f.time_fn, f.antiderivative, _forcing_rule(ctx), ctx.dt, n_steps)
+        try:
+            hash(key)
+        except TypeError:  # a mutable callable, such as a dataclass instance
+            pass
+        else:
+            return _grid_forcing(*key)
+    return approximate_forcing(ctx, time_grid(n_steps, ctx.dt))
+
+
+# 4 grids, as many as bench caches exact samples for, under each forcing
+# approximation: every grid of a figure keeps its forcing values while its
+# schemes run.
+@functools.lru_cache(maxsize=4 * len(FORCING_APPROXES))
+def _grid_forcing(time_fn, antiderivative, rule: str, dt: float, n_steps: int) -> np.ndarray:
+    """_time_forcing on the start times time_grid(n_steps, dt) of a
+    trajectory's steps.  Read-only, since every run on the grid shares it."""
+    values = np.array(
+        _time_forcing(time_fn, antiderivative, rule, dt, time_grid(n_steps, dt)), dtype=float
+    )
+    values.setflags(write=False)
+    return values
 
 
 def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarray:
@@ -436,7 +477,11 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
     """n_steps of ctx's scheme from x0 at t = 0: the one stepping kernel.
 
     Forcing that does not depend on the state is evaluated for all steps at
-    once, c = Q B-hat^T with one column c_k per step, and the recurrence
+    once, c = Q B-hat^T with one column c_k per step; a time forcing's
+    B-hat comes from an LRU cache of 4 grids under each forcing rule
+    (_grid_forcing), keyed by (time_fn, antiderivative, rule, dt, n_steps),
+    so the schemes that share a rule on a grid evaluate it once.  The
+    recurrence
     x_{k+1} = x_k + (D x_k + c_k) runs as a log-depth prefix scan over all
     levels (_affine_scan), held component-major as an (n, N + 1) array,
     with the powers P^s held as P^s - I until an entry exceeds 1/2.  The
@@ -460,7 +505,7 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
         else:
             levels = np.empty((ctx.model.n, n_steps + 1))
             levels[:, 0] = x0
-            c = ctx.q @ approximate_forcing(ctx, time_grid(n_steps, ctx.dt)).T
+            c = ctx.q @ _step_forcing(ctx, n_steps).T
             levels[:, 1:] = c
             if not _affine_scan(ctx.d, levels):
                 levels[:, 1:] = c  # the scan never writes level 0
@@ -501,15 +546,21 @@ def integrate(model: OdeModel, scheme: SchemeSpec, dt: float, t_end: float, x0=N
 def step_count(dt: float, t_end: float) -> int:
     """Steps of size dt that fit in [0, t_end], forgiving rounding in t_end/dt.
 
-    dt must be positive and finite, and t_end finite and at least dt, or
-    ValueError is raised: integrate and bench.write_exact reject the same
-    inputs with the same messages.
+    dt must be positive and finite, t_end finite and at least dt, and
+    t_end / dt finite (a subnormal dt can overflow it), or ValueError is
+    raised: integrate and bench.write_exact reject the same inputs with the
+    same messages.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
     if not (np.isfinite(t_end) and t_end >= dt):
         raise ValueError("t_end must be finite and at least dt")
-    return int(math.floor(t_end / dt + 1e-9))
+    # on Python floats an overflowing quotient is inf, with no warning
+    dt, t_end = float(dt), float(t_end)
+    count = t_end / dt + 1e-9
+    if not math.isfinite(count):
+        raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} = {count!r} steps is not a finite count")
+    return int(math.floor(count))
 
 
 def time_grid(n_levels: int, dt: float) -> np.ndarray:

@@ -732,10 +732,52 @@ def test_exact_figures_share_the_time_column_cache(tmp_path, monkeypatch):
     nl.run_figure("biomass-exact", tmp_path / "warm")
     info = bench._time_records.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+    # the exact samples come from run_experiment's cache too
     monkeypatch.setattr(bench, "_time_records", bench._time_records.__wrapped__)
+    monkeypatch.setattr(bench, "_sampled_exact", bench._sampled_exact.__wrapped__)
     nl.run_figure("biomass-exact", tmp_path / "uncached")
     cold = _tree_bytes(tmp_path / "cold")
     assert len(cold) == 2
+    assert cold == _tree_bytes(tmp_path / "warm") == _tree_bytes(tmp_path / "uncached")
+
+
+@pytest.mark.parametrize(
+    "error_figure, exact_figure",
+    [("biomass-error", "biomass-exact"), ("seasonal-error", "seasonal-exact")],
+)
+def test_exact_figures_reuse_the_error_figures_samples(tmp_path, error_figure, exact_figure):
+    # the exact figure's grid, dt 0.01 on [0, 10], is the error figure's
+    # second step size, and run_figure builds a model of equal parameters
+    bench._sampled_exact.cache_clear()
+    nl.run_figure(error_figure, tmp_path)
+    nl.run_figure(exact_figure, tmp_path)
+    info = bench._sampled_exact.cache_info()
+    assert (info.misses, info.hits) == (3, 13)  # 5 schemes on 3 grids, and the exact table
+
+
+def test_a_cold_seasonal_error_computes_9_of_its_15_forcing_evaluations(tmp_path):
+    # 5 schemes on 3 grids: explicit Euler takes the left value, implicit
+    # Euler the right one, and traditional-, gamma- and scalar-nsfd share
+    # the default "half"
+    sch._grid_forcing.cache_clear()
+    nl.run_figure("seasonal-error", tmp_path / "cold")
+    info = sch._grid_forcing.cache_info()
+    assert (info.misses, info.hits) == (9, 6)
+    # a second pass, on a model built again, evaluates none
+    nl.run_figure("seasonal-error", tmp_path / "warm")
+    assert sch._grid_forcing.cache_info().misses == 9
+    assert _tree_bytes(tmp_path / "cold") == _tree_bytes(tmp_path / "warm")
+
+
+@pytest.mark.parametrize("figure", ["seasonal-error", "seasonal-forcing-comparison"])
+def test_figures_keep_their_bytes_with_every_cache_bypassed(tmp_path, monkeypatch, figure):
+    nl.run_figure(figure, tmp_path / "cold")
+    nl.run_figure(figure, tmp_path / "warm")
+    caches = ((sch, "_grid_forcing"), (bench, "_sampled_exact"), (bench, "_time_records"))
+    for module, name in caches:
+        monkeypatch.setattr(module, name, getattr(module, name).__wrapped__)
+    nl.run_figure(figure, tmp_path / "uncached")
+    cold = _tree_bytes(tmp_path / "cold")
     assert cold == _tree_bytes(tmp_path / "warm") == _tree_bytes(tmp_path / "uncached")
 
 

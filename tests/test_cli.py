@@ -346,6 +346,8 @@ def test_exact_subcommand_samples_the_solution(tmp_path, capsys):
         ("0.1", "-1", "t_end must be finite and at least dt"),
         ("inf", "1", "dt must be positive and finite"),
         ("0", "1", "dt must be positive and finite"),
+        # a usage error, not a numerical failure: no run starts
+        ("1e-320", "1", "t_end / dt = 1.0 / 1e-320 = inf steps is not a finite count"),
     ],
 )
 def test_exact_and_run_reject_the_same_step_sizes(tmp_path, capsys, dt, tend, message):

@@ -524,6 +524,47 @@ def test_make_model_parameters_propagate():
     assert custom.exact(0.0)[0] == 0.3
 
 
+def _model_functions(model):
+    """The model's pure functions by name: exact, and a time forcing's."""
+    f = model.forcing
+    named = {"exact": model.exact, "time_fn": f.time_fn, "antiderivative": f.antiderivative}
+    return {name: fn for name, fn in named.items() if fn is not None}
+
+
+@pytest.mark.parametrize(
+    "kind, changed",
+    [
+        ("oscillator", {"x0": 0.3}),
+        ("biomass", {"z0": 2.0}),
+        ("trees", {"zf": 0.4}),
+        ("seasonal", {"zf": 0.4}),
+        ("seasonal", {"omega": 3.0}),
+    ],
+)
+def test_model_functions_compare_by_value(kind, changed):
+    # the bench and schemes caches key samples by these functions: equal
+    # parameters share them, other parameters do not
+    first, second = _model_functions(nl.make_model(kind)), _model_functions(nl.make_model(kind))
+    other = _model_functions(nl.make_model(kind, **changed))
+    assert first.keys() == second.keys() == other.keys()
+    for name, fn in first.items():
+        assert fn == second[name] and hash(fn) == hash(second[name]), name
+        assert fn != other[name], name
+
+
+@pytest.mark.parametrize("kind", ["trees", "seasonal"])
+def test_a_negative_zero_parameter_is_built_as_zero(kind):
+    # -0.0 == 0.0 with one hash, so the twins share cache keys: they must
+    # give the same bytes
+    signed, plain = nl.make_model(kind, zf=-0.0), nl.make_model(kind, zf=0.0)
+    assert math.copysign(1.0, signed.params["zf"]) == 1.0
+    times = np.linspace(0.0, 10.0, 101)
+    for name, fn in _model_functions(plain).items():
+        assert _model_functions(signed)[name](times).tobytes() == fn(times).tobytes(), name
+    if kind == "trees":
+        assert signed.forcing.constant.tobytes() == plain.forcing.constant.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["oscillator", "biomass", "trees", "seasonal"])
 def test_declared_spectrum_matches_characteristic_roots(kind):
     model = nl.make_model(kind)

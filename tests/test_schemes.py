@@ -760,6 +760,48 @@ def test_scalar_and_corrected_forms_walk_the_same_orbit(oscillator):
     assert np.max(np.abs(ts.states - tc.states)) <= 1e-12
 
 
+@pytest.mark.parametrize("dt", [0.1, 0.01, 0.001])
+def test_mickens_osc2_is_corrected_osc_on_a_rescaled_orbit(oscillator, dt):
+    # both recurrences are x_{k+1} + x_{k-1} = (2 - s2) x_k / (1 + g x_k)
+    # up to their g, which differ by c2 = cos^2(dt/2): c2 times
+    # mickens-osc2's levels is corrected-osc's recurrence from
+    # (c2 x_0, c2 x_1).  An identity between the two schemes, so it holds
+    # whatever code computes them; the rounding gap grows with the steps
+    # (3.8e-12 after 35,000 steps of 0.001)
+    c2 = math.cos(dt / 2.0) ** 2
+    n_steps = sch.step_count(dt, 35.0)
+    mickens = nl.integrate(oscillator, nl.SchemeSpec("mickens-osc2"), dt, 35.0).states[:, 0]
+    corrected = array("d", (c2 * mickens[0], c2 * mickens[1]))
+    ctx = sch.StepContext(oscillator, nl.SchemeSpec("corrected-osc"), dt)
+    sch._osc_levels(ctx, corrected, n_steps - 1)
+    gap = np.max(np.abs(c2 * mickens - np.frombuffer(corrected)))
+    assert gap <= 1e-15 * n_steps, gap
+
+
+def _component_errors(oscillator, kind, dt, t_end=35.0):
+    """max |error| / max |exact| of x and of y on the trajectory's grid."""
+    traj = nl.integrate(oscillator, nl.SchemeSpec(kind), dt, t_end)
+    exact = oscillator.exact(traj.times)
+    return np.max(np.abs(traj.states - exact), axis=0) / np.max(np.abs(exact), axis=0)
+
+
+@pytest.mark.parametrize(
+    "kind, y_order",
+    [("mickens-osc1", 1), ("mickens-osc2", 1), ("corrected-osc", 2)],
+)
+def test_each_oscillator_component_converges_at_its_order(oscillator, kind, y_order):
+    # x is second order for all three recurrences; Mickens' velocity
+    # readout (x_{k+1} - cos dt x_k)/sin dt is first order, and
+    # corrected-osc's added tan(dt/2) x_k x_{k+1} makes it second order
+    # (at dt 0.001: x errors 6.4e-7, 1.37e-6, 7.46e-7; y 1.69e-4 for both
+    # Mickens kinds and 8.91e-7)
+    coarse, fine = (_component_errors(oscillator, kind, dt) for dt in (0.01, 0.001))
+    orders = np.log10(coarse / fine)
+    assert abs(orders[0] - 2.0) <= 0.05, orders
+    assert abs(orders[1] - y_order) <= 0.05, orders
+    assert fine[0] <= 2e-6 and fine[1] <= (2e-4 if y_order == 1 else 1e-6), fine
+
+
 # ---------------------------------------------------------------------------
 # forcing treatments
 # ---------------------------------------------------------------------------
@@ -841,6 +883,102 @@ def test_array_calls_equal_stacked_scalar_calls():
             rtol=0,
             atol=1e-15,
         )
+
+
+def _grid_forcing_entries(cases, n_steps):
+    """_step_forcing of every (model, scheme, dt) case after clearing the
+    cache, with the cache's (misses, hits)."""
+    sch._grid_forcing.cache_clear()
+    values = [
+        sch._step_forcing(sch.StepContext(model, scheme, dt), n_steps)
+        for model, scheme, dt in cases
+    ]
+    info = sch._grid_forcing.cache_info()
+    return values, (info.misses, info.hits)
+
+
+def test_each_forcing_rule_has_its_own_entries(seasonal):
+    dt, n_steps = 0.1, 10
+    times = sch.time_grid(n_steps, dt)
+    rules = [
+        (seasonal, nl.SchemeSpec("scalar-nsfd", forcing_approx=approx), dt)
+        for approx in sch.FORCING_APPROXES
+    ]
+    # the Euler schemes override their approximation: explicit is "left",
+    # implicit "right", and share those rules' entries
+    euler = [
+        (seasonal, nl.SchemeSpec("explicit-euler", forcing_approx="mean"), dt),
+        (seasonal, nl.SchemeSpec("implicit-euler", forcing_approx="left"), dt),
+    ]
+    values, counts = _grid_forcing_entries(rules + euler, n_steps)
+    assert counts == (5, 2)
+    for (model, scheme, _), value in zip(rules + euler, values):
+        expected = sch.approximate_forcing(sch.StepContext(model, scheme, dt), times)
+        assert value.shape == (n_steps, 3)
+        assert value.tobytes() == expected.tobytes(), scheme
+    assert len({value.tobytes() for value in values[:5]}) == 5
+    assert values[5] is values[0] and values[6] is values[1]
+
+
+def test_forcing_entries_of_other_parameters_are_kept_apart():
+    dt, n_steps = 0.1, 10
+    scheme = nl.SchemeSpec("scalar-nsfd")
+    models = [nl.make_model("seasonal", zf=zf) for zf in (0.5, 0.4, 0.5)]
+    values, counts = _grid_forcing_entries([(m, scheme, dt) for m in models], n_steps)
+    assert counts == (2, 1)  # a model built apart with equal parameters hits
+    np.testing.assert_allclose(values[1], 0.8 * values[0], rtol=1e-15, atol=0)
+    # and so are other step sizes and step counts on one model
+    values, counts = _grid_forcing_entries([(models[0], scheme, d) for d in (0.1, 0.2)], n_steps)
+    assert counts == (2, 0)
+    assert sch._step_forcing(sch.StepContext(models[0], scheme, dt), 5).shape == (5, 3)
+    assert sch._grid_forcing.cache_info().misses == 3
+
+
+def test_a_forcing_without_antiderivative_takes_the_quadrature_mean(seasonal):
+    dt, n_steps = 0.1, 10
+    scheme = nl.SchemeSpec("scalar-nsfd", forcing_approx="mean")
+    stripped = dataclasses.replace(
+        seasonal, forcing=dataclasses.replace(seasonal.forcing, antiderivative=None)
+    )
+    (closed, quadrature), counts = _grid_forcing_entries(
+        [(seasonal, scheme, dt), (stripped, scheme, dt)], n_steps
+    )
+    assert counts == (2, 0)
+    times = sch.time_grid(n_steps, dt)
+    f = seasonal.forcing
+    gauss = sch._time_forcing(f.time_fn, None, "mean", dt, times)
+    assert quadrature.tobytes() == gauss.tobytes()
+    primitive = sch._time_forcing(f.time_fn, f.antiderivative, "mean", dt, times)
+    assert closed.tobytes() == primitive.tobytes()
+    assert closed.tobytes() != quadrature.tobytes()
+    np.testing.assert_allclose(closed, quadrature, rtol=0, atol=1e-14)
+
+
+def test_forcing_entries_are_read_only(seasonal):
+    (value,), _ = _grid_forcing_entries([(seasonal, nl.SchemeSpec("scalar-nsfd"), 0.1)], 10)
+    assert not value.flags.writeable
+    with pytest.raises(ValueError):
+        value[0, 2] = 1.0
+
+
+def test_an_unhashable_time_forcing_is_evaluated_on_every_run(seasonal):
+    @dataclasses.dataclass
+    class CountingForcing:
+        calls: int = 0
+
+        def __call__(self, t):
+            self.calls += 1
+            return seasonal.forcing.time_fn(t)
+
+    time_fn = CountingForcing()
+    forcing = dataclasses.replace(seasonal.forcing, time_fn=time_fn)
+    model = dataclasses.replace(seasonal, forcing=forcing)
+    sch._grid_forcing.cache_clear()
+    for _ in range(2):
+        traj = nl.integrate(model, nl.SchemeSpec("scalar-nsfd", forcing_approx="left"), 0.1, 1.0)
+    assert time_fn.calls == 2 and sch._grid_forcing.cache_info().currsize == 0
+    expected = nl.integrate(seasonal, nl.SchemeSpec("scalar-nsfd", forcing_approx="left"), 0.1, 1.0)
+    assert traj.states.tobytes() == expected.states.tobytes()
 
 
 def test_explicit_product_choice_changes_the_orbit(oscillator):
@@ -1715,6 +1853,24 @@ def test_integrate_rejects_bad_grids(biomass):
         nl.integrate(biomass, nl.SchemeSpec("explicit-euler"), -0.1, 1.0)
     with pytest.raises(ValueError):
         nl.integrate(biomass, nl.SchemeSpec("explicit-euler"), 0.3, 0.2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("to_float", [float, np.float64])
+@pytest.mark.parametrize("dt, t_end", [(1e-320, 1.0), (5e-324, 1e-8), (1e-310, 1e300)])
+def test_step_count_rejects_a_step_count_that_is_not_finite(dt, t_end, to_float):
+    # t_end / dt overflows: a usage error naming dt, t_end and the count,
+    # with no overflow warning, raised before any stepping starts
+    message = f"t_end / dt = {t_end!r} / {dt!r} = inf steps is not a finite count"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sch.step_count(to_float(dt), to_float(t_end))
+
+
+def test_step_count_keeps_the_largest_finite_counts():
+    # a finite count is counted, however large
+    count = sch.step_count(1e-300, 1.0)
+    assert isinstance(count, int) and 0.99e300 < count < 1.01e300
+    assert sch.step_count(0.1, 1.0) == 10
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
