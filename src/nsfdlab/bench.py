@@ -5,12 +5,11 @@ component (E_k = |x_k - x^e_k| / |x^e_k|, the natural choice for decaying
 positive solutions) or in the full Euclidean norm.  Where the exact value
 is zero the entry falls back to the absolute error and is flagged.
 
-run_experiment and write_exact sample the exact solution through a
-module-level LRU cache of at most 4 grids (the step sizes of the longest
-figure sweep), keyed by the exact callable, dt and the number of levels.
-The stock models' exact solutions compare by value (models.make_model),
-so the schemes of a figure measured on one grid share one sampling, and
-so do the figures and models built later on the same grid and parameters.
+run_experiment and write_exact sample the exact solution on a grid
+through schemes.grid_samples, keyed by the exact callable, dt and the
+number of levels, so the schemes of a figure measured on one grid share
+one sampling, and so do the figures and models built later on the same
+grid and parameters.
 
 Figure data is written as plain CSV plus a gnuplot script, one file per
 (scheme, dt) combination, in binary mode so every line ends in '\n' on
@@ -28,8 +27,8 @@ the common case, is fixed-width, and the file takes its buffer without a
 copy; any other block has the records' NUL padding stripped.
 
 Every table is its time grid plus value columns: write_csv takes the
-step dt, and formats the grid's time column once, keeping it in a second
-LRU cache of 4 grids keyed by dt and the number of levels.
+step dt, and formats the grid's time column once, through
+schemes.grid_samples too, keyed by dt and the number of levels.
 """
 from __future__ import annotations
 
@@ -181,13 +180,11 @@ def run_experiment(
     """Integrate from the model's initial state, measure against its exact
     solution, and summarize.
 
-    The exact solution comes from an LRU cache of the last 4 grids sampled,
-    keyed by (model.exact, dt, number of levels), so runs on one grid
-    sample it once; a stock model's exact compares by value, so runs on
-    models built apart with equal parameters share its samples too.  An
-    unhashable exact is sampled on every call.  The series equals
-    relative_error_series(traj, model.exact, norm) bitwise, on the grid
-    schemes.time_grid(N, dt) of traj.times and write_csv.
+    The exact solution is sampled through schemes.grid_samples, keyed by
+    (model.exact, dt, number of levels), so runs on one grid sample it
+    once.  The series equals relative_error_series(traj, model.exact,
+    norm) bitwise, on the grid schemes.time_grid(N, dt) of traj.times and
+    write_csv.
 
     The exact solution must start at the model's initial state: if its
     level 0 differs from traj.states[0] by more than rounding (a model
@@ -200,7 +197,7 @@ def run_experiment(
     """
     traj = integrate(model, scheme, dt, t_end)
     n_levels = len(traj.states)
-    reference = _exact_samples(model.exact, dt, n_levels)
+    reference = schemes.grid_samples(_sampled_exact, model.exact, traj.dt, n_levels)
     series = _error_series(traj, reference, norm)
     _check_start(model, traj.states[0], np.broadcast_to(reference, traj.states.shape)[0])
     report = ExperimentReport(
@@ -227,28 +224,10 @@ def _check_start(model: OdeModel, start: np.ndarray, exact_start: np.ndarray) ->
         )
 
 
-def _exact_samples(exact, dt: float, n_levels: int) -> np.ndarray:
-    """exact on the grid schemes.time_grid(n_levels, dt): from the
-    _sampled_exact cache, or sampled on every call when exact is
-    unhashable."""
-    dt = float(dt)
-    try:
-        hash(exact)
-    except TypeError:  # a mutable callable, such as a dataclass instance
-        return exact(schemes.time_grid(n_levels, dt))
-    return _sampled_exact(exact, dt, n_levels)
-
-
-# 4 is the most step sizes one figure sweeps (oscillator-error): every grid
-# of a figure stays cached while its schemes run.
-@functools.lru_cache(maxsize=4)
 def _sampled_exact(exact, dt: float, n_levels: int) -> np.ndarray:
     """exact at t = k dt, k = 0..n_levels - 1: the grid traj.times of a
-    trajectory of n_levels levels of dt, bit for bit.  Read-only, since
-    every caller shares it."""
-    reference = np.array(exact(schemes.time_grid(n_levels, dt)), dtype=float)
-    reference.setflags(write=False)
-    return reference
+    trajectory of n_levels levels of dt, bit for bit, as a new array."""
+    return np.array(exact(schemes.time_grid(n_levels, dt)), dtype=float)
 
 
 def convergence_study(
@@ -261,9 +240,8 @@ def convergence_study(
     """Max error for each dt (descending) and orders between neighbors.
 
     The step sizes must be distinct, at least two of them.  Each run goes
-    through run_experiment, and so through its 4-grid cache of exact
-    samples: repeating a study on one model samples the solution once per
-    step size, up to 4 step sizes.
+    through run_experiment, so repeating a study on one model takes its
+    exact samples from schemes.grid_samples.
     """
     dts = tuple(sorted((float(d) for d in dts), reverse=True))
     if len(dts) < 2:
@@ -357,8 +335,8 @@ def write_csv(path, header: str, dt: float, columns) -> None:
     every value as the bytes of Python's '%.16e' % v, comma-separated,
     each line ending in '\\n', so repeated runs are byte-identical.
 
-    The time column's records come from an LRU cache of the last 4 grids
-    (_time_records).  A vectorized kernel (_records) formats each value
+    The time column's records (_time_records) come through
+    schemes.grid_samples.  A vectorized kernel (_records) formats each value
     column, _BLOCK_ROWS rows at a time straight into the file; a block of
     non-negative values with two-digit exponents is written as fixed-width
     rows (_joined).  Zero-length columns write the header only.  A dt that
@@ -373,7 +351,7 @@ def write_csv(path, header: str, dt: float, columns) -> None:
         shapes = [column.shape for column in columns]
         raise ValueError(f"write_csv needs 1-d columns of one length, got shapes {shapes}")
     schemes.step_count(dt, dt)  # ValueError unless dt is positive and finite
-    times = _time_records(dt, len(columns[0]))
+    times = schemes.grid_samples(_time_records, dt, len(columns[0]))
     with open(path, "wb") as out:
         out.write(header.encode() + b"\n")
         for start in range(0, len(times), _BLOCK_ROWS):
@@ -381,19 +359,14 @@ def write_csv(path, header: str, dt: float, columns) -> None:
             out.write(_joined([times[rows]] + [_records(c[rows]) for c in columns]))
 
 
-# 4 grids, like _sampled_exact: every grid of a figure stays cached while
-# its schemes run.
-@functools.lru_cache(maxsize=4)
 def _time_records(dt: float, n_levels: int) -> np.ndarray:
     """The records of the times schemes.time_grid(n_levels, dt): write_csv's
-    first column of every table on the grid.  Read-only, since every table
-    on the grid shares it."""
+    first column of every table on the grid, as a new array."""
     times = schemes.time_grid(n_levels, dt)
     records = np.empty((n_levels, _RECORD_BYTES), np.uint8)
     for start in range(0, n_levels, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         records[rows] = _records(times[rows])
-    records.setflags(write=False)
     return records
 
 
@@ -594,13 +567,14 @@ def _joined(fields):
 
 def write_exact(model: OdeModel, dt: float, t_end: float, path) -> None:
     """Sample the exact solution at t = k dt, k = 0..floor(t_end/dt), in one
-    call or from run_experiment's cache of exact samples, and write it as
-    CSV with columns t,x,y[,z] (n <= 3, or ValueError)."""
+    call through schemes.grid_samples, as run_experiment does, and write it
+    as CSV with columns t,x,y[,z] (n <= 3, or ValueError)."""
     if model.n > 3:
         raise ValueError(f"exact CSV columns t,x,y,z name at most 3 states, got n = {model.n}")
     n_levels = schemes.step_count(dt, t_end) + 1
     header = ",".join(("t", "x", "y", "z")[: model.n + 1])
-    write_csv(path, header, dt, tuple(_exact_samples(model.exact, dt, n_levels).T))
+    samples = schemes.grid_samples(_sampled_exact, model.exact, float(dt), n_levels)
+    write_csv(path, header, dt, tuple(samples.T))
 
 
 def run_figure(figure_id: str, out_dir) -> list[Path]:

@@ -14,7 +14,8 @@ main builds its argument parser once per process and reuses it on every
 call.
 
 Exit codes: 0 success, 2 usage error (ValueError: unknown ids, bad flags
-or values; OSError: an output path that cannot be written), 3 numerical
+or values; OSError: an output path that cannot be written; MemoryError: a
+horizon of more steps or samples than memory holds), 3 numerical
 failure (blow-up, or RuntimeError or OverflowError: a zero pivot, a
 singular implicit Euler matrix I - dt A, a negative discriminant,
 overflowing coefficients); on blow-up the partial report is still written.
@@ -197,7 +198,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, OverflowError) as exc:

@@ -125,9 +125,8 @@ class Forcing:
     for the exact integral-mean approximation.  Both take a time or an
     array of times; an array of shape S gives shape S + (n,), so the
     steppers evaluate the forcing of every step in one call.  Both must be
-    pure functions of t, like OdeModel.exact: schemes.march caches the
-    per-step values of a grid per (time_fn, antiderivative, rule, dt,
-    number of steps) and does not call them again.
+    pure functions of t, like OdeModel.exact: schemes.march samples them on
+    a grid through schemes.grid_samples.
 
     For "state", quadratic = (b, u) declares the rank-one quadratic
     B(x) = b (u.x)^2 as data, and the steppers step it in closed form; a
@@ -187,12 +186,11 @@ class OdeModel:
     exact(t) returns the analytic state at a time, or the states at an
     array of N times as shape (N, n); equilibrium, if not None, is a fixed
     point of the flow; energy, if not None, is a conserved quantity
-    evaluator.  exact must be a pure function of t: bench.run_experiment
-    caches its samples per (exact, dt, number of levels) and does not call
-    it again.  The stock models' exact, time_fn and antiderivative are
-    _Bound functions, which compare by value: two make_model calls with
-    equal parameters give equal functions of equal hash, and so share
-    those caches.
+    evaluator.  exact must be a pure function of t: bench samples it on a
+    grid through schemes.grid_samples.  The stock models' exact, time_fn
+    and antiderivative are _Bound functions, which compare by value: two
+    make_model calls with equal parameters give equal functions of equal
+    hash, and so share those samples.
 
     Every build, dataclasses.replace included, checks a_matrix
     (matkit.as_square_matrix: real, square, finite; a C-ordered float64

@@ -313,32 +313,21 @@ def _time_forcing(time_fn, antiderivative, rule: str, dt: float, t_k: np.ndarray
 
 def _step_forcing(ctx: StepContext, n_steps: int) -> np.ndarray:
     """B-hat of every step of n_steps of ctx.dt from t = 0, shape
-    (n_steps, n).  A time forcing's comes from the _grid_forcing cache, or
-    is computed on every call when its functions are unhashable."""
+    (n_steps, n); a time forcing's through grid_samples."""
     f = ctx.model.forcing
     if f.kind == "time":
-        key = (f.time_fn, f.antiderivative, _forcing_rule(ctx), ctx.dt, n_steps)
-        try:
-            hash(key)
-        except TypeError:  # a mutable callable, such as a dataclass instance
-            pass
-        else:
-            return _grid_forcing(*key)
+        return grid_samples(
+            _grid_forcing, f.time_fn, f.antiderivative, _forcing_rule(ctx), ctx.dt, n_steps
+        )
     return approximate_forcing(ctx, time_grid(n_steps, ctx.dt))
 
 
-# 4 grids, as many as bench caches exact samples for, under each forcing
-# approximation: every grid of a figure keeps its forcing values while its
-# schemes run.
-@functools.lru_cache(maxsize=4 * len(FORCING_APPROXES))
 def _grid_forcing(time_fn, antiderivative, rule: str, dt: float, n_steps: int) -> np.ndarray:
     """_time_forcing on the start times time_grid(n_steps, dt) of a
-    trajectory's steps.  Read-only, since every run on the grid shares it."""
-    values = np.array(
+    trajectory's steps, as a new array."""
+    return np.array(
         _time_forcing(time_fn, antiderivative, rule, dt, time_grid(n_steps, dt)), dtype=float
     )
-    values.setflags(write=False)
-    return values
 
 
 def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarray:
@@ -478,10 +467,9 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
 
     Forcing that does not depend on the state is evaluated for all steps at
     once, c = Q B-hat^T with one column c_k per step; a time forcing's
-    B-hat comes from an LRU cache of 4 grids under each forcing rule
-    (_grid_forcing), keyed by (time_fn, antiderivative, rule, dt, n_steps),
-    so the schemes that share a rule on a grid evaluate it once.  The
-    recurrence
+    B-hat is sampled through grid_samples, keyed by (time_fn,
+    antiderivative, rule, dt, n_steps), so the schemes that share a rule on
+    a grid evaluate it once.  The recurrence
     x_{k+1} = x_k + (D x_k + c_k) runs as a log-depth prefix scan over all
     levels (_affine_scan), held component-major as an (n, N + 1) array,
     with the powers P^s held as P^s - I until an entry exceeds 1/2.  The
@@ -568,10 +556,40 @@ def time_grid(n_levels: int, dt: float) -> np.ndarray:
 
     Each level's time is the one product k * dt, never a running sum, so
     every caller that builds a grid of n levels of dt gets the same bits:
-    the trajectories, the forcing times of march, and the caches of exact
-    samples and time-column text that bench keys by (dt, n_levels).
+    the trajectories, the forcing times of march, and the samples that
+    grid_samples keys by (dt, n_levels).
     """
     return np.arange(n_levels) * dt
+
+
+def grid_samples(fn, *args) -> np.ndarray:
+    """fn(*args), an array sampled on a time grid, kept in one LRU cache
+    shared by every such sampler: the forcing values of march
+    (_grid_forcing), and bench's exact samples and time-column text.
+
+    fn must be a pure function of its arguments that returns a new array,
+    and the arguments must compare by value: the exact and forcing
+    functions of the stock models do (models.make_model), so models built
+    apart with equal parameters share their samples.  A cached entry is
+    read-only, since every caller on the grid shares it.  When an argument
+    is unhashable (a mutable callable, such as a dataclass instance),
+    fn(*args) is returned and nothing is kept.
+    """
+    try:
+        hash(args)
+    except TypeError:
+        return fn(*args)
+    return _grid_cache(fn, *args)
+
+
+# 4 grids, the most step sizes one figure sweeps (oscillator-error), of
+# each kind of sample: exact states, time-column text and the forcing under
+# each rule.  Every grid of a figure keeps its samples while its schemes run.
+@functools.lru_cache(maxsize=4 * (2 + len(FORCING_APPROXES)))
+def _grid_cache(fn, *args) -> np.ndarray:
+    samples = fn(*args)
+    samples.setflags(write=False)
+    return samples
 
 
 def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
@@ -630,11 +648,13 @@ def _two_level_states(ctx: StepContext, state0: np.ndarray, n_steps: int) -> np.
     x_k x_{k+1} for corrected-osc, from the recurrence's levels up to a
     spare x_{n_steps+1}, with dt = ctx.dt.  Runs under march's np.errstate.
     """
+    # allocated first, so a step count that cannot be held fails before
+    # the loop steps until memory runs out
+    states = np.empty((n_steps + 1, 2))
     # the levels as raw doubles: no float object per level
     xs = array("d", (state0[0], _quadratic_march(ctx, state0, 1)[1, 0]))
     _osc_levels(ctx, xs, n_steps)
     xs = np.frombuffer(xs)
-    states = np.empty((n_steps + 1, 2))
     states[:, 0] = xs[:-1]
     states[0, 1] = state0[1]
     states[1:, 1] = (xs[2:] - math.cos(ctx.dt) * xs[1:-1]) / math.sin(ctx.dt)

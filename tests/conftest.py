@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import nsfdlab as nl
+import nsfdlab.schemes as sch
 
 
 def pytest_collection_modifyitems(items):
@@ -40,3 +41,42 @@ def seasonal():
 def rotation_matrix():
     # planar rotation generator; eigenvalues exactly +-i
     return np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+class GridSampleCount:
+    """The calls of one grid sampler through schemes.grid_samples: every
+    request, and the misses that computed a sample; the rest are hits."""
+
+    def __init__(self):
+        self.requests = self.misses = 0
+
+    def counts(self) -> tuple[int, int]:
+        return self.misses, self.requests - self.misses
+
+
+@pytest.fixture
+def count_grid_samples(monkeypatch):
+    """count(module, name) puts a counter in place of the grid sampler
+    module.name (bench._sampled_exact, bench._time_records or
+    schemes._grid_forcing) and returns its GridSampleCount.  The counter is
+    a new function, and grid_samples keys by the function, so the count
+    starts from a cold cache."""
+
+    def count(module, name):
+        sampler, tally = getattr(module, name), GridSampleCount()
+
+        def counted(*args):
+            tally.misses += 1
+            return sampler(*args)
+
+        grid_samples = sch.grid_samples
+
+        def requesting(fn, *args):
+            tally.requests += fn is counted
+            return grid_samples(fn, *args)
+
+        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(sch, "grid_samples", requesting)
+        return tally
+
+    return count

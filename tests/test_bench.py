@@ -711,30 +711,33 @@ def _tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_a_figure_formats_each_grids_time_column_once(tmp_path, monkeypatch):
-    bench._time_records.cache_clear()
+def _uncached(monkeypatch):
+    """Bypass the grid-sample cache: every sampler computes on every call."""
+    monkeypatch.setattr(sch, "grid_samples", lambda fn, *args: fn(*args))
+
+
+def test_a_figure_formats_each_grids_time_column_once(tmp_path, monkeypatch, count_grid_samples):
+    time_columns = count_grid_samples(bench, "_time_records")
     nl.run_figure("seasonal-error", tmp_path / "cold")
-    info = bench._time_records.cache_info()
-    assert (info.misses, info.hits) == (3, 12)  # 3 step sizes, 5 schemes each
+    assert time_columns.counts() == (3, 12)  # 3 step sizes, 5 schemes each
     nl.run_figure("seasonal-error", tmp_path / "warm")
-    assert bench._time_records.cache_info().misses == 3
+    assert time_columns.counts() == (3, 27)
     # every table formatting its own time column gives the same bytes
-    monkeypatch.setattr(bench, "_time_records", bench._time_records.__wrapped__)
+    _uncached(monkeypatch)
     nl.run_figure("seasonal-error", tmp_path / "uncached")
     cold = _tree_bytes(tmp_path / "cold")
     assert len(cold) == 16
     assert cold == _tree_bytes(tmp_path / "warm") == _tree_bytes(tmp_path / "uncached")
 
 
-def test_exact_figures_share_the_time_column_cache(tmp_path, monkeypatch):
-    bench._time_records.cache_clear()
+def test_exact_figures_share_the_time_column_cache(tmp_path, monkeypatch, count_grid_samples):
+    time_columns = count_grid_samples(bench, "_time_records")
+    exact_samples = count_grid_samples(bench, "_sampled_exact")
     nl.run_figure("biomass-exact", tmp_path / "cold")
     nl.run_figure("biomass-exact", tmp_path / "warm")
-    info = bench._time_records.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    # the exact samples come from run_experiment's cache too
-    monkeypatch.setattr(bench, "_time_records", bench._time_records.__wrapped__)
-    monkeypatch.setattr(bench, "_sampled_exact", bench._sampled_exact.__wrapped__)
+    assert time_columns.counts() == exact_samples.counts() == (1, 1)
+    # the exact samples come through grid_samples as run_experiment's do
+    _uncached(monkeypatch)
     nl.run_figure("biomass-exact", tmp_path / "uncached")
     cold = _tree_bytes(tmp_path / "cold")
     assert len(cold) == 2
@@ -745,27 +748,29 @@ def test_exact_figures_share_the_time_column_cache(tmp_path, monkeypatch):
     "error_figure, exact_figure",
     [("biomass-error", "biomass-exact"), ("seasonal-error", "seasonal-exact")],
 )
-def test_exact_figures_reuse_the_error_figures_samples(tmp_path, error_figure, exact_figure):
+def test_exact_figures_reuse_the_error_figures_samples(
+    tmp_path, count_grid_samples, error_figure, exact_figure
+):
     # the exact figure's grid, dt 0.01 on [0, 10], is the error figure's
     # second step size, and run_figure builds a model of equal parameters
-    bench._sampled_exact.cache_clear()
+    exact_samples = count_grid_samples(bench, "_sampled_exact")
     nl.run_figure(error_figure, tmp_path)
     nl.run_figure(exact_figure, tmp_path)
-    info = bench._sampled_exact.cache_info()
-    assert (info.misses, info.hits) == (3, 13)  # 5 schemes on 3 grids, and the exact table
+    assert exact_samples.counts() == (3, 13)  # 5 schemes on 3 grids, and the exact table
 
 
-def test_a_cold_seasonal_error_computes_9_of_its_15_forcing_evaluations(tmp_path):
+def test_a_cold_seasonal_error_computes_9_of_its_15_forcing_evaluations(
+    tmp_path, count_grid_samples
+):
     # 5 schemes on 3 grids: explicit Euler takes the left value, implicit
     # Euler the right one, and traditional-, gamma- and scalar-nsfd share
     # the default "half"
-    sch._grid_forcing.cache_clear()
+    forcing = count_grid_samples(sch, "_grid_forcing")
     nl.run_figure("seasonal-error", tmp_path / "cold")
-    info = sch._grid_forcing.cache_info()
-    assert (info.misses, info.hits) == (9, 6)
+    assert forcing.counts() == (9, 6)
     # a second pass, on a model built again, evaluates none
     nl.run_figure("seasonal-error", tmp_path / "warm")
-    assert sch._grid_forcing.cache_info().misses == 9
+    assert forcing.counts() == (9, 21)
     assert _tree_bytes(tmp_path / "cold") == _tree_bytes(tmp_path / "warm")
 
 
@@ -773,12 +778,59 @@ def test_a_cold_seasonal_error_computes_9_of_its_15_forcing_evaluations(tmp_path
 def test_figures_keep_their_bytes_with_every_cache_bypassed(tmp_path, monkeypatch, figure):
     nl.run_figure(figure, tmp_path / "cold")
     nl.run_figure(figure, tmp_path / "warm")
-    caches = ((sch, "_grid_forcing"), (bench, "_sampled_exact"), (bench, "_time_records"))
-    for module, name in caches:
-        monkeypatch.setattr(module, name, getattr(module, name).__wrapped__)
+    _uncached(monkeypatch)
     nl.run_figure(figure, tmp_path / "uncached")
     cold = _tree_bytes(tmp_path / "cold")
     assert cold == _tree_bytes(tmp_path / "warm") == _tree_bytes(tmp_path / "uncached")
+
+
+@dataclasses.dataclass
+class _MutableCallable:
+    """fn behind a mutable dataclass instance, which has no hash."""
+
+    fn: object
+
+    def __call__(self, t):
+        return self.fn(t)
+
+
+@pytest.mark.parametrize(
+    "sampler, grid_args",
+    [
+        (bench._sampled_exact, lambda m: (m.exact, 0.1, 11)),
+        (
+            sch._grid_forcing,
+            lambda m: (m.forcing.time_fn, m.forcing.antiderivative, "mean", 0.1, 10),
+        ),
+        (bench._time_records, lambda m: (0.1, 11)),
+    ],
+    ids=["exact", "forcing", "time-records"],
+)
+def test_grid_samples_keep_read_only_entries_by_value_and_nothing_unhashable(sampler, grid_args):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sampler(*args)
+
+    # the keys of two model builds: equal _Bound functions, not one object
+    first, second = grid_args(nl.make_model("seasonal")), grid_args(nl.make_model("seasonal"))
+    assert first == second
+    sch._grid_cache.cache_clear()
+    kept = sch.grid_samples(counted, *first)
+    assert sch.grid_samples(counted, *second) is kept and len(calls) == 1
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept.flat[0] = 0
+    # an unhashable first argument (a mutable callable, or dt as a 0-d
+    # array) is computed on every call, and nothing is kept
+    lead = first[0]
+    unhashable = (np.array(lead) if isinstance(lead, float) else _MutableCallable(lead),)
+    size = sch._grid_cache.cache_info().currsize
+    values = [sch.grid_samples(counted, *unhashable, *first[1:]) for _ in range(2)]
+    assert len(calls) == 3 and sch._grid_cache.cache_info().currsize == size == 1
+    assert values[0] is not values[1]
+    assert values[0].tobytes() == values[1].tobytes() == kept.tobytes()
 
 
 def _error_csv(tmp_path, dt, errors):
@@ -798,7 +850,9 @@ def _error_csv(tmp_path, dt, errors):
         (1e-102, None, [False, True, True]),  # times below 1e-99 in the first block
     ],
 )
-def test_error_tables_match_percent_e_on_both_paths(tmp_path, monkeypatch, dt, special, paths):
+def test_error_tables_match_percent_e_on_both_paths(
+    tmp_path, monkeypatch, count_grid_samples, dt, special, paths
+):
     # 4,100 rows: two full blocks of 2,048 and a short one; the special
     # values sit at both ends of the first block and the start of the second
     taken = []
@@ -813,23 +867,22 @@ def test_error_tables_match_percent_e_on_both_paths(tmp_path, monkeypatch, dt, s
     if special is not None:
         errors[[0, 2047, 2048, 2049]] = special
     expected = _percent_e_csv("t,rel_error", _on_the_grid(dt, errors))
-    bench._time_records.cache_clear()
+    time_columns = count_grid_samples(bench, "_time_records")
     for _ in range(2):  # the second table takes its times from the cache
         assert _error_csv(tmp_path, dt, errors) == expected
     assert taken == paths * 2
-    assert bench._time_records.cache_info().hits == 1
+    assert time_columns.counts() == (1, 1)
 
 
-def test_time_columns_of_equal_length_grids_are_cached_apart(tmp_path):
+def test_time_columns_of_equal_length_grids_are_cached_apart(tmp_path, count_grid_samples):
     # the figures never write two grids of one length with different step
     # sizes, so the cache key's dt is checked here
-    bench._time_records.cache_clear()
+    time_columns = count_grid_samples(bench, "_time_records")
     errors = np.linspace(0.0, 1.0, 50)
     for dt in (0.1, 0.2, 0.1):
         expected = _percent_e_csv("t,rel_error", _on_the_grid(dt, errors))
         assert _error_csv(tmp_path, dt, errors) == expected
-    info = bench._time_records.cache_info()
-    assert (info.misses, info.hits) == (2, 1)
+    assert time_columns.counts() == (2, 1)
 
 
 def test_cli_run_writes_the_error_table_bytes(tmp_path):
@@ -916,9 +969,9 @@ def test_import_builds_no_csv_tables_and_loads_no_decimal_modules():
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "import nsfdlab\n"
-        "from nsfdlab import bench\n"
+        "from nsfdlab import bench, schemes\n"
         "tables = (bench._scales, bench._digit_quads, bench._leads, bench._tails, bench._exponents,"
-        " bench._time_records)\n"
+        " schemes._grid_cache)\n"
         "print(sum(t.cache_info().currsize for t in tables),"
         " 'fractions' in sys.modules, 'decimal' in sys.modules)\n"
     )

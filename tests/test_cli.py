@@ -361,6 +361,26 @@ def test_exact_and_run_reject_the_same_step_sizes(tmp_path, capsys, dt, tend, me
         assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "exact"])
+def test_a_horizon_memory_cannot_hold_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    # dt 1e-6 to t = 1e6 is 1e12 levels, terabytes of states or samples:
+    # the allocation's MemoryError is stood in for, never made
+    message = "Unable to allocate 21.8 TiB for an array with shape (3, 1000000000001)"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(bench, "run_experiment", out_of_memory)
+    monkeypatch.setattr(bench, "write_exact", out_of_memory)
+    out = tmp_path / "x.csv"
+    argv = ["--model", "biomass", "--dt", "1e-6", "--tend", "1e6", "--out", str(out)]
+    if command == "run":
+        argv += ["--scheme", "scalar-nsfd"]
+    assert run_cli(command, *argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_identical_invocations_are_byte_identical(tmp_path):
     args = (
         "run", "--model", "seasonal", "--scheme", "scalar-nsfd",

@@ -542,7 +542,7 @@ def _model_functions(model):
     ],
 )
 def test_model_functions_compare_by_value(kind, changed):
-    # the bench and schemes caches key samples by these functions: equal
+    # the grid-sample cache keys samples by these functions: equal
     # parameters share them, other parameters do not
     first, second = _model_functions(nl.make_model(kind)), _model_functions(nl.make_model(kind))
     other = _model_functions(nl.make_model(kind, **changed))

@@ -885,19 +885,18 @@ def test_array_calls_equal_stacked_scalar_calls():
         )
 
 
-def _grid_forcing_entries(cases, n_steps):
-    """_step_forcing of every (model, scheme, dt) case after clearing the
-    cache, with the cache's (misses, hits)."""
-    sch._grid_forcing.cache_clear()
+def _grid_forcing_entries(count_grid_samples, cases, n_steps):
+    """_step_forcing of every (model, scheme, dt) case from a cold cache,
+    with the forcing samples' (misses, hits)."""
+    forcing = count_grid_samples(sch, "_grid_forcing")
     values = [
         sch._step_forcing(sch.StepContext(model, scheme, dt), n_steps)
         for model, scheme, dt in cases
     ]
-    info = sch._grid_forcing.cache_info()
-    return values, (info.misses, info.hits)
+    return values, forcing.counts()
 
 
-def test_each_forcing_rule_has_its_own_entries(seasonal):
+def test_each_forcing_rule_has_its_own_entries(seasonal, count_grid_samples):
     dt, n_steps = 0.1, 10
     times = sch.time_grid(n_steps, dt)
     rules = [
@@ -910,7 +909,7 @@ def test_each_forcing_rule_has_its_own_entries(seasonal):
         (seasonal, nl.SchemeSpec("explicit-euler", forcing_approx="mean"), dt),
         (seasonal, nl.SchemeSpec("implicit-euler", forcing_approx="left"), dt),
     ]
-    values, counts = _grid_forcing_entries(rules + euler, n_steps)
+    values, counts = _grid_forcing_entries(count_grid_samples, rules + euler, n_steps)
     assert counts == (5, 2)
     for (model, scheme, _), value in zip(rules + euler, values):
         expected = sch.approximate_forcing(sch.StepContext(model, scheme, dt), times)
@@ -920,28 +919,29 @@ def test_each_forcing_rule_has_its_own_entries(seasonal):
     assert values[5] is values[0] and values[6] is values[1]
 
 
-def test_forcing_entries_of_other_parameters_are_kept_apart():
+def test_forcing_entries_of_other_parameters_are_kept_apart(count_grid_samples):
     dt, n_steps = 0.1, 10
     scheme = nl.SchemeSpec("scalar-nsfd")
     models = [nl.make_model("seasonal", zf=zf) for zf in (0.5, 0.4, 0.5)]
-    values, counts = _grid_forcing_entries([(m, scheme, dt) for m in models], n_steps)
+    cases = [(m, scheme, dt) for m in models]
+    values, counts = _grid_forcing_entries(count_grid_samples, cases, n_steps)
     assert counts == (2, 1)  # a model built apart with equal parameters hits
     np.testing.assert_allclose(values[1], 0.8 * values[0], rtol=1e-15, atol=0)
     # and so are other step sizes and step counts on one model
-    values, counts = _grid_forcing_entries([(models[0], scheme, d) for d in (0.1, 0.2)], n_steps)
-    assert counts == (2, 0)
-    assert sch._step_forcing(sch.StepContext(models[0], scheme, dt), 5).shape == (5, 3)
-    assert sch._grid_forcing.cache_info().misses == 3
+    forcing = count_grid_samples(sch, "_grid_forcing")
+    for d, n in ((0.1, n_steps), (0.2, n_steps), (dt, 5)):
+        assert sch._step_forcing(sch.StepContext(models[0], scheme, d), n).shape == (n, 3)
+    assert forcing.counts() == (3, 0)
 
 
-def test_a_forcing_without_antiderivative_takes_the_quadrature_mean(seasonal):
+def test_a_forcing_without_antiderivative_takes_the_quadrature_mean(seasonal, count_grid_samples):
     dt, n_steps = 0.1, 10
     scheme = nl.SchemeSpec("scalar-nsfd", forcing_approx="mean")
     stripped = dataclasses.replace(
         seasonal, forcing=dataclasses.replace(seasonal.forcing, antiderivative=None)
     )
     (closed, quadrature), counts = _grid_forcing_entries(
-        [(seasonal, scheme, dt), (stripped, scheme, dt)], n_steps
+        count_grid_samples, [(seasonal, scheme, dt), (stripped, scheme, dt)], n_steps
     )
     assert counts == (2, 0)
     times = sch.time_grid(n_steps, dt)
@@ -954,8 +954,10 @@ def test_a_forcing_without_antiderivative_takes_the_quadrature_mean(seasonal):
     np.testing.assert_allclose(closed, quadrature, rtol=0, atol=1e-14)
 
 
-def test_forcing_entries_are_read_only(seasonal):
-    (value,), _ = _grid_forcing_entries([(seasonal, nl.SchemeSpec("scalar-nsfd"), 0.1)], 10)
+def test_forcing_entries_are_read_only(seasonal, count_grid_samples):
+    (value,), _ = _grid_forcing_entries(
+        count_grid_samples, [(seasonal, nl.SchemeSpec("scalar-nsfd"), 0.1)], 10
+    )
     assert not value.flags.writeable
     with pytest.raises(ValueError):
         value[0, 2] = 1.0
@@ -973,10 +975,10 @@ def test_an_unhashable_time_forcing_is_evaluated_on_every_run(seasonal):
     time_fn = CountingForcing()
     forcing = dataclasses.replace(seasonal.forcing, time_fn=time_fn)
     model = dataclasses.replace(seasonal, forcing=forcing)
-    sch._grid_forcing.cache_clear()
+    sch._grid_cache.cache_clear()
     for _ in range(2):
         traj = nl.integrate(model, nl.SchemeSpec("scalar-nsfd", forcing_approx="left"), 0.1, 1.0)
-    assert time_fn.calls == 2 and sch._grid_forcing.cache_info().currsize == 0
+    assert time_fn.calls == 2 and sch._grid_cache.cache_info().currsize == 0
     expected = nl.integrate(seasonal, nl.SchemeSpec("scalar-nsfd", forcing_approx="left"), 0.1, 1.0)
     assert traj.states.tobytes() == expected.states.tobytes()
 
@@ -1940,6 +1942,16 @@ def test_two_level_run_takes_the_start_ups_x_whatever_its_velocity(oscillator, k
     assert traj.blow_up_step == 2
     assert traj.states[1, 0] == x1
     assert traj.states[1, 1] == velocity_oracle(ctx, xs[1], xs[2])
+
+
+def test_a_two_level_run_memory_cannot_hold_fails_before_it_steps(oscillator, monkeypatch):
+    # the states are allocated before the recurrence runs, so a count
+    # beyond any array raises at once instead of stepping until memory
+    # runs out
+    monkeypatch.setattr(sch, "_osc_levels", lambda *args: pytest.fail("the recurrence ran"))
+    ctx = sch.StepContext(oscillator, nl.SchemeSpec("corrected-osc"), 0.1)
+    with pytest.raises(ValueError, match="array is too big"):
+        sch.march(ctx, oscillator.initial_state, 2**62)
 
 
 def test_stable_schemes_do_not_blow_up(biomass):
