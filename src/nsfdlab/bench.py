@@ -107,14 +107,20 @@ def relative_error_series(traj: Trajectory, exact, norm: str = COMPONENT_X) -> E
     shape (N, n); a result that broadcasts to it (a constant solution) is
     accepted.
     """
+    _check_norm(norm)
     return _error_series(traj, exact(traj.times), norm)
+
+
+def _check_norm(norm: str) -> None:
+    """Raise ValueError for a norm that is not one of NORM_KINDS, before
+    any integrating or sampling is spent on it."""
+    if norm not in NORM_KINDS:
+        raise ValueError(f"unknown norm {norm!r}; valid: {', '.join(NORM_KINDS)}")
 
 
 def _error_series(traj: Trajectory, reference, norm: str) -> ErrorSeries:
     """relative_error_series against the exact states already sampled at
-    traj.times."""
-    if norm not in NORM_KINDS:
-        raise ValueError(f"unknown norm {norm!r}; valid: {', '.join(NORM_KINDS)}")
+    traj.times, in a norm already checked."""
     reference = np.asarray(reference, dtype=float)
     try:
         reference = np.broadcast_to(reference, traj.states.shape)
@@ -195,6 +201,7 @@ def run_experiment(
     hold only what the run found; the model, scheme, dt, t_end and norm
     are the caller's own arguments.
     """
+    _check_norm(norm)
     traj = integrate(model, scheme, dt, t_end)
     n_levels = len(traj.states)
     reference = schemes.grid_samples(_sampled_exact, model.exact, traj.dt, n_levels)

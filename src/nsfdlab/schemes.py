@@ -91,12 +91,13 @@ class SchemeSpec:
 
     forcing_approx selects B-hat for time-dependent forcing: the left,
     right or middle value, their endpoint average ("half"), or the integral
-    mean ("mean"), taken from the forcing's antiderivative when it has one
-    and by 5-point Gauss-Legendre quadrature otherwise.  The Euler schemes
-    ignore it: explicit is the left value, implicit the right one by
-    definition.  nonlocal_b selects the discretization of state-dependent
-    forcing: the explicit one-level value B(X_k) or the semi-implicit
-    two-level product, which is linear in X_{k+1}.
+    mean ("mean"), each step's as _time_forcing samples it.  The Euler
+    schemes ignore it: explicit is the left value, implicit the right one
+    by definition.  A constant or absent forcing has one B-hat for every
+    step, so the choice does not apply to it either.  nonlocal_b selects
+    the discretization of state-dependent forcing: the explicit one-level
+    value B(X_k) or the semi-implicit two-level product, which is linear
+    in X_{k+1}.
     """
 
     kind: str
@@ -255,79 +256,61 @@ def _gauss_legendre_5() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(5)
 
 
-def approximate_forcing(ctx: StepContext, t_k) -> np.ndarray:
-    """The forcing value B-hat on [t_k, t_k + dt] of a forcing that does
-    not depend on the state.
+def _step_columns(ctx: StepContext, n_steps: int) -> np.ndarray:
+    """The forcing columns c_k = Q B-hat_k of n_steps steps of ctx.dt from
+    t = 0, which march writes into levels[:, 1:].
 
-    t_k is a step's start time, or an array of N start times; the result
-    then has shape (N, n).  Time-dependent forcing follows
-    ctx.scheme.forcing_approx (explicit Euler takes the left value,
-    implicit Euler the right one); the "mean" strategy is the integral
-    average (1/dt) int B(t) dt, evaluated from the model's antiderivative
-    when available and by 5-point Gauss-Legendre quadrature otherwise.  The
-    quadrature is the only "mean" route for a time forcing declared without
-    an antiderivative (none of the stock models is), so it stays: it is
-    exact for a polynomial forcing up to degree 9 and off by O(dt^10) for a
-    smooth one, far below the O(dt^2) error of stepping with the mean.  A
-    state forcing has no such value and raises ValueError.
+    A time forcing gives one column per step, (n, n_steps), from its
+    B-hat samples through grid_samples, keyed by _time_forcing and the
+    rule (the Euler schemes' fixed time sample, or forcing_approx).  A
+    constant forcing gives the one column Q b and an absent one a zero
+    column, (n, 1), which broadcast over every step.  A state forcing never
+    gets here: march steps it in closed form.
     """
     f = ctx.model.forcing
-    t_k = np.asarray(t_k, dtype=float)
-    if f.kind == "none":
-        return np.zeros(t_k.shape + (ctx.model.n,))
+    if f.kind == "time":
+        rule = _EULER_FORCING.get(ctx.scheme.kind, ctx.scheme.forcing_approx)
+        b_hat = grid_samples(_time_forcing, f.time_fn, f.antiderivative, rule, ctx.dt, n_steps)
+        return ctx.q @ b_hat.T
     if f.kind == "constant":
-        return np.broadcast_to(f.constant, t_k.shape + (ctx.model.n,))
-    if f.kind == "time":
-        return _time_forcing(f.time_fn, f.antiderivative, _forcing_rule(ctx), ctx.dt, t_k)
-    raise ValueError("a state forcing has no per-step value: march steps it in closed form")
+        return (ctx.q @ f.constant)[:, None]
+    return np.zeros((ctx.model.n, 1))
 
 
-def _forcing_rule(ctx: StepContext) -> str:
-    """The forcing approximation a scheme steps with: its own, or the
-    Euler schemes' fixed time sample."""
-    return _EULER_FORCING.get(ctx.scheme.kind, ctx.scheme.forcing_approx)
+def _time_forcing(time_fn, antiderivative, rule: str, dt: float, n_steps: int) -> np.ndarray:
+    """B-hat of a time forcing by one rule on each of n_steps steps of dt,
+    at their start times time_grid(n_steps, dt), shape (n_steps, n), as a
+    new array.
 
-
-def _time_forcing(time_fn, antiderivative, rule: str, dt: float, t_k: np.ndarray) -> np.ndarray:
-    """B-hat of a time forcing by one rule, at the start times t_k of steps
-    of dt (approximate_forcing)."""
+    The rules are the left, right or middle value, their endpoint average
+    ("half"), or the integral mean (1/dt) int B(t) dt over the step
+    ("mean"), from the antiderivative when there is one and by 5-point
+    Gauss-Legendre quadrature otherwise.  The quadrature is the only "mean"
+    route for a time forcing declared without an antiderivative (none of
+    the stock models is), so it stays: it is exact for a polynomial forcing
+    up to degree 9 and off by O(dt^10) for a smooth one, far below the
+    O(dt^2) error of stepping with the mean.
+    """
+    t_k = time_grid(n_steps, dt)
     if rule == FORCING_LEFT:
-        return time_fn(t_k)
-    if rule == FORCING_RIGHT:
-        return time_fn(t_k + dt)
-    if rule == FORCING_MIDDLE:
-        return time_fn(t_k + dt / 2.0)
-    if rule == FORCING_HALF:
-        return 0.5 * (time_fn(t_k) + time_fn(t_k + dt))
-    if antiderivative is not None:
-        return (antiderivative(t_k + dt) - antiderivative(t_k)) / dt
-    half = dt / 2.0
-    gl_nodes, gl_weights = _gauss_legendre_5()
-    # one evaluation at all nodes of all steps, node-major: shape
-    # (5,) + t_k.shape + (n,), contracted as one (5,) @ (5, N n) product
-    nodes = (t_k + half) + half * gl_nodes.reshape((5,) + (1,) * t_k.ndim)
-    values = time_fn(nodes)
-    mean = gl_weights @ values.reshape(5, -1)
-    return mean.reshape(values.shape[1:]) * half / dt
-
-
-def _step_forcing(ctx: StepContext, n_steps: int) -> np.ndarray:
-    """B-hat of every step of n_steps of ctx.dt from t = 0, shape
-    (n_steps, n); a time forcing's through grid_samples."""
-    f = ctx.model.forcing
-    if f.kind == "time":
-        return grid_samples(
-            _grid_forcing, f.time_fn, f.antiderivative, _forcing_rule(ctx), ctx.dt, n_steps
-        )
-    return approximate_forcing(ctx, time_grid(n_steps, ctx.dt))
-
-
-def _grid_forcing(time_fn, antiderivative, rule: str, dt: float, n_steps: int) -> np.ndarray:
-    """_time_forcing on the start times time_grid(n_steps, dt) of a
-    trajectory's steps, as a new array."""
-    return np.array(
-        _time_forcing(time_fn, antiderivative, rule, dt, time_grid(n_steps, dt)), dtype=float
-    )
+        values = time_fn(t_k)
+    elif rule == FORCING_RIGHT:
+        values = time_fn(t_k + dt)
+    elif rule == FORCING_MIDDLE:
+        values = time_fn(t_k + dt / 2.0)
+    elif rule == FORCING_HALF:
+        values = 0.5 * (time_fn(t_k) + time_fn(t_k + dt))
+    elif antiderivative is not None:
+        values = (antiderivative(t_k + dt) - antiderivative(t_k)) / dt
+    else:
+        half = dt / 2.0
+        gl_nodes, gl_weights = _gauss_legendre_5()
+        # one evaluation at all nodes of all steps, node-major: shape
+        # (5, n_steps, n), contracted as one (5,) @ (5, n_steps n) product
+        nodes = (t_k + half) + half * gl_nodes[:, None]
+        samples = time_fn(nodes)
+        values = (gl_weights @ samples.reshape(5, -1)).reshape(samples.shape[1:]) * half / dt
+    return np.array(values, dtype=float)
 
 
 def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarray:
@@ -350,6 +333,9 @@ def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarr
     its pivot, so a run that blows up steps on to its horizon (implicit
     Euler stops at its discriminant test) and costs what a finite run costs.
     """
+    # allocated first, so a step count that cannot be held fails before
+    # the loop steps until memory runs out
+    states = np.empty((n_steps + 1, 2))
     kind = ctx.scheme.kind
     b, u = ctx.model.forcing.quadratic
     (dxx, dxy), (dyx, dyy) = ctx.d.tolist()
@@ -404,7 +390,10 @@ def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarr
                 append(y)
         except ZeroDivisionError:
             raise RuntimeError(f"step {k}: semi-implicit product step has a zero pivot") from None
-    return np.frombuffer(levels).reshape(-1, 2)
+    # implicit Euler's blow-up break leaves fewer levels than n_steps + 1
+    states = states[: len(levels) // 2]
+    states[:] = np.frombuffer(levels).reshape(-1, 2)
+    return states
 
 
 def _affine_scan(d: np.ndarray, states: np.ndarray) -> bool:
@@ -465,11 +454,12 @@ def _affine_loop(d: np.ndarray, states: np.ndarray) -> None:
 def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
     """n_steps of ctx's scheme from x0 at t = 0: the one stepping kernel.
 
-    Forcing that does not depend on the state is evaluated for all steps at
-    once, c = Q B-hat^T with one column c_k per step; a time forcing's
-    B-hat is sampled through grid_samples, keyed by (time_fn,
-    antiderivative, rule, dt, n_steps), so the schemes that share a rule on
-    a grid evaluate it once.  The recurrence
+    Forcing that does not depend on the state enters as the columns
+    c_k = Q B-hat_k of _step_columns, written into the levels after x0: a
+    time forcing's one column per step, sampled through grid_samples keyed
+    by (_time_forcing, time_fn, antiderivative, rule, dt, n_steps), so the
+    schemes that share a rule on a grid evaluate it once; a constant or
+    absent forcing's one column, broadcast over every step.  The recurrence
     x_{k+1} = x_k + (D x_k + c_k) runs as a log-depth prefix scan over all
     levels (_affine_scan), held component-major as an (n, N + 1) array,
     with the powers P^s held as P^s - I until an entry exceeds 1/2.  The
@@ -493,7 +483,7 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
         else:
             levels = np.empty((ctx.model.n, n_steps + 1))
             levels[:, 0] = x0
-            c = ctx.q @ _step_forcing(ctx, n_steps).T
+            c = _step_columns(ctx, n_steps)
             levels[:, 1:] = c
             if not _affine_scan(ctx.d, levels):
                 levels[:, 1:] = c  # the scan never writes level 0
@@ -565,7 +555,7 @@ def time_grid(n_levels: int, dt: float) -> np.ndarray:
 def grid_samples(fn, *args) -> np.ndarray:
     """fn(*args), an array sampled on a time grid, kept in one LRU cache
     shared by every such sampler: the forcing values of march
-    (_grid_forcing), and bench's exact samples and time-column text.
+    (_time_forcing), and bench's exact samples and time-column text.
 
     fn must be a pure function of its arguments that returns a new array,
     and the arguments must compare by value: the exact and forcing

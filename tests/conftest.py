@@ -45,10 +45,12 @@ def rotation_matrix():
 
 class GridSampleCount:
     """The calls of one grid sampler through schemes.grid_samples: every
-    request, and the misses that computed a sample; the rest are hits."""
+    request, and the misses that computed a sample; the rest are hits.
+    samples holds what each request returned, in order."""
 
     def __init__(self):
         self.requests = self.misses = 0
+        self.samples = []
 
     def counts(self) -> tuple[int, int]:
         return self.misses, self.requests - self.misses
@@ -58,7 +60,7 @@ class GridSampleCount:
 def count_grid_samples(monkeypatch):
     """count(module, name) puts a counter in place of the grid sampler
     module.name (bench._sampled_exact, bench._time_records or
-    schemes._grid_forcing) and returns its GridSampleCount.  The counter is
+    schemes._time_forcing) and returns its GridSampleCount.  The counter is
     a new function, and grid_samples keys by the function, so the count
     starts from a cold cache."""
 
@@ -72,8 +74,11 @@ def count_grid_samples(monkeypatch):
         grid_samples = sch.grid_samples
 
         def requesting(fn, *args):
-            tally.requests += fn is counted
-            return grid_samples(fn, *args)
+            samples = grid_samples(fn, *args)
+            if fn is counted:
+                tally.requests += 1
+                tally.samples.append(samples)
+            return samples
 
         monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(sch, "grid_samples", requesting)

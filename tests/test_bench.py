@@ -56,6 +56,17 @@ def test_seasonal_level_zero_is_exact(seasonal):
     assert bool(series.absolute_fallback[0]) is True
 
 
+def test_an_unknown_norm_is_refused_before_any_work(oscillator, monkeypatch):
+    # corrected-osc at dt 1e-4 to t = 35 integrates and samples for half a
+    # second; neither may run before the norm is checked
+    monkeypatch.setattr(bench, "integrate", lambda *args: pytest.fail("integrated"))
+    with pytest.raises(ValueError, match="unknown norm 'bogus'"):
+        nl.run_experiment(oscillator, nl.SchemeSpec("corrected-osc"), 1e-4, 35.0, norm="bogus")
+    traj = nl.integrate(oscillator, nl.SchemeSpec("corrected-osc"), 0.1, 1.0)
+    with pytest.raises(ValueError, match="unknown norm 'bogus'"):
+        nl.relative_error_series(traj, lambda t: pytest.fail("sampled"), norm="bogus")
+
+
 def test_full_norm_error_is_the_euclidean_ratio(trees):
     traj = nl.integrate(trees, nl.SchemeSpec("explicit-euler"), 0.1, 1.0)
     series = nl.relative_error_series(traj, trees.exact, norm="full")
@@ -765,7 +776,7 @@ def test_a_cold_seasonal_error_computes_9_of_its_15_forcing_evaluations(
     # 5 schemes on 3 grids: explicit Euler takes the left value, implicit
     # Euler the right one, and traditional-, gamma- and scalar-nsfd share
     # the default "half"
-    forcing = count_grid_samples(sch, "_grid_forcing")
+    forcing = count_grid_samples(sch, "_time_forcing")
     nl.run_figure("seasonal-error", tmp_path / "cold")
     assert forcing.counts() == (9, 6)
     # a second pass, on a model built again, evaluates none
@@ -799,7 +810,7 @@ class _MutableCallable:
     [
         (bench._sampled_exact, lambda m: (m.exact, 0.1, 11)),
         (
-            sch._grid_forcing,
+            sch._time_forcing,
             lambda m: (m.forcing.time_fn, m.forcing.antiderivative, "mean", 0.1, 10),
         ),
         (bench._time_records, lambda m: (0.1, 11)),

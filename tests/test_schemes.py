@@ -10,6 +10,7 @@ from array import array
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -807,98 +808,127 @@ def test_each_oscillator_component_converges_at_its_order(oscillator, kind, y_or
 # ---------------------------------------------------------------------------
 
 
+# the Euler schemes' fixed time samples, whatever forcing_approx says
+EULER_RULES = {"explicit-euler": "left", "implicit-euler": "right"}
+
+
+def forcing_oracle(model, rule, dt, n_steps):
+    """B-hat of n_steps steps of dt from t = 0, shape (n_steps, n), straight
+    from model.forcing: the time function at the rule's sample times, the
+    antiderivative's difference over each step for "mean", or scipy's quad
+    where the forcing has no antiderivative."""
+    f = model.forcing
+    t = np.arange(n_steps) * dt
+    if f.kind == "none":
+        return np.zeros((n_steps, model.n))
+    if f.kind == "constant":
+        return np.tile(f.constant, (n_steps, 1))
+    if rule == "left":
+        return f.time_fn(t)
+    if rule == "right":
+        return f.time_fn(t + dt)
+    if rule == "middle":
+        return f.time_fn(t + dt / 2)
+    if rule == "half":
+        return 0.5 * (f.time_fn(t) + f.time_fn(t + dt))
+    if f.antiderivative is not None:
+        return (f.antiderivative(t + dt) - f.antiderivative(t)) / dt
+    return np.array([
+        [
+            scipy.integrate.quad(lambda s: f.time_fn(s)[i], tk, tk + dt, epsabs=1e-14)[0] / dt
+            for i in range(model.n)
+        ]
+        for tk in t
+    ])
+
+
+def without_antiderivative(model):
+    return dataclasses.replace(
+        model, forcing=dataclasses.replace(model.forcing, antiderivative=None)
+    )
+
+
 def test_constant_forcing_ignores_the_strategy(trees):
-    for approx in sch.FORCING_APPROXES:
-        ctx = sch.StepContext(trees, nl.SchemeSpec("scalar-nsfd", forcing_approx=approx), 0.1)
-        np.testing.assert_array_equal(
-            sch.approximate_forcing(ctx, 0.3), trees.forcing.constant
-        )
+    # one column Q b broadcast over the steps, to the bit the product of Q
+    # with b repeated on every step
+    b, n_steps = trees.forcing.constant, 1000
+    for kind in ONE_STEP_KINDS:
+        for dt in (0.5, 0.1, 0.05, 0.01, 0.005, 0.001):
+            for approx in sch.FORCING_APPROXES:
+                ctx = sch.StepContext(trees, nl.SchemeSpec(kind, forcing_approx=approx), dt)
+                columns = sch._step_columns(ctx, n_steps)
+                assert columns.shape == (3, 1)
+                repeated = ctx.q @ np.broadcast_to(b, (n_steps, 3)).T
+                assert np.array_equal(np.broadcast_to(columns, (3, n_steps)), repeated)
+
+
+def test_absent_forcing_is_one_zero_column(biomass):
+    ctx = sch.StepContext(biomass, nl.SchemeSpec("scalar-nsfd", forcing_approx="mean"), 0.1)
+    columns = sch._step_columns(ctx, 100)
+    assert columns.shape == (3, 1) and not columns.any()
 
 
 def test_time_forcing_strategy_values(seasonal):
-    dt, t = 0.1, 0.0
+    # every step's B-hat is the rule applied to scalar calls of the forcing
+    # at that step's times
+    dt, n_steps = 0.1, 101
     f = seasonal.forcing
-    expected = {
-        "left": f.time_fn(t),
-        "right": f.time_fn(t + dt),
-        "middle": f.time_fn(t + dt / 2),
-        "half": 0.5 * (f.time_fn(t) + f.time_fn(t + dt)),
+    scalar = {
+        "left": lambda t: f.time_fn(t),
+        "right": lambda t: f.time_fn(t + dt),
+        "middle": lambda t: f.time_fn(t + dt / 2),
+        "half": lambda t: 0.5 * (f.time_fn(t) + f.time_fn(t + dt)),
+        "mean": lambda t: (f.antiderivative(t + dt) - f.antiderivative(t)) / dt,
     }
-    for approx, value in expected.items():
-        ctx = sch.StepContext(seasonal, nl.SchemeSpec("scalar-nsfd", forcing_approx=approx), dt)
-        np.testing.assert_allclose(
-            sch.approximate_forcing(ctx, t), value, rtol=0, atol=1e-15
-        )
+    for approx, rule in scalar.items():
+        values = sch._time_forcing(f.time_fn, f.antiderivative, approx, dt, n_steps)
+        assert values.shape == (n_steps, 3)
+        stacked = [rule(k * dt) for k in range(n_steps)]
+        np.testing.assert_allclose(values, stacked, rtol=0, atol=1e-15, err_msg=approx)
+        oracle = forcing_oracle(seasonal, approx, dt, n_steps)
+        np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-15, err_msg=approx)
     # averaged endpoints at t = 0: 0.5 (1 + (1 + cos(0.2 pi))/2) in the
     # third component for the default amplitude and frequency
-    half = expected["half"]
-    assert abs(half[2] - 0.5 * (1.0 + (1.0 + math.cos(0.2 * math.pi)) / 2.0)) <= 1e-15
+    half = sch._time_forcing(f.time_fn, f.antiderivative, "half", dt, 1)
+    assert abs(half[0, 2] - 0.5 * (1.0 + (1.0 + math.cos(0.2 * math.pi)) / 2.0)) <= 1e-15
 
 
 def test_mean_forcing_matches_quadrature_oracle(seasonal):
-    import dataclasses
-
-    import scipy.integrate
-
-    dt, t = 0.1, 0.3
-    ctx = sch.StepContext(seasonal, nl.SchemeSpec("scalar-nsfd", forcing_approx="mean"), dt)
-    via_antiderivative = sch.approximate_forcing(ctx, t)
-
-    stripped = dataclasses.replace(
-        seasonal, forcing=dataclasses.replace(seasonal.forcing, antiderivative=None)
-    )
-    ctx = sch.StepContext(stripped, nl.SchemeSpec("scalar-nsfd", forcing_approx="mean"), dt)
-    via_quadrature = sch.approximate_forcing(ctx, t)
-
-    for i in range(3):
-        ref, _ = scipy.integrate.quad(
-            lambda s: seasonal.forcing.time_fn(s)[i], t, t + dt, epsabs=1e-14
-        )
-        assert abs(via_antiderivative[i] - ref / dt) <= 1e-12
-        assert abs(via_quadrature[i] - ref / dt) <= 1e-12
+    dt, n_steps = 0.1, 4
+    f = seasonal.forcing
+    via_antiderivative = sch._time_forcing(f.time_fn, f.antiderivative, "mean", dt, n_steps)
+    via_quadrature = sch._time_forcing(f.time_fn, None, "mean", dt, n_steps)
+    reference = forcing_oracle(without_antiderivative(seasonal), "mean", dt, n_steps)
+    np.testing.assert_allclose(via_antiderivative, reference, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(via_quadrature, reference, rtol=0, atol=1e-12)
 
 
 def test_array_calls_equal_stacked_scalar_calls():
-    import dataclasses
-
     times = np.linspace(0.0, 10.0, 101)
     for kind in ("oscillator", "biomass", "trees", "seasonal"):
         model = nl.make_model(kind)
         stacked = np.array([model.exact(t) for t in times])
         assert model.exact(times).shape == (times.size, model.n)
         np.testing.assert_allclose(model.exact(times), stacked, rtol=0, atol=1e-15)
-    seasonal = nl.make_model("seasonal", zf=0.3, omega=1.3)
-    f = seasonal.forcing
+    f = nl.make_model("seasonal", zf=0.3, omega=1.3).forcing
     for fn in (f.time_fn, f.antiderivative):
         np.testing.assert_allclose(fn(times), [fn(t) for t in times], rtol=0, atol=1e-15)
-    stripped = dataclasses.replace(
-        seasonal, forcing=dataclasses.replace(f, antiderivative=None)
-    )
-    cases = [(seasonal, approx) for approx in sch.FORCING_APPROXES] + [(stripped, "mean")]
-    for model, approx in cases:
-        ctx = sch.StepContext(model, nl.SchemeSpec("scalar-nsfd", forcing_approx=approx), 0.1)
-        np.testing.assert_allclose(
-            sch.approximate_forcing(ctx, times),
-            [sch.approximate_forcing(ctx, t) for t in times],
-            rtol=0,
-            atol=1e-15,
-        )
 
 
-def _grid_forcing_entries(count_grid_samples, cases, n_steps):
-    """_step_forcing of every (model, scheme, dt) case from a cold cache,
-    with the forcing samples' (misses, hits)."""
-    forcing = count_grid_samples(sch, "_grid_forcing")
-    values = [
-        sch._step_forcing(sch.StepContext(model, scheme, dt), n_steps)
+def _forcing_entries(count_grid_samples, cases, n_steps):
+    """The forcing columns of every (model, scheme, dt) case from a cold
+    cache, with the B-hat samples their runs got and the samples'
+    (misses, hits)."""
+    forcing = count_grid_samples(sch, "_time_forcing")
+    columns = [
+        sch._step_columns(sch.StepContext(model, scheme, dt), n_steps)
         for model, scheme, dt in cases
     ]
-    return values, forcing.counts()
+    return columns, forcing.samples, forcing.counts()
 
 
 def test_each_forcing_rule_has_its_own_entries(seasonal, count_grid_samples):
     dt, n_steps = 0.1, 10
-    times = sch.time_grid(n_steps, dt)
     rules = [
         (seasonal, nl.SchemeSpec("scalar-nsfd", forcing_approx=approx), dt)
         for approx in sch.FORCING_APPROXES
@@ -909,12 +939,15 @@ def test_each_forcing_rule_has_its_own_entries(seasonal, count_grid_samples):
         (seasonal, nl.SchemeSpec("explicit-euler", forcing_approx="mean"), dt),
         (seasonal, nl.SchemeSpec("implicit-euler", forcing_approx="left"), dt),
     ]
-    values, counts = _grid_forcing_entries(count_grid_samples, rules + euler, n_steps)
+    columns, values, counts = _forcing_entries(count_grid_samples, rules + euler, n_steps)
     assert counts == (5, 2)
-    for (model, scheme, _), value in zip(rules + euler, values):
-        expected = sch.approximate_forcing(sch.StepContext(model, scheme, dt), times)
+    for (model, scheme, _), column, value in zip(rules + euler, columns, values):
+        rule = EULER_RULES.get(scheme.kind, scheme.forcing_approx)
+        expected = forcing_oracle(model, rule, dt, n_steps)
         assert value.shape == (n_steps, 3)
-        assert value.tobytes() == expected.tobytes(), scheme
+        np.testing.assert_allclose(value, expected, rtol=0, atol=1e-15, err_msg=scheme)
+        q = sch.StepContext(model, scheme, dt).q
+        np.testing.assert_allclose(column, q @ expected.T, rtol=0, atol=1e-15, err_msg=scheme)
     assert len({value.tobytes() for value in values[:5]}) == 5
     assert values[5] is values[0] and values[6] is values[1]
 
@@ -924,38 +957,36 @@ def test_forcing_entries_of_other_parameters_are_kept_apart(count_grid_samples):
     scheme = nl.SchemeSpec("scalar-nsfd")
     models = [nl.make_model("seasonal", zf=zf) for zf in (0.5, 0.4, 0.5)]
     cases = [(m, scheme, dt) for m in models]
-    values, counts = _grid_forcing_entries(count_grid_samples, cases, n_steps)
+    _, values, counts = _forcing_entries(count_grid_samples, cases, n_steps)
     assert counts == (2, 1)  # a model built apart with equal parameters hits
     np.testing.assert_allclose(values[1], 0.8 * values[0], rtol=1e-15, atol=0)
     # and so are other step sizes and step counts on one model
-    forcing = count_grid_samples(sch, "_grid_forcing")
+    forcing = count_grid_samples(sch, "_time_forcing")
     for d, n in ((0.1, n_steps), (0.2, n_steps), (dt, 5)):
-        assert sch._step_forcing(sch.StepContext(models[0], scheme, d), n).shape == (n, 3)
+        assert sch._step_columns(sch.StepContext(models[0], scheme, d), n).shape == (3, n)
     assert forcing.counts() == (3, 0)
 
 
 def test_a_forcing_without_antiderivative_takes_the_quadrature_mean(seasonal, count_grid_samples):
     dt, n_steps = 0.1, 10
     scheme = nl.SchemeSpec("scalar-nsfd", forcing_approx="mean")
-    stripped = dataclasses.replace(
-        seasonal, forcing=dataclasses.replace(seasonal.forcing, antiderivative=None)
-    )
-    (closed, quadrature), counts = _grid_forcing_entries(
+    stripped = without_antiderivative(seasonal)
+    _, (closed, quadrature), counts = _forcing_entries(
         count_grid_samples, [(seasonal, scheme, dt), (stripped, scheme, dt)], n_steps
     )
     assert counts == (2, 0)
-    times = sch.time_grid(n_steps, dt)
     f = seasonal.forcing
-    gauss = sch._time_forcing(f.time_fn, None, "mean", dt, times)
+    gauss = sch._time_forcing(f.time_fn, None, "mean", dt, n_steps)
     assert quadrature.tobytes() == gauss.tobytes()
-    primitive = sch._time_forcing(f.time_fn, f.antiderivative, "mean", dt, times)
-    assert closed.tobytes() == primitive.tobytes()
     assert closed.tobytes() != quadrature.tobytes()
-    np.testing.assert_allclose(closed, quadrature, rtol=0, atol=1e-14)
+    primitive = forcing_oracle(seasonal, "mean", dt, n_steps)
+    np.testing.assert_allclose(closed, primitive, rtol=0, atol=1e-15)
+    reference = forcing_oracle(stripped, "mean", dt, n_steps)
+    np.testing.assert_allclose(quadrature, reference, rtol=0, atol=1e-14)
 
 
 def test_forcing_entries_are_read_only(seasonal, count_grid_samples):
-    (value,), _ = _grid_forcing_entries(
+    _, (value,), _ = _forcing_entries(
         count_grid_samples, [(seasonal, nl.SchemeSpec("scalar-nsfd"), 0.1)], 10
     )
     assert not value.flags.writeable
@@ -1185,14 +1216,6 @@ def test_hand_written_product_needs_the_quadratic_declaration(oscillator):
         mo.Forcing(kind="state", state_fn=oscillator.forcing.state_fn)
     with pytest.raises(ValueError, match="quadratic declaration"):
         dataclasses.replace(oscillator.forcing, quadratic=None)
-
-
-def test_state_forcing_has_no_per_step_forcing_value(oscillator):
-    # march steps the declared quadratic in closed form, so there is no
-    # per-step forcing value to approximate
-    ctx = sch.StepContext(oscillator, nl.SchemeSpec("scalar-nsfd"), 0.1)
-    with pytest.raises(ValueError, match="closed form"):
-        sch.approximate_forcing(ctx, 0.0)
 
 
 def test_quadratic_declaration_is_planar():
@@ -1575,8 +1598,10 @@ def test_one_step_exact_schemes_keep_the_oscillator_energy_bounded(oscillator, d
 
 
 def sequential_oracle(ctx, x0, n_steps):
-    """x_{k+1} = x_k + (D x_k + Q B-hat_k), one level at a time."""
-    c = sch.approximate_forcing(ctx, np.arange(n_steps) * ctx.dt) @ ctx.q.T
+    """x_{k+1} = x_k + (D x_k + Q B-hat_k), one level at a time, with
+    B-hat from forcing_oracle."""
+    rule = EULER_RULES.get(ctx.scheme.kind, ctx.scheme.forcing_approx)
+    c = forcing_oracle(ctx.model, rule, ctx.dt, n_steps) @ ctx.q.T
     states = np.empty((n_steps + 1, ctx.model.n))
     states[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1942,6 +1967,17 @@ def test_two_level_run_takes_the_start_ups_x_whatever_its_velocity(oscillator, k
     assert traj.blow_up_step == 2
     assert traj.states[1, 0] == x1
     assert traj.states[1, 1] == velocity_oracle(ctx, xs[1], xs[2])
+
+
+@pytest.mark.parametrize("kind", ["explicit-euler", "implicit-euler", "scalar-nsfd"])
+def test_a_quadratic_run_memory_cannot_hold_fails_before_it_steps(oscillator, monkeypatch, kind):
+    # the states are allocated before the closed-form steps, whose levels
+    # go into an array of doubles, so a count beyond any array raises at
+    # once instead of stepping until memory runs out
+    monkeypatch.setattr(sch, "array", lambda *args: pytest.fail("the steps ran"))
+    ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), 0.1)
+    with pytest.raises(ValueError, match="array is too big"):
+        sch.march(ctx, oscillator.initial_state, 2**62)
 
 
 def test_a_two_level_run_memory_cannot_hold_fails_before_it_steps(oscillator, monkeypatch):
