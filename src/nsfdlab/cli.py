@@ -57,7 +57,7 @@ def _add_scheme_options(parser: argparse.ArgumentParser) -> None:
         "--nonlocal-b",
         default=schemes.NONLOCAL_SEMI_IMPLICIT,
         choices=schemes.NONLOCAL_KINDS,
-        help="treatment of state-dependent forcing",
+        help="treatment of state-dependent forcing (ignored by the Euler schemes)",
     )
     parser.add_argument(
         "--coeffs",
@@ -133,7 +133,8 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_figure(args) -> int:
     valid = sorted(bench.FIGURES)
-    ids = [i for token in args.id for i in (valid if token == "all" else [token])]
+    # in the order given, each figure once: "all" and a repeated id add none
+    ids = dict.fromkeys(i for token in args.id for i in (valid if token == "all" else [token]))
     # every id is checked before the first figure makes the directory
     for figure_id in ids:
         if figure_id not in bench.FIGURES:

@@ -32,12 +32,16 @@ recurrences are provided, all sharing the exact linear denominator
 (2 sin(dt/2))^2; they differ in the discretization of the quadratic term.
 Their context is that of their one-step start-up, and march runs each
 recurrence as one loop on Python floats (_osc_levels).
+
+Every closed-form loop allocates the run's states before its first step and
+writes each level into them through a memoryview of each row, so the
+levels are held once, and the states are the transposed view of a
+component-major array, as on the affine route.
 """
 from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +101,8 @@ class SchemeSpec:
     step, so the choice does not apply to it either.  nonlocal_b selects
     the discretization of state-dependent forcing: the explicit one-level
     value B(X_k) or the semi-implicit two-level product, which is linear
-    in X_{k+1}.
+    in X_{k+1}.  The Euler schemes ignore it too: explicit Euler takes
+    B(X_k) and implicit Euler B(X_{k+1}) by definition.
     """
 
     kind: str
@@ -325,17 +330,21 @@ def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarr
       implicit Euler          sigma = s+^2,    s+ = 2 u.p / (1 + sqrt(1 - 4 c u.p))
 
     Implicit Euler's s+ is the root of s = u.p + c s^2 that tends to u.p as
-    dt -> 0, in the form that does not cancel.  Each rule is one loop.  A
-    zero pivot raises RuntimeError with the step index, from the division's
-    ZeroDivisionError; so does a negative or overflowing discriminant of a
-    finite state.  The levels are raw: finiteness is left to _finite_prefix.
-    Every level after the first non-finite one is NaN or +-inf, and so is
-    its pivot, so a run that blows up steps on to its horizon (implicit
-    Euler stops at its discriminant test) and costs what a finite run costs.
+    dt -> 0, in the form that does not cancel.  Each rule is one loop, which
+    writes level k straight into the states through a memoryview of each
+    row, so the levels are held once.  A zero pivot raises RuntimeError with
+    the step index, from the division's ZeroDivisionError; so does a
+    negative or overflowing discriminant of a finite state.  The levels are
+    raw: finiteness is left to _finite_prefix.  Every level after the first
+    non-finite one is NaN or +-inf, and so is its pivot, so a run that blows
+    up steps on to its horizon (implicit Euler stops at its discriminant
+    test, and returns the levels before it) and costs what a finite run
+    costs.  The states are the (N + 1, 2) transposed view of a
+    component-major (2, N + 1) array.
     """
     # allocated first, so a step count that cannot be held fails before
     # the loop steps until memory runs out
-    states = np.empty((n_steps + 1, 2))
+    states = np.empty((2, n_steps + 1))
     kind = ctx.scheme.kind
     b, u = ctx.model.forcing.quadratic
     (dxx, dxy), (dyx, dyy) = ctx.d.tolist()
@@ -343,42 +352,43 @@ def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarr
     ux, uy = u.tolist()
     c = ux * wx + uy * wy
     x, y = (float(v) for v in x0)
-    # the levels as raw doubles, x and y interleaved: no float object per level
-    levels = array("d", (x, y))
-    append = levels.append
+    # element stores into the rows as raw doubles: no float object per level
+    xs, ys = memoryview(states[0]), memoryview(states[1])
+    xs[0], ys[0] = x, y
     if kind == IMPLICIT_EULER:
         inf, sqrt = math.inf, math.sqrt
-        for k in range(n_steps):
+        for k in range(1, n_steps + 1):
             dx = dxx * x + dxy * y
             dy = dyx * x + dyy * y
             up = ux * (x + dx) + uy * (y + dy)
             disc = 1.0 - 4.0 * c * up
             if not 0.0 <= disc < inf:
                 if not (math.isfinite(x) and math.isfinite(y)):
-                    break  # the blow-up's first non-finite level is the last one
+                    # the blow-up's first non-finite level is the last one
+                    return states[:, :k].T
                 raise RuntimeError(
-                    f"step {k}: implicit quadratic step has no real solution "
+                    f"step {k - 1}: implicit quadratic step has no real solution "
                     f"(discriminant {disc:.3e})"
                 )
             s_next = 2.0 * up / (1.0 + sqrt(disc))
             sigma = s_next * s_next
             x += dx + wx * sigma
             y += dy + wy * sigma
-            append(x)
-            append(y)
+            xs[k] = x
+            ys[k] = y
     elif kind == EXPLICIT_EULER or ctx.scheme.nonlocal_b == NONLOCAL_EXPLICIT:
-        for _ in range(n_steps):
+        for k in range(1, n_steps + 1):
             dx = dxx * x + dxy * y
             dy = dyx * x + dyy * y
             s = ux * x + uy * y
             sigma = s * s
             x += dx + wx * sigma
             y += dy + wy * sigma
-            append(x)
-            append(y)
+            xs[k] = x
+            ys[k] = y
     else:
         try:
-            for k in range(n_steps):
+            for k in range(1, n_steps + 1):
                 dx = dxx * x + dxy * y
                 dy = dyx * x + dyy * y
                 s = ux * x + uy * y
@@ -386,14 +396,13 @@ def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarr
                 sigma = s * (up / (1.0 - c * s))
                 x += dx + wx * sigma
                 y += dy + wy * sigma
-                append(x)
-                append(y)
+                xs[k] = x
+                ys[k] = y
         except ZeroDivisionError:
-            raise RuntimeError(f"step {k}: semi-implicit product step has a zero pivot") from None
-    # implicit Euler's blow-up break leaves fewer levels than n_steps + 1
-    states = states[: len(levels) // 2]
-    states[:] = np.frombuffer(levels).reshape(-1, 2)
-    return states
+            raise RuntimeError(
+                f"step {k - 1}: semi-implicit product step has a zero pivot"
+            ) from None
+    return states.T
 
 
 def _affine_scan(d: np.ndarray, states: np.ndarray) -> bool:
@@ -471,6 +480,8 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
     A state forcing, the declared quadratic, steps in closed form
     (_quadratic_march), and a two-level oscillator scheme runs its
     recurrence from that closed form's first step (_two_level_states).
+    Both write each level into their preallocated (n, N + 1) array, and
+    their states are its transposed view too.
     Solver failures raise RuntimeError with the step index attached; the
     trajectory ends before its first non-finite state (_finite_prefix).
     """
@@ -582,9 +593,10 @@ def _grid_cache(fn, *args) -> np.ndarray:
     return samples
 
 
-def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
-    """Extend levels, an array of doubles ending in (x_0, x_1), by the
-    levels x_2 .. x_{n_steps+1} of a two-level recurrence.
+def _osc_levels(ctx: StepContext, xs: np.ndarray, n_steps: int) -> None:
+    """Write the levels x_2 .. x_{n_steps+1} of a two-level recurrence into
+    xs, a 1-D float64 array of n_steps + 2 entries that starts with
+    (x_0, x_1).
 
     All three variants share (x_{k+1} - 2 x_k + x_{k-1})/(2 sin(dt/2))^2
     + x_k for the linear part and differ in the quadratic term:
@@ -595,20 +607,21 @@ def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
                      i.e. the averaged product form with no cos^2 factor
                      (linear solve)
 
-    Each variant is one loop on Python floats.  A zero pivot 1 + g x_k
-    raises RuntimeError with the step index and x_k, from the division's
-    ZeroDivisionError.  The levels are raw, and a blow-up steps on to the
-    horizon, as in _quadratic_march.  The constants come from ctx.dt.
+    Each variant is one loop on Python floats, which writes each level
+    through a memoryview of xs.  A zero pivot 1 + g x_k raises RuntimeError
+    with the step index and x_k, from the division's ZeroDivisionError.  The
+    levels are raw, and a blow-up steps on to the horizon, as in
+    _quadratic_march.  The constants come from ctx.dt.
     """
     kind = ctx.scheme.kind
     s2 = (2.0 * math.sin(ctx.dt / 2.0)) ** 2
     c2 = math.cos(ctx.dt / 2.0) ** 2
-    append = levels.append
-    x_prev, x_curr = levels[-2], levels[-1]
+    xs = memoryview(xs)
+    x_prev, x_curr = xs[0], xs[1]
     if kind == MICKENS_OSC1:
-        for _ in range(n_steps):
+        for k in range(2, n_steps + 2):
             x_prev, x_curr = x_curr, 2.0 * x_curr - x_prev - s2 * (x_curr + c2 * x_curr * x_curr)
-            append(x_curr)
+            xs[k] = x_curr
     else:
         # pivot = 1 + g x_k, product term h x_k x_{k-1}
         if kind == MICKENS_OSC2:
@@ -616,15 +629,15 @@ def _osc_levels(ctx: StepContext, levels: array, n_steps: int) -> None:
         else:
             g, h = 0.5 * s2, 0.5
         try:
-            for k in range(1, n_steps + 1):
+            for k in range(2, n_steps + 2):
                 x_prev, x_curr = x_curr, (
                     2.0 * x_curr - x_prev - s2 * (x_curr + h * x_curr * x_prev)
                 ) / (1.0 + g * x_curr)
-                append(x_curr)
+                xs[k] = x_curr
         except ZeroDivisionError:
             # the tuple assignment did not complete: x_curr is still x_k
             raise RuntimeError(
-                f"step {k}: degenerate pivot in {kind} update (x_k = {x_curr!r})"
+                f"step {k - 1}: degenerate pivot in {kind} update (x_k = {x_curr!r})"
             ) from None
 
 
@@ -636,18 +649,27 @@ def _two_level_states(ctx: StepContext, state0: np.ndarray, n_steps: int) -> np.
     recurrence, not an exact-solution seed.  y_0 is given; y_k, k >= 1,
     is the system row (x_{k+1} - cos(dt) x_k)/sin(dt), plus tan(dt/2)
     x_k x_{k+1} for corrected-osc, from the recurrence's levels up to a
-    spare x_{n_steps+1}, with dt = ctx.dt.  Runs under march's np.errstate.
+    spare x_{n_steps+1}, with dt = ctx.dt.  The levels are held once, in
+    a (2, n_steps + 2) array: _osc_levels writes x into row 0, and y is
+    computed into row 1 in place.  The states are its (n_steps + 1, 2)
+    transposed view without the spare level.  Runs under march's
+    np.errstate.
     """
     # allocated first, so a step count that cannot be held fails before
     # the loop steps until memory runs out
-    states = np.empty((n_steps + 1, 2))
-    # the levels as raw doubles: no float object per level
-    xs = array("d", (state0[0], _quadratic_march(ctx, state0, 1)[1, 0]))
-    _osc_levels(ctx, xs, n_steps)
-    xs = np.frombuffer(xs)
-    states[:, 0] = xs[:-1]
-    states[0, 1] = state0[1]
-    states[1:, 1] = (xs[2:] - math.cos(ctx.dt) * xs[1:-1]) / math.sin(ctx.dt)
+    levels = np.empty((2, n_steps + 2))
+    x, y = levels
+    x[0] = state0[0]
+    x[1] = _quadratic_march(ctx, state0, 1)[1, 0]
+    _osc_levels(ctx, x, n_steps)
+    y[0] = state0[1]
+    # y_k = (x_{k+1} - cos(dt) x_k)/sin(dt), computed in its own row
+    x_k, x_next, y_k = x[1:-1], x[2:], y[1:-1]
+    np.multiply(x_k, math.cos(ctx.dt), out=y_k)
+    np.subtract(x_next, y_k, out=y_k)
+    y_k /= math.sin(ctx.dt)
     if ctx.scheme.kind == CORRECTED_OSC:
-        states[1:, 1] += math.tan(ctx.dt / 2.0) * xs[1:-1] * xs[2:]
-    return states
+        product = math.tan(ctx.dt / 2.0) * x_k
+        product *= x_next
+        y_k += product
+    return levels[:, :-1].T

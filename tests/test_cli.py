@@ -316,6 +316,28 @@ def test_figure_with_several_ids_is_the_one_id_calls(tmp_path, capsys):
         assert a.read_bytes() == b.read_bytes(), a.name
 
 
+@pytest.mark.parametrize(
+    "ids, expected",
+    [
+        (("all", "biomass-exact"), sorted(bench.FIGURES)),
+        (("biomass-exact", "biomass-exact"), ["biomass-exact"]),
+        (("trees-exact", "all"), ["trees-exact"] + sorted(set(bench.FIGURES) - {"trees-exact"})),
+    ],
+)
+def test_figure_runs_each_figure_once(tmp_path, capsys, monkeypatch, ids, expected):
+    calls = []
+
+    def run_figure(figure_id, out_dir):
+        calls.append(figure_id)
+        return [Path(out_dir) / f"{figure_id}.csv", Path(out_dir) / f"{figure_id}.gp"]
+
+    monkeypatch.setattr(bench, "run_figure", run_figure)
+    assert run_cli("figure", "--id", *ids, "--out-dir", str(tmp_path)) == 0
+    assert calls == expected
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2 * len(expected) == len(set(printed))
+
+
 def test_an_unknown_id_among_several_writes_nothing(tmp_path, capsys):
     out_dir = tmp_path / "new"
     rc = run_cli("figure", "--id", "trees-exact", "figure-42", "--out-dir", str(out_dir))

@@ -3,9 +3,9 @@ treatments, equilibria, reversibility, and blow-up bookkeeping."""
 import dataclasses
 import math
 import re
+import tracemalloc
 import types
 import warnings
-from array import array
 
 import mpmath
 import numpy as np
@@ -182,6 +182,20 @@ def test_explicit_euler_oscillator_hand_step(oscillator):
     ctx = sch.StepContext(oscillator, nl.SchemeSpec("explicit-euler"), dt)
     step = sch.march(ctx, np.array([x0, 0.0]), 1).states[1]
     np.testing.assert_allclose(step, [x0, -dt * (x0 + x0 * x0)], rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize("kind", ["explicit-euler", "implicit-euler"])
+@pytest.mark.parametrize("dt, t_end", [(0.01, 10.0), (0.5, 200.0)])
+def test_the_euler_schemes_ignore_the_nonlocal_form(oscillator, kind, dt, t_end):
+    # each Euler scheme fixes its own state-forcing step, B(X_k) or
+    # B(X_{k+1}), so both nonlocal forms run the same loop (dt 0.5 blows
+    # up under explicit Euler)
+    explicit, semi = (
+        nl.integrate(oscillator, nl.SchemeSpec(kind, nonlocal_b=form), dt, t_end)
+        for form in sch.NONLOCAL_KINDS
+    )
+    assert explicit.blow_up_step == semi.blow_up_step
+    assert_bitwise_equal(explicit.states, semi.states)
 
 
 def test_explicit_euler_closed_form_on_decoupled_system():
@@ -612,6 +626,13 @@ def step_osc_second_order(ctx, x_prev, x_curr):
     return rhs / pivot
 
 
+def osc_row(x0, x1, n_steps):
+    """(x_0, x_1) and room for the n_steps levels that _osc_levels writes."""
+    row = np.full(n_steps + 2, np.nan)
+    row[:2] = x0, x1
+    return row
+
+
 def velocity_oracle(ctx, x_k, x_next):
     """y_k from the one-step system row, on Python floats, which overflow
     with no warning: (x_next - cos(dt) x_k)/sin(dt), plus tan(dt/2) x_k
@@ -674,7 +695,7 @@ def test_second_order_degenerate_pivot_raises(oscillator, kind):
     # the loop's own path: the division raises at step 1 (x_2 from x_0, x_1)
     expected = f"step 1: degenerate pivot in {kind} update (x_k = {bad!r})"
     with pytest.raises(RuntimeError, match=re.escape(expected)):
-        sch._osc_levels(ctx, array("d", (0.0, bad)), 3)
+        sch._osc_levels(ctx, osc_row(0.0, bad, 3), 3)
 
 
 @pytest.mark.parametrize("kind", ["mickens-osc1", "mickens-osc2", "corrected-osc"])
@@ -772,10 +793,10 @@ def test_mickens_osc2_is_corrected_osc_on_a_rescaled_orbit(oscillator, dt):
     c2 = math.cos(dt / 2.0) ** 2
     n_steps = sch.step_count(dt, 35.0)
     mickens = nl.integrate(oscillator, nl.SchemeSpec("mickens-osc2"), dt, 35.0).states[:, 0]
-    corrected = array("d", (c2 * mickens[0], c2 * mickens[1]))
+    corrected = osc_row(c2 * mickens[0], c2 * mickens[1], n_steps - 1)
     ctx = sch.StepContext(oscillator, nl.SchemeSpec("corrected-osc"), dt)
     sch._osc_levels(ctx, corrected, n_steps - 1)
-    gap = np.max(np.abs(c2 * mickens - np.frombuffer(corrected)))
+    gap = np.max(np.abs(c2 * mickens - corrected))
     assert gap <= 1e-15 * n_steps, gap
 
 
@@ -1414,7 +1435,7 @@ def test_second_order_zero_pivot_after_the_first_step(oscillator, kind):
         up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
     expected = outcome(osc_levels_oracle, ctx, [x0, x1], 5)
     assert expected[0] is RuntimeError and expected[1].startswith("step 2: "), expected
-    assert_same_outcome(outcome(sch._osc_levels, ctx, array("d", (x0, x1)), 5), expected)
+    assert_same_outcome(outcome(sch._osc_levels, ctx, osc_row(x0, x1, 5), 5), expected)
 
 
 def pivot_is_zero(ctx, x0, x1):
@@ -1971,10 +1992,13 @@ def test_two_level_run_takes_the_start_ups_x_whatever_its_velocity(oscillator, k
 
 @pytest.mark.parametrize("kind", ["explicit-euler", "implicit-euler", "scalar-nsfd"])
 def test_a_quadratic_run_memory_cannot_hold_fails_before_it_steps(oscillator, monkeypatch, kind):
-    # the states are allocated before the closed-form steps, whose levels
-    # go into an array of doubles, so a count beyond any array raises at
-    # once instead of stepping until memory runs out
-    monkeypatch.setattr(sch, "array", lambda *args: pytest.fail("the steps ran"))
+    # the states are allocated before the closed-form steps, which write
+    # each level into them through a memoryview of each row, so a count
+    # beyond any array raises at once instead of stepping until memory runs
+    # out
+    monkeypatch.setattr(
+        sch, "memoryview", lambda *args: pytest.fail("the steps ran"), raising=False
+    )
     ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind), 0.1)
     with pytest.raises(ValueError, match="array is too big"):
         sch.march(ctx, oscillator.initial_state, 2**62)
@@ -1988,6 +2012,37 @@ def test_a_two_level_run_memory_cannot_hold_fails_before_it_steps(oscillator, mo
     ctx = sch.StepContext(oscillator, nl.SchemeSpec("corrected-osc"), 0.1)
     with pytest.raises(ValueError, match="array is too big"):
         sch.march(ctx, oscillator.initial_state, 2**62)
+
+
+@pytest.mark.parametrize(
+    "kind, nonlocal_b",
+    [
+        ("explicit-euler", "semi-implicit-product"),
+        ("implicit-euler", "semi-implicit-product"),
+        ("scalar-nsfd", "semi-implicit-product"),
+        ("scalar-nsfd", "explicit"),
+        ("mickens-osc1", "semi-implicit-product"),
+        ("mickens-osc2", "semi-implicit-product"),
+        ("corrected-osc", "semi-implicit-product"),
+    ],
+)
+def test_a_closed_form_run_holds_its_levels_once(oscillator, kind, nonlocal_b):
+    # every closed-form loop writes its levels into the states, and the
+    # two-level velocities are computed in place, so the peak of a run is
+    # its states plus at most one product temporary (corrected-osc's
+    # tan(dt/2) x_k x_{k+1}, half the states), not a second copy of its
+    # levels (2.0x the states for a quadratic rule, 2.5x for a two-level
+    # recurrence)
+    ctx = sch.StepContext(oscillator, nl.SchemeSpec(kind, nonlocal_b=nonlocal_b), 1e-3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = sch.march(ctx, oscillator.initial_state, 50_000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert traj.blow_up_step is None and len(traj.states) == 50_001
+    assert peak < 1.6 * traj.states.nbytes, peak / traj.states.nbytes
 
 
 def test_stable_schemes_do_not_blow_up(biomass):
