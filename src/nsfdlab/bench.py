@@ -6,10 +6,11 @@ positive solutions) or in the full Euclidean norm.  Where the exact value
 is zero the entry falls back to the absolute error and is flagged.
 
 run_experiment and write_exact sample the exact solution on a grid
-through schemes.grid_samples, keyed by the exact callable, dt and the
-number of levels, so the schemes of a figure measured on one grid share
-one sampling, and so do the figures and models built later on the same
-grid and parameters.
+through schemes.grid_samples, keyed by the exact callable, dt, the
+number of levels and n, so the schemes of a figure measured on one grid
+share one sampling, and so do the figures and models built later on the
+same grid and parameters.  A sample of the wrong shape, or one that is
+not finite, raises ValueError where it is made (_sampled_exact).
 
 Figure data is written as plain CSV plus a gnuplot script, one file per
 (scheme, dt) combination, in binary mode so every line ends in '\n' on
@@ -187,10 +188,10 @@ def run_experiment(
     solution, and summarize.
 
     The exact solution is sampled through schemes.grid_samples, keyed by
-    (model.exact, dt, number of levels), so runs on one grid sample it
-    once.  The series equals relative_error_series(traj, model.exact,
-    norm) bitwise, on the grid schemes.time_grid(N, dt) of traj.times and
-    write_csv.
+    (model.exact, dt, number of levels, n), so runs on one grid sample it
+    once; a sample that is not finite raises ValueError.  The series
+    equals relative_error_series(traj, model.exact, norm) bitwise, on the
+    grid schemes.time_grid(N, dt) of traj.times and write_csv.
 
     The exact solution must start at the model's initial state: if its
     level 0 differs from traj.states[0] by more than rounding (a model
@@ -204,9 +205,9 @@ def run_experiment(
     _check_norm(norm)
     traj = integrate(model, scheme, dt, t_end)
     n_levels = len(traj.states)
-    reference = schemes.grid_samples(_sampled_exact, model.exact, traj.dt, n_levels)
+    reference = schemes.grid_samples(_sampled_exact, model.exact, traj.dt, n_levels, model.n)
     series = _error_series(traj, reference, norm)
-    _check_start(model, traj.states[0], np.broadcast_to(reference, traj.states.shape)[0])
+    _check_start(model, traj.states[0], reference[0])
     report = ExperimentReport(
         max_error=float(np.max(series.errors)),
         final_error=float(series.errors[-1]),
@@ -231,10 +232,12 @@ def _check_start(model: OdeModel, start: np.ndarray, exact_start: np.ndarray) ->
         )
 
 
-def _sampled_exact(exact, dt: float, n_levels: int) -> np.ndarray:
-    """exact at t = k dt, k = 0..n_levels - 1: the grid traj.times of a
-    trajectory of n_levels levels of dt, bit for bit, as a new array."""
-    return np.array(exact(schemes.time_grid(n_levels, dt)), dtype=float)
+def _sampled_exact(exact, dt: float, n_levels: int, n: int) -> np.ndarray:
+    """exact of an n-state model at t = k dt, k = 0..n_levels - 1: the grid
+    traj.times of a trajectory of n_levels levels of dt, bit for bit, as a
+    new (n_levels, n) array checked by schemes._checked_samples."""
+    times = schemes.time_grid(n_levels, dt)
+    return schemes._checked_samples(exact(times), exact, n, times, "exact solution", "at t = {t}")
 
 
 def convergence_study(
@@ -580,7 +583,7 @@ def write_exact(model: OdeModel, dt: float, t_end: float, path) -> None:
         raise ValueError(f"exact CSV columns t,x,y,z name at most 3 states, got n = {model.n}")
     n_levels = schemes.step_count(dt, t_end) + 1
     header = ",".join(("t", "x", "y", "z")[: model.n + 1])
-    samples = schemes.grid_samples(_sampled_exact, model.exact, float(dt), n_levels)
+    samples = schemes.grid_samples(_sampled_exact, model.exact, float(dt), n_levels, model.n)
     write_csv(path, header, dt, tuple(samples.T))
 
 

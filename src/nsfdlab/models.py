@@ -126,7 +126,8 @@ class Forcing:
     array of times; an array of shape S gives shape S + (n,), so the
     steppers evaluate the forcing of every step in one call.  Both must be
     pure functions of t, like OdeModel.exact: schemes.march samples them on
-    a grid through schemes.grid_samples.
+    a grid through schemes.grid_samples, and a sample that is not finite,
+    or of a shape that does not broadcast to (N, n), raises ValueError.
 
     For "state", quadratic = (b, u) declares the rank-one quadratic
     B(x) = b (u.x)^2 as data, and the steppers step it in closed form; a
@@ -187,10 +188,11 @@ class OdeModel:
     array of N times as shape (N, n); equilibrium, if not None, is a fixed
     point of the flow; energy, if not None, is a conserved quantity
     evaluator.  exact must be a pure function of t: bench samples it on a
-    grid through schemes.grid_samples.  The stock models' exact, time_fn
-    and antiderivative are _Bound functions, which compare by value: two
-    make_model calls with equal parameters give equal functions of equal
-    hash, and so share those samples.
+    grid through schemes.grid_samples, and raises ValueError for a sample
+    that is not finite or does not broadcast to (N, n).  The stock models'
+    exact, time_fn and antiderivative are _Bound functions, which compare
+    by value: two make_model calls with equal parameters give equal
+    functions of equal hash, and so share those samples.
 
     Every build, dataclasses.replace included, checks a_matrix
     (matkit.as_square_matrix: real, square, finite; a C-ordered float64

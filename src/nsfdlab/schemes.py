@@ -26,6 +26,13 @@ vector field; Celledoni, McLachlan, Owren & Quispel, J. Phys. A 46, 2013)
 and implicit Euler each reduce to a scalar equation in s = u.X+ with an
 explicit solution (_quadratic_march).  That declaration is the only form a
 state forcing takes (models.Forcing), so no step needs an iterative solve.
+One source template serves the three rules: each context fills it with
+its rule's step, leaving out every term whose coefficient is exactly 0.0
+and writing a product by exactly 1.0 as its factor alone, and compiles it
+once per source text (_quadratic_levels).  The remaining terms keep their
+order of evaluation, and a left-out term is an exact +-0 wherever its
+factor is finite, so the levels keep the full formulas' bits up to the
+sign of an exactly zero component.
 
 For the conservative oscillator x'' + x + x^2 = 0 three dedicated two-level
 recurrences are provided, all sharing the exact linear denominator
@@ -275,17 +282,21 @@ def _step_columns(ctx: StepContext, n_steps: int) -> np.ndarray:
     f = ctx.model.forcing
     if f.kind == "time":
         rule = _EULER_FORCING.get(ctx.scheme.kind, ctx.scheme.forcing_approx)
-        b_hat = grid_samples(_time_forcing, f.time_fn, f.antiderivative, rule, ctx.dt, n_steps)
+        b_hat = grid_samples(
+            _time_forcing, f.time_fn, f.antiderivative, rule, ctx.dt, n_steps, ctx.model.n
+        )
         return ctx.q @ b_hat.T
     if f.kind == "constant":
         return (ctx.q @ f.constant)[:, None]
     return np.zeros((ctx.model.n, 1))
 
 
-def _time_forcing(time_fn, antiderivative, rule: str, dt: float, n_steps: int) -> np.ndarray:
-    """B-hat of a time forcing by one rule on each of n_steps steps of dt,
-    at their start times time_grid(n_steps, dt), shape (n_steps, n), as a
-    new array.
+def _time_forcing(
+    time_fn, antiderivative, rule: str, dt: float, n_steps: int, n: int
+) -> np.ndarray:
+    """B-hat of the time forcing of an n-state model by one rule on each of
+    n_steps steps of dt, at their start times time_grid(n_steps, dt),
+    shape (n_steps, n), as a new array checked by _checked_samples.
 
     The rules are the left, right or middle value, their endpoint average
     ("half"), or the integral mean (1/dt) int B(t) dt over the step
@@ -315,94 +326,211 @@ def _time_forcing(time_fn, antiderivative, rule: str, dt: float, n_steps: int) -
         nodes = (t_k + half) + half * gl_nodes[:, None]
         samples = time_fn(nodes)
         values = (gl_weights @ samples.reshape(5, -1)).reshape(samples.shape[1:]) * half / dt
-    return np.array(values, dtype=float)
+    fn = antiderivative if rule == FORCING_MEAN and antiderivative is not None else time_fn
+    return _checked_samples(
+        values, fn, n, t_k, "time forcing", f"on the step from t = {{t}} (rule {rule!r})"
+    )
 
 
-def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarray:
-    """The levels of a planar one-step scheme under the quadratic forcing
-    B(x) = b (u.x)^2, stepped in closed form on Python floats.
+def _checked_samples(values, fn, n: int, times: np.ndarray, what: str, where: str) -> np.ndarray:
+    """values, what fn gave on the times, as a new float array of shape
+    (len(times), n), broadcast to it from a constant's fewer dimensions.
 
-    With p = X_k + D X_k, w = Q b, c = u.w and s = u.X, a step is
-    X+ = X_k + (D X_k + w sigma), in the increment form of march, with
+    A result of another shape, or one with a value that is not finite,
+    raises ValueError naming what, fn and n; the second names the first
+    time whose row is not finite, formatted into where.  A model's own
+    functions are at fault there, not a scheme: without the check, a NaN
+    forcing value would be recorded as the scheme's blow-up, a NaN exact
+    value would be a NaN error, and a wrong shape would fail in numpy.
+    """
+    name = getattr(fn, "__qualname__", None) or repr(fn)
+    shape = (len(times), n)
+    values = np.array(values, dtype=float)
+    if values.shape != shape:
+        try:
+            values = np.broadcast_to(values, shape).copy()
+        except ValueError:
+            raise ValueError(
+                f"{what} {name} gave shape {values.shape} on {shape[0]} times; "
+                f"an n = {n} model needs {shape}"
+            ) from None
+    if not np.isfinite(values).all():
+        first = float(times[np.argmin(np.isfinite(values).all(axis=1))])
+        raise ValueError(f"{what} {name} (n = {n}) is not finite {where.format(t=first)}")
+    return values
+
+
+def _quadratic_march(
+    ctx: StepContext, x0: np.ndarray, n_steps: int, every_term: bool = False
+) -> np.ndarray:
+    """The raw levels of a planar one-step scheme under the quadratic
+    forcing B(x) = b (u.x)^2: _quadratic_levels with ctx's D and w = Q b,
+    by implicit Euler's rule, the explicit value for explicit Euler, and
+    the scheme's nonlocal form for every other kind."""
+    kind = ctx.scheme.kind
+    if kind == IMPLICIT_EULER:
+        rule = IMPLICIT_EULER
+    else:
+        rule = NONLOCAL_EXPLICIT if kind == EXPLICIT_EULER else ctx.scheme.nonlocal_b
+    b, u = ctx.model.forcing.quadratic
+    return _quadratic_levels(rule, ctx.d, ctx.q @ b, u, x0, n_steps, every_term)
+
+
+def _quadratic_levels(
+    rule: str, d: np.ndarray, w: np.ndarray, u: np.ndarray, x0, n_steps: int,
+    every_term: bool = False,
+) -> np.ndarray:
+    """n_steps levels from x0 of X+ = X_k + (D X_k + w sigma), the increment
+    form of march, with s = u.X, c = u.w and p = X_k + D X_k, by the rule
+    NONLOCAL_EXPLICIT, NONLOCAL_SEMI_IMPLICIT or IMPLICIT_EULER:
 
       explicit value          sigma = s_k^2
       semi-implicit product   sigma = s_k s+,  s+ = u.p / (1 - c s_k)
       implicit Euler          sigma = s+^2,    s+ = 2 u.p / (1 + sqrt(1 - 4 c u.p))
 
     Implicit Euler's s+ is the root of s = u.p + c s^2 that tends to u.p as
-    dt -> 0, in the form that does not cancel.  Each rule is one loop, which
-    writes level k straight into the states through a memoryview of each
-    row, so the levels are held once.  A zero pivot raises RuntimeError with
-    the step index, from the division's ZeroDivisionError; so does a
-    negative or overflowing discriminant of a finite state.  The levels are
-    raw: finiteness is left to _finite_prefix.  Every level after the first
-    non-finite one is NaN or +-inf, and so is its pivot, so a run that blows
-    up steps on to its horizon (implicit Euler stops at its discriminant
-    test, and returns the levels before it) and costs what a finite run
-    costs.  The states are the (N + 1, 2) transposed view of a
-    component-major (2, N + 1) array.
+    dt -> 0, in the form that does not cancel.
+
+    Every rule is one loop on Python floats, _LOOP_TEMPLATE filled by
+    _loop_source and compiled once per source text.  A term whose
+    coefficient (an entry of D, w or u, c or 4c) is exactly 0.0 is left
+    out, a product by exactly 1.0 is written as its factor alone, and every
+    other term keeps its order of evaluation; the coefficients are the
+    loop's arguments, never part of its source.  A left-out term is an
+    exact +-0 wherever its factor is finite, so the levels keep the full
+    formulas' bits, up to the sign of an exactly zero component.  Where a
+    left-out factor is not finite at a finite state (u.p overflowing beside
+    a zero entry of u, sigma beside a zero w), the full formulas turned
+    0 * inf into a NaN level; the loop may keep that level, or a component
+    of it, finite.  every_term keeps every term: the full formulas.
+
+    The loop writes level k straight into the states through a memoryview
+    of each row, so the levels are held once.  A zero pivot, or a negative
+    or overflowing discriminant, at a finite state raises RuntimeError with
+    the step index.  At a non-finite state, where a component left out of
+    the pivot or discriminant can keep it finite, either ends the run at
+    its blow-up: the levels before the failed step are returned.  Otherwise
+    the levels are raw, and finiteness is left to _finite_prefix.  The
+    states are the (N + 1, 2) transposed view of a component-major
+    (2, N + 1) array.
     """
     # allocated first, so a step count that cannot be held fails before
     # the loop steps until memory runs out
     states = np.empty((2, n_steps + 1))
-    kind = ctx.scheme.kind
-    b, u = ctx.model.forcing.quadratic
-    (dxx, dxy), (dyx, dyy) = ctx.d.tolist()
-    wx, wy = (ctx.q @ b).tolist()
+    (dxx, dxy), (dyx, dyy) = d.tolist()
+    wx, wy = w.tolist()
     ux, uy = u.tolist()
     c = ux * wx + uy * wy
+    coefficients = (dxx, dxy, dyx, dyy, wx, wy, ux, uy, c, 4.0 * c)
+    # what _loop_source reads of the values: which are exactly 0.0 or 1.0
+    # (-0.0 is 0.0, here and in its cache's key)
+    if every_term:
+        pattern = (None,) * len(coefficients)
+    else:
+        pattern = tuple(v if v in (0.0, 1.0) else None for v in coefficients)
     x, y = (float(v) for v in x0)
     # element stores into the rows as raw doubles: no float object per level
     xs, ys = memoryview(states[0]), memoryview(states[1])
     xs[0], ys[0] = x, y
-    if kind == IMPLICIT_EULER:
-        inf, sqrt = math.inf, math.sqrt
-        for k in range(1, n_steps + 1):
-            dx = dxx * x + dxy * y
-            dy = dyx * x + dyy * y
-            up = ux * (x + dx) + uy * (y + dy)
-            disc = 1.0 - 4.0 * c * up
-            if not 0.0 <= disc < inf:
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    # the blow-up's first non-finite level is the last one
-                    return states[:, :k].T
-                raise RuntimeError(
-                    f"step {k - 1}: implicit quadratic step has no real solution "
-                    f"(discriminant {disc:.3e})"
-                )
-            s_next = 2.0 * up / (1.0 + sqrt(disc))
-            sigma = s_next * s_next
-            x += dx + wx * sigma
-            y += dy + wy * sigma
-            xs[k] = x
-            ys[k] = y
-    elif kind == EXPLICIT_EULER or ctx.scheme.nonlocal_b == NONLOCAL_EXPLICIT:
-        for k in range(1, n_steps + 1):
-            dx = dxx * x + dxy * y
-            dy = dyx * x + dyy * y
-            s = ux * x + uy * y
-            sigma = s * s
-            x += dx + wx * sigma
-            y += dy + wy * sigma
-            xs[k] = x
-            ys[k] = y
-    else:
-        try:
-            for k in range(1, n_steps + 1):
-                dx = dxx * x + dxy * y
-                dy = dyx * x + dyy * y
-                s = ux * x + uy * y
-                up = ux * (x + dx) + uy * (y + dy)
-                sigma = s * (up / (1.0 - c * s))
-                x += dx + wx * sigma
-                y += dy + wy * sigma
-                xs[k] = x
-                ys[k] = y
-        except ZeroDivisionError:
+    loop = _compiled_loop(_loop_source(rule, pattern))
+    n_levels, disc = loop(xs, ys, x, y, n_steps, *coefficients)
+    if n_levels <= n_steps:
+        if not np.isfinite(states[:, n_levels - 1]).all():
+            return states[:, :n_levels].T
+        if rule == IMPLICIT_EULER:
             raise RuntimeError(
-                f"step {k - 1}: semi-implicit product step has a zero pivot"
-            ) from None
+                f"step {n_levels - 1}: implicit quadratic step has no real solution "
+                f"(discriminant {disc:.3e})"
+            )
+        raise RuntimeError(f"step {n_levels - 1}: semi-implicit product step has a zero pivot")
     return states.T
+
+
+# The loop of every quadratic rule.  {step} is the rule's step, in the
+# order of the full formulas: dx = dxx x + dxy y, dy = dyx x + dyy y, the
+# rule's sigma, then x += dx + wx sigma and y += dy + wy sigma.  A step that
+# fails returns its index, the count of levels written, and the
+# discriminant (None for a zero pivot).
+_LOOP_TEMPLATE = """\
+def loop(xs, ys, x, y, n_steps, {coefficients}):
+    inf, sqrt = math.inf, math.sqrt
+    try:
+        for k in range(1, n_steps + 1):
+{step}
+            xs[k] = x
+            ys[k] = y
+    except ZeroDivisionError:
+        return k, None
+    return n_steps + 1, None
+"""
+
+_LOOP_COEFFICIENTS = ("dxx", "dxy", "dyx", "dyy", "wx", "wy", "ux", "uy", "c", "c4")
+
+
+@functools.cache
+def _loop_source(rule: str, pattern: tuple) -> str:
+    """_LOOP_TEMPLATE filled with rule's step, for coefficients that are
+    0.0, 1.0 or neither (None) as pattern says, in the order of
+    _LOOP_COEFFICIENTS.  An exact-zero term, or a product with an
+    exact-zero factor, is None here and left out of its sum."""
+    value = dict(zip(_LOOP_COEFFICIENTS, pattern))
+
+    def term(name, factor):
+        if factor is None or value[name] == 0.0:
+            return None
+        return factor if value[name] == 1.0 else f"{name} * {factor}"
+
+    def plus(*terms):
+        # a sum of two or more terms is parenthesized where it is made
+        kept = [t for t in terms if t is not None]
+        return (kept[0] if len(kept) == 1 else f"({' + '.join(kept)})") if kept else None
+
+    def minus_from_one(subtrahend):
+        return "1.0" if subtrahend is None else f"1.0 - {subtrahend}"
+
+    lines = []
+
+    def bind(name, expr):
+        # an expression gets its own local; a bare name is used as it is
+        if expr is None or expr.isidentifier():
+            return expr
+        lines.append(f"{name} = {statement(expr)}")
+        return name
+
+    def statement(expr):
+        return expr[1:-1] if expr.startswith("(") else expr
+
+    dx = bind("dx", plus(term("dxx", "x"), term("dxy", "y")))
+    dy = bind("dy", plus(term("dyx", "x"), term("dyy", "y")))
+    if rule != IMPLICIT_EULER:
+        s = bind("s", plus(term("ux", "x"), term("uy", "y")))
+    if rule != NONLOCAL_EXPLICIT:
+        up = bind("up", plus(term("ux", plus("x", dx)), term("uy", plus("y", dy))))
+    if rule == NONLOCAL_EXPLICIT:
+        sigma = s and f"{s} * {s}"
+    elif rule == NONLOCAL_SEMI_IMPLICIT:
+        sigma = s and up and f"{s} * ({up} / ({minus_from_one(term('c', s))}))"
+    else:
+        disc = bind("disc", minus_from_one(term("c4", up)))
+        lines += ["if not 0.0 <= disc < inf:", "    return k, disc"]
+        s_next = bind("s_next", up and f"2.0 * {up} / (1.0 + sqrt({disc}))")
+        sigma = s_next and f"{s_next} * {s_next}"
+    sigma = bind("sigma", sigma)
+    new_x = plus("x", plus(dx, term("wx", sigma)))
+    new_y = plus("y", plus(dy, term("wy", sigma)))
+    lines.append(f"x, y = {statement(new_x)}, {statement(new_y)}")
+    return _LOOP_TEMPLATE.format(
+        coefficients=", ".join(_LOOP_COEFFICIENTS),
+        step="\n".join(" " * 12 + line for line in lines),
+    )
+
+
+@functools.cache
+def _compiled_loop(source: str):
+    """The loop function that source defines, compiled on first use."""
+    namespace = {"math": math}
+    exec(compile(source, "<quadratic loop>", "exec"), namespace)
+    return namespace["loop"]
 
 
 def _affine_scan(d: np.ndarray, states: np.ndarray) -> bool:
@@ -465,9 +593,10 @@ def march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> Trajectory:
 
     Forcing that does not depend on the state enters as the columns
     c_k = Q B-hat_k of _step_columns, written into the levels after x0: a
-    time forcing's one column per step, sampled through grid_samples keyed
-    by (_time_forcing, time_fn, antiderivative, rule, dt, n_steps), so the
-    schemes that share a rule on a grid evaluate it once; a constant or
+    time forcing's one column per step, sampled through grid_samples
+    keyed by (_time_forcing, time_fn, antiderivative, rule, dt, n_steps,
+    n), so the schemes that share a rule on a grid evaluate it once, and a
+    bad sample raises ValueError rather than stepping; a constant or
     absent forcing's one column, broadcast over every step.  The recurrence
     x_{k+1} = x_k + (D x_k + c_k) runs as a log-depth prefix scan over all
     levels (_affine_scan), held component-major as an (n, N + 1) array,
@@ -610,8 +739,9 @@ def _osc_levels(ctx: StepContext, xs: np.ndarray, n_steps: int) -> None:
     Each variant is one loop on Python floats, which writes each level
     through a memoryview of xs.  A zero pivot 1 + g x_k raises RuntimeError
     with the step index and x_k, from the division's ZeroDivisionError.  The
-    levels are raw, and a blow-up steps on to the horizon, as in
-    _quadratic_march.  The constants come from ctx.dt.
+    levels are raw: every x after the first non-finite one is NaN or
+    infinite, and so is its pivot, so a blow-up steps on to the horizon.
+    The constants come from ctx.dt.
     """
     kind = ctx.scheme.kind
     s2 = (2.0 * math.sin(ctx.dt / 2.0)) ** 2
@@ -646,7 +776,10 @@ def _two_level_states(ctx: StepContext, state0: np.ndarray, n_steps: int) -> np.
 
     x_1 is the x of one step of ctx's start-up, the corrected one-step
     system form, finite or not, so convergence measurements reflect the
-    recurrence, not an exact-solution seed.  y_0 is given; y_k, k >= 1,
+    recurrence, not an exact-solution seed.  That step keeps every term
+    (_quadratic_levels' every_term): where its level is not finite, a
+    left-out term could leave an x_1 finite that the full formula makes
+    NaN.  y_0 is given; y_k, k >= 1,
     is the system row (x_{k+1} - cos(dt) x_k)/sin(dt), plus tan(dt/2)
     x_k x_{k+1} for corrected-osc, from the recurrence's levels up to a
     spare x_{n_steps+1}, with dt = ctx.dt.  The levels are held once, in
@@ -660,7 +793,7 @@ def _two_level_states(ctx: StepContext, state0: np.ndarray, n_steps: int) -> np.
     levels = np.empty((2, n_steps + 2))
     x, y = levels
     x[0] = state0[0]
-    x[1] = _quadratic_march(ctx, state0, 1)[1, 0]
+    x[1] = _quadratic_march(ctx, state0, 1, every_term=True)[1, 0]
     _osc_levels(ctx, x, n_steps)
     y[0] = state0[1]
     # y_k = (x_{k+1} - cos(dt) x_k)/sin(dt), computed in its own row

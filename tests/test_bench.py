@@ -1,6 +1,7 @@
 """Error measurement, convergence studies, and figure-data generation."""
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -440,6 +441,101 @@ def test_run_records_hold_only_the_findings():
     assert [i for i, spec in bench.FIGURES.items() if "norm" in spec] == []
 
 
+def nan_after_half(fn):
+    """fn with NaN in every row whose time is above 0.5."""
+
+    def after_half(t):
+        values = np.array(fn(t), dtype=float)
+        values[np.asarray(t) > 0.5] = np.nan
+        return values
+
+    return after_half
+
+
+def test_an_exact_solution_that_is_not_finite_raises_where_it_is_sampled(seasonal, tmp_path):
+    # the run itself is finite: a NaN exact value is the model's fault, not
+    # an error of nan
+    model = dataclasses.replace(seasonal, exact=nan_after_half(seasonal.exact))
+    # the grid's time 6 * 0.1, as traj.times holds it
+    message = (
+        rf"exact solution .*after_half \(n = 3\) is not finite at t = {re.escape(repr(6 * 0.1))}$"
+    )
+    with pytest.raises(ValueError, match=message):
+        nl.run_experiment(model, nl.SchemeSpec("scalar-nsfd"), 0.1, 1.0)
+    with pytest.raises(ValueError, match=message):
+        bench.write_exact(model, 0.1, 1.0, tmp_path / "exact.csv")
+    assert not (tmp_path / "exact.csv").exists()
+
+
+def test_an_exact_solution_of_the_wrong_shape_raises_naming_n(seasonal, tmp_path):
+    def planar(t):
+        return seasonal.exact(t)[..., :2]
+
+    message = (
+        r"exact solution .*planar gave shape \(11, 2\) on 11 times; "
+        r"an n = 3 model needs \(11, 3\)"
+    )
+    model = dataclasses.replace(seasonal, exact=planar)
+    with pytest.raises(ValueError, match=message):
+        bench.write_exact(model, 0.1, 1.0, tmp_path / "exact.csv")
+    with pytest.raises(ValueError, match=message):
+        nl.run_experiment(model, nl.SchemeSpec("scalar-nsfd"), 0.1, 1.0)
+
+
+def test_a_constant_exact_solution_is_broadcast_to_every_time(tmp_path):
+    # x' = 0 from (1, 2): exact returns the one state, for any times
+    still = mo.OdeModel(
+        name="still",
+        a_matrix=np.zeros((2, 2)),
+        spectrum=((0.0, 2),),
+        forcing=mo.Forcing(kind="none"),
+        initial_state=np.array([1.0, 2.0]),
+        exact=lambda t: np.array([1.0, 2.0]),
+    )
+    bench.write_exact(still, 0.1, 1.0, tmp_path / "still.csv")
+    rows = tmp_path / "still.csv"
+    assert rows.read_text().splitlines()[1:] == [
+        f"{k * 0.1:.16e},1.0000000000000000e+00,2.0000000000000000e+00" for k in range(11)
+    ]
+    _, series, report = nl.run_experiment(still, nl.SchemeSpec("scalar-nsfd"), 0.1, 1.0)
+    assert report.max_error == 0.0 and len(series.errors) == 11
+
+
+def test_a_time_forcing_that_is_not_finite_raises_where_it_is_sampled(seasonal):
+    # the half rule's step from t = 0.5 is the first to sample t > 0.5; the
+    # levels stay finite to the horizon, so this is no blow-up of the scheme
+    time_fn = nan_after_half(seasonal.forcing.time_fn)
+    forcing = dataclasses.replace(seasonal.forcing, time_fn=time_fn)
+    model = dataclasses.replace(seasonal, forcing=forcing)
+    message = (
+        r"time forcing .*after_half \(n = 3\) is not finite on the step from t = 0\.5 "
+        r"\(rule 'half'\)$"
+    )
+    with pytest.raises(ValueError, match=message):
+        nl.integrate(model, nl.SchemeSpec("scalar-nsfd"), 0.1, 1.0)
+    # the quadrature mean's first step with a node above 0.5 starts there too
+    quadrature = dataclasses.replace(
+        model, forcing=dataclasses.replace(forcing, antiderivative=None)
+    )
+    with pytest.raises(ValueError, match=message.replace("'half'", "'mean'")):
+        nl.integrate(quadrature, nl.SchemeSpec("scalar-nsfd", forcing_approx="mean"), 0.1, 1.0)
+
+
+def test_a_time_forcing_of_the_wrong_shape_raises_naming_n(seasonal):
+    def planar(t):
+        return seasonal.forcing.time_fn(t)[..., :2]
+
+    model = dataclasses.replace(
+        seasonal, forcing=dataclasses.replace(seasonal.forcing, time_fn=planar)
+    )
+    message = (
+        r"time forcing .*planar gave shape \(10, 2\) on 10 times; "
+        r"an n = 3 model needs \(10, 3\)"
+    )
+    with pytest.raises(ValueError, match=message):
+        nl.integrate(model, nl.SchemeSpec("scalar-nsfd"), 0.1, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # figure data
 # ---------------------------------------------------------------------------
@@ -808,10 +904,10 @@ class _MutableCallable:
 @pytest.mark.parametrize(
     "sampler, grid_args",
     [
-        (bench._sampled_exact, lambda m: (m.exact, 0.1, 11)),
+        (bench._sampled_exact, lambda m: (m.exact, 0.1, 11, m.n)),
         (
             sch._time_forcing,
-            lambda m: (m.forcing.time_fn, m.forcing.antiderivative, "mean", 0.1, 10),
+            lambda m: (m.forcing.time_fn, m.forcing.antiderivative, "mean", 0.1, 10, m.n),
         ),
         (bench._time_records, lambda m: (0.1, 11)),
     ],

@@ -1,9 +1,11 @@
 """Command line behavior: subcommands, exit codes, and output files."""
+import dataclasses
 import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nsfdlab.cli as cli
@@ -64,6 +66,35 @@ def test_run_blow_up_still_writes_the_partial_report(tmp_path, capsys):
     assert captured.out.strip().splitlines()[1].endswith(",18")
     assert captured.err == ""  # a recorded blow-up is a result, not a crash
     assert len(out.read_text().splitlines()) == 19  # header + 18 finite levels
+
+
+def test_a_model_whose_forcing_is_not_finite_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a NaN forcing value is the model's fault: exit 2 with the message, not
+    # exit 3 with the scheme's blow-up at step 6
+    seasonal = make_model("seasonal")
+    time_fn = seasonal.forcing.time_fn
+
+    def nan_after_half(t):
+        values = np.array(time_fn(t), dtype=float)
+        values[np.asarray(t) > 0.5] = np.nan
+        return values
+
+    broken = dataclasses.replace(
+        seasonal, forcing=dataclasses.replace(seasonal.forcing, time_fn=nan_after_half)
+    )
+    monkeypatch.setattr(cli, "make_model", lambda name, **params: broken)
+    out = tmp_path / "x.csv"
+    rc = run_cli(
+        "run", "--model", "seasonal", "--scheme", "scalar-nsfd",
+        "--dt", "0.1", "--tend", "1", "--out", str(out),
+    )
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        "error: time forcing test_a_model_whose_forcing_is_not_finite_is_a_usage_error"
+        ".<locals>.nan_after_half (n = 3) is not finite on the step from t = 0.5 (rule 'half')\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Stepper behavior: exactness, hand-checked single steps, forcing
 treatments, equilibria, reversibility, and blow-up bookkeeping."""
 import dataclasses
+import hashlib
 import math
 import re
 import tracemalloc
@@ -902,7 +903,7 @@ def test_time_forcing_strategy_values(seasonal):
         "mean": lambda t: (f.antiderivative(t + dt) - f.antiderivative(t)) / dt,
     }
     for approx, rule in scalar.items():
-        values = sch._time_forcing(f.time_fn, f.antiderivative, approx, dt, n_steps)
+        values = sch._time_forcing(f.time_fn, f.antiderivative, approx, dt, n_steps, 3)
         assert values.shape == (n_steps, 3)
         stacked = [rule(k * dt) for k in range(n_steps)]
         np.testing.assert_allclose(values, stacked, rtol=0, atol=1e-15, err_msg=approx)
@@ -910,15 +911,15 @@ def test_time_forcing_strategy_values(seasonal):
         np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-15, err_msg=approx)
     # averaged endpoints at t = 0: 0.5 (1 + (1 + cos(0.2 pi))/2) in the
     # third component for the default amplitude and frequency
-    half = sch._time_forcing(f.time_fn, f.antiderivative, "half", dt, 1)
+    half = sch._time_forcing(f.time_fn, f.antiderivative, "half", dt, 1, 3)
     assert abs(half[0, 2] - 0.5 * (1.0 + (1.0 + math.cos(0.2 * math.pi)) / 2.0)) <= 1e-15
 
 
 def test_mean_forcing_matches_quadrature_oracle(seasonal):
     dt, n_steps = 0.1, 4
     f = seasonal.forcing
-    via_antiderivative = sch._time_forcing(f.time_fn, f.antiderivative, "mean", dt, n_steps)
-    via_quadrature = sch._time_forcing(f.time_fn, None, "mean", dt, n_steps)
+    via_antiderivative = sch._time_forcing(f.time_fn, f.antiderivative, "mean", dt, n_steps, 3)
+    via_quadrature = sch._time_forcing(f.time_fn, None, "mean", dt, n_steps, 3)
     reference = forcing_oracle(without_antiderivative(seasonal), "mean", dt, n_steps)
     np.testing.assert_allclose(via_antiderivative, reference, rtol=0, atol=1e-12)
     np.testing.assert_allclose(via_quadrature, reference, rtol=0, atol=1e-12)
@@ -997,7 +998,7 @@ def test_a_forcing_without_antiderivative_takes_the_quadrature_mean(seasonal, co
     )
     assert counts == (2, 0)
     f = seasonal.forcing
-    gauss = sch._time_forcing(f.time_fn, None, "mean", dt, n_steps)
+    gauss = sch._time_forcing(f.time_fn, None, "mean", dt, n_steps, 3)
     assert quadrature.tobytes() == gauss.tobytes()
     assert closed.tobytes() != quadrature.tobytes()
     primitive = forcing_oracle(seasonal, "mean", dt, n_steps)
@@ -1415,6 +1416,240 @@ def test_quadratic_edges_match_the_per_step_oracle(oscillator, kind, forcing, dt
         assert oracle[1] == expected
     else:
         assert oracle[0] is RuntimeError and re.match(expected, oracle[1]), oracle
+
+
+QUADRATIC_RULES = (sch.NONLOCAL_EXPLICIT, sch.NONLOCAL_SEMI_IMPLICIT, sch.IMPLICIT_EULER)
+
+
+def full_formula_levels(rule, d, w, u, x0, n_steps):
+    """The three hand-written loops that schemes._quadratic_levels compiles
+    from one template, with every term of D X + w sigma, s = u.X and u.p
+    evaluated, so that 0 times a value that is not finite is NaN: the raw
+    (n_steps + 1, 2) levels, implicit Euler's ended at a failed
+    discriminant test of a non-finite state, or the raise of a finite one."""
+    states = np.empty((2, n_steps + 1))
+    (dxx, dxy), (dyx, dyy) = d.tolist()
+    wx, wy = w.tolist()
+    ux, uy = u.tolist()
+    c = ux * wx + uy * wy
+    x, y = (float(v) for v in x0)
+    xs, ys = memoryview(states[0]), memoryview(states[1])
+    xs[0], ys[0] = x, y
+    if rule == sch.IMPLICIT_EULER:
+        inf, sqrt = math.inf, math.sqrt
+        for k in range(1, n_steps + 1):
+            dx = dxx * x + dxy * y
+            dy = dyx * x + dyy * y
+            up = ux * (x + dx) + uy * (y + dy)
+            disc = 1.0 - 4.0 * c * up
+            if not 0.0 <= disc < inf:
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    return states[:, :k].T
+                raise RuntimeError(
+                    f"step {k - 1}: implicit quadratic step has no real solution "
+                    f"(discriminant {disc:.3e})"
+                )
+            s_next = 2.0 * up / (1.0 + sqrt(disc))
+            sigma = s_next * s_next
+            x += dx + wx * sigma
+            y += dy + wy * sigma
+            xs[k] = x
+            ys[k] = y
+    elif rule == sch.NONLOCAL_EXPLICIT:
+        for k in range(1, n_steps + 1):
+            dx = dxx * x + dxy * y
+            dy = dyx * x + dyy * y
+            s = ux * x + uy * y
+            sigma = s * s
+            x += dx + wx * sigma
+            y += dy + wy * sigma
+            xs[k] = x
+            ys[k] = y
+    else:
+        try:
+            for k in range(1, n_steps + 1):
+                dx = dxx * x + dxy * y
+                dy = dyx * x + dyy * y
+                s = ux * x + uy * y
+                up = ux * (x + dx) + uy * (y + dy)
+                sigma = s * (up / (1.0 - c * s))
+                x += dx + wx * sigma
+                y += dy + wy * sigma
+                xs[k] = x
+                ys[k] = y
+        except ZeroDivisionError:
+            raise RuntimeError(
+                f"step {k - 1}: semi-implicit product step has a zero pivot"
+            ) from None
+    return states.T
+
+
+def a_left_out_factor_is_not_finite(rule, d, w, u, state):
+    """Whether the full formulas' step from the finite state multiplies a
+    value that is not finite by a coefficient that is exactly zero: u.p's
+    x + dx or y + dy beside a zero entry of u, sigma beside a zero entry
+    of w, s beside a zero c, u.p beside a zero 4c.  Only there may the
+    generated loop, which leaves that term out, differ from them."""
+    (dxx, dxy), (dyx, dyy) = d.tolist()
+    wx, wy = w.tolist()
+    ux, uy = u.tolist()
+    c = ux * wx + uy * wy
+    x, y = (float(v) for v in state)
+    dx = dxx * x + dxy * y
+    dy = dyx * x + dyy * y
+    s = ux * x + uy * y
+    up = ux * (x + dx) + uy * (y + dy)
+    factors = [(wx, None), (wy, None)]
+    if rule != sch.NONLOCAL_EXPLICIT:
+        factors += [(ux, x + dx), (uy, y + dy)]
+    if rule == sch.NONLOCAL_EXPLICIT:
+        sigma = s * s
+    elif rule == sch.NONLOCAL_SEMI_IMPLICIT:
+        factors.append((c, s))
+        pivot = 1.0 - c * s
+        sigma = s * (up / pivot) if pivot != 0.0 else 0.0
+    else:
+        factors.append((4.0 * c, up))
+        disc = 1.0 - 4.0 * c * up
+        s_next = 2.0 * up / (1.0 + math.sqrt(disc)) if 0.0 <= disc < math.inf else 0.0
+        sigma = s_next * s_next
+    factors = [(coef, sigma if value is None else value) for coef, value in factors]
+    return any(coef == 0.0 and not math.isfinite(value) for coef, value in factors)
+
+
+def finite_outcome(levels_fn, *args, **kwargs):
+    """levels_fn's levels cut before the first non-finite one, and that
+    level's index (None if there is none), or the type and message of the
+    RuntimeError it raised."""
+    try:
+        levels = levels_fn(*args, **kwargs)
+    except RuntimeError as exc:
+        return type(exc), str(exc)
+    blow_up = first_non_finite(levels)
+    return levels[:blow_up], blow_up
+
+
+_coefficient = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2.0, 2.0))
+_pair = st.tuples(_coefficient, _coefficient)
+
+
+@given(
+    rule=st.sampled_from(QUADRATIC_RULES),
+    d=st.tuples(_pair, _pair),
+    w=_pair,
+    u=_pair,
+    x0=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    n_steps=st.integers(1, 40),
+)
+# a blow-up whose next pivot is exactly zero: level 1 is (2, inf), and with
+# the zero entry of u left out, s_1 = 2 = 1/c.  The full formulas' s_1 is
+# 0 * inf = NaN; either way the run ends at its blow-up, with no raise
+@example(
+    rule=sch.NONLOCAL_SEMI_IMPLICIT, d=((0.0, 0.0), (0.0, 0.0)), w=(0.5, 1e308), u=(1.0, 0.0),
+    x0=(1.0, 1e308), n_steps=5,
+)
+# w = 0: the full formulas' 0 * inf = NaN at s^2 = inf is a blow-up at
+# level 1; the generated loop has no sigma, and x stays where it started
+@example(
+    rule=sch.NONLOCAL_EXPLICIT, d=((0.0, 0.0), (0.0, 0.0)), w=(0.0, 0.0), u=(1.0, 0.0),
+    x0=(1e200, 0.0), n_steps=3,
+)
+# the oscillator's explicit Euler step at dt 0.5 from its start
+@example(
+    rule=sch.NONLOCAL_EXPLICIT, d=((0.0, 0.5), (-0.5, 0.0)), w=(0.0, -0.5), u=(1.0, 0.0),
+    x0=(0.25, 0.0), n_steps=40,
+)
+@settings(max_examples=400, deadline=None)
+def test_generated_loops_equal_the_full_formulas(rule, d, w, u, x0, n_steps):
+    d, w, u = np.array(d), np.array(w), np.array(u)
+    full = finite_outcome(full_formula_levels, rule, d, w, u, x0, n_steps)
+    # every term kept: the full formulas to the bit
+    every_term = finite_outcome(sch._quadratic_levels, rule, d, w, u, x0, n_steps, every_term=True)
+    assert_same_outcome(every_term, full)
+    actual = finite_outcome(sch._quadratic_levels, rule, d, w, u, x0, n_steps)
+    if same_outcome(actual, full):
+        return
+    # the full formulas' last step, the raise or the blow-up, is the first
+    # to meet a value that is not finite; only there, and only where that
+    # value meets a left-out term, may the generated loop differ from them
+    if isinstance(full[0], type):
+        kept = full_formula_levels(rule, d, w, u, x0, int(re.match(r"step (\d+)", full[1])[1]))
+    else:
+        assert full[1] is not None, (actual, full)
+        kept = full[0]
+    assert a_left_out_factor_is_not_finite(rule, d, w, u, kept[-1]), (actual, full)
+    if isinstance(actual[0], type):
+        assert actual[1].startswith(f"step {len(kept) - 1}: "), (actual, full)
+    else:
+        assert np.array_equal(actual[0][: len(kept)], kept)
+
+
+def same_outcome(actual, expected):
+    """Whether both raised one error with one message, or kept equal levels
+    (under ==, so -0.0 is 0.0) and blew up at one level."""
+    if isinstance(expected[0], type) or isinstance(actual[0], type):
+        return actual == expected
+    return actual[1] == expected[1] and np.array_equal(actual[0], expected[0])
+
+
+OSCILLATOR_STATE_DIGESTS = {
+    # sha256 of the C-ordered float64 states of the oscillator from its
+    # stock start (x0 = 0.25) by the full-formula loops, at each step size of
+    # the oscillator-error figure to t = 35 and at osc-long's dt 1e-3 to
+    # t = 5; explicit Euler's dt 0.5 run blows up at step 43
+    ("explicit-euler", "semi-implicit-product", 0.05, 35.0):
+        "54b04e94aa376d52c0f9a71085c2c84f5ca41431fbc644ad1b9ca6abad5377d0",
+    ("explicit-euler", "semi-implicit-product", 0.01, 35.0):
+        "328aad08948f668065bf0f0cabb4445d6eca6bdab0db37ccae558db04ec14a86",
+    ("explicit-euler", "semi-implicit-product", 0.001, 35.0):
+        "485ce1bfc5d296593a384fdc40c476d9d0a61cc0775a24dad81fbc9b0af5b75c",
+    ("explicit-euler", "semi-implicit-product", 0.0005, 35.0):
+        "c6a64d3d4b994f5cb10b54bb4e75de35c4cee73dc9e50f00af4d86259921ccf3",
+    ("explicit-euler", "semi-implicit-product", 0.001, 5.0):
+        "92a43d2e5192edf3189dcd1265b17dbf5022720a68724d13c15e77c768ada9e0",
+    ("explicit-euler", "semi-implicit-product", 0.5, 200.0):
+        "9bf9625b7ecfcab006a9394f8c4789c34a1152bd7a908e4a562e2aaa8b9d61e7",
+    ("implicit-euler", "semi-implicit-product", 0.05, 35.0):
+        "7b0da5be1a476439935ad30786b795f6026ebc4c553dffc03b20568def3d3552",
+    ("implicit-euler", "semi-implicit-product", 0.01, 35.0):
+        "64560f22151905da6b987a0b5d0ef742f48d419f56ccdde2630ba6a9fc529eea",
+    ("implicit-euler", "semi-implicit-product", 0.001, 35.0):
+        "21b90102598613e43cd19ee1029779ac149d72df4ba353661391599f1bf37ca4",
+    ("implicit-euler", "semi-implicit-product", 0.0005, 35.0):
+        "e0ce1f2926f079e09052df6449ba6fad274f7a7bf94b6e54ecd4bf9d7f568433",
+    ("implicit-euler", "semi-implicit-product", 0.001, 5.0):
+        "5ece056acf4717110e67b64b6255c070cf091bc2aa4f16c2d44844ade3bf35b7",
+    ("scalar-nsfd", "semi-implicit-product", 0.05, 35.0):
+        "bf945929f1868b4da67034fd0265ae7266cbfe380071043250d35cb7b4025b91",
+    ("scalar-nsfd", "semi-implicit-product", 0.01, 35.0):
+        "9b33435d7801b4749cf23dc8327d371a7381b19d98e43c26a516b378238983b5",
+    ("scalar-nsfd", "semi-implicit-product", 0.001, 35.0):
+        "501a681742a628429b82d9f01a0a50c7fd5df45dcee86fd47d0afc85935dba09",
+    ("scalar-nsfd", "semi-implicit-product", 0.0005, 35.0):
+        "3d8c586664b5c4ffd1614f98323c5e005a2299f0ea534ecd58fb763db045c99e",
+    ("scalar-nsfd", "semi-implicit-product", 0.001, 5.0):
+        "b2e3fe06dea6f10d42ce4ef0cc53ce0b9c76251dddef5d04b691d274a4385d54",
+    ("scalar-nsfd", "explicit", 0.05, 35.0):
+        "0030c7f93aa2895040fe7e5da871eca42d64be2655182beb98768120ea557b31",
+    ("scalar-nsfd", "explicit", 0.01, 35.0):
+        "fa5b4d65a73c5a04c18479d7a88d99df4eee387595a6966ec92d0923a6f4934f",
+    ("scalar-nsfd", "explicit", 0.001, 35.0):
+        "d1af6f14612db1eca0474943023ed8ec82f4ebee26ab882b75d29ee0f980c0a8",
+    ("scalar-nsfd", "explicit", 0.0005, 35.0):
+        "50b943414563f702c0d1992cb7e3c21072f135e62d204fe0ed3fb3233dd3e470",
+    ("scalar-nsfd", "explicit", 0.001, 5.0):
+        "9c885e6f5c0d8a3dab43a6054a397693fb749fc179bde5881ef8b5c9ce235e3c",
+}
+
+
+@pytest.mark.parametrize("kind, nonlocal_b, dt, t_end", list(OSCILLATOR_STATE_DIGESTS))
+def test_the_oscillators_closed_form_states_keep_their_bits(
+    oscillator, kind, nonlocal_b, dt, t_end
+):
+    traj = nl.integrate(oscillator, nl.SchemeSpec(kind, nonlocal_b=nonlocal_b), dt, t_end)
+    assert traj.blow_up_step == (43 if dt == 0.5 else None)
+    digest = hashlib.sha256(np.ascontiguousarray(traj.states).tobytes()).hexdigest()
+    assert digest == OSCILLATOR_STATE_DIGESTS[kind, nonlocal_b, dt, t_end]
 
 
 @pytest.mark.parametrize("kind", ["mickens-osc2", "corrected-osc"])
