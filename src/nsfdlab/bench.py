@@ -9,8 +9,9 @@ run_experiment and write_exact sample the exact solution on a grid
 through schemes.grid_samples, keyed by the exact callable, dt, the
 number of levels and n, so the schemes of a figure measured on one grid
 share one sampling, and so do the figures and models built later on the
-same grid and parameters.  A sample of the wrong shape, or one that is
-not finite, raises ValueError where it is made (_sampled_exact).
+same grid and parameters.  relative_error_series takes its sample from
+the same _sampled_exact, uncached.  A sample of the wrong shape, or one
+that is not finite, raises ValueError where it is made.
 
 Figure data is written as plain CSV plus a gnuplot script, one file per
 (scheme, dt) combination, in binary mode so every line ends in '\n' on
@@ -104,12 +105,16 @@ class ConvergenceStudy:
 def relative_error_series(traj: Trajectory, exact, norm: str = COMPONENT_X) -> ErrorSeries:
     """Errors of traj.states against the exact solution at every trajectory time.
 
-    exact is called once, on the array of times, and returns the states as
-    shape (N, n); a result that broadcasts to it (a constant solution) is
-    accepted.
+    exact is called once, on the array of times traj.times, and returns the
+    states as shape (N, n); a result that broadcasts to it (a constant
+    solution) is accepted.  The sample is _sampled_exact's, uncached, so it
+    raises as run_experiment does: ValueError naming exact and n for a
+    shape that does not broadcast, and the first time whose state is not
+    finite for a NaN or infinite sample.
     """
     _check_norm(norm)
-    return _error_series(traj, exact(traj.times), norm)
+    reference = _sampled_exact(exact, traj.dt, *traj.states.shape)
+    return _error_series(traj, reference, norm)
 
 
 def _check_norm(norm: str) -> None:
@@ -121,12 +126,7 @@ def _check_norm(norm: str) -> None:
 
 def _error_series(traj: Trajectory, reference, norm: str) -> ErrorSeries:
     """relative_error_series against the exact states already sampled at
-    traj.times, in a norm already checked."""
-    reference = np.asarray(reference, dtype=float)
-    try:
-        reference = np.broadcast_to(reference, traj.states.shape)
-    except ValueError as exc:
-        raise ValueError("exact solution shape does not match trajectory states") from exc
+    traj.times by _sampled_exact, in a norm already checked."""
     if norm == COMPONENT_X:
         num = np.abs(traj.states[:, 0] - reference[:, 0])
         den = np.abs(reference[:, 0])

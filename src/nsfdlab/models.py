@@ -261,13 +261,17 @@ class _Bound:
     """fn(t, *args): a module-level function of (t, params) bound to a
     model's parameters.  It compares and hashes by (fn, args), so the
     bindings of equal parameters are one cache key, and it holds nothing
-    but them."""
+    but them.  Its repr, fn's name and the args, is the same in every
+    process, so an error message that names it is too."""
 
     fn: Callable[..., np.ndarray]
     args: tuple
 
     def __call__(self, t) -> np.ndarray:
         return self.fn(t, *self.args)
+
+    def __repr__(self) -> str:
+        return f"{self.fn.__qualname__}({', '.join(map(repr, self.args))})"
 
 
 def _oscillator_exact(t, x0: float, a_par: float, omega: float, m_par: float) -> np.ndarray:

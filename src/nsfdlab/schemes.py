@@ -360,9 +360,7 @@ def _checked_samples(values, fn, n: int, times: np.ndarray, what: str, where: st
     return values
 
 
-def _quadratic_march(
-    ctx: StepContext, x0: np.ndarray, n_steps: int, every_term: bool = False
-) -> np.ndarray:
+def _quadratic_march(ctx: StepContext, x0: np.ndarray, n_steps: int) -> np.ndarray:
     """The raw levels of a planar one-step scheme under the quadratic
     forcing B(x) = b (u.x)^2: _quadratic_levels with ctx's D and w = Q b,
     by implicit Euler's rule, the explicit value for explicit Euler, and
@@ -373,12 +371,11 @@ def _quadratic_march(
     else:
         rule = NONLOCAL_EXPLICIT if kind == EXPLICIT_EULER else ctx.scheme.nonlocal_b
     b, u = ctx.model.forcing.quadratic
-    return _quadratic_levels(rule, ctx.d, ctx.q @ b, u, x0, n_steps, every_term)
+    return _quadratic_levels(rule, ctx.d, ctx.q @ b, u, x0, n_steps)
 
 
 def _quadratic_levels(
-    rule: str, d: np.ndarray, w: np.ndarray, u: np.ndarray, x0, n_steps: int,
-    every_term: bool = False,
+    rule: str, d: np.ndarray, w: np.ndarray, u: np.ndarray, x0, n_steps: int
 ) -> np.ndarray:
     """n_steps levels from x0 of X+ = X_k + (D X_k + w sigma), the increment
     form of march, with s = u.X, c = u.w and p = X_k + D X_k, by the rule
@@ -402,7 +399,8 @@ def _quadratic_levels(
     left-out factor is not finite at a finite state (u.p overflowing beside
     a zero entry of u, sigma beside a zero w), the full formulas turned
     0 * inf into a NaN level; the loop may keep that level, or a component
-    of it, finite.  every_term keeps every term: the full formulas.
+    of it, finite.  Every caller takes this one loop: the two-level
+    schemes' start-up too (_two_level_states).
 
     The loop writes level k straight into the states through a memoryview
     of each row, so the levels are held once.  A zero pivot, or a negative
@@ -424,10 +422,7 @@ def _quadratic_levels(
     coefficients = (dxx, dxy, dyx, dyy, wx, wy, ux, uy, c, 4.0 * c)
     # what _loop_source reads of the values: which are exactly 0.0 or 1.0
     # (-0.0 is 0.0, here and in its cache's key)
-    if every_term:
-        pattern = (None,) * len(coefficients)
-    else:
-        pattern = tuple(v if v in (0.0, 1.0) else None for v in coefficients)
+    pattern = tuple(v if v in (0.0, 1.0) else None for v in coefficients)
     x, y = (float(v) for v in x0)
     # element stores into the rows as raw doubles: no float object per level
     xs, ys = memoryview(states[0]), memoryview(states[1])
@@ -776,10 +771,10 @@ def _two_level_states(ctx: StepContext, state0: np.ndarray, n_steps: int) -> np.
 
     x_1 is the x of one step of ctx's start-up, the corrected one-step
     system form, finite or not, so convergence measurements reflect the
-    recurrence, not an exact-solution seed.  That step keeps every term
-    (_quadratic_levels' every_term): where its level is not finite, a
-    left-out term could leave an x_1 finite that the full formula makes
-    NaN.  y_0 is given; y_k, k >= 1,
+    recurrence, not an exact-solution seed.  That step is scalar-nsfd's own
+    first step, the same pruned loop (_quadratic_march), and x_1 is that
+    level's x to the bit: where the step's y overflows, u = e_1 leaves it
+    out of u.p, and x_1 can be finite.  y_0 is given; y_k, k >= 1,
     is the system row (x_{k+1} - cos(dt) x_k)/sin(dt), plus tan(dt/2)
     x_k x_{k+1} for corrected-osc, from the recurrence's levels up to a
     spare x_{n_steps+1}, with dt = ctx.dt.  The levels are held once, in
@@ -793,7 +788,7 @@ def _two_level_states(ctx: StepContext, state0: np.ndarray, n_steps: int) -> np.
     levels = np.empty((2, n_steps + 2))
     x, y = levels
     x[0] = state0[0]
-    x[1] = _quadratic_march(ctx, state0, 1, every_term=True)[1, 0]
+    x[1] = _quadratic_march(ctx, state0, 1)[1, 0]
     _osc_levels(ctx, x, n_steps)
     y[0] = state0[1]
     # y_k = (x_{k+1} - cos(dt) x_k)/sin(dt), computed in its own row

@@ -482,6 +482,30 @@ def test_an_exact_solution_of_the_wrong_shape_raises_naming_n(seasonal, tmp_path
         nl.run_experiment(model, nl.SchemeSpec("scalar-nsfd"), 0.1, 1.0)
 
 
+def test_relative_error_series_raises_as_run_experiment_on_a_bad_exact_solution(seasonal):
+    # relative_error_series samples through the same check: a NaN exact
+    # value after t = 0.5 is named with its first time, not an error of nan
+    traj = nl.integrate(seasonal, nl.SchemeSpec("scalar-nsfd"), 0.1, 1.0)
+    exact = nan_after_half(seasonal.exact)
+    with pytest.raises(ValueError) as sampled:
+        nl.run_experiment(
+            dataclasses.replace(seasonal, exact=exact), nl.SchemeSpec("scalar-nsfd"), 0.1, 1.0
+        )
+    with pytest.raises(ValueError) as series:
+        nl.relative_error_series(traj, exact)
+    assert str(series.value) == str(sampled.value)
+    assert re.search(
+        rf"exact solution .*after_half \(n = 3\) is not finite at t = {re.escape(repr(6 * 0.1))}$",
+        str(series.value),
+    )
+
+
+def test_relative_error_series_names_n_for_an_exact_solution_of_the_wrong_shape(seasonal):
+    traj = nl.integrate(seasonal, nl.SchemeSpec("scalar-nsfd"), 0.1, 1.0)
+    with pytest.raises(ValueError, match=r"gave shape \(11, 2\) on 11 times; an n = 3 model"):
+        nl.relative_error_series(traj, lambda t: seasonal.exact(t)[..., :2], norm="full")
+
+
 def test_a_constant_exact_solution_is_broadcast_to_every_time(tmp_path):
     # x' = 0 from (1, 2): exact returns the one state, for any times
     still = mo.OdeModel(

@@ -97,6 +97,23 @@ def test_a_model_whose_forcing_is_not_finite_is_a_usage_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_a_stock_models_bad_forcing_is_named_the_same_in_every_process(tmp_path, capsys):
+    # a stock forcing is a bound function: the message names it by its
+    # function and parameters, with no memory address
+    out = tmp_path / "x.csv"
+    rc = run_cli(
+        "run", "--model", "seasonal", "--zf", "1e308", "--scheme", "scalar-nsfd",
+        "--dt", "0.1", "--tend", "1", "--out", str(out),
+    )
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        "error: time forcing _seasonal_forcing(1e+308, 6.283185307179586) (n = 3) "
+        "is not finite on the step from t = 0.0 (rule 'half')\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, case, blow_up",
     [

@@ -552,6 +552,15 @@ def test_model_functions_compare_by_value(kind, changed):
         assert fn != other[name], name
 
 
+def test_model_functions_are_named_by_function_and_parameters():
+    # error messages name a model's functions by repr: the same text in
+    # every process, with no memory address
+    seasonal = nl.make_model("seasonal", zf=0.25, omega=3.0)
+    assert repr(seasonal.forcing.time_fn) == "_seasonal_forcing(0.25, 3.0)"
+    assert repr(seasonal.exact) == "_seasonal_exact(1.0, 0.25, 3.0)"
+    assert repr(nl.make_model("biomass").exact) == "_biomass_homogeneous(1.0)"
+
+
 @pytest.mark.parametrize("kind", ["trees", "seasonal"])
 def test_a_negative_zero_parameter_is_built_as_zero(kind):
     # -0.0 == 0.0 with one hash, so the twins share cache keys: they must
